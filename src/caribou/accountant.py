@@ -3,7 +3,7 @@
 Covers the convergent and linear Renyi-DP factors for a K-hop pipeline,
 the edge- and node-level sensitivity formulas of the contractive layer,
 conversions between Gaussian DP, Renyi DP, and (epsilon, delta)-DP, noise
-calibration by bisection over a finite Renyi-order grid, and brute-force
+calibration in closed form over a finite Renyi-order grid, and brute-force
 sensitivity oracles for validation on small graphs.
 
 Conventions: ``sigma`` in a ``NoisePlan`` is the noise multiplier, i.e. the
@@ -15,7 +15,6 @@ and calibration solves the composed budget with unit sensitivity.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Literal, Sequence
@@ -25,11 +24,10 @@ from scipy.special import ndtr, ndtri
 
 from .graphs import (
     Graph,
-    add_node,
     degree_stats,
     enumerate_edge_neighbors,
+    enumerate_node_neighbors,
     normalized_adjacency,
-    remove_node,
 )
 from .layers import LayerParams, mean_aggregate
 from .prng import stream
@@ -42,10 +40,6 @@ DEFAULT_ALPHA_GRID: tuple[float, ...] = (1.25, 1.5, 2, 3, 4, 5, 6, 8, 16, 32, 64
 
 #: Hop counts of the reference noise-scale table.
 DEFAULT_K_VALUES: tuple[int, ...] = (1, 2, 4, 8, 16, 32, 64, 128)
-
-_SIGMA_LO = 1e-6
-_SIGMA_HI = 1e6
-_SIGMA_RTOL = 1e-6
 
 
 class CalibrationError(RuntimeError):
@@ -279,8 +273,15 @@ def calibrate_sigma(
 ) -> NoisePlan:
     """Smallest noise multiplier meeting the target budget.
 
-    Minimizes over the order grid; per order, epsilon is monotone in sigma
-    so bisection to relative tolerance 1e-6 finds the boundary.  Raises
+    At each order alpha the composed guarantee is
+    eps = B + alpha * F / (2 sigma^2) + log(1/delta)/(alpha - 1), with B the
+    module budgets and F the hop factor, so wherever
+    room = eps - B - log(1/delta)/(alpha - 1) is positive the boundary is
+    sigma = sqrt(alpha * F / (2 room)).  When rounding leaves the evaluated
+    epsilon above the target, room is lowered by that overshoot (at least
+    one ulp of epsilon) and sigma recomputed, so ``eps_achieved <= epsilon``
+    holds exactly; this takes at most a few passes, and an order whose room
+    vanishes is skipped.  The smallest sigma over the grid wins.  Raises
     CalibrationError when even infinite noise cannot meet the target (the
     floor min_alpha [budgets + log(1/delta)/(alpha-1)] is reported).
     """
@@ -318,21 +319,15 @@ def calibrate_sigma(
 
     best: tuple[float, float] | None = None
     for alpha in grid:
-        if floors[alpha] >= spec.epsilon:
-            continue
-        if _composed_epsilon(_SIGMA_LO, alpha, spec, budgets, mode) <= spec.epsilon:
-            candidate = _SIGMA_LO
-        else:
-            lo, hi = _SIGMA_LO, _SIGMA_HI
-            while hi - lo > _SIGMA_RTOL * hi:
-                mid = 0.5 * (lo + hi)
-                if _composed_epsilon(mid, alpha, spec, budgets, mode) <= spec.epsilon:
-                    hi = mid
-                else:
-                    lo = mid
-            candidate = hi
-        if best is None or candidate < best[0]:
-            best = (candidate, alpha)
+        room = spec.epsilon - floors[alpha]
+        while room > 0:
+            candidate = math.sqrt(alpha * factor / (2.0 * room))
+            over = _composed_epsilon(candidate, alpha, spec, budgets, mode) - spec.epsilon
+            if over <= 0:
+                if best is None or candidate < best[0]:
+                    best = (candidate, alpha)
+                break
+            room -= over
     if best is None:
         raise CalibrationError(
             f"epsilon={spec.epsilon} leaves no room above the per-order floors "
@@ -422,9 +417,10 @@ def brute_force_node_sensitivity(
 ) -> float:
     """Empirical lower estimate of the node-level sensitivity.
 
-    Compares the aggregation output on ``g`` against every single-node
-    removal and every capped single-node addition, padding the missing row
-    with zeros; inputs are random with unit-norm rows.
+    Compares the aggregation output on ``g`` against every neighbour from
+    ``enumerate_node_neighbors`` (each single-node removal, then each
+    capped single-node addition), padding the missing row with zeros;
+    inputs are random with unit-norm rows.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -433,31 +429,27 @@ def brute_force_node_sensitivity(
     adj_g = normalized_adjacency(g)
     draws = rng.normal(size=(trials, n + 1, feat_dim))
     draws /= np.linalg.norm(draws, axis=2, keepdims=True)
+    outs_g = [_layer_core(adj_g, x_full[:n], params) for x_full in draws]
     worst = 0.0
 
-    for w in range(n):
-        other = remove_node(g, w)
+    for i, other in enumerate(enumerate_node_neighbors(g, max_added_degree)):
         adj_o = normalized_adjacency(other)
-        keep = [i for i in range(n) if i != w]
-        for x_full in draws:
-            x = x_full[:n]
-            out_g = _layer_core(adj_g, x, params)
-            out_o = _layer_core(adj_o, x[keep], params)
-            gap = np.linalg.norm(out_g[keep] - out_o) ** 2 + np.linalg.norm(out_g[w]) ** 2
-            worst = max(worst, math.sqrt(float(gap)))
-
-    for size in range(min(max_added_degree, n) + 1):
-        for subset in itertools.combinations(range(n), size):
-            other = add_node(g, subset)
-            adj_o = normalized_adjacency(other)
-            for x_full in draws:
-                out_g = _layer_core(adj_g, x_full[:n], params)
+        # the first n neighbours remove node i; the rest append node n
+        keep = [j for j in range(n) if j != i]
+        for x_full, out_g in zip(draws, outs_g):
+            if i < n:
+                out_o = _layer_core(adj_o, x_full[:n][keep], params)
+                gap = (
+                    np.linalg.norm(out_g[keep] - out_o) ** 2
+                    + np.linalg.norm(out_g[i]) ** 2
+                )
+            else:
                 out_o = _layer_core(adj_o, x_full, params)
                 gap = (
                     np.linalg.norm(out_o[:n] - out_g) ** 2
                     + np.linalg.norm(out_o[n]) ** 2
                 )
-                worst = max(worst, math.sqrt(float(gap)))
+            worst = max(worst, math.sqrt(float(gap)))
     return worst
 
 
@@ -483,9 +475,13 @@ def noise_table(
     return rows
 
 
-def format_noise_table(rows: Sequence[tuple[int, float, float]]) -> str:
-    """CSV rendering with 4 significant digits."""
+def format_noise_table(
+    rows: Sequence[tuple[int, float, float]], digits: Literal["4g", "full"] = "4g"
+) -> str:
+    """CSV rendering with 4 significant digits, or with ``digits="full"``
+    the shortest repr of each float, which parses back exactly."""
+    render = repr if digits == "full" else (lambda v: f"{v:.4g}")
     lines = ["K,sigma_linear,sigma_convergent"]
     for k, lin, conv in rows:
-        lines.append(f"{k},{lin:.4g},{conv:.4g}")
+        lines.append(f"{k},{render(lin)},{render(conv)}")
     return "\n".join(lines) + "\n"

@@ -177,9 +177,11 @@ def _induced_subgraph(g: Graph, nodes: np.ndarray) -> tuple[Graph, np.ndarray]:
 class _PipelineModel:
     """Trained pipeline + head exposed as a black-box query interface.
 
-    Every query reruns inference end to end with a fresh counter-derived
-    noise stream, so a private pipeline answers queries noisily while a
-    non-private one is deterministic.
+    The head is trained on ``dataset``; queries run inference on
+    ``serve_on`` (default: the training dataset) and count against
+    ``_QUERY_LIMIT``.  Every query reruns inference end to end with a fresh
+    counter-derived noise stream, so a private pipeline answers queries
+    noisily while a non-private one is deterministic.
     """
 
     def __init__(
@@ -188,8 +190,9 @@ class _PipelineModel:
         pipeline_cfg: PipelineConfig,
         train_cfg: TrainConfig,
         query_seed: int,
+        serve_on: LabeledDataset | None = None,
     ):
-        self._dataset = dataset
+        self._dataset = dataset if serve_on is None else serve_on
         self._cfg = pipeline_cfg
         self._query_seed = query_seed
         self._queries = 0
@@ -304,15 +307,14 @@ def _node_trial(
         train_mask=np.arange(len(id_map)),
         test_mask=np.array([], dtype=np.int64),
     )
+    # train on subgraph, test on full graph: queries run on the full topology
     model = _PipelineModel(
         sub_set,
         replace(pipeline_cfg, seed=stream_seed(audit_cfg.seed, 2 * trial)),
         train_cfg,
         query_seed=stream_seed(audit_cfg.seed, 2 * trial + 1),
+        serve_on=dataset,
     )
-    # train on subgraph, test on full graph: queries run on the full topology
-    full_model = _QueryOnFullGraph(model.head, dataset, pipeline_cfg,
-                                   stream_seed(audit_cfg.seed, 2 * trial + 1))
     bit = int(rng.integers(0, 2))
     member_set = set(int(i) for i in member_nodes)
     if bit == 1:
@@ -323,29 +325,8 @@ def _node_trial(
             return math.nan, 0
         node = outside[int(rng.integers(0, len(outside)))]
     if score_fn is not None:
-        return float(score_fn(full_model.query, node)), bit
-    return node_confidence_score(full_model.query, node), bit
-
-
-class _QueryOnFullGraph:
-    """Query interface that runs inference on the full graph with a head
-    trained elsewhere."""
-
-    def __init__(self, head, dataset: LabeledDataset, pipeline_cfg: PipelineConfig,
-                 query_seed: int):
-        self.head = head
-        self._dataset = dataset
-        self._cfg = pipeline_cfg
-        self._query_seed = query_seed
-        self._queries = 0
-
-    def query(self, node: int, nudge: tuple[int, float] | None = None) -> np.ndarray:
-        self._queries += 1
-        features = _nudged_features(self._dataset.features, nudge)
-        probe = replace(self._dataset, features=features)
-        cfg = replace(self._cfg, seed=stream_seed(self._query_seed, self._queries))
-        artifacts = run_pipeline(probe, cfg)
-        return predict_proba(self.head, features[node], artifacts.x_k_final[node])
+        return float(score_fn(model.query, node)), bit
+    return node_confidence_score(model.query, node), bit
 
 
 def run_mia_game(

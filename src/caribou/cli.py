@@ -292,12 +292,7 @@ def cmd_calibrate(args) -> int:
 def cmd_noise_table(args) -> int:
     try:
         rows = noise_table(args.eps, args.delta, args.alpha, args.gamma, args.k_values)
-        if args.digits == "full":
-            lines = ["K,sigma_linear,sigma_convergent"]
-            lines += [f"{k},{lin!r},{conv!r}" for k, lin, conv in rows]
-            text = "\n".join(lines) + "\n"
-        else:
-            text = format_noise_table(rows)
+        text = format_noise_table(rows, args.digits)
     except (CalibrationError, ValueError) as exc:
         return _fail("noise-table", exc)
     if args.out:

@@ -60,15 +60,6 @@ class Graph:
             deg[v] += 1
         return deg
 
-    @cached_property
-    def neighbor_lists(self) -> list[np.ndarray]:
-        """Sorted neighbor ids per node (sparse row-indexed adjacency)."""
-        nbrs: list[list[int]] = [[] for _ in range(self.num_nodes)]
-        for u, v in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        return [np.array(sorted(ns), dtype=np.int64) for ns in nbrs]
-
     @property
     def num_edges(self) -> int:
         return len(self.edges)

@@ -154,8 +154,8 @@ def _mean_loss_and_grads(
 
 def _per_example_grads(
     head: MlpHead, inputs: Array, onehot: Array
-) -> tuple[float, list[Array], Array]:
-    """Per-example gradients stacked on axis 0, plus their global norms."""
+) -> tuple[float, list[Array]]:
+    """Mean loss and per-example gradients stacked on axis 0."""
     m = inputs.shape[0]
     hidden, logits = _forward(head, inputs)
     probs = _softmax(logits)
@@ -166,9 +166,38 @@ def _per_example_grads(
     g_b2 = g_logits
     g_w1 = np.einsum("mi,mh->mih", inputs, g_hidden)
     g_b1 = g_hidden
-    grads = [g_w1, g_b1, g_w2, g_b2]
-    sq = sum(np.sum(g.reshape(m, -1) ** 2, axis=1) for g in grads)
-    return loss, grads, np.sqrt(sq)
+    return loss, [g_w1, g_b1, g_w2, g_b2]
+
+
+def _dp_step(
+    per_example_grads: list[Array], clip: float, noise_mult: float, rng
+) -> list[Array]:
+    """One DP-SGD gradient: clip each example's gradient to global norm
+    ``clip`` across all parameters, sum, add Gaussian noise of std
+    clip * noise_mult to each parameter in order, and average."""
+    m = per_example_grads[0].shape[0]
+    sq = sum(np.sum(g.reshape(m, -1) ** 2, axis=1) for g in per_example_grads)
+    norms = np.sqrt(sq)
+    factors = np.minimum(1.0, clip / np.maximum(norms, 1e-300))
+    assert float((norms * factors).max()) <= clip * (1 + 1e-12)
+    noise_std = clip * noise_mult
+    grads = []
+    for g in per_example_grads:
+        summed = np.tensordot(factors, g, axes=(0, 0))
+        if noise_std > 0:
+            summed = summed + rng.normal(0.0, noise_std, size=summed.shape)
+        grads.append(summed / m)
+    return grads
+
+
+def _rdp_coeff(cfg: TrainConfig) -> float:
+    """Renyi cost coefficient of training with ``cfg``: epochs/(2 nm^2)
+    full-batch Gaussian steps, zero without DP, infinite without noise."""
+    if cfg.dp is None:
+        return 0.0
+    if cfg.dp.noise_mult == 0:
+        return math.inf
+    return cfg.epochs / (2.0 * cfg.dp.noise_mult**2)
 
 
 def train_head(
@@ -210,33 +239,19 @@ def train_head(
         biases=[np.zeros(cfg.hidden_units), np.zeros(num_classes)],
     )
 
-    m = inputs.shape[0]
     noise_rng = stream(seed, _DP_STREAM) if cfg.dp is not None else None
     for _ in range(cfg.epochs):
         if cfg.dp is None:
             loss, grads = _mean_loss_and_grads(head, inputs, onehot)
         else:
-            loss, per_ex, norms = _per_example_grads(head, inputs, onehot)
-            clip = cfg.dp.clip_norm
-            factors = np.minimum(1.0, clip / np.maximum(norms, 1e-300))
-            assert float((norms * factors).max()) <= clip * (1 + 1e-12)
-            noise_std = clip * cfg.dp.noise_mult
-            grads = []
-            for g in per_ex:
-                summed = np.tensordot(factors, g, axes=(0, 0))
-                if noise_std > 0:
-                    summed = summed + noise_rng.normal(0.0, noise_std, size=summed.shape)
-                grads.append(summed / m)
+            loss, per_ex = _per_example_grads(head, inputs, onehot)
+            grads = _dp_step(per_ex, cfg.dp.clip_norm, cfg.dp.noise_mult, noise_rng)
         head.loss_history.append(loss)
         params = [head.weights[0], head.biases[0], head.weights[1], head.biases[1]]
         for p, g in zip(params, grads):
             p -= cfg.learning_rate * g
 
-    if cfg.dp is not None:
-        if cfg.dp.noise_mult > 0:
-            head.cm_rdp_coeff = cfg.epochs / (2.0 * cfg.dp.noise_mult**2)
-        else:
-            head.cm_rdp_coeff = math.inf
+    head.cm_rdp_coeff = _rdp_coeff(cfg)
     return head
 
 
@@ -325,9 +340,8 @@ def train_linear_encoder(
 ) -> LinearEncoder:
     """Fit a linear softmax encoder on the training nodes.
 
-    Reuses the head-training machinery with a width-1 tanh layer removed:
-    implemented as plain multinomial regression with the same clipping and
-    noise rules as ``train_head``.
+    Plain multinomial regression; with ``cfg.dp`` set, every epoch takes
+    the same private step as ``train_head``, drawing noise for W, then b.
     """
     train_mask = np.asarray(train_mask, dtype=np.int64)
     if train_mask.size == 0:
@@ -349,27 +363,9 @@ def train_linear_encoder(
             g_w = x.T @ g_logits / m
             g_b = g_logits.sum(axis=0) / m
         else:
-            per_w = np.einsum("mi,mc->mic", x, g_logits)
-            sq = np.sum(per_w.reshape(m, -1) ** 2, axis=1) + np.sum(g_logits**2, axis=1)
-            norms = np.sqrt(sq)
-            clip = cfg.dp.clip_norm
-            factors = np.minimum(1.0, clip / np.maximum(norms, 1e-300))
-            noise_std = clip * cfg.dp.noise_mult
-            g_w = np.tensordot(factors, per_w, axes=(0, 0))
-            g_b = factors @ g_logits
-            if noise_std > 0:
-                g_w = g_w + noise_rng.normal(0.0, noise_std, size=g_w.shape)
-                g_b = g_b + noise_rng.normal(0.0, noise_std, size=g_b.shape)
-            g_w /= m
-            g_b /= m
+            per_ex = [np.einsum("mi,mc->mic", x, g_logits), g_logits]
+            g_w, g_b = _dp_step(per_ex, cfg.dp.clip_norm, cfg.dp.noise_mult, noise_rng)
         w -= cfg.learning_rate * g_w
         b -= cfg.learning_rate * g_b
 
-    coeff = 0.0
-    if cfg.dp is not None:
-        coeff = (
-            cfg.epochs / (2.0 * cfg.dp.noise_mult**2)
-            if cfg.dp.noise_mult > 0
-            else math.inf
-        )
-    return LinearEncoder(weight=w, bias=b, dae_rdp_coeff=coeff)
+    return LinearEncoder(weight=w, bias=b, dae_rdp_coeff=_rdp_coeff(cfg))

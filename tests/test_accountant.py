@@ -297,7 +297,14 @@ class TestCalibration:
                 gamma=float(rng.random() * 0.95),
             )
             plan = calibrate_sigma(spec, float(rng.random() * 2 + 0.1))
-            assert spec.epsilon - 1e-4 <= plan.eps_achieved <= spec.epsilon + 1e-6
+            assert spec.epsilon - 1e-4 <= plan.eps_achieved <= spec.epsilon
+
+    def test_near_floor_target_is_met(self):
+        # the needed sigma (~1.6e7) lies far above any fixed search bracket
+        spec = self.spec(eps=math.log(1000) / 63 + 1e-12, k=8)
+        plan = calibrate_sigma(spec, 1.0)
+        assert plan.eps_achieved <= spec.epsilon
+        assert plan.sigma > 1e7
 
     def test_infeasible_target_names_floor(self):
         spec = self.spec(eps=0.05)

@@ -192,6 +192,16 @@ class TestRunMiaGame:
         assert len(report.scores) + report.discarded_trials == 10
         assert all(0.0 <= s <= 1.0 for s in report.scores)
 
+    def test_node_attack_queries_count_against_budget(self, monkeypatch):
+        import caribou.audit
+
+        monkeypatch.setattr(caribou.audit, "_QUERY_LIMIT", 0)
+        ds = dense_block_dataset(seed=8)
+        cfg = make_pipeline_cfg(level="none", k=1)
+        audit_cfg = AuditConfig(attack="node_confidence", trials=10, seed=2)
+        with pytest.raises(RuntimeError, match="query budget exhausted"):
+            run_mia_game(ds, cfg, FAST_TRAIN, audit_cfg)
+
     def test_trials_minimum_enforced(self):
         with pytest.raises(ValueError):
             AuditConfig(trials=5)

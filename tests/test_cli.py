@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from caribou.accountant import noise_table
 from caribou.cli import main
 from caribou.graphs import load_dataset, write_dataset
 from tests.helpers import dense_block_dataset
@@ -160,6 +161,17 @@ class TestNoiseTable:
         row = [line for line in out.strip().split("\n") if line.startswith("1,")][0]
         _, lin, conv = row.split(",")
         assert lin == conv
+
+    def test_full_digits_parse_back_exactly(self, capsys):
+        code, out, _ = run_cli(["noise-table", "--digits", "full"], capsys)
+        assert code == 0
+        lines = out.strip().split("\n")
+        assert lines[0] == "K,sigma_linear,sigma_convergent"
+        parsed = [
+            (int(k), float(lin), float(conv))
+            for k, lin, conv in (line.split(",") for line in lines[1:])
+        ]
+        assert parsed == noise_table(4.0, 1e-3, 6.0, 0.9)
 
     def test_write_to_file(self, tmp_path, capsys):
         out_file = tmp_path / "table.csv"

@@ -158,6 +158,16 @@ class TestLinearEncoder:
         assert np.all(out[:2, 0] > out[:2, 1])
         assert np.all(out[2:, 1] > out[2:, 0])
 
+    def test_degenerate_dp_matches_plain_training(self):
+        def fit(dp):
+            cfg = TrainConfig(epochs=50, learning_rate=0.5, hidden_units=4, dp=dp)
+            return train_linear_encoder(TOY_X0, TOY_Y, TOY_MASK, cfg, seed=0)
+
+        plain = fit(None)
+        dp = fit(DpSgdConfig(clip_norm=math.inf, noise_mult=0.0))
+        assert np.allclose(plain.weight, dp.weight, atol=1e-10)
+        assert np.allclose(plain.bias, dp.bias, atol=1e-10)
+
     def test_dp_encoder_exports_cost(self):
         cfg = TrainConfig(
             epochs=20, learning_rate=0.2, hidden_units=4,
