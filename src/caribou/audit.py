@@ -19,7 +19,7 @@ from typing import Callable, Literal
 import numpy as np
 from scipy.stats import rankdata
 
-from .graphs import Graph, LabeledDataset, build_graph, degree_stats
+from .graphs import Graph, LabeledDataset, degree_stats
 from .layers import project_rows
 from .model import TrainConfig, predict_proba, train_head
 from .pipeline import PipelineConfig, run_pipeline
@@ -149,11 +149,10 @@ def node_confidence_score(model_query: ModelQuery, node: int) -> float:
 
 def _sample_edge_subset(g: Graph, keep_fraction: float, rng, require_min_degree: bool,
                         max_tries: int = 200) -> Graph:
-    edges = sorted(g.edges)
-    keep = max(1, round(keep_fraction * len(edges)))
+    keep = max(1, round(keep_fraction * g.num_edges))
     for _ in range(max_tries):
-        chosen = rng.choice(len(edges), size=keep, replace=False)
-        sub = Graph(num_nodes=g.num_nodes, edges=frozenset(edges[i] for i in chosen))
+        chosen = rng.choice(g.num_edges, size=keep, replace=False)
+        sub = Graph(num_nodes=g.num_nodes, edges=g.edges[np.sort(chosen)])
         if not require_min_degree or degree_stats(sub).d_min >= 1:
             return sub
     raise RuntimeError(
@@ -165,13 +164,12 @@ def _sample_edge_subset(g: Graph, keep_fraction: float, rng, require_min_degree:
 def _induced_subgraph(g: Graph, nodes: np.ndarray) -> tuple[Graph, np.ndarray]:
     """Induced subgraph on ``nodes`` (sorted); returns it with the id map."""
     nodes = np.sort(np.asarray(nodes, dtype=np.int64))
-    position = {int(orig): new for new, orig in enumerate(nodes)}
-    kept = [
-        (position[u], position[v])
-        for u, v in g.edges
-        if u in position and v in position
-    ]
-    return build_graph(len(nodes), kept), nodes
+    position = np.full(g.num_nodes, -1, dtype=np.int64)
+    position[nodes] = np.arange(nodes.size)
+    relabelled = position[g.edges]
+    # the relabelling is monotone, so the kept rows stay sorted
+    kept = relabelled[(relabelled >= 0).all(axis=1)]
+    return Graph(num_nodes=nodes.size, edges=kept), nodes
 
 
 class _PipelineModel:
@@ -233,13 +231,12 @@ def stream_seed(seed: int, index: int) -> int:
     return int(stream(seed, 0x5EED, index % (1 << 32)).integers(0, 1 << 63))
 
 
-def _absent_pairs(g: Graph) -> list[tuple[int, int]]:
-    pairs = []
-    for u in range(g.num_nodes):
-        for v in range(u + 1, g.num_nodes):
-            if not g.has_edge(u, v):
-                pairs.append((u, v))
-    return pairs
+def _absent_pairs(g: Graph) -> np.ndarray:
+    """Node pairs (u < v) without an edge, as rows in lexicographic order."""
+    n = g.num_nodes
+    u, v = np.triu_indices(n, k=1)
+    absent = ~np.isin(u * n + v, g.edges[:, 0] * n + g.edges[:, 1])
+    return np.stack([u[absent], v[absent]], axis=1)
 
 
 def _edge_trial(
@@ -266,13 +263,13 @@ def _edge_trial(
     )
     bit = int(rng.integers(0, 2))
     if bit == 1:
-        members = sorted(training_graph.edges)
-        u, v = members[int(rng.integers(0, len(members)))]
+        members = training_graph.edges
+        u, v = members[int(rng.integers(0, len(members)))].tolist()
     else:
         absent = _absent_pairs(training_graph)
-        if not absent:
+        if not absent.size:
             return math.nan, 0
-        u, v = absent[int(rng.integers(0, len(absent)))]
+        u, v = absent[int(rng.integers(0, len(absent)))].tolist()
     if score_fn is not None:
         return float(score_fn(model.query, (u, v))), bit
     score = edge_influence_score(model.query, u, v, audit_cfg.perturb_scale)
@@ -316,14 +313,13 @@ def _node_trial(
         serve_on=dataset,
     )
     bit = int(rng.integers(0, 2))
-    member_set = set(int(i) for i in member_nodes)
     if bit == 1:
         node = int(member_nodes[int(rng.integers(0, len(member_nodes)))])
     else:
-        outside = [i for i in range(n) if i not in member_set]
-        if not outside:
+        outside = np.setdiff1d(np.arange(n), member_nodes)
+        if not outside.size:
             return math.nan, 0
-        node = outside[int(rng.integers(0, len(outside)))]
+        node = int(outside[int(rng.integers(0, len(outside)))])
     if score_fn is not None:
         return float(score_fn(model.query, node)), bit
     return node_confidence_score(model.query, node), bit

@@ -1,5 +1,10 @@
 """Graph containers, symmetric normalization, adjacent-graph enumeration,
 dataset files, and the synthetic chain benchmark generator.
+
+A graph's edges are one read-only (m, 2) int64 array of (u, v) rows with
+u < v, sorted and unique, so every operation on the edge set is a
+vectorized array operation.  The normalized adjacency is built at most
+once per ``Graph`` object and cached with it.
 """
 
 from __future__ import annotations
@@ -16,8 +21,6 @@ from scipy.sparse import csr_array
 from .layers import project_rows
 from .prng import stream
 
-Edge = tuple[int, int]
-
 
 class ParseError(ValueError):
     """Malformed dataset file; carries the offending path and line number."""
@@ -33,58 +36,101 @@ class DegreeStats(NamedTuple):
     d_max: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Undirected graph with a deduplicated, self-loop-free edge set.
 
-    Edges are stored as sorted (u, v) pairs with u < v.  ``dropped_self_loops``
-    counts self-loops discarded during construction.
+    ``edges`` is a read-only (m, 2) int64 array of (u, v) rows with u < v,
+    sorted lexicographically and unique; a writable input array is copied
+    first, so later writes by the caller cannot reach the graph.
+    ``dropped_self_loops`` counts self-loops discarded during construction.
+    Graphs compare and hash by identity: the cached normalized adjacency
+    belongs to one object.
     """
 
     num_nodes: int
-    edges: frozenset[Edge]
+    edges: np.ndarray
     dropped_self_loops: int = 0
 
     def __post_init__(self) -> None:
-        if self.num_nodes < 0:
+        n = self.num_nodes
+        if n < 0:
             raise ValueError("num_nodes must be non-negative")
-        for u, v in self.edges:
-            if not (0 <= u < v < self.num_nodes):
-                raise ValueError(f"edge ({u}, {v}) invalid for {self.num_nodes} nodes")
+        edges = np.asarray(self.edges, dtype=np.int64)
+        if edges.ndim != 2 or edges.shape[1] != 2:
+            raise ValueError(f"edges must be an (m, 2) array, got shape {edges.shape}")
+        if edges.flags.writeable:
+            edges = edges.copy()
+            edges.flags.writeable = False
+        object.__setattr__(self, "edges", edges)
+        u, v = edges[:, 0], edges[:, 1]
+        bad = (u < 0) | (u >= v) | (v >= n)
+        if bad.any():
+            i = int(bad.argmax())
+            raise ValueError(f"edge ({u[i]}, {v[i]}) invalid for {n} nodes")
+        keys = u * n + v
+        bad = keys[1:] <= keys[:-1]
+        if bad.any():
+            i = int(bad.argmax()) + 1
+            raise ValueError(
+                f"edge ({u[i]}, {v[i]}) is out of order or repeated; "
+                "edges must be sorted and unique"
+            )
 
     @cached_property
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.num_nodes, dtype=np.int64)
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        return np.bincount(self.edges.ravel(), minlength=self.num_nodes)
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return self.edges.shape[0]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
+    @cached_property
+    def _normalized_adjacency(self) -> csr_array:
+        deg_plus_one = self.degrees + 1.0
+        n = self.num_nodes
+        u, v = self.edges[:, 0], self.edges[:, 1]
+        w = 1.0 / np.sqrt(deg_plus_one[u] * deg_plus_one[v])
+        diag = np.arange(n)
+        # COO order: the diagonal, then (u, v), (v, u) for each edge in turn
+        rows = np.concatenate([diag, np.stack([u, v], axis=1).ravel()])
+        cols = np.concatenate([diag, np.stack([v, u], axis=1).ravel()])
+        vals = np.concatenate([1.0 / deg_plus_one, np.repeat(w, 2)])
+        adj = csr_array((vals, (rows, cols)), shape=(n, n))
+        for arr in (adj.data, adj.indices, adj.indptr):
+            arr.flags.writeable = False
+        return adj
 
 
 def build_graph(num_nodes: int, edge_list) -> Graph:
     """Construct a Graph from (possibly messy) pair input.
 
-    Duplicate and reversed pairs collapse to one undirected edge; self-loops
-    are dropped and counted; out-of-range ids raise.
+    ``edge_list`` is any sequence of (u, v) pairs or an (m, 2) integer
+    array.  Duplicate and reversed pairs collapse to one undirected edge;
+    self-loops are dropped and counted; out-of-range ids raise.
     """
-    edges = set()
-    dropped = 0
-    for u, v in edge_list:
-        u, v = int(u), int(v)
-        if not (0 <= u < num_nodes and 0 <= v < num_nodes):
-            raise ValueError(f"edge ({u}, {v}) out of range for {num_nodes} nodes")
-        if u == v:
-            dropped += 1
-            continue
-        edges.add((min(u, v), max(u, v)))
-    return Graph(num_nodes=num_nodes, edges=frozenset(edges), dropped_self_loops=dropped)
+    n = num_nodes
+    pairs = np.asarray(edge_list, dtype=np.int64)
+    if pairs.size == 0:
+        pairs = pairs.reshape(0, 2)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError(f"edge_list must hold (u, v) pairs, got shape {pairs.shape}")
+    u, v = pairs[:, 0], pairs[:, 1]
+    bad = (u < 0) | (u >= n) | (v < 0) | (v >= n)
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(f"edge ({u[i]}, {v[i]}) out of range for {n} nodes")
+    loops = u == v
+    lo, hi = np.minimum(u, v)[~loops], np.maximum(u, v)[~loops]
+    # sort + neighbour compare: np.unique is far slower on large key arrays
+    keys = lo * n + hi
+    keys.sort()
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    keys = keys[first]
+    edges = np.stack(np.divmod(keys, n), axis=1)
+    edges.flags.writeable = False
+    return Graph(num_nodes=n, edges=edges, dropped_self_loops=int(loops.sum()))
 
 
 def degree_stats(g: Graph) -> DegreeStats:
@@ -100,22 +146,10 @@ def normalized_adjacency(g: Graph) -> csr_array:
 
     Diagonal entries are 1/(d_u + 1); the entry for edge {u, v} is
     1/sqrt((d_u + 1)(d_v + 1)).  The spectral norm of the result is <= 1.
+    Built once per ``Graph`` object; every call returns the same cached
+    matrix, whose ``data``, ``indices`` and ``indptr`` are read-only.
     """
-    deg = g.degrees.astype(float)
-    n = g.num_nodes
-    nnz = n + 2 * g.num_edges
-    rows = np.empty(nnz, dtype=np.int64)
-    cols = np.empty(nnz, dtype=np.int64)
-    vals = np.empty(nnz, dtype=float)
-    rows[:n] = np.arange(n)
-    cols[:n] = np.arange(n)
-    vals[:n] = 1.0 / (deg + 1.0)
-    for i, (u, v) in enumerate(sorted(g.edges)):
-        w = 1.0 / np.sqrt((deg[u] + 1.0) * (deg[v] + 1.0))
-        rows[n + 2 * i : n + 2 * i + 2] = (u, v)
-        cols[n + 2 * i : n + 2 * i + 2] = (v, u)
-        vals[n + 2 * i : n + 2 * i + 2] = w
-    return csr_array((vals, (rows, cols)), shape=(n, n))
+    return g._normalized_adjacency
 
 
 def spectral_norm(mat, tol: float = 1e-6, max_iter: int = 10_000, seed: int = 0) -> float:
@@ -141,36 +175,38 @@ def spectral_norm(mat, tol: float = 1e-6, max_iter: int = 10_000, seed: int = 0)
 def enumerate_edge_neighbors(g: Graph) -> Iterator[Graph]:
     """All graphs differing from ``g`` in exactly one edge.
 
-    Every unordered node pair is toggled once, so exactly C(n, 2) graphs
-    are produced.
+    Every unordered node pair is toggled once, in lexicographic order, so
+    exactly C(n, 2) graphs are produced.
     """
-    for u, v in itertools.combinations(range(g.num_nodes), 2):
-        if g.has_edge(u, v):
-            edges = g.edges - {(u, v)}
+    n = g.num_nodes
+    keys = g.edges[:, 0] * n + g.edges[:, 1]
+    for u, v in zip(*np.triu_indices(n, k=1)):
+        key = u * n + v
+        i = int(np.searchsorted(keys, key))
+        if i < keys.size and keys[i] == key:
+            edges = np.delete(g.edges, i, axis=0)
         else:
-            edges = g.edges | {(u, v)}
-        yield Graph(num_nodes=g.num_nodes, edges=frozenset(edges))
+            edges = np.insert(g.edges, i, (u, v), axis=0)
+        yield Graph(num_nodes=n, edges=edges)
 
 
 def remove_node(g: Graph, w: int) -> Graph:
     """Drop node ``w`` and its incident edges; ids above ``w`` shift down."""
     if not 0 <= w < g.num_nodes:
         raise ValueError(f"node {w} out of range")
-
-    def relabel(u: int) -> int:
-        return u if u < w else u - 1
-
-    edges = frozenset(
-        (relabel(u), relabel(v)) for u, v in g.edges if u != w and v != w
-    )
-    return Graph(num_nodes=g.num_nodes - 1, edges=edges)
+    kept = g.edges[(g.edges != w).all(axis=1)]
+    # the relabelling is monotone, so the rows stay sorted
+    return Graph(num_nodes=g.num_nodes - 1, edges=kept - (kept > w))
 
 
 def add_node(g: Graph, attach_to) -> Graph:
     """Append one node connected to each id in ``attach_to``."""
     new = g.num_nodes
-    extra = {(min(u, new), max(u, new)) for u in attach_to}
-    return Graph(num_nodes=new + 1, edges=frozenset(g.edges | extra))
+    attach = np.asarray(attach_to, dtype=np.int64).reshape(-1)
+    if ((attach < 0) | (attach >= new)).any():
+        raise ValueError(f"attach_to must hold existing node ids, got {attach.tolist()}")
+    extra = np.stack([attach, np.full_like(attach, new)], axis=1)
+    return build_graph(new + 1, np.concatenate([g.edges, extra]))
 
 
 def enumerate_node_neighbors(g: Graph, max_added_degree: int) -> Iterator[Graph]:
@@ -208,14 +244,17 @@ class LabeledDataset:
             )
         if self.labels.shape != (n,):
             raise ValueError("labels must be one entry per node")
-        tr, te = set(self.train_mask.tolist()), set(self.test_mask.tolist())
-        if tr & te:
+        if np.isin(self.train_mask, self.test_mask).any():
             raise ValueError("train and test masks overlap")
-        for idx in tr | te:
-            if not 0 <= idx < n:
-                raise ValueError(f"mask id {idx} out of range")
-            if self.labels[idx] < 0:
-                raise ValueError(f"mask id {idx} is unlabeled")
+        ids = np.concatenate([self.train_mask, self.test_mask])
+        if not ids.size:
+            return
+        bad = (ids < 0) | (ids >= n)
+        if bad.any():
+            raise ValueError(f"mask id {ids[bad.argmax()]} out of range")
+        bad = self.labels[ids] < 0
+        if bad.any():
+            raise ValueError(f"mask id {ids[bad.argmax()]} is unlabeled")
 
     @property
     def num_classes(self) -> int:
@@ -241,26 +280,24 @@ def stratified_split(
     if n_train + n_test > labeled.size:
         raise ValueError("split larger than the number of labeled nodes")
     classes = np.unique(labels[labeled])
-    train: list[int] = []
-    test: list[int] = []
+    empty = np.array([], dtype=np.int64)
+    train, test = [empty], [empty]
     for cls in classes:
         ids = np.flatnonzero(labels == cls)
         perm = rng.permutation(ids)
         take_tr = n_train // len(classes)
         take_te = n_test // len(classes)
-        train.extend(int(i) for i in perm[:take_tr])
-        test.extend(int(i) for i in perm[take_tr : take_tr + take_te])
-    short_tr = n_train - len(train)
-    short_te = n_test - len(test)
+        train.append(perm[:take_tr])
+        test.append(perm[take_tr : take_tr + take_te])
+    train, test = np.concatenate(train), np.concatenate(test)
+    short_tr = n_train - train.size
+    short_te = n_test - test.size
     if short_tr or short_te:
-        used = set(train) | set(test)
-        leftovers = [int(i) for i in rng.permutation(labeled) if int(i) not in used]
-        train.extend(leftovers[:short_tr])
-        test.extend(leftovers[short_tr : short_tr + short_te])
-    return (
-        np.array(sorted(train), dtype=np.int64),
-        np.array(sorted(test), dtype=np.int64),
-    )
+        perm = rng.permutation(labeled)
+        leftovers = perm[~np.isin(perm, np.concatenate([train, test]))]
+        train = np.concatenate([train, leftovers[:short_tr]])
+        test = np.concatenate([test, leftovers[short_tr : short_tr + short_te]])
+    return np.sort(train), np.sort(test)
 
 
 def gen_chain_dataset(
@@ -286,17 +323,13 @@ def gen_chain_dataset(
         raise ValueError("feat_dim must be at least num_classes")
 
     n = num_chains * chain_len
-    edges = []
+    chain_cls = np.arange(num_chains) % num_classes
+    labels = np.repeat(chain_cls, chain_len)
     features = np.zeros((n, feat_dim))
-    labels = np.empty(n, dtype=np.int64)
-    for c in range(num_chains):
-        base = c * chain_len
-        cls = c % num_classes
-        labels[base : base + chain_len] = cls
-        features[base, cls] = 1.0
-        for i in range(chain_len - 1):
-            edges.append((base + i, base + i + 1))
-    graph = build_graph(n, edges)
+    features[np.arange(0, n, chain_len), chain_cls] = 1.0
+    # every node but the last of its chain links to its successor
+    tails = np.arange(n).reshape(num_chains, chain_len)[:, :-1].ravel()
+    graph = build_graph(n, np.stack([tails, tails + 1], axis=1))
 
     n_train, n_test = _split_counts(n)
     train, test = stratified_split(labels, n_train, n_test, stream(seed, 0xC4A1))
@@ -389,7 +422,7 @@ def load_dataset(edge_path, feature_path, label_path) -> LabeledDataset:
 def write_dataset(dataset: LabeledDataset, edge_path, feature_path, label_path) -> None:
     """Write the three dataset files in the formats ``load_dataset`` reads."""
     with Path(edge_path).open("w") as fh:
-        for u, v in sorted(dataset.graph.edges):
+        for u, v in dataset.graph.edges.tolist():
             fh.write(f"{u} {v}\n")
     with Path(feature_path).open("w") as fh:
         for row in dataset.features:

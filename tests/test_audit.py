@@ -8,13 +8,16 @@ from caribou.accountant import PrivacySpec
 from caribou.audit import (
     AuditConfig,
     AuditReport,
+    _absent_pairs,
+    _induced_subgraph,
+    _sample_edge_subset,
     auc,
     edge_influence_score,
     empirical_epsilon_lower_bound,
     node_confidence_score,
     run_mia_game,
 )
-from caribou.graphs import gen_chain_dataset
+from caribou.graphs import build_graph, gen_chain_dataset
 from caribou.layers import LayerParams
 from caribou.model import TrainConfig
 from caribou.pipeline import PipelineConfig
@@ -205,6 +208,64 @@ class TestRunMiaGame:
     def test_trials_minimum_enforced(self):
         with pytest.raises(ValueError):
             AuditConfig(trials=5)
+
+
+def random_graph(seed, n, p):
+    rng = stream(seed, 0x6A)
+    pairs = [(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < p]
+    return build_graph(n, pairs)
+
+
+def edge_tuples(g):
+    return [tuple(e) for e in g.edges.tolist()]
+
+
+class TestChallengeSamplers:
+    """Each sampler equals its tuple-based definition, order included: the
+    trial RNG indexes these lists, so their order fixes the challenges."""
+
+    def test_absent_pairs_match_definition(self):
+        for seed, n, p in [(0, 0, 0.5), (1, 1, 0.5), (2, 9, 0.0), (3, 9, 1.0), (4, 23, 0.4)]:
+            g = random_graph(seed, n, p)
+            present = set(edge_tuples(g))
+            expected = [pair for pair in itertools.combinations(range(n), 2) if pair not in present]
+            got = _absent_pairs(g)
+            assert got.shape == (len(expected), 2)
+            assert [tuple(r) for r in got.tolist()] == expected
+
+    def test_induced_subgraph_matches_definition(self):
+        g = random_graph(5, 30, 0.3)
+        rng = stream(5, 1)
+        for size in (0, 1, 7, 30):
+            nodes = rng.choice(30, size=size, replace=False)
+            sub, id_map = _induced_subgraph(g, nodes)
+            order = sorted(int(i) for i in nodes)
+            position = {orig: new for new, orig in enumerate(order)}
+            expected = sorted(
+                (position[u], position[v])
+                for u, v in edge_tuples(g)
+                if u in position and v in position
+            )
+            assert id_map.tolist() == order
+            assert sub.num_nodes == size
+            assert edge_tuples(sub) == expected
+
+    @pytest.mark.parametrize("require_min_degree", [False, True])
+    def test_edge_subset_matches_definition(self, require_min_degree):
+        # sparse enough that the minimum-degree requirement forces redraws
+        g = random_graph(6, 16, 0.25)
+        for seed in range(5):
+            sub = _sample_edge_subset(g, 0.7, stream(seed, 2), require_min_degree)
+            rng = stream(seed, 2)
+            edges = sorted(edge_tuples(g))
+            keep = max(1, round(0.7 * len(edges)))
+            while True:
+                chosen = rng.choice(len(edges), size=keep, replace=False)
+                expected = sorted(edges[i] for i in chosen)
+                covered = {w for e in expected for w in e}
+                if not require_min_degree or len(covered) == g.num_nodes:
+                    break
+            assert edge_tuples(sub) == expected
 
 
 class TestAuditReport:

@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from caribou.graphs import (
+    Graph,
+    LabeledDataset,
     ParseError,
     build_graph,
     degree_stats,
@@ -33,7 +37,7 @@ class TestBuildGraph:
 
     def test_symmetrization_dedup(self):
         g = build_graph(3, [(0, 1), (1, 0), (1, 2)])
-        assert sorted(g.edges) == [(0, 1), (1, 2)]
+        assert g.edges.tolist() == [[0, 1], [1, 2]]
 
     def test_single_isolated_node(self):
         g = build_graph(1, [])
@@ -47,6 +51,58 @@ class TestBuildGraph:
         g = build_graph(3, [(0, 0), (1, 1), (0, 1)])
         assert g.num_edges == 1
         assert g.dropped_self_loops == 2
+
+
+    def test_accepts_pairs_array_and_empty_input(self):
+        from_pairs = build_graph(4, [(2, 3), (0, 1), (3, 2)])
+        from_array = build_graph(4, np.array([[3, 2], [1, 0], [2, 2]]))
+        assert from_pairs.edges.tolist() == [[0, 1], [2, 3]]
+        assert np.array_equal(from_array.edges, from_pairs.edges)
+        assert from_array.dropped_self_loops == 1
+        for n in (0, 3):
+            g = build_graph(n, [])
+            assert g.edges.shape == (0, 2) and g.edges.dtype == np.int64
+            assert np.array_equal(g.degrees, np.zeros(n))
+
+    def test_badly_shaped_pairs_rejected(self):
+        with pytest.raises(ValueError, match="pairs"):
+            build_graph(3, [(0, 1, 2)])
+
+
+class TestGraphInvariants:
+    @pytest.mark.parametrize(
+        "edges, match",
+        [
+            ([[1, 2], [0, 1]], r"edge \(0, 1\) is out of order"),
+            ([[0, 1], [0, 1]], r"edge \(0, 1\) is out of order or repeated"),
+            ([[0, 1], [1, 1]], r"edge \(1, 1\) invalid"),
+            ([[2, 1]], r"edge \(2, 1\) invalid"),
+            ([[-1, 1]], r"edge \(-1, 1\) invalid"),
+            ([[0, 1], [1, 3]], r"edge \(1, 3\) invalid for 3 nodes"),
+        ],
+    )
+    def test_bad_edge_arrays_name_first_bad_edge(self, edges, match):
+        with pytest.raises(ValueError, match=match):
+            Graph(num_nodes=3, edges=np.array(edges))
+
+    @pytest.mark.parametrize("shape", [(2,), (1, 3), (2, 2, 1)])
+    def test_wrong_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match="shape"):
+            Graph(num_nodes=3, edges=np.zeros(shape, dtype=np.int64))
+
+    def test_edges_read_only_and_detached_from_input(self):
+        source = np.array([[0, 1], [1, 2]])
+        g = Graph(num_nodes=3, edges=source)
+        source[0] = (0, 2)
+        assert g.edges.tolist() == [[0, 1], [1, 2]]
+        with pytest.raises(ValueError, match="read-only"):
+            g.edges[0, 0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            build_graph(3, [(0, 1)]).edges[0, 0] = 1
+
+    def test_degrees_count_both_endpoints(self):
+        g = build_graph(5, [(0, 1), (0, 2), (0, 3), (3, 1)])
+        assert g.degrees.tolist() == [3, 2, 1, 2, 0]
 
 
 class TestNormalizedAdjacency:
@@ -78,6 +134,30 @@ class TestNormalizedAdjacency:
         assert np.allclose(normalized_adjacency(cycle).toarray().sum(axis=1), 1.0, atol=1e-12)
         complete = build_graph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
         assert np.allclose(normalized_adjacency(complete).toarray().sum(axis=1), 1.0, atol=1e-12)
+
+
+    def test_built_once_per_graph_and_read_only(self):
+        g = build_graph(3, [(0, 1), (1, 2)])
+        adj = normalized_adjacency(g)
+        assert normalized_adjacency(g) is adj
+        for arr in (adj.data, adj.indices, adj.indptr):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(0, 24),
+        pairs=st.lists(st.tuples(st.integers(0, 23), st.integers(0, 23)), max_size=80),
+    )
+    def test_matches_dense_reference(self, n, pairs):
+        # nodes without a pair stay isolated
+        g = build_graph(n, [(u, v) for u, v in pairs if u < n and v < n])
+        a_tilde = np.eye(n)
+        for u, v in g.edges.tolist():
+            a_tilde[u, v] = a_tilde[v, u] = 1.0
+        scale = 1.0 / np.sqrt(a_tilde.sum(axis=1))
+        reference = scale[:, None] * a_tilde * scale[None, :]
+        assert np.abs(normalized_adjacency(g).toarray() - reference).max(initial=0.0) <= 1e-15
 
 
 class TestDegreeStats:
@@ -169,7 +249,7 @@ class TestChainDataset:
     def test_deterministic_per_seed(self):
         a = gen_chain_dataset(6, 8, 2, 5, seed=42)
         b = gen_chain_dataset(6, 8, 2, 5, seed=42)
-        assert a.graph.edges == b.graph.edges
+        assert np.array_equal(a.graph.edges, b.graph.edges)
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.train_mask, b.train_mask)
         assert np.array_equal(a.test_mask, b.test_mask)
@@ -197,6 +277,54 @@ class TestStratifiedSplit:
         with pytest.raises(ValueError):
             stratified_split(np.array([0, 1]), 2, 1, stream(0, 1))
 
+    def test_leftover_fill_matches_loop_definition(self):
+        # uneven classes leave quota for the uniform leftover fill
+        labels = np.array([0] * 7 + [1] * 5 + [2] * 9 + [-1] * 3)
+        for seed in range(8):
+            rng = stream(seed, 3)
+            labeled = np.flatnonzero(labels >= 0)
+            train, test = [], []
+            for cls in (0, 1, 2):
+                perm = rng.permutation(np.flatnonzero(labels == cls))
+                train.extend(int(i) for i in perm[:1])
+                test.extend(int(i) for i in perm[1:4])
+            used = set(train) | set(test)
+            leftovers = [int(i) for i in rng.permutation(labeled) if int(i) not in used]
+            train += leftovers[:2]
+            test += leftovers[2:4]
+            got = stratified_split(labels, 5, 11, stream(seed, 3))
+            assert got[0].tolist() == sorted(train)
+            assert got[1].tolist() == sorted(test)
+            assert got[0].dtype == got[1].dtype == np.int64
+
+
+class TestLabeledDataset:
+    def make(self, train, test):
+        labels = np.array([0, 1, -1, 1])
+        return LabeledDataset(
+            graph=build_graph(4, [(0, 1)]),
+            features=np.zeros((4, 2)),
+            labels=labels,
+            train_mask=np.array(train, dtype=np.int64),
+            test_mask=np.array(test, dtype=np.int64),
+        )
+
+    def test_overlap_rejected(self):
+        with pytest.raises(ValueError, match="overlap"):
+            self.make([0, 1], [3, 1])
+
+    def test_first_out_of_range_id_named(self):
+        with pytest.raises(ValueError, match="mask id 7 out of range"):
+            self.make([0, 7], [-2])
+
+    def test_first_unlabeled_id_named(self):
+        with pytest.raises(ValueError, match="mask id 2 is unlabeled"):
+            self.make([0], [3, 2])
+
+    def test_empty_masks_of_any_dtype_accepted(self):
+        ds = self.make([], [])
+        LabeledDataset(ds.graph, ds.features, ds.labels, np.array([]), np.array([]))
+
 
 class TestDatasetIo:
     def test_roundtrip(self, tmp_path):
@@ -204,7 +332,7 @@ class TestDatasetIo:
         paths = [tmp_path / n for n in ("e.txt", "f.csv", "l.csv")]
         write_dataset(ds, *paths)
         loaded = load_dataset(*paths)
-        assert loaded.graph.edges == ds.graph.edges
+        assert np.array_equal(loaded.graph.edges, ds.graph.edges)
         assert np.allclose(loaded.features, ds.features)
         assert np.array_equal(loaded.labels, ds.labels)
 
@@ -214,7 +342,7 @@ class TestDatasetIo:
         (tmp_path / "l.csv").write_text("0,0\n1,1\n2,1\n")
         ds = load_dataset(tmp_path / "e.txt", tmp_path / "f.csv", tmp_path / "l.csv")
         assert ds.graph.num_nodes == 3
-        assert sorted(ds.graph.edges) == [(0, 1), (1, 2)]
+        assert ds.graph.edges.tolist() == [[0, 1], [1, 2]]
 
     def test_rows_projected_on_load(self, tmp_path):
         (tmp_path / "e.txt").write_text("")
