@@ -16,7 +16,7 @@ and calibration solves the composed budget with unit sensitivity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Literal, Sequence
 
 import numpy as np
@@ -29,7 +29,7 @@ from .graphs import (
     enumerate_node_neighbors,
     normalized_adjacency,
 )
-from .layers import LayerParams, mean_aggregate
+from .layers import LayerParams, layer_forward
 from .prng import stream
 
 PrivacyLevel = Literal["edge", "node", "none"]
@@ -371,12 +371,10 @@ def sensitivity_for_level(
 
 
 def _layer_core(adj, x: np.ndarray, params: LayerParams) -> np.ndarray:
-    # aggregation part only; the residual term cancels between adjacent
-    # graphs on shared nodes and is covered by the additive 1 in the
-    # node-level bound
-    return params.c_l * (
-        params.alpha1 * (adj @ x) + params.alpha2 * mean_aggregate(x)
-    )
+    # the layer with a zero residual: the residual term cancels between
+    # adjacent graphs on shared nodes and is covered by the additive 1 in
+    # the node-level bound
+    return layer_forward(adj, x, x, replace(params, beta=0.0))
 
 
 def brute_force_edge_sensitivity(

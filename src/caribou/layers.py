@@ -64,7 +64,9 @@ def layer_forward(adj, x_k: Array, x_0: Array, params: LayerParams) -> Array:
     """One forward pass of the contractive layer.
 
     ``adj`` is a (sparse or dense) |V| x |V| normalized adjacency; shapes
-    of ``x_k`` and ``x_0`` must agree with it.
+    of ``x_k`` and ``x_0`` must agree with it, and |V| must be at least 1.
+    The ``adj @ x_k`` product is scaled in place; the mean and residual
+    terms are skipped when their weight is 0.
     """
     x_k = np.asarray(x_k, dtype=float)
     x_0 = np.asarray(x_0, dtype=float)
@@ -73,8 +75,16 @@ def layer_forward(adj, x_k: Array, x_0: Array, params: LayerParams) -> Array:
         raise ValueError(
             f"shape mismatch: adj {adj.shape}, x_k {x_k.shape}, x_0 {x_0.shape}"
         )
-    aggregated = params.alpha1 * (adj @ x_k) + params.alpha2 * mean_aggregate(x_k)
-    return params.c_l * aggregated + params.beta * x_0
+    if n < 1:
+        raise ValueError("expected a non-empty 2-D feature matrix")
+    out = np.asarray(adj @ x_k, dtype=float)
+    out *= params.alpha1
+    if params.alpha2 != 0.0:
+        out += params.alpha2 * x_k.mean(axis=0, keepdims=True)
+    out *= params.c_l
+    if params.beta != 0.0:
+        out += params.beta * x_0
+    return out
 
 
 def project_rows(x: Array, radius: float = 1.0) -> Array:

@@ -6,6 +6,8 @@ releasing only the final embedding.
 from __future__ import annotations
 
 import json
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,6 +28,12 @@ from .prng import stream
 
 _ROW_NORM_TOL = 1e-9
 _HOP_STREAM = 0x40C4
+#: Feature-matrix entries (n*d; 2**19 float64 fill 4 MiB) from which each
+#: hop's noise is drawn on a worker thread while the hop's layer runs.  In
+#: K=8 sweeps on 2 cores the overlap won in every run from 544k entries up;
+#: at 512k and below it won in some runs and lost in others, as the two
+#: threads slowed each other down (the sweep is in CHANGES.md).
+_OVERLAP_MIN_CELLS = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -73,15 +81,24 @@ class RunArtifacts:
     per_hop_noise_std: float
 
 
+def _draw_noise(out: np.ndarray, std: float, rng: np.random.Generator) -> None:
+    """Fill ``out`` in place with IID N(0, std^2) entries: the numbers
+    ``rng.normal(0.0, std, out.shape)`` returns, without a new array."""
+    if std < 0:
+        raise ValueError("std must be non-negative")
+    rng.standard_normal(out=out)
+    np.multiply(out, std, out=out)
+
+
 def sample_gaussian_matrix(
     rows: int, cols: int, std: float, rng: np.random.Generator
 ) -> np.ndarray:
     """IID zero-mean Gaussian matrix; std = 0 yields exact zeros."""
-    if std < 0:
-        raise ValueError("std must be non-negative")
     if std == 0.0:
         return np.zeros((rows, cols))
-    return rng.normal(loc=0.0, scale=std, size=(rows, cols))
+    out = np.empty((rows, cols))
+    _draw_noise(out, std, rng)
+    return out
 
 
 def run_pipeline(dataset: LabeledDataset, cfg: PipelineConfig) -> RunArtifacts:
@@ -90,7 +107,12 @@ def run_pipeline(dataset: LabeledDataset, cfg: PipelineConfig) -> RunArtifacts:
     Requires row-normalized input features.  The per-hop noise standard
     deviation is exactly sensitivity * plan.sigma; each hop draws from its
     own counter-derived stream so runs are reproducible regardless of
-    evaluation order.
+    evaluation order.  All hops' noise fills one reused buffer.  When the
+    feature matrix has at least ``_OVERLAP_MIN_CELLS`` entries, hop k's
+    noise is drawn on one worker thread while this thread runs hop k's
+    layer; below that it is drawn on this thread.  Each hop draws the same
+    numbers either way, so the release does not depend on where they are
+    drawn.
     """
     x0 = np.asarray(dataset.features, dtype=float)
     row_norms = np.linalg.norm(x0, axis=1)
@@ -117,12 +139,31 @@ def run_pipeline(dataset: LabeledDataset, cfg: PipelineConfig) -> RunArtifacts:
     noise_std = plan.noise_std
     adj = normalized_adjacency(dataset.graph)
     x = x0.copy()
-    for hop in range(cfg.k_hops):
-        x = layer_forward(adj, x, x0, cfg.cgl)
-        if noise_std > 0.0:
+    noisy = noise_std > 0.0 and cfg.k_hops > 0
+    noise = np.empty_like(x) if noisy else None
+    overlap = noisy and x.size >= _OVERLAP_MIN_CELLS
+    with ThreadPoolExecutor(max_workers=1) if overlap else nullcontext() as pool:
+
+        def start_draw(hop: int) -> Future | None:
+            # the worker runs only _draw_noise's numpy fills, which release
+            # the GIL, and no public function, so wrappers around public
+            # functions (as a tracer installs) only run on this thread
             rng = stream(cfg.seed, _HOP_STREAM, hop)
-            x = x + sample_gaussian_matrix(x.shape[0], x.shape[1], noise_std, rng)
-        x = project_rows(x)
+            if pool is None:
+                _draw_noise(noise, noise_std, rng)
+                return None
+            return pool.submit(_draw_noise, noise, noise_std, rng)
+
+        pending = start_draw(0) if noisy else None
+        for hop in range(cfg.k_hops):
+            x = layer_forward(adj, x, x0, cfg.cgl)
+            if noisy:
+                if pending is not None:
+                    pending.result()
+                x += noise
+                if hop + 1 < cfg.k_hops:
+                    pending = start_draw(hop + 1)
+            x = project_rows(x)
     return RunArtifacts(x_k_final=x, plan=plan, per_hop_noise_std=noise_std)
 
 

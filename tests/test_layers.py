@@ -77,6 +77,33 @@ class TestLayerForward:
         with pytest.raises(ValueError):
             layer_forward(adj, np.zeros((3, 2)), np.zeros((3, 2)), params)
 
+    def test_empty_feature_matrix_rejected(self):
+        adj = normalized_adjacency(build_graph(0, []))
+        for alpha2 in (0.0, 0.5):
+            params = LayerParams(c_l=0.5, alpha1=1.0 - alpha2, alpha2=alpha2, beta=0.0)
+            with pytest.raises(ValueError, match="non-empty"):
+                layer_forward(adj, np.zeros((0, 3)), np.zeros((0, 3)), params)
+
+    def test_equals_written_out_formula(self):
+        # c_l * (alpha1 * A @ X + alpha2 * Mean(X)) + beta * X0, evaluated
+        # with full temporaries, to the last bit
+        rng = stream(23, 0)
+        for alpha2, beta in ((0.0, 0.0), (0.0, 0.7), (0.35, 0.0), (0.35, 1.2), (1.0, 0.4)):
+            params = LayerParams(c_l=0.85, alpha1=1.0 - alpha2, alpha2=alpha2, beta=beta)
+            for n in (1, 7, 20):
+                sparse = normalized_adjacency(random_graph(rng, n))
+                x = rng.normal(size=(n, 3))
+                x0 = rng.normal(size=(n, 3))
+                x_copy, x0_copy = x.copy(), x0.copy()
+                for adj in (sparse, sparse.toarray()):
+                    expected = (
+                        params.c_l
+                        * (params.alpha1 * (adj @ x) + params.alpha2 * mean_aggregate(x))
+                        + params.beta * x0
+                    )
+                    assert np.array_equal(layer_forward(adj, x, x0, params), expected)
+                    assert np.array_equal(x, x_copy) and np.array_equal(x0, x0_copy)
+
     def test_linearity_without_residual(self):
         rng = stream(21, 0)
         g = random_graph(rng, 9)

@@ -1,10 +1,21 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+import caribou.pipeline
 from caribou.accountant import PrivacySpec
-from caribou.graphs import gen_chain_dataset, normalized_adjacency
+from caribou.graphs import LabeledDataset, build_graph, gen_chain_dataset, normalized_adjacency
 from caribou.layers import LayerParams, layer_forward, project_rows
-from caribou.pipeline import PipelineConfig, RunArtifacts, run_pipeline, sample_gaussian_matrix
+from caribou.pipeline import (
+    _OVERLAP_MIN_CELLS,
+    PipelineConfig,
+    RunArtifacts,
+    _draw_noise,
+    run_pipeline,
+    sample_gaussian_matrix,
+)
 from caribou.prng import stream
 
 
@@ -42,6 +53,128 @@ class TestSampler:
     def test_negative_std_rejected(self):
         with pytest.raises(ValueError):
             sample_gaussian_matrix(1, 1, -0.1, stream(0, 0))
+
+
+class TestDrawNoise:
+    def test_same_numbers_as_generator_normal(self):
+        out = np.empty((50, 7))
+        _draw_noise(out, 0.37, stream(5, 6))
+        assert np.array_equal(out, stream(5, 6).normal(loc=0.0, scale=0.37, size=(50, 7)))
+
+    def test_refills_the_given_buffer(self):
+        out = np.empty((6, 3))
+        _draw_noise(out, 1.0, stream(8, 1))
+        _draw_noise(out, 2.0, stream(8, 2))
+        assert np.array_equal(out, sample_gaussian_matrix(6, 3, 2.0, stream(8, 2)))
+
+    def test_zero_std_is_zero_matrix(self):
+        out = np.full((4, 3), 9.0)
+        _draw_noise(out, 0.0, stream(0, 1))
+        assert np.array_equal(out, np.zeros((4, 3)))
+
+    def test_negative_std_rejected(self):
+        with pytest.raises(ValueError):
+            _draw_noise(np.empty((1, 1)), -0.1, stream(0, 0))
+
+
+def random_dataset(n, d, seed):
+    """A path through all nodes plus ~2n random edges, unit feature rows."""
+    rng = np.random.default_rng(seed)
+    path = rng.permutation(n)
+    pairs = np.concatenate([
+        np.stack([path[:-1], path[1:]], axis=1), rng.integers(0, n, size=(2 * n, 2))
+    ])
+    features = rng.normal(size=(n, d))
+    return LabeledDataset(
+        graph=build_graph(n, pairs[pairs[:, 0] != pairs[:, 1]]),
+        features=features / np.linalg.norm(features, axis=1, keepdims=True),
+        labels=np.zeros(n, dtype=np.int64),
+    )
+
+
+def mixed_config(level, seed, k=3):
+    params = LayerParams(c_l=0.7, alpha1=0.8, alpha2=0.2, beta=0.1)
+    spec = PrivacySpec(epsilon=4.0, delta=1e-5, level=level, k_hops=k, gamma=0.7)
+    return PipelineConfig(cgl=params, spec=spec, k_hops=k, seed=seed)
+
+
+def reference_release(ds, cfg, noise_std):
+    """The hop loop written out: layer, the hop's Gaussian, projection."""
+    adj = normalized_adjacency(ds.graph)
+    x = ds.features.copy()
+    for hop in range(cfg.k_hops):
+        x = layer_forward(adj, x, ds.features, cfg.cgl)
+        x = x + stream(cfg.seed, 0x40C4, hop).normal(0.0, noise_std, size=x.shape)
+        x = project_rows(x)
+    return x
+
+
+# one feature matrix at the overlap cutoff (noise drawn on a worker thread)
+# and one below it (noise drawn on the calling thread)
+ABOVE_CUTOFF = (8192, 64)
+BELOW_CUTOFF = (500, 8)
+
+
+class TestNoiseOverlap:
+    def test_sizes_straddle_the_cutoff(self):
+        assert ABOVE_CUTOFF[0] * ABOVE_CUTOFF[1] >= _OVERLAP_MIN_CELLS
+        assert BELOW_CUTOFF[0] * BELOW_CUTOFF[1] < _OVERLAP_MIN_CELLS
+
+    @pytest.mark.parametrize("size", [ABOVE_CUTOFF, BELOW_CUTOFF], ids=["above", "below"])
+    @pytest.mark.parametrize("level", ["edge", "node"])
+    def test_equals_reference_loop(self, size, level):
+        ds = random_dataset(*size, seed=size[0])
+        for seed in (0, 1, 2):
+            cfg = mixed_config(level, seed)
+            artifacts = run_pipeline(ds, cfg)
+            assert artifacts.per_hop_noise_std > 0
+            expected = reference_release(ds, cfg, artifacts.per_hop_noise_std)
+            assert np.array_equal(artifacts.x_k_final, expected)
+
+    def test_equals_reference_loop_under_frequent_thread_switches(self):
+        ds = random_dataset(*ABOVE_CUTOFF, seed=5)
+        cfg = mixed_config("edge", 7, k=4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            artifacts = run_pipeline(ds, cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        expected = reference_release(ds, cfg, artifacts.per_hop_noise_std)
+        assert np.array_equal(artifacts.x_k_final, expected)
+
+    @pytest.mark.parametrize("size", [ABOVE_CUTOFF, BELOW_CUTOFF], ids=["above", "below"])
+    def test_worker_thread_only_above_cutoff(self, size, monkeypatch):
+        ds = random_dataset(*size, seed=3)
+        before = threading.active_count()
+        during = []
+
+        def counting_project_rows(x):
+            during.append(threading.active_count())
+            return project_rows(x)
+
+        monkeypatch.setattr(caribou.pipeline, "project_rows", counting_project_rows)
+        run_pipeline(ds, mixed_config("edge", 0))
+        assert threading.active_count() == before
+        workers = 1 if size == ABOVE_CUTOFF else 0
+        assert during == [before + workers] * 3
+
+    def test_failing_hop_reaches_caller_and_ends_worker(self, monkeypatch):
+        ds = random_dataset(*ABOVE_CUTOFF, seed=4)
+        before = threading.active_count()
+        calls = []
+
+        def failing_project_rows(x):
+            calls.append(len(calls))
+            if len(calls) == 3:
+                raise ArithmeticError("hop 2 failed")
+            return project_rows(x)
+
+        monkeypatch.setattr(caribou.pipeline, "project_rows", failing_project_rows)
+        with pytest.raises(ArithmeticError, match="hop 2 failed"):
+            run_pipeline(ds, mixed_config("edge", 0, k=4))
+        assert calls == [0, 1, 2]
+        assert threading.active_count() == before
 
 
 class TestConfigValidation:
