@@ -1,6 +1,8 @@
 """Differentially private multi-layer graph message passing with a
 convergent privacy accountant, a contractive aggregation layer, a small
 trainable classifier, and an empirical membership-inference audit harness.
+
+The verification oracles are not exported; import ``caribou.verify``.
 """
 
 from .accountant import (
@@ -8,8 +10,6 @@ from .accountant import (
     ModuleBudgets,
     NoisePlan,
     PrivacySpec,
-    brute_force_edge_sensitivity,
-    brute_force_node_sensitivity,
     calibrate_sigma,
     convergent_factor,
     edge_sensitivity,
@@ -36,20 +36,15 @@ from .graphs import (
     ParseError,
     build_graph,
     degree_stats,
-    enumerate_edge_neighbors,
-    enumerate_node_neighbors,
     gen_chain_dataset,
     load_dataset,
     normalized_adjacency,
-    spectral_norm,
     stratified_split,
     write_dataset,
 )
 from .layers import (
     LayerParams,
-    empirical_lipschitz,
     layer_forward,
-    mean_aggregate,
     normalize_rows,
     project_rows,
 )
@@ -59,12 +54,11 @@ from .model import (
     MlpHead,
     TrainConfig,
     evaluate,
-    grad_check,
     predict_proba,
     train_head,
     train_linear_encoder,
 )
-from .pipeline import PipelineConfig, RunArtifacts, run_pipeline, sample_gaussian_matrix
+from .pipeline import PipelineConfig, RunArtifacts, run_pipeline
 from .prng import stream
 
 __version__ = "0.1.0"
@@ -88,25 +82,18 @@ __all__ = [
     "RunArtifacts",
     "TrainConfig",
     "auc",
-    "brute_force_edge_sensitivity",
-    "brute_force_node_sensitivity",
     "build_graph",
     "calibrate_sigma",
     "convergent_factor",
     "degree_stats",
     "edge_influence_score",
     "edge_sensitivity",
-    "empirical_lipschitz",
-    "enumerate_edge_neighbors",
-    "enumerate_node_neighbors",
     "evaluate",
     "gaussian_tradeoff",
     "gdp_to_rdp",
     "gen_chain_dataset",
-    "grad_check",
     "layer_forward",
     "load_dataset",
-    "mean_aggregate",
     "node_confidence_score",
     "node_sensitivity",
     "noise_table",
@@ -119,8 +106,6 @@ __all__ = [
     "rdp_to_dp",
     "run_mia_game",
     "run_pipeline",
-    "sample_gaussian_matrix",
-    "spectral_norm",
     "stratified_split",
     "stream",
     "train_head",

@@ -2,9 +2,10 @@
 
 Covers the convergent and linear Renyi-DP factors for a K-hop pipeline,
 the edge- and node-level sensitivity formulas of the contractive layer,
-conversions between Gaussian DP, Renyi DP, and (epsilon, delta)-DP, noise
-calibration in closed form over a finite Renyi-order grid, and brute-force
-sensitivity oracles for validation on small graphs.
+conversions between Gaussian DP, Renyi DP, and (epsilon, delta)-DP, and
+noise calibration in closed form over a finite Renyi-order grid.  The
+brute-force sensitivity oracles that check the formulas on small graphs
+live in ``caribou.verify``.
 
 Conventions: ``sigma`` in a ``NoisePlan`` is the noise multiplier, i.e. the
 per-layer Gaussian standard deviation *before* scaling by the sensitivity.
@@ -16,21 +17,14 @@ and calibration solves the composed budget with unit sensitivity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Literal, Sequence
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .graphs import (
-    Graph,
-    degree_stats,
-    enumerate_edge_neighbors,
-    enumerate_node_neighbors,
-    normalized_adjacency,
-)
-from .layers import LayerParams, layer_forward
-from .prng import stream
+from .graphs import Graph, degree_stats
+from .layers import LayerParams
 
 PrivacyLevel = Literal["edge", "node", "none"]
 AccountantMode = Literal["convergent", "linear"]
@@ -249,18 +243,11 @@ def node_sensitivity(
 
 
 def _composed_epsilon(
-    sigma: float,
-    alpha: float,
-    spec: PrivacySpec,
-    budgets: ModuleBudgets,
-    mode: AccountantMode,
+    sigma: float, alpha: float, factor: float, spec: PrivacySpec, budgets: ModuleBudgets
 ) -> float:
     # unit sensitivity: injected noise scales with delta_mp, so the
-    # per-step mechanism has mu = 1/sigma
-    if mode == "convergent":
-        rdp = rdp_epsilon_convergent(spec.k_hops, spec.gamma, 1.0, sigma, alpha)
-    else:
-        rdp = rdp_epsilon_linear(spec.k_hops, 1.0, sigma, alpha)
+    # per-step mechanism has mu = 1/sigma and the hops cost alpha F/(2 sigma^2)
+    rdp = 0.5 * alpha * (1.0 / sigma) ** 2 * factor
     return rdp_to_dp(budgets.total + rdp, alpha, spec.delta)
 
 
@@ -316,13 +303,16 @@ def calibrate_sigma(
             factor=factor,
             eps_achieved=floor,
         )
+    if spec.k_hops < 1:
+        # the linear factor K is 0 here, so no sigma > 0 can be solved for
+        raise ValueError("k must be >= 1")
 
     best: tuple[float, float] | None = None
     for alpha in grid:
         room = spec.epsilon - floors[alpha]
         while room > 0:
             candidate = math.sqrt(alpha * factor / (2.0 * room))
-            over = _composed_epsilon(candidate, alpha, spec, budgets, mode) - spec.epsilon
+            over = _composed_epsilon(candidate, alpha, factor, spec, budgets) - spec.epsilon
             if over <= 0:
                 if best is None or candidate < best[0]:
                     best = (candidate, alpha)
@@ -334,7 +324,7 @@ def calibrate_sigma(
             f"(best floor {floor:.6g})"
         )
     sigma, alpha_star = best
-    achieved = min(_composed_epsilon(sigma, a, spec, budgets, mode) for a in grid)
+    achieved = min(_composed_epsilon(sigma, a, factor, spec, budgets) for a in grid)
     return NoisePlan(
         sigma=sigma,
         alpha_star=float(alpha_star),
@@ -368,87 +358,6 @@ def sensitivity_for_level(
     return node_sensitivity(
         stats.d_min, d_max, g.num_nodes, params.c_l, params.alpha1, params.alpha2
     )
-
-
-def _layer_core(adj, x: np.ndarray, params: LayerParams) -> np.ndarray:
-    # the layer with a zero residual: the residual term cancels between
-    # adjacent graphs on shared nodes and is covered by the additive 1 in
-    # the node-level bound
-    return layer_forward(adj, x, x, replace(params, beta=0.0))
-
-
-def brute_force_edge_sensitivity(
-    g: Graph, params: LayerParams, trials: int, seed: int, feat_dim: int = 4
-) -> float:
-    """Empirical lower estimate of the edge-level sensitivity.
-
-    Maximizes ||c_l * alpha1 * (A - A') X||_F over all single-edge toggles
-    and ``trials`` random matrices with unit-norm rows.  Pairs where either
-    graph has an isolated node are skipped (outside the formula's domain).
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = stream(seed, 0xED6E)
-    base = normalized_adjacency(g)
-    n = g.num_nodes
-    draws = rng.normal(size=(trials, n, feat_dim))
-    draws /= np.linalg.norm(draws, axis=2, keepdims=True)
-    worst = 0.0
-    base_ok = degree_stats(g).d_min >= 1
-    for other in enumerate_edge_neighbors(g):
-        if not base_ok or degree_stats(other).d_min < 1:
-            continue
-        diff_op = params.c_l * params.alpha1 * (base - normalized_adjacency(other))
-        dense = diff_op.toarray()
-        for x in draws:
-            worst = max(worst, float(np.linalg.norm(dense @ x)))
-    return worst
-
-
-def brute_force_node_sensitivity(
-    g: Graph,
-    params: LayerParams,
-    trials: int,
-    max_added_degree: int,
-    seed: int,
-    feat_dim: int = 4,
-) -> float:
-    """Empirical lower estimate of the node-level sensitivity.
-
-    Compares the aggregation output on ``g`` against every neighbour from
-    ``enumerate_node_neighbors`` (each single-node removal, then each
-    capped single-node addition), padding the missing row with zeros;
-    inputs are random with unit-norm rows.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = stream(seed, 0x60DE)
-    n = g.num_nodes
-    adj_g = normalized_adjacency(g)
-    draws = rng.normal(size=(trials, n + 1, feat_dim))
-    draws /= np.linalg.norm(draws, axis=2, keepdims=True)
-    outs_g = [_layer_core(adj_g, x_full[:n], params) for x_full in draws]
-    worst = 0.0
-
-    for i, other in enumerate(enumerate_node_neighbors(g, max_added_degree)):
-        adj_o = normalized_adjacency(other)
-        # the first n neighbours remove node i; the rest append node n
-        keep = [j for j in range(n) if j != i]
-        for x_full, out_g in zip(draws, outs_g):
-            if i < n:
-                out_o = _layer_core(adj_o, x_full[:n][keep], params)
-                gap = (
-                    np.linalg.norm(out_g[keep] - out_o) ** 2
-                    + np.linalg.norm(out_g[i]) ** 2
-                )
-            else:
-                out_o = _layer_core(adj_o, x_full, params)
-                gap = (
-                    np.linalg.norm(out_o[:n] - out_g) ** 2
-                    + np.linalg.norm(out_o[n]) ** 2
-                )
-            worst = max(worst, math.sqrt(float(gap)))
-    return worst
 
 
 def noise_table(

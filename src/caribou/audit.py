@@ -102,31 +102,6 @@ def auc(scores, bits) -> float:
     return float(u / (n_pos * n_neg))
 
 
-def empirical_epsilon_lower_bound(scores, bits, threshold: float) -> float:
-    """Diagnostic only: log(max(TPR/FPR, FNR/TNR)) at one threshold,
-    clamped at zero.
-
-    Not a certified bound; finite-sample rates are used as-is, so a
-    perfectly separating threshold reports infinity.
-    """
-    scores = np.asarray(scores, dtype=float)
-    bits = np.asarray(bits, dtype=int)
-    positive = scores >= threshold
-    tpr = positive[bits == 1].mean() if np.any(bits == 1) else 0.0
-    fpr = positive[bits == 0].mean() if np.any(bits == 0) else 0.0
-    fnr, tnr = 1.0 - tpr, 1.0 - fpr
-    ratios = []
-    for num, den in ((tpr, fpr), (fnr, tnr)):
-        if den > 0:
-            ratios.append(num / den)
-        elif num > 0:
-            ratios.append(math.inf)
-    if not ratios:
-        return 0.0
-    best = max(ratios)
-    return max(0.0, math.log(best)) if best > 0 else 0.0
-
-
 def edge_influence_score(
     model_query: ModelQuery, u: int, v: int, perturb_scale: float
 ) -> float:

@@ -184,15 +184,14 @@ def _budgets(config: dict) -> ModuleBudgets:
 def _pipeline_config(config: dict) -> tuple[PipelineConfig, TrainConfig]:
     params = _layer_params(config)
     spec, mode = _privacy_spec(config, params)
-    privacy = config.get("privacy", {})
     cfg = PipelineConfig(
         cgl=params,
         spec=spec,
-        k_hops=int(privacy.get("k_hops", spec.k_hops)),
+        k_hops=spec.k_hops,
         seed=int(config.get("seed", 0)),
         mode=mode,
         budgets=_budgets(config),
-        max_degree=privacy.get("max_degree"),
+        max_degree=config.get("privacy", {}).get("max_degree"),
     )
     return cfg, _train_config(config)
 

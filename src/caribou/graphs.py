@@ -1,5 +1,5 @@
-"""Graph containers, symmetric normalization, adjacent-graph enumeration,
-dataset files, and the synthetic chain benchmark generator.
+"""Graph containers, symmetric normalization, dataset files, and the
+synthetic chain benchmark generator.
 
 A graph's edges are one read-only (m, 2) int64 array of (u, v) rows with
 u < v, sorted and unique, so every operation on the edge set is a
@@ -9,11 +9,10 @@ once per ``Graph`` object and cached with it.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -150,77 +149,6 @@ def normalized_adjacency(g: Graph) -> csr_array:
     matrix, whose ``data``, ``indices`` and ``indptr`` are read-only.
     """
     return g._normalized_adjacency
-
-
-def spectral_norm(mat, tol: float = 1e-6, max_iter: int = 10_000, seed: int = 0) -> float:
-    """Largest singular value of a symmetric operator by power iteration."""
-    n = mat.shape[0]
-    rng = stream(seed, 0x5BEC)
-    v = rng.normal(size=n)
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    for _ in range(max_iter):
-        w = mat @ v
-        norm_w = float(np.linalg.norm(w))
-        if norm_w == 0.0:
-            return 0.0
-        w /= norm_w
-        if abs(norm_w - sigma) < tol * max(1.0, norm_w):
-            return norm_w
-        sigma = norm_w
-        v = w
-    return sigma
-
-
-def enumerate_edge_neighbors(g: Graph) -> Iterator[Graph]:
-    """All graphs differing from ``g`` in exactly one edge.
-
-    Every unordered node pair is toggled once, in lexicographic order, so
-    exactly C(n, 2) graphs are produced.
-    """
-    n = g.num_nodes
-    keys = g.edges[:, 0] * n + g.edges[:, 1]
-    for u, v in zip(*np.triu_indices(n, k=1)):
-        key = u * n + v
-        i = int(np.searchsorted(keys, key))
-        if i < keys.size and keys[i] == key:
-            edges = np.delete(g.edges, i, axis=0)
-        else:
-            edges = np.insert(g.edges, i, (u, v), axis=0)
-        yield Graph(num_nodes=n, edges=edges)
-
-
-def remove_node(g: Graph, w: int) -> Graph:
-    """Drop node ``w`` and its incident edges; ids above ``w`` shift down."""
-    if not 0 <= w < g.num_nodes:
-        raise ValueError(f"node {w} out of range")
-    kept = g.edges[(g.edges != w).all(axis=1)]
-    # the relabelling is monotone, so the rows stay sorted
-    return Graph(num_nodes=g.num_nodes - 1, edges=kept - (kept > w))
-
-
-def add_node(g: Graph, attach_to) -> Graph:
-    """Append one node connected to each id in ``attach_to``."""
-    new = g.num_nodes
-    attach = np.asarray(attach_to, dtype=np.int64).reshape(-1)
-    if ((attach < 0) | (attach >= new)).any():
-        raise ValueError(f"attach_to must hold existing node ids, got {attach.tolist()}")
-    extra = np.stack([attach, np.full_like(attach, new)], axis=1)
-    return build_graph(new + 1, np.concatenate([g.edges, extra]))
-
-
-def enumerate_node_neighbors(g: Graph, max_added_degree: int) -> Iterator[Graph]:
-    """Graphs differing from ``g`` in one node and its incident edges.
-
-    Removal side: every single-node deletion.  Addition side: one new node
-    wired to each subset of existing nodes with size <= ``max_added_degree``
-    (capped so enumeration stays polynomial).
-    """
-    for w in range(g.num_nodes):
-        yield remove_node(g, w)
-    for size in range(min(max_added_degree, g.num_nodes) + 1):
-        for subset in itertools.combinations(range(g.num_nodes), size):
-            yield add_node(g, subset)
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prng import stream
-
 _ALPHA_TOL = 1e-9
 
 Array = np.ndarray
@@ -50,14 +48,6 @@ class LayerParams:
             )
         if self.beta < 0:
             raise ValueError("beta must be non-negative")
-
-
-def mean_aggregate(x: Array) -> Array:
-    """Broadcast the column-wise mean of ``x`` to every row."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[0] < 1:
-        raise ValueError("expected a non-empty 2-D feature matrix")
-    return np.broadcast_to(x.mean(axis=0, keepdims=True), x.shape).copy()
 
 
 def layer_forward(adj, x_k: Array, x_0: Array, params: LayerParams) -> Array:
@@ -107,28 +97,3 @@ def normalize_rows(x: Array) -> Array:
     norms = np.linalg.norm(x, axis=-1, keepdims=True)
     safe = np.where(norms > 0, norms, 1.0)
     return x / safe
-
-
-def empirical_lipschitz(adj, params: LayerParams, trials: int, seed: int) -> float:
-    """Probe the layer's Lipschitz constant with random input pairs.
-
-    Returns max over trials of ||f(X) - f(Y)||_F / ||X - Y||_F with the
-    residual term held fixed (it cancels in the difference).  The value
-    never exceeds ``params.c_l`` up to rounding.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    n = adj.shape[0]
-    rng = stream(seed, 0xE11)
-    x0 = np.zeros((n, 4))
-    worst = 0.0
-    for _ in range(trials):
-        while True:
-            x = rng.normal(size=(n, 4))
-            y = rng.normal(size=(n, 4))
-            gap = float(np.linalg.norm(x - y))
-            if gap > 1e-12:
-                break
-        diff = layer_forward(adj, x, x0, params) - layer_forward(adj, y, x0, params)
-        worst = max(worst, float(np.linalg.norm(diff)) / gap)
-    return worst

@@ -5,14 +5,22 @@ features and the row-normalized final embedding, trained full batch by
 plain gradient descent or by a simplified DP-SGD (per-example clipping +
 Gaussian noise, composed by plain Renyi summation).  Everything is
 deterministic per seed.
+
+Plain and private training share one backward pass, and DP-SGD forms no
+per-example gradient: a dense layer's per-example weight gradient
+x_i (x) g_i has norm |x_i| |g_i|, so clipping norms come in closed form
+and the backward pass on clip-scaled output gradients sums the clipped
+per-example gradients.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -135,55 +143,67 @@ def _forward(head: MlpHead, inputs: Array) -> tuple[Array, Array]:
     return hidden, logits
 
 
-def _mean_loss_and_grads(
-    head: MlpHead, inputs: Array, onehot: Array
-) -> tuple[float, list[Array]]:
-    """Mean cross-entropy and its gradient w.r.t. (W1, b1, W2, b2)."""
-    m = inputs.shape[0]
-    hidden, logits = _forward(head, inputs)
-    probs = _softmax(logits)
-    loss = float(-np.sum(onehot * np.log(np.maximum(probs, 1e-300))) / m)
-    g_logits = (probs - onehot) / m
+def _backward(head: MlpHead, inputs: Array, hidden: Array, g_logits: Array) -> list[Array]:
+    """Gradients w.r.t. (W1, b1, W2, b2) summed over the rows of
+    ``g_logits``, the loss gradient w.r.t. each example's logits."""
     g_w2 = hidden.T @ g_logits
     g_b2 = g_logits.sum(axis=0)
     g_hidden = (g_logits @ head.weights[1].T) * (1.0 - hidden**2)
     g_w1 = inputs.T @ g_hidden
     g_b1 = g_hidden.sum(axis=0)
-    return loss, [g_w1, g_b1, g_w2, g_b2]
+    return [g_w1, g_b1, g_w2, g_b2]
 
 
-def _per_example_grads(
-    head: MlpHead, inputs: Array, onehot: Array
+def _sq_rows(a: Array) -> Array:
+    return (a * a).sum(axis=1)
+
+
+def _mean_loss_and_grads(
+    head: MlpHead, inputs: Array, onehot: Array, dp: DpSgdConfig | None = None, rng=None
 ) -> tuple[float, list[Array]]:
-    """Mean loss and per-example gradients stacked on axis 0."""
+    """Mean cross-entropy and its gradient w.r.t. (W1, b1, W2, b2); with
+    ``dp`` set, one DP-SGD step's gradient drawing noise from ``rng``.
+
+    With gl_i = p_i - y_i and gh_i = (gl_i W2^T) * (1 - h_i^2), example i's
+    squared gradient norm is (|x_i|^2 + 1)|gh_i|^2 + (|h_i|^2 + 1)|gl_i|^2.
+    """
     m = inputs.shape[0]
     hidden, logits = _forward(head, inputs)
     probs = _softmax(logits)
     loss = float(-np.sum(onehot * np.log(np.maximum(probs, 1e-300))) / m)
+    if dp is None:
+        return loss, _backward(head, inputs, hidden, (probs - onehot) / m)
     g_logits = probs - onehot
     g_hidden = (g_logits @ head.weights[1].T) * (1.0 - hidden**2)
-    g_w2 = np.einsum("mh,mc->mhc", hidden, g_logits)
-    g_b2 = g_logits
-    g_w1 = np.einsum("mi,mh->mih", inputs, g_hidden)
-    g_b1 = g_hidden
-    return loss, [g_w1, g_b1, g_w2, g_b2]
+    sq_norms = (_sq_rows(inputs) + 1.0) * _sq_rows(g_hidden)
+    sq_norms += (_sq_rows(hidden) + 1.0) * _sq_rows(g_logits)
+    backward = functools.partial(_backward, head, inputs, hidden)
+    return loss, _dp_step(sq_norms, g_logits, backward, dp, rng)
 
 
 def _dp_step(
-    per_example_grads: list[Array], clip: float, noise_mult: float, rng
+    sq_norms: Array,
+    g_out: Array,
+    backward: Callable[[Array], list[Array]],
+    dp: DpSgdConfig,
+    rng,
 ) -> list[Array]:
     """One DP-SGD gradient: clip each example's gradient to global norm
-    ``clip`` across all parameters, sum, add Gaussian noise of std
-    clip * noise_mult to each parameter in order, and average."""
-    m = per_example_grads[0].shape[0]
-    sq = sum(np.sum(g.reshape(m, -1) ** 2, axis=1) for g in per_example_grads)
-    norms = np.sqrt(sq)
-    factors = np.minimum(1.0, clip / np.maximum(norms, 1e-300))
-    assert float((norms * factors).max()) <= clip * (1 + 1e-12)
-    noise_std = clip * noise_mult
+    ``dp.clip_norm`` across all parameters, sum, add Gaussian noise of std
+    clip_norm * noise_mult to each parameter in order, and average.
+
+    ``sq_norms[i]`` is example i's squared gradient norm, in closed form:
+    a dense layer's per-example weight gradient x_i (x) g_i has norm
+    |x_i| |g_i|.  Each per-example gradient is linear in its row of
+    ``g_out``, so ``backward(factors * g_out)`` sums the clipped gradients.
+    """
+    m = g_out.shape[0]
+    norms = np.sqrt(sq_norms)
+    factors = np.minimum(1.0, dp.clip_norm / np.maximum(norms, 1e-300))
+    assert float((norms * factors).max()) <= dp.clip_norm * (1 + 1e-12)
+    noise_std = dp.clip_norm * dp.noise_mult
     grads = []
-    for g in per_example_grads:
-        summed = np.tensordot(factors, g, axes=(0, 0))
+    for summed in backward(factors[:, None] * g_out):
         if noise_std > 0:
             summed = summed + rng.normal(0.0, noise_std, size=summed.shape)
         grads.append(summed / m)
@@ -241,11 +261,7 @@ def train_head(
 
     noise_rng = stream(seed, _DP_STREAM) if cfg.dp is not None else None
     for _ in range(cfg.epochs):
-        if cfg.dp is None:
-            loss, grads = _mean_loss_and_grads(head, inputs, onehot)
-        else:
-            loss, per_ex = _per_example_grads(head, inputs, onehot)
-            grads = _dp_step(per_ex, cfg.dp.clip_norm, cfg.dp.noise_mult, noise_rng)
+        loss, grads = _mean_loss_and_grads(head, inputs, onehot, cfg.dp, noise_rng)
         head.loss_history.append(loss)
         params = [head.weights[0], head.biases[0], head.weights[1], head.biases[1]]
         for p, g in zip(params, grads):
@@ -272,40 +288,6 @@ def evaluate(head: MlpHead, x0: Array, xk: Array, labels: Array, mask: Array) ->
     probs = predict_proba(head, np.asarray(x0)[mask], np.asarray(xk)[mask])
     predicted = probs.argmax(axis=1)
     return float(np.mean(predicted == np.asarray(labels)[mask]))
-
-
-def grad_check(
-    head: MlpHead,
-    x0: Array,
-    xk: Array,
-    labels: Array,
-    tol: float = 1e-5,
-) -> bool:
-    """Compare analytic gradients against central finite differences.
-
-    Relative criterion per parameter: |a - n| <= tol * max(1, |a|, |n|).
-    """
-    inputs = head_inputs(x0, xk)
-    labels = np.asarray(labels)
-    num_classes = head.sizes[-1]
-    onehot = np.eye(num_classes)[labels]
-    _, analytic = _mean_loss_and_grads(head, inputs, onehot)
-    params = [head.weights[0], head.biases[0], head.weights[1], head.biases[1]]
-    h = 1e-6
-    for p, a_grad in zip(params, analytic):
-        flat = p.ravel()
-        for idx in range(flat.size):
-            orig = flat[idx]
-            flat[idx] = orig + h
-            loss_plus, _ = _mean_loss_and_grads(head, inputs, onehot)
-            flat[idx] = orig - h
-            loss_minus, _ = _mean_loss_and_grads(head, inputs, onehot)
-            flat[idx] = orig
-            numeric = (loss_plus - loss_minus) / (2.0 * h)
-            a = a_grad.ravel()[idx]
-            if abs(a - numeric) > tol * max(1.0, abs(a), abs(numeric)):
-                return False
-    return True
 
 
 @dataclass
@@ -356,15 +338,20 @@ def train_linear_encoder(
     w = np.zeros((d, num_classes))
     b = np.zeros(num_classes)
     noise_rng = stream(seed, _DP_STREAM, 1) if cfg.dp is not None else None
+    x_sq = _sq_rows(x) + 1.0
+
+    def backward(g_logits: Array) -> list[Array]:
+        return [x.T @ g_logits, g_logits.sum(axis=0)]
+
     for _ in range(cfg.epochs):
         probs = _softmax(x @ w + b)
         g_logits = probs - onehot
         if cfg.dp is None:
-            g_w = x.T @ g_logits / m
-            g_b = g_logits.sum(axis=0) / m
+            g_w, g_b = (g / m for g in backward(g_logits))
         else:
-            per_ex = [np.einsum("mi,mc->mic", x, g_logits), g_logits]
-            g_w, g_b = _dp_step(per_ex, cfg.dp.clip_norm, cfg.dp.noise_mult, noise_rng)
+            # example i's squared norm over (W, b): (|x_i|^2 + 1) |g_i|^2
+            sq_norms = x_sq * _sq_rows(g_logits)
+            g_w, g_b = _dp_step(sq_norms, g_logits, backward, cfg.dp, noise_rng)
         w -= cfg.learning_rate * g_w
         b -= cfg.learning_rate * g_b
 

@@ -1,0 +1,238 @@
+"""Verification oracles: brute-force and numerical checks of the closed
+forms the system relies on.
+
+Each oracle recomputes a quantity the program states analytically by
+direct enumeration or probing on small inputs: the layer sensitivities
+(over every adjacent graph), the normalized adjacency's spectral norm, the
+layer's Lipschitz constant, and the head's gradients.  They are slow by
+design and exist for the tests.  Production code never imports this
+module, and the ``caribou`` package does not export it; import it
+explicitly as ``caribou.verify``.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from dataclasses import replace
+from typing import Iterator
+
+import numpy as np
+
+from . import model
+from .graphs import Graph, build_graph, degree_stats, normalized_adjacency
+from .layers import LayerParams, layer_forward
+from .prng import stream
+
+
+def spectral_norm(mat, tol: float = 1e-6, max_iter: int = 10_000, seed: int = 0) -> float:
+    """Largest singular value of a symmetric operator by power iteration."""
+    n = mat.shape[0]
+    rng = stream(seed, 0x5BEC)
+    v = rng.normal(size=n)
+    v /= np.linalg.norm(v)
+    sigma = 0.0
+    for _ in range(max_iter):
+        w = mat @ v
+        norm_w = float(np.linalg.norm(w))
+        if norm_w == 0.0:
+            return 0.0
+        w /= norm_w
+        if abs(norm_w - sigma) < tol * max(1.0, norm_w):
+            return norm_w
+        sigma = norm_w
+        v = w
+    return sigma
+
+
+def enumerate_edge_neighbors(g: Graph) -> Iterator[Graph]:
+    """All graphs differing from ``g`` in exactly one edge.
+
+    Every unordered node pair is toggled once, in lexicographic order, so
+    exactly C(n, 2) graphs are produced.
+    """
+    n = g.num_nodes
+    keys = g.edges[:, 0] * n + g.edges[:, 1]
+    for u, v in zip(*np.triu_indices(n, k=1)):
+        key = u * n + v
+        i = int(np.searchsorted(keys, key))
+        if i < keys.size and keys[i] == key:
+            edges = np.delete(g.edges, i, axis=0)
+        else:
+            edges = np.insert(g.edges, i, (u, v), axis=0)
+        yield Graph(num_nodes=n, edges=edges)
+
+
+def remove_node(g: Graph, w: int) -> Graph:
+    """Drop node ``w`` and its incident edges; ids above ``w`` shift down."""
+    if not 0 <= w < g.num_nodes:
+        raise ValueError(f"node {w} out of range")
+    kept = g.edges[(g.edges != w).all(axis=1)]
+    # the relabelling is monotone, so the rows stay sorted
+    return Graph(num_nodes=g.num_nodes - 1, edges=kept - (kept > w))
+
+
+def add_node(g: Graph, attach_to) -> Graph:
+    """Append one node connected to each id in ``attach_to``."""
+    new = g.num_nodes
+    attach = np.asarray(attach_to, dtype=np.int64).reshape(-1)
+    if ((attach < 0) | (attach >= new)).any():
+        raise ValueError(f"attach_to must hold existing node ids, got {attach.tolist()}")
+    extra = np.stack([attach, np.full_like(attach, new)], axis=1)
+    return build_graph(new + 1, np.concatenate([g.edges, extra]))
+
+
+def enumerate_node_neighbors(g: Graph, max_added_degree: int) -> Iterator[Graph]:
+    """Graphs differing from ``g`` in one node and its incident edges.
+
+    Removal side: every single-node deletion.  Addition side: one new node
+    wired to each subset of existing nodes with size <= ``max_added_degree``
+    (capped so enumeration stays polynomial).
+    """
+    for w in range(g.num_nodes):
+        yield remove_node(g, w)
+    for size in range(min(max_added_degree, g.num_nodes) + 1):
+        for subset in itertools.combinations(range(g.num_nodes), size):
+            yield add_node(g, subset)
+
+
+def empirical_lipschitz(adj, params: LayerParams, trials: int, seed: int) -> float:
+    """Probe the layer's Lipschitz constant with random input pairs.
+
+    Returns max over trials of ||f(X) - f(Y)||_F / ||X - Y||_F with the
+    residual term held fixed (it cancels in the difference).  The value
+    never exceeds ``params.c_l`` up to rounding.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    n = adj.shape[0]
+    rng = stream(seed, 0xE11)
+    x0 = np.zeros((n, 4))
+    worst = 0.0
+    for _ in range(trials):
+        while True:
+            x = rng.normal(size=(n, 4))
+            y = rng.normal(size=(n, 4))
+            gap = float(np.linalg.norm(x - y))
+            if gap > 1e-12:
+                break
+        diff = layer_forward(adj, x, x0, params) - layer_forward(adj, y, x0, params)
+        worst = max(worst, float(np.linalg.norm(diff)) / gap)
+    return worst
+
+
+def _layer_core(adj, x: np.ndarray, params: LayerParams) -> np.ndarray:
+    # the layer with a zero residual: the residual term cancels between
+    # adjacent graphs on shared nodes and is covered by the additive 1 in
+    # the node-level bound
+    return layer_forward(adj, x, x, replace(params, beta=0.0))
+
+
+def brute_force_edge_sensitivity(
+    g: Graph, params: LayerParams, trials: int, seed: int, feat_dim: int = 4
+) -> float:
+    """Empirical lower estimate of the edge-level sensitivity.
+
+    Maximizes ||c_l * alpha1 * (A - A') X||_F over all single-edge toggles
+    and ``trials`` random matrices with unit-norm rows.  Pairs where either
+    graph has an isolated node are skipped (outside the formula's domain).
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    rng = stream(seed, 0xED6E)
+    base = normalized_adjacency(g)
+    n = g.num_nodes
+    draws = rng.normal(size=(trials, n, feat_dim))
+    draws /= np.linalg.norm(draws, axis=2, keepdims=True)
+    worst = 0.0
+    base_ok = degree_stats(g).d_min >= 1
+    for other in enumerate_edge_neighbors(g):
+        if not base_ok or degree_stats(other).d_min < 1:
+            continue
+        diff_op = params.c_l * params.alpha1 * (base - normalized_adjacency(other))
+        dense = diff_op.toarray()
+        for x in draws:
+            worst = max(worst, float(np.linalg.norm(dense @ x)))
+    return worst
+
+
+def brute_force_node_sensitivity(
+    g: Graph,
+    params: LayerParams,
+    trials: int,
+    max_added_degree: int,
+    seed: int,
+    feat_dim: int = 4,
+) -> float:
+    """Empirical lower estimate of the node-level sensitivity.
+
+    Compares the aggregation output on ``g`` against every neighbour from
+    ``enumerate_node_neighbors`` (each single-node removal, then each
+    capped single-node addition), padding the missing row with zeros;
+    inputs are random with unit-norm rows.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    rng = stream(seed, 0x60DE)
+    n = g.num_nodes
+    adj_g = normalized_adjacency(g)
+    draws = rng.normal(size=(trials, n + 1, feat_dim))
+    draws /= np.linalg.norm(draws, axis=2, keepdims=True)
+    outs_g = [_layer_core(adj_g, x_full[:n], params) for x_full in draws]
+    worst = 0.0
+
+    for i, other in enumerate(enumerate_node_neighbors(g, max_added_degree)):
+        adj_o = normalized_adjacency(other)
+        # the first n neighbours remove node i; the rest append node n
+        keep = [j for j in range(n) if j != i]
+        for x_full, out_g in zip(draws, outs_g):
+            if i < n:
+                out_o = _layer_core(adj_o, x_full[:n][keep], params)
+                gap = (
+                    np.linalg.norm(out_g[keep] - out_o) ** 2
+                    + np.linalg.norm(out_g[i]) ** 2
+                )
+            else:
+                out_o = _layer_core(adj_o, x_full, params)
+                gap = (
+                    np.linalg.norm(out_o[:n] - out_g) ** 2
+                    + np.linalg.norm(out_o[n]) ** 2
+                )
+            worst = max(worst, math.sqrt(float(gap)))
+    return worst
+
+
+def grad_check(
+    head: model.MlpHead,
+    x0: np.ndarray,
+    xk: np.ndarray,
+    labels: np.ndarray,
+    tol: float = 1e-5,
+) -> bool:
+    """Compare analytic gradients against central finite differences.
+
+    Relative criterion per parameter: |a - n| <= tol * max(1, |a|, |n|).
+    Losses and gradients come from ``model._mean_loss_and_grads``, looked
+    up on the module at each call so a test can substitute it.
+    """
+    inputs = model.head_inputs(x0, xk)
+    labels = np.asarray(labels)
+    num_classes = head.sizes[-1]
+    onehot = np.eye(num_classes)[labels]
+    _, analytic = model._mean_loss_and_grads(head, inputs, onehot)
+    params = [head.weights[0], head.biases[0], head.weights[1], head.biases[1]]
+    h = 1e-6
+    for p, a_grad in zip(params, analytic):
+        flat = p.ravel()
+        for idx in range(flat.size):
+            orig = flat[idx]
+            flat[idx] = orig + h
+            loss_plus, _ = model._mean_loss_and_grads(head, inputs, onehot)
+            flat[idx] = orig - h
+            loss_minus, _ = model._mean_loss_and_grads(head, inputs, onehot)
+            flat[idx] = orig
+            numeric = (loss_plus - loss_minus) / (2.0 * h)
+            a = a_grad.ravel()[idx]
+            if abs(a - numeric) > tol * max(1.0, abs(a), abs(numeric)):
+                return False
+    return True

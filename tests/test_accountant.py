@@ -8,8 +8,6 @@ from caribou.accountant import (
     ModuleBudgets,
     NoisePlan,
     PrivacySpec,
-    brute_force_edge_sensitivity,
-    brute_force_node_sensitivity,
     calibrate_sigma,
     convergent_factor,
     edge_sensitivity,
@@ -23,9 +21,14 @@ from caribou.accountant import (
     rdp_to_dp,
     sensitivity_for_level,
 )
-from caribou.graphs import build_graph, degree_stats, enumerate_edge_neighbors
+from caribou.graphs import build_graph, degree_stats
 from caribou.layers import LayerParams
 from caribou.prng import stream
+from caribou.verify import (
+    brute_force_edge_sensitivity,
+    brute_force_node_sensitivity,
+    enumerate_edge_neighbors,
+)
 from tests.test_graphs import random_graph
 
 

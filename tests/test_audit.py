@@ -13,7 +13,6 @@ from caribou.audit import (
     _sample_edge_subset,
     auc,
     edge_influence_score,
-    empirical_epsilon_lower_bound,
     node_confidence_score,
     run_mia_game,
 )
@@ -86,14 +85,6 @@ class TestAuc:
     def test_one_class_rejected(self):
         with pytest.raises(ValueError):
             auc([0.1, 0.2], [1, 1])
-
-
-class TestEmpiricalEpsilon:
-    def test_perfect_attack_is_infinite(self):
-        assert empirical_epsilon_lower_bound([0, 0, 1, 1], [0, 0, 1, 1], 0.5) == math.inf
-
-    def test_chance_attack_is_zero(self):
-        assert empirical_epsilon_lower_bound([1, 0, 1, 0], [1, 0, 0, 1], 0.5) == pytest.approx(0.0)
 
 
 class TestEdgeInfluenceScore:

@@ -11,16 +11,18 @@ from caribou.graphs import (
     ParseError,
     build_graph,
     degree_stats,
-    enumerate_edge_neighbors,
-    enumerate_node_neighbors,
     gen_chain_dataset,
     load_dataset,
     normalized_adjacency,
-    spectral_norm,
     stratified_split,
     write_dataset,
 )
 from caribou.prng import stream
+from caribou.verify import (
+    enumerate_edge_neighbors,
+    enumerate_node_neighbors,
+    spectral_norm,
+)
 
 
 def random_graph(rng, n):

@@ -7,13 +7,12 @@ from hypothesis.extra.numpy import arrays
 from caribou.graphs import build_graph, normalized_adjacency
 from caribou.layers import (
     LayerParams,
-    empirical_lipschitz,
     layer_forward,
-    mean_aggregate,
     normalize_rows,
     project_rows,
 )
 from caribou.prng import stream
+from caribou.verify import empirical_lipschitz
 from tests.test_graphs import random_graph
 
 
@@ -30,24 +29,6 @@ class TestLayerParams:
 
     def test_alpha_sum_tolerance(self):
         LayerParams(c_l=0.5, alpha1=0.3, alpha2=0.7 + 5e-10, beta=1.0)
-
-
-class TestMeanAggregate:
-    def test_identical_rows_unchanged(self):
-        x = np.tile([1.0, 2.0, 3.0], (4, 1))
-        assert np.allclose(mean_aggregate(x), x)
-
-    def test_two_rows(self):
-        out = mean_aggregate(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        assert np.allclose(out, 0.5)
-
-    def test_single_row_unchanged(self):
-        x = np.array([[2.0, -1.0]])
-        assert np.allclose(mean_aggregate(x), x)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            mean_aggregate(np.zeros((0, 3)))
 
 
 class TestLayerForward:
@@ -96,9 +77,9 @@ class TestLayerForward:
                 x0 = rng.normal(size=(n, 3))
                 x_copy, x0_copy = x.copy(), x0.copy()
                 for adj in (sparse, sparse.toarray()):
+                    mean = np.broadcast_to(x.mean(axis=0, keepdims=True), x.shape)
                     expected = (
-                        params.c_l
-                        * (params.alpha1 * (adj @ x) + params.alpha2 * mean_aggregate(x))
+                        params.c_l * (params.alpha1 * (adj @ x) + params.alpha2 * mean)
                         + params.beta * x0
                     )
                     assert np.array_equal(layer_forward(adj, x, x0, params), expected)

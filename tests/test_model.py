@@ -3,17 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from caribou import model as model_module
 from caribou.model import (
     DpSgdConfig,
     MlpHead,
     TrainConfig,
     evaluate,
-    grad_check,
     predict_proba,
     train_head,
     train_linear_encoder,
 )
 from caribou.prng import stream
+from caribou.verify import grad_check
 
 TOY_X0 = np.array(
     [[1.0, 0.0], [0.9, 0.1], [0.0, 1.0], [0.1, 0.9]]
@@ -176,3 +177,103 @@ class TestLinearEncoder:
         enc = train_linear_encoder(TOY_X0, TOY_Y, TOY_MASK, cfg, seed=1)
         assert enc.dae_rdp_coeff == pytest.approx(20 / (2 * 2.25))
         assert enc.eps_dae(2.0) == pytest.approx(2.0 * 20 / 4.5)
+
+
+def reference_dp_step(per_example_grads, clip, noise_mult, rng):
+    """Clip, sum, noise and average materialized per-example gradients."""
+    m = per_example_grads[0].shape[0]
+    sq = sum(np.sum(g.reshape(m, -1) ** 2, axis=1) for g in per_example_grads)
+    factors = np.minimum(1.0, clip / np.maximum(np.sqrt(sq), 1e-300))
+    noise_std = clip * noise_mult
+    grads = []
+    for g in per_example_grads:
+        summed = np.tensordot(factors, g, axes=(0, 0))
+        if noise_std > 0:
+            summed = summed + rng.normal(0.0, noise_std, size=summed.shape)
+        grads.append(summed / m)
+    return grads
+
+
+def reference_head_step(head, inputs, onehot, dp, rng):
+    """Mean loss and DP gradient from the (m, ...) per-example tensors."""
+    hidden = np.tanh(inputs @ head.weights[0] + head.biases[0])
+    logits = hidden @ head.weights[1] + head.biases[1]
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs = e / e.sum(axis=1, keepdims=True)
+    loss = float(-np.sum(onehot * np.log(np.maximum(probs, 1e-300))) / inputs.shape[0])
+    g_logits = probs - onehot
+    g_hidden = (g_logits @ head.weights[1].T) * (1.0 - hidden**2)
+    per_ex = [
+        np.einsum("mi,mh->mih", inputs, g_hidden),
+        g_hidden,
+        np.einsum("mh,mc->mhc", hidden, g_logits),
+        g_logits,
+    ]
+    return loss, reference_dp_step(per_ex, dp.clip_norm, dp.noise_mult, rng)
+
+
+def reference_linear_encoder(x, labels, cfg, seed):
+    """Full-batch DP multinomial regression from per-example tensors."""
+    onehot = np.eye(int(labels.max()) + 1)[labels]
+    w = np.zeros((x.shape[1], onehot.shape[1]))
+    b = np.zeros(onehot.shape[1])
+    rng = stream(seed, model_module._DP_STREAM, 1)
+    for _ in range(cfg.epochs):
+        logits = x @ w + b
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        g_logits = e / e.sum(axis=1, keepdims=True) - onehot
+        per_ex = [np.einsum("mi,mc->mic", x, g_logits), g_logits]
+        g_w, g_b = reference_dp_step(per_ex, cfg.dp.clip_norm, cfg.dp.noise_mult, rng)
+        w -= cfg.learning_rate * g_w
+        b -= cfg.learning_rate * g_b
+    return w, b
+
+
+def random_dp_case(rng, case):
+    """Shape, inputs with some all-zero rows, labels and a DP config."""
+    m, d = int(rng.integers(1, 40)), int(rng.integers(1, 12))
+    classes = int(rng.integers(2, 5))
+    x = rng.normal(size=(m, d)) * rng.uniform(0.1, 3.0)
+    x[rng.random(m) < 0.2] = 0.0
+    labels = rng.integers(0, classes, size=m)
+    clip = (math.inf, 1e-3, 0.1, 1.0, 10.0)[case % 5]
+    # an infinite clip bound only makes sense without noise
+    noise_mult = 0.0 if math.isinf(clip) else (0.0, 1.3)[(case // 5) % 2]
+    return x, labels, classes, DpSgdConfig(clip_norm=clip, noise_mult=noise_mult)
+
+
+def assert_close_to_reference(new, ref):
+    for a, r in zip(new, ref):
+        assert a.shape == r.shape
+        assert np.abs(a - r).max() <= 1e-12 * np.abs(r).max()
+
+
+class TestDpStepMatchesPerExampleReference:
+    def test_head_step(self):
+        rng = stream(61, 0)
+        for case in range(120):
+            x, labels, classes, dp = random_dp_case(rng, case)
+            hidden = int(rng.integers(1, 10))
+            head = MlpHead(
+                sizes=[x.shape[1], hidden, classes],
+                weights=[rng.normal(size=(x.shape[1], hidden)),
+                         rng.normal(size=(hidden, classes))],
+                biases=[rng.normal(size=hidden), rng.normal(size=classes)],
+            )
+            onehot = np.eye(classes)[labels]
+            loss, grads = model_module._mean_loss_and_grads(
+                head, x, onehot, dp, stream(case, 7)
+            )
+            ref_loss, ref_grads = reference_head_step(head, x, onehot, dp, stream(case, 7))
+            assert loss == ref_loss
+            assert_close_to_reference(grads, ref_grads)
+
+    def test_linear_encoder(self):
+        rng = stream(62, 0)
+        for case in range(120):
+            x, labels, classes, dp = random_dp_case(rng, case)
+            labels[0] = classes - 1
+            cfg = TrainConfig(epochs=1 + case % 3, learning_rate=0.5, dp=dp)
+            enc = train_linear_encoder(x, labels, np.arange(x.shape[0]), cfg, seed=case)
+            ref_w, ref_b = reference_linear_encoder(x, labels, cfg, seed=case)
+            assert_close_to_reference([enc.weight, enc.bias], [ref_w, ref_b])
