@@ -57,8 +57,8 @@ class PrivacySpec:
     gamma: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must be in (0, 1)")
         if self.level not in ("edge", "node", "none"):
@@ -79,7 +79,7 @@ class ModuleBudgets:
     eps_cm_at_alpha: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.eps_dae_at_alpha < 0 or self.eps_cm_at_alpha < 0:
+        if not (self.eps_dae_at_alpha >= 0 and self.eps_cm_at_alpha >= 0):
             raise ValueError("module budgets must be non-negative")
 
     @property
@@ -272,8 +272,8 @@ def calibrate_sigma(
     CalibrationError when even infinite noise cannot meet the target (the
     floor min_alpha [budgets + log(1/delta)/(alpha-1)] is reported).
     """
-    if delta_mp < 0:
-        raise ValueError("delta_mp must be non-negative")
+    if not 0 <= delta_mp < math.inf:
+        raise ValueError(f"delta_mp must be finite and non-negative, got {delta_mp!r}")
     if mode not in ("convergent", "linear"):
         raise ValueError(f"unknown accountant mode {mode!r}")
     budgets = budgets or ModuleBudgets()

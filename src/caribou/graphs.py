@@ -96,6 +96,12 @@ class Graph:
         cols = np.concatenate([diag, np.stack([v, u], axis=1).ravel()])
         vals = np.concatenate([1.0 / deg_plus_one, np.repeat(w, 2)])
         adj = csr_array((vals, (rows, cols)), shape=(n, n))
+        # int32 indices, when they fit, shrink what each spmm reads; cast
+        # after the build, which left less freed memory resident than
+        # building from int32 coordinates
+        if max(n, adj.nnz) <= np.iinfo(np.int32).max:
+            adj.indices = adj.indices.astype(np.int32)
+            adj.indptr = adj.indptr.astype(np.int32)
         for arr in (adj.data, adj.indices, adj.indptr):
             arr.flags.writeable = False
         return adj
@@ -146,7 +152,8 @@ def normalized_adjacency(g: Graph) -> csr_array:
     Diagonal entries are 1/(d_u + 1); the entry for edge {u, v} is
     1/sqrt((d_u + 1)(d_v + 1)).  The spectral norm of the result is <= 1.
     Built once per ``Graph`` object; every call returns the same cached
-    matrix, whose ``data``, ``indices`` and ``indptr`` are read-only.
+    matrix, whose ``data``, ``indices`` and ``indptr`` are read-only.  The
+    index arrays are int32 when the node and entry counts fit in it.
     """
     return g._normalized_adjacency
 

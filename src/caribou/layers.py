@@ -14,6 +14,7 @@ accountant consumes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,9 @@ class LayerParams:
     beta: float
 
     def __post_init__(self) -> None:
+        for name in ("alpha1", "alpha2", "beta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not 0.0 <= self.c_l < 1.0:
             raise ValueError(f"c_l must be in [0, 1), got {self.c_l}")
         if self.alpha1 < 0 or self.alpha2 < 0:
@@ -55,8 +59,6 @@ def layer_forward(adj, x_k: Array, x_0: Array, params: LayerParams) -> Array:
 
     ``adj`` is a (sparse or dense) |V| x |V| normalized adjacency; shapes
     of ``x_k`` and ``x_0`` must agree with it, and |V| must be at least 1.
-    The ``adj @ x_k`` product is scaled in place; the mean and residual
-    terms are skipped when their weight is 0.
     """
     x_k = np.asarray(x_k, dtype=float)
     x_0 = np.asarray(x_0, dtype=float)
@@ -67,14 +69,34 @@ def layer_forward(adj, x_k: Array, x_0: Array, params: LayerParams) -> Array:
         )
     if n < 1:
         raise ValueError("expected a non-empty 2-D feature matrix")
-    out = np.asarray(adj @ x_k, dtype=float)
-    out *= params.alpha1
-    if params.alpha2 != 0.0:
-        out += params.alpha2 * x_k.mean(axis=0, keepdims=True)
+    out = np.empty(x_k.shape)
+    _layer_rows(adj, x_k, x_0, _mean_term(x_k, params), params, out)
+    return out
+
+
+def _mean_term(x_k: Array, params: LayerParams) -> Array | None:
+    """``alpha2 * Mean(x_k)`` as one row, or None when alpha2 is 0."""
+    if params.alpha2 == 0.0:
+        return None
+    return params.alpha2 * x_k.mean(axis=0, keepdims=True)
+
+
+def _layer_rows(adj_rows, x_k: Array, x0_rows: Array, mean_term: Array | None,
+                params: LayerParams, out: Array) -> None:
+    """Write rows of the layer output into ``out``:
+    ``c_l * (alpha1 * adj_rows @ x_k + mean_term) + beta * x0_rows``.
+
+    ``adj_rows`` holds the adjacency rows of ``out``'s rows and ``x0_rows``
+    the same rows of X0; ``mean_term`` comes from ``_mean_term`` on the
+    whole of ``x_k``.  The sum is formed in ``out``; the mean and residual
+    terms are skipped when their weight is 0.
+    """
+    np.multiply(adj_rows @ x_k, params.alpha1, out=out)
+    if mean_term is not None:
+        out += mean_term
     out *= params.c_l
     if params.beta != 0.0:
-        out += params.beta * x_0
-    return out
+        out += params.beta * x0_rows
 
 
 def project_rows(x: Array, radius: float = 1.0) -> Array:
@@ -85,10 +107,16 @@ def project_rows(x: Array, radius: float = 1.0) -> Array:
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
-    x = np.asarray(x, dtype=float)
+    x = np.array(x, dtype=float)
+    _project_rows_inplace(x, radius)
+    return x
+
+
+def _project_rows_inplace(x: Array, radius: float = 1.0) -> None:
+    """``project_rows`` on ``x`` itself: each row is scaled by a factor
+    computed from that row alone."""
     norms = np.linalg.norm(x, axis=-1, keepdims=True)
-    scale = np.where(norms > radius, radius / np.where(norms > 0, norms, 1.0), 1.0)
-    return x * scale
+    x *= np.where(norms > radius, radius / np.where(norms > 0, norms, 1.0), 1.0)
 
 
 def normalize_rows(x: Array) -> Array:

@@ -41,10 +41,16 @@ class DpSgdConfig:
     noise_mult: float
 
     def __post_init__(self) -> None:
-        if self.clip_norm <= 0:
-            raise ValueError("clip_norm must be positive")
-        if self.noise_mult < 0:
-            raise ValueError("noise_mult must be non-negative")
+        if not self.clip_norm > 0:
+            raise ValueError(f"clip_norm must be positive, got {self.clip_norm!r}")
+        if not 0 <= self.noise_mult < math.inf:
+            raise ValueError(
+                f"noise_mult must be finite and non-negative, got {self.noise_mult!r}"
+            )
+        # infinite clipping is kept for noiseless reference steps; with
+        # noise it would make the noise infinite
+        if self.clip_norm == math.inf and self.noise_mult > 0:
+            raise ValueError("clip_norm must be finite when noise_mult > 0")
 
 
 @dataclass(frozen=True)
@@ -57,8 +63,10 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(
+                f"learning_rate must be positive and finite, got {self.learning_rate!r}"
+            )
         if self.hidden_units < 1:
             raise ValueError("hidden_units must be >= 1")
 
@@ -240,8 +248,12 @@ def train_head(
         raise ValueError("no training nodes")
     labels = np.asarray(labels)
     num_classes = int(labels[labels >= 0].max()) + 1
-    inputs_all = head_inputs(x0, xk)
-    inputs = inputs_all[train_mask]
+    x0 = np.atleast_2d(np.asarray(x0, dtype=float))
+    xk = np.atleast_2d(np.asarray(xk, dtype=float))
+    if x0.shape[0] != xk.shape[0]:
+        raise ValueError("x0 and xk must have the same number of rows")
+    # rows are normalized one by one, so only the training rows are formed
+    inputs = head_inputs(x0[train_mask], xk[train_mask])
     y = labels[train_mask]
     if np.any(y < 0):
         raise ValueError("training mask contains unlabeled nodes")

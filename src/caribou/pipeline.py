@@ -1,17 +1,30 @@
 """End-to-end private message passing: calibrate the noise once, then
 iterate layer forward + Gaussian perturbation + row projection for K hops,
 releasing only the final embedding.
+
+Each hop works on row blocks of the normalized adjacency, in two phases.
+In the first, the hop's Gaussian draw fills the noise buffer while one
+task per block writes that block's layer rows into a second buffer.  In
+the second, after all of them have ended, each block adds its noise rows
+and projects its rows in place; then the two iterate buffers swap.  On a
+large enough feature matrix the tasks run on a thread pool with one
+thread per CPU the process may use; otherwise the whole matrix is one
+block run on the calling thread.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import Future, ThreadPoolExecutor
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .accountant import (
     AccountantMode,
@@ -23,17 +36,23 @@ from .accountant import (
     sensitivity_for_level,
 )
 from .graphs import LabeledDataset, normalized_adjacency
-from .layers import LayerParams, layer_forward, project_rows
+from .layers import LayerParams, _layer_rows, _mean_term, _project_rows_inplace
 from .prng import stream
 
 _ROW_NORM_TOL = 1e-9
 _HOP_STREAM = 0x40C4
-#: Feature-matrix entries (n*d; 2**19 float64 fill 4 MiB) from which each
-#: hop's noise is drawn on a worker thread while the hop's layer runs.  In
-#: K=8 sweeps on 2 cores the overlap won in every run from 544k entries up;
-#: at 512k and below it won in some runs and lost in others, as the two
-#: threads slowed each other down (the sweep is in CHANGES.md).
+#: Feature-matrix entries (n*d; 2**19 float64 fill 4 MiB) from which the
+#: hop tasks run on a thread pool.  The cutoff was first set for drawing the
+#: noise beside the layer: in K=8 sweeps on 2 cores that won in every run
+#: from 544k entries up, and at 512k and below it won in some runs and lost
+#: in others (the sweeps are in CHANGES.md).  With row blocks the pool
+#: already wins at 2**18 entries and ties at 2**17; the cutoff is kept so
+#: that small runs, such as each query of an audit, start no threads.
 _OVERLAP_MIN_CELLS = 1 << 19
+#: Rows per block when the pool runs.  Small enough that the blocks of one
+#: hop keep every thread busy until the noise draw ends, large enough that
+#: per-task costs stay small; 2k-16k rows timed alike (CHANGES.md).
+_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -101,18 +120,72 @@ def sample_gaussian_matrix(
     return out
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _row_blocks(adj: csr_array, block_rows: int) -> list[tuple[int, int, csr_array]]:
+    """Split ``adj`` into ``(start, stop, rows)`` blocks of ``block_rows``
+    rows.  Each block is a CSR view over ``adj``'s own ``data`` and
+    ``indices``; only its ``indptr`` is rebased to start at 0.  One block
+    is ``adj`` itself."""
+    n = adj.shape[0]
+    if block_rows >= n:
+        return [(0, n, adj)]
+    blocks = []
+    for a in range(0, n, block_rows):
+        b = min(a + block_rows, n)
+        lo, hi = adj.indptr[a], adj.indptr[b]
+        rows = csr_array((b - a, adj.shape[1]), dtype=adj.dtype)
+        # set after construction: the constructor copies an array that is
+        # a view of less than half of its base
+        rows.indptr = adj.indptr[a : b + 1] - lo
+        rows.indices = adj.indices[lo:hi]
+        rows.data = adj.data[lo:hi]
+        blocks.append((a, b, rows))
+    return blocks
+
+
+def _noise_and_project(rows: np.ndarray, noise_rows: np.ndarray | None) -> None:
+    """Add the noise rows, if any, to ``rows`` and project them in place."""
+    if noise_rows is not None:
+        rows += noise_rows
+    _project_rows_inplace(rows)
+
+
+def _run_all(pool: ThreadPoolExecutor | None, tasks: list[Callable[[], None]]) -> None:
+    """Run every task, on ``pool`` if there is one, and return when all
+    have ended; then raise the first failure in task order, if any."""
+    if pool is None:
+        for task in tasks:
+            task()
+        return
+    futures = [pool.submit(task) for task in tasks]
+    wait(futures)
+    for future in futures:
+        future.result()
+
+
 def run_pipeline(dataset: LabeledDataset, cfg: PipelineConfig) -> RunArtifacts:
     """Run the perturbed contractive pipeline and release X^(K).
 
     Requires row-normalized input features.  The per-hop noise standard
     deviation is exactly sensitivity * plan.sigma; each hop draws from its
-    own counter-derived stream so runs are reproducible regardless of
-    evaluation order.  All hops' noise fills one reused buffer.  When the
-    feature matrix has at least ``_OVERLAP_MIN_CELLS`` entries, hop k's
-    noise is drawn on one worker thread while this thread runs hop k's
-    layer; below that it is drawn on this thread.  Each hop draws the same
-    numbers either way, so the release does not depend on where they are
-    drawn.
+    own counter-derived stream into one reused buffer, so runs are
+    reproducible regardless of evaluation order.
+
+    Each hop runs in the two phases the module docstring describes.  When
+    the feature matrix has at least ``_OVERLAP_MIN_CELLS`` entries and the
+    process may run on two or more CPUs (``os.sched_getaffinity``), the
+    tasks run on a pool with one thread per such CPU, over blocks of
+    ``_BLOCK_ROWS`` rows; otherwise the whole matrix is one block run on
+    this thread.  A row's arithmetic reads only that row's inputs, the
+    column mean (taken once per hop on this thread) and the hop's one
+    noise stream, so the release is the same bits for any block size and
+    thread count.
     """
     x0 = np.asarray(dataset.features, dtype=float)
     row_norms = np.linalg.norm(x0, axis=1)
@@ -137,33 +210,37 @@ def run_pipeline(dataset: LabeledDataset, cfg: PipelineConfig) -> RunArtifacts:
         plan = calibrate_sigma(cfg.spec, delta_mp, cfg.budgets, cfg.mode)
 
     noise_std = plan.noise_std
-    adj = normalized_adjacency(dataset.graph)
     x = x0.copy()
-    noisy = noise_std > 0.0 and cfg.k_hops > 0
-    noise = np.empty_like(x) if noisy else None
-    overlap = noisy and x.size >= _OVERLAP_MIN_CELLS
-    with ThreadPoolExecutor(max_workers=1) if overlap else nullcontext() as pool:
-
-        def start_draw(hop: int) -> Future | None:
-            # the worker runs only _draw_noise's numpy fills, which release
-            # the GIL, and no public function, so wrappers around public
-            # functions (as a tracer installs) only run on this thread
-            rng = stream(cfg.seed, _HOP_STREAM, hop)
-            if pool is None:
-                _draw_noise(noise, noise_std, rng)
-                return None
-            return pool.submit(_draw_noise, noise, noise_std, rng)
-
-        pending = start_draw(0) if noisy else None
+    if cfg.k_hops == 0:
+        return RunArtifacts(x_k_final=x, plan=plan, per_hop_noise_std=noise_std)
+    if x.shape[0] == 0:
+        raise ValueError("expected a non-empty 2-D feature matrix")
+    adj = normalized_adjacency(dataset.graph)
+    out = np.empty_like(x)
+    noise = np.empty_like(x) if noise_std > 0.0 else None
+    workers = _usable_cpus() if x.size >= _OVERLAP_MIN_CELLS else 1
+    blocks = _row_blocks(adj, _BLOCK_ROWS if workers > 1 else x.shape[0])
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        # workers run only private helpers and numpy/scipy calls that
+        # release the GIL; every public function (the stream included) is
+        # called on this thread, so wrappers a tracer installs around
+        # public functions never run on a worker
         for hop in range(cfg.k_hops):
-            x = layer_forward(adj, x, x0, cfg.cgl)
-            if noisy:
-                if pending is not None:
-                    pending.result()
-                x += noise
-                if hop + 1 < cfg.k_hops:
-                    pending = start_draw(hop + 1)
-            x = project_rows(x)
+            tasks = []
+            if noise is not None:
+                rng = stream(cfg.seed, _HOP_STREAM, hop)
+                tasks.append(partial(_draw_noise, noise, noise_std, rng))
+            mean_term = _mean_term(x, cfg.cgl)
+            tasks += [
+                partial(_layer_rows, rows, x, x0[a:b], mean_term, cfg.cgl, out[a:b])
+                for a, b, rows in blocks
+            ]
+            _run_all(pool, tasks)
+            _run_all(pool, [
+                partial(_noise_and_project, out[a:b], None if noise is None else noise[a:b])
+                for a, b, _ in blocks
+            ])
+            x, out = out, x
     return RunArtifacts(x_k_final=x, plan=plan, per_hop_noise_std=noise_std)
 
 

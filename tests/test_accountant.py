@@ -269,6 +269,22 @@ class TestPrivacySpec:
         with pytest.raises(ValueError, match="k_hops"):
             PrivacySpec(epsilon=1.0, delta=1e-3, level="none", k_hops=-1)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0])
+    def test_epsilon_must_be_positive_and_finite(self, eps):
+        with pytest.raises(ValueError, match="epsilon"):
+            PrivacySpec(epsilon=eps, delta=1e-3, level="edge", k_hops=2, gamma=0.9)
+
+    @pytest.mark.parametrize("delta_mp", [math.nan, math.inf, -1.0])
+    def test_bad_sensitivity_rejected(self, delta_mp):
+        spec = PrivacySpec(epsilon=4.0, delta=1e-3, level="edge", k_hops=2, gamma=0.9)
+        with pytest.raises(ValueError, match="delta_mp"):
+            calibrate_sigma(spec, delta_mp)
+
+    def test_nan_budget_rejected(self):
+        for kwargs in ({"eps_dae_at_alpha": math.nan}, {"eps_cm_at_alpha": math.nan}):
+            with pytest.raises(ValueError, match="budgets"):
+                ModuleBudgets(**kwargs)
+
 
 class TestCalibration:
     def spec(self, eps=4.0, k=1, gamma=0.9, delta=1e-3):

@@ -138,6 +138,20 @@ class TestCalibrate:
         assert record["error"] == "CalibrationError"
         assert "floor" in record["message"]
 
+    @pytest.mark.parametrize("eps", ["inf", "nan"])
+    def test_non_finite_epsilon_is_one_line_error(self, capsys, eps):
+        code, out, err = run_cli(
+            [
+                "calibrate", "--eps", eps, "--delta", "1e-3", "--k", "2",
+                "--gamma", "0.9", "--delta-mp", "1",
+            ],
+            capsys,
+        )
+        assert code == 1 and out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "ValueError"
+
 
 class TestNoiseTable:
     def test_default_rows(self, capsys):
@@ -237,6 +251,26 @@ class TestTrain:
         lines = err.strip().splitlines()
         assert len(lines) == 1
         assert "k_hops" in json.loads(lines[0])["message"]
+
+    @pytest.mark.parametrize(
+        "override",
+        [{"cgl": {"alpha1": "nan", "alpha2": "nan"}}, {"train": {"learning_rate": "nan"}},
+         {"train": {"dp": {"clip_norm": "nan", "noise_mult": 1.0}}}],
+        ids=["alphas", "learning_rate", "clip_norm"],
+    )
+    def test_nan_config_value_is_one_line_error(self, tmp_path, capsys, override):
+        cfg = write_config(
+            tmp_path / "cfg.json", privacy={"level": "edge", "k_hops": 8, "epsilon": 4.0},
+            output_dir=str(tmp_path / "out"), **override,
+        )
+        code, out, err = run_cli(["train", "--config", str(cfg)], capsys)
+        assert code == 1 and out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["stage"] == "train" and record["error"] == "ValueError"
+        assert "nan" in record["message"]
+        assert not (tmp_path / "out" / "results.json").exists()
 
     def test_flag_overrides(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", output_dir=str(tmp_path / "out"))

@@ -143,8 +143,20 @@ class TestNormalizedAdjacency:
         adj = normalized_adjacency(g)
         assert normalized_adjacency(g) is adj
         for arr in (adj.data, adj.indices, adj.indptr):
+            assert not arr.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0
+
+    def test_int32_indices_multiply_like_int64(self):
+        rng = stream(7, 2)
+        for n in (1, 5, 40):
+            adj = normalized_adjacency(random_graph(rng, n))
+            assert adj.indices.dtype == np.int32 and adj.indptr.dtype == np.int32
+            wide = adj.copy()
+            wide.indices = adj.indices.astype(np.int64)
+            wide.indptr = adj.indptr.astype(np.int64)
+            x = rng.normal(size=(n, 6))
+            assert np.array_equal(adj @ x, wide @ x)
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -30,6 +30,17 @@ class TestLayerParams:
     def test_alpha_sum_tolerance(self):
         LayerParams(c_l=0.5, alpha1=0.3, alpha2=0.7 + 5e-10, beta=1.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_coefficients_rejected(self, bad):
+        for kwargs in (
+            {"alpha1": bad, "alpha2": bad, "beta": 0.0},
+            {"alpha1": 1.0, "alpha2": bad, "beta": 0.0},
+            {"alpha1": bad, "alpha2": 0.0, "beta": 0.0},
+            {"alpha1": 1.0, "alpha2": 0.0, "beta": bad},
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                LayerParams(c_l=0.5, **kwargs)
+
 
 class TestLayerForward:
     def test_zero_contraction_leaves_residual(self):

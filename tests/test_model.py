@@ -9,6 +9,7 @@ from caribou.model import (
     MlpHead,
     TrainConfig,
     evaluate,
+    head_inputs,
     predict_proba,
     train_head,
     train_linear_encoder,
@@ -66,6 +67,27 @@ class TestTrainHead:
         with pytest.raises(ValueError, match="training"):
             train_head(TOY_X0, TOY_XK, TOY_Y, np.array([], dtype=int), cfg, seed=0)
 
+    def test_only_training_rows_form_inputs(self):
+        # the head's inputs are normalized row by row, so forming them for
+        # the training rows alone gives the same weights and losses to the bit
+        rng = stream(63, 0)
+        x0 = rng.normal(size=(60, 3))
+        xk = rng.normal(size=(60, 4))
+        labels = rng.integers(0, 3, size=60)
+        mask = np.sort(rng.choice(60, size=17, replace=False))
+        cfg = TrainConfig(epochs=30, learning_rate=0.5, hidden_units=5)
+        head = train_head(x0, xk, labels, mask, cfg, seed=2)
+        assert np.array_equal(head_inputs(x0, xk)[mask], head_inputs(x0[mask], xk[mask]))
+        rows = train_head(x0[mask], xk[mask], labels[mask], np.arange(mask.size), cfg, seed=2)
+        assert head.loss_history == rows.loss_history
+        for a, b in zip(head.weights + head.biases, rows.weights + rows.biases):
+            assert np.array_equal(a, b)
+
+    def test_row_count_mismatch_rejected(self):
+        cfg = TrainConfig(epochs=1, learning_rate=0.1)
+        with pytest.raises(ValueError, match="same number of rows"):
+            train_head(TOY_X0, TOY_XK[:3], TOY_Y, np.arange(3), cfg, seed=0)
+
     def test_checkpoint_roundtrip(self, tmp_path):
         head = toy_head(epochs=10)
         path = tmp_path / "head.json"
@@ -77,6 +99,25 @@ class TestTrainHead:
         probs_a = predict_proba(head, TOY_X0, TOY_XK)
         probs_b = predict_proba(loaded, TOY_X0, TOY_XK)
         assert np.allclose(probs_a, probs_b)
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "clip, noise",
+        [(math.inf, 1.0), (math.nan, 0.0), (1.0, math.nan), (1.0, math.inf), (0.0, 1.0),
+         (1.0, -0.5)],
+    )
+    def test_bad_dp_config_rejected(self, clip, noise):
+        with pytest.raises(ValueError, match="clip_norm|noise_mult"):
+            DpSgdConfig(clip_norm=clip, noise_mult=noise)
+
+    def test_infinite_clip_without_noise_allowed(self):
+        assert DpSgdConfig(clip_norm=math.inf, noise_mult=0.0).clip_norm == math.inf
+
+    @pytest.mark.parametrize("lr", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_learning_rate_rejected(self, lr):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(learning_rate=lr)
 
 
 class TestPredictProba:

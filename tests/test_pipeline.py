@@ -13,6 +13,7 @@ from caribou.pipeline import (
     PipelineConfig,
     RunArtifacts,
     _draw_noise,
+    _row_blocks,
     run_pipeline,
     sample_gaussian_matrix,
 )
@@ -109,10 +110,31 @@ def reference_release(ds, cfg, noise_std):
     return x
 
 
-# one feature matrix at the overlap cutoff (noise drawn on a worker thread)
-# and one below it (noise drawn on the calling thread)
+# one feature matrix at the pool cutoff (row blocks on worker threads) and
+# one below it (one block on the calling thread)
 ABOVE_CUTOFF = (8192, 64)
 BELOW_CUTOFF = (500, 8)
+
+
+def count_calls(monkeypatch, name, fail_at=None):
+    """Replace ``caribou.pipeline.<name>`` by a wrapper that records, per
+    call, whether it ran on the main thread and how many threads were
+    alive, and raises on call number ``fail_at``."""
+    original = getattr(caribou.pipeline, name)
+    calls = []
+    lock = threading.Lock()
+
+    def wrapper(*args):
+        with lock:
+            number = len(calls)
+            calls.append((threading.current_thread() is threading.main_thread(),
+                          threading.active_count()))
+        if number == fail_at:
+            raise ArithmeticError(f"call {number} failed")
+        original(*args)
+
+    monkeypatch.setattr(caribou.pipeline, name, wrapper)
+    return calls
 
 
 class TestNoiseOverlap:
@@ -131,7 +153,24 @@ class TestNoiseOverlap:
             expected = reference_release(ds, cfg, artifacts.per_hop_noise_std)
             assert np.array_equal(artifacts.x_k_final, expected)
 
-    def test_equals_reference_loop_under_frequent_thread_switches(self):
+    @pytest.mark.parametrize(
+        "block_rows, cpus",
+        [(1000, 2), (ABOVE_CUTOFF[0], 2), (10_000, 2), (1000, 3), (1000, 1)],
+        ids=["ragged-blocks", "one-block", "n-below-one-block", "three-cpus", "one-cpu"],
+    )
+    def test_equals_reference_loop_for_any_blocks_and_cpus(self, block_rows, cpus, monkeypatch):
+        monkeypatch.setattr(caribou.pipeline, "_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(caribou.pipeline, "_usable_cpus", lambda: cpus)
+        ds = random_dataset(*ABOVE_CUTOFF, seed=6)
+        for level in ("edge", "node"):
+            cfg = mixed_config(level, 1)
+            artifacts = run_pipeline(ds, cfg)
+            expected = reference_release(ds, cfg, artifacts.per_hop_noise_std)
+            assert np.array_equal(artifacts.x_k_final, expected)
+
+    def test_equals_reference_loop_under_frequent_thread_switches(self, monkeypatch):
+        monkeypatch.setattr(caribou.pipeline, "_BLOCK_ROWS", 1000)
+        monkeypatch.setattr(caribou.pipeline, "_usable_cpus", lambda: 4)
         ds = random_dataset(*ABOVE_CUTOFF, seed=5)
         cfg = mixed_config("edge", 7, k=4)
         interval = sys.getswitchinterval()
@@ -143,38 +182,46 @@ class TestNoiseOverlap:
         expected = reference_release(ds, cfg, artifacts.per_hop_noise_std)
         assert np.array_equal(artifacts.x_k_final, expected)
 
-    @pytest.mark.parametrize("size", [ABOVE_CUTOFF, BELOW_CUTOFF], ids=["above", "below"])
-    def test_worker_thread_only_above_cutoff(self, size, monkeypatch):
+    @pytest.mark.parametrize(
+        "size, cpus", [(ABOVE_CUTOFF, 2), (ABOVE_CUTOFF, 1), (BELOW_CUTOFF, 2)],
+        ids=["above", "above-one-cpu", "below"],
+    )
+    def test_worker_thread_only_above_cutoff(self, size, cpus, monkeypatch):
+        monkeypatch.setattr(caribou.pipeline, "_usable_cpus", lambda: cpus)
         ds = random_dataset(*size, seed=3)
         before = threading.active_count()
-        during = []
-
-        def counting_project_rows(x):
-            during.append(threading.active_count())
-            return project_rows(x)
-
-        monkeypatch.setattr(caribou.pipeline, "project_rows", counting_project_rows)
+        calls = count_calls(monkeypatch, "_layer_rows")
         run_pipeline(ds, mixed_config("edge", 0))
         assert threading.active_count() == before
-        workers = 1 if size == ABOVE_CUTOFF else 0
-        assert during == [before + workers] * 3
+        if size == ABOVE_CUTOFF and cpus > 1:
+            assert len(calls) == 3 * -(-size[0] // caribou.pipeline._BLOCK_ROWS)
+            assert all(not main and before < alive <= before + cpus for main, alive in calls)
+        else:
+            assert calls == [(True, before)] * 3
 
     def test_failing_hop_reaches_caller_and_ends_worker(self, monkeypatch):
+        monkeypatch.setattr(caribou.pipeline, "_BLOCK_ROWS", 3000)
+        monkeypatch.setattr(caribou.pipeline, "_usable_cpus", lambda: 2)
         ds = random_dataset(*ABOVE_CUTOFF, seed=4)
         before = threading.active_count()
-        calls = []
+        for name, per_hop in (("_draw_noise", 1), ("_layer_rows", 3), ("_noise_and_project", 3)):
+            with monkeypatch.context() as patch:
+                # the first call of hop 2 fails; the rest of its phase still ends
+                calls = count_calls(patch, name, fail_at=2 * per_hop)
+                with pytest.raises(ArithmeticError, match=f"call {2 * per_hop} failed"):
+                    run_pipeline(ds, mixed_config("edge", 0, k=4))
+            assert len(calls) == 3 * per_hop, name
+            assert not any(main for main, _ in calls)
+            assert threading.active_count() == before
 
-        def failing_project_rows(x):
-            calls.append(len(calls))
-            if len(calls) == 3:
-                raise ArithmeticError("hop 2 failed")
-            return project_rows(x)
-
-        monkeypatch.setattr(caribou.pipeline, "project_rows", failing_project_rows)
-        with pytest.raises(ArithmeticError, match="hop 2 failed"):
-            run_pipeline(ds, mixed_config("edge", 0, k=4))
-        assert calls == [0, 1, 2]
-        assert threading.active_count() == before
+    def test_row_blocks_are_views_of_the_adjacency(self):
+        adj = normalized_adjacency(random_dataset(50, 2, seed=1).graph)
+        blocks = _row_blocks(adj, 16)
+        assert [(a, b) for a, b, _ in blocks] == [(0, 16), (16, 32), (32, 48), (48, 50)]
+        for a, b, rows in blocks:
+            assert np.shares_memory(rows.data, adj.data)
+            assert np.shares_memory(rows.indices, adj.indices)
+            assert np.array_equal(rows.toarray(), adj.toarray()[a:b])
 
 
 class TestConfigValidation:
