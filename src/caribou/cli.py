@@ -29,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _pool
 from .accountant import (
     DEFAULT_K_VALUES,
     CalibrationError,
@@ -392,8 +393,11 @@ def cmd_sweep(args) -> int:
             config.setdefault("seed", int(base.get("seed", 0)) + i)
             config["output_dir"] = str(out_root / f"run_{i:03d}")
             jobs.append((i, config))
-        if args.workers > 1:
-            with ProcessPoolExecutor(max_workers=args.workers) as pool:
+        # the executor starts all its processes at the first submit, so it
+        # gets no more than there are runs
+        workers = min(args.workers, len(jobs))
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 summaries = list(pool.map(_sweep_one, jobs))
         else:
             summaries = [_sweep_one(job) for job in jobs]
@@ -402,6 +406,16 @@ def cmd_sweep(args) -> int:
         return _fail("sweep", exc)
     print(json.dumps({"runs": len(summaries), "output_dir": str(out_root)}))
     return 0
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -462,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--seeds", type=int, nargs="*", default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=max(1, (os.cpu_count() or 2) // 2))
+    p.add_argument("--workers", type=_positive_int, default=max(1, _pool.usable_cpus() // 2))
     p.add_argument("--out-dir", default=None)
     p.set_defaults(func=cmd_sweep)
 

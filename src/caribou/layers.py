@@ -121,7 +121,12 @@ def _project_rows_inplace(x: Array, radius: float = 1.0) -> None:
 
 def normalize_rows(x: Array) -> Array:
     """Scale every non-zero row to unit Euclidean norm (zero rows stay zero)."""
-    x = np.asarray(x, dtype=float)
+    return _normalize_rows(np.asarray(x, dtype=float))
+
+
+def _normalize_rows(x: Array) -> Array:
+    """``normalize_rows`` on a float array, for worker threads: each row is
+    scaled by a factor computed from that row alone."""
     norms = np.linalg.norm(x, axis=-1, keepdims=True)
     safe = np.where(norms > 0, norms, 1.0)
     return x / safe

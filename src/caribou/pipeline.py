@@ -7,25 +7,27 @@ In the first, the hop's Gaussian draw fills the noise buffer while one
 task per block writes that block's layer rows into a second buffer.  In
 the second, after all of them have ended, each block adds its noise rows
 and projects its rows in place; then the two iterate buffers swap.  On a
-large enough feature matrix the tasks run on a thread pool with one
-thread per CPU the process may use; otherwise the whole matrix is one
-block run on the calling thread.
+large enough feature matrix the tasks run on the thread pool of
+``_pool``, one thread per CPU the process may use; otherwise the whole
+matrix is one block run on the calling thread.
+
+Every product of a hop stays row-local: the sparse Â @ X computes each
+output row from that row of Â alone, so blocks of any height give the
+same bits.  Only the column mean reads every row; it is taken once per hop
+on the calling thread.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 from scipy.sparse import csr_array
 
+from . import _pool
 from .accountant import (
     AccountantMode,
     ModuleBudgets,
@@ -41,19 +43,6 @@ from .prng import stream
 
 _ROW_NORM_TOL = 1e-9
 _HOP_STREAM = 0x40C4
-#: Feature-matrix entries (n*d; 2**19 float64 fill 4 MiB) from which the
-#: hop tasks run on a thread pool.  The cutoff was first set for drawing the
-#: noise beside the layer: in K=8 sweeps on 2 cores that won in every run
-#: from 544k entries up, and at 512k and below it won in some runs and lost
-#: in others (the sweeps are in CHANGES.md).  With row blocks the pool
-#: already wins at 2**18 entries and ties at 2**17; the cutoff is kept so
-#: that small runs, such as each query of an audit, start no threads.
-_OVERLAP_MIN_CELLS = 1 << 19
-#: Rows per block when the pool runs.  Small enough that the blocks of one
-#: hop keep every thread busy until the noise draw ends, large enough that
-#: per-task costs stay small; 2k-16k rows timed alike (CHANGES.md).
-_BLOCK_ROWS = 4096
-
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -120,13 +109,6 @@ def sample_gaussian_matrix(
     return out
 
 
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _row_blocks(adj: csr_array, block_rows: int) -> list[tuple[int, int, csr_array]]:
     """Split ``adj`` into ``(start, stop, rows)`` blocks of ``block_rows``
     rows.  Each block is a CSR view over ``adj``'s own ``data`` and
@@ -156,19 +138,6 @@ def _noise_and_project(rows: np.ndarray, noise_rows: np.ndarray | None) -> None:
     _project_rows_inplace(rows)
 
 
-def _run_all(pool: ThreadPoolExecutor | None, tasks: list[Callable[[], None]]) -> None:
-    """Run every task, on ``pool`` if there is one, and return when all
-    have ended; then raise the first failure in task order, if any."""
-    if pool is None:
-        for task in tasks:
-            task()
-        return
-    futures = [pool.submit(task) for task in tasks]
-    wait(futures)
-    for future in futures:
-        future.result()
-
-
 def run_pipeline(dataset: LabeledDataset, cfg: PipelineConfig) -> RunArtifacts:
     """Run the perturbed contractive pipeline and release X^(K).
 
@@ -178,11 +147,12 @@ def run_pipeline(dataset: LabeledDataset, cfg: PipelineConfig) -> RunArtifacts:
     reproducible regardless of evaluation order.
 
     Each hop runs in the two phases the module docstring describes.  When
-    the feature matrix has at least ``_OVERLAP_MIN_CELLS`` entries and the
+    the feature matrix has at least ``_pool.MIN_CELLS`` entries and the
     process may run on two or more CPUs (``os.sched_getaffinity``), the
     tasks run on a pool with one thread per such CPU, over blocks of
-    ``_BLOCK_ROWS`` rows; otherwise the whole matrix is one block run on
-    this thread.  A row's arithmetic reads only that row's inputs, the
+    ``_pool.BLOCK_ROWS`` rows; otherwise the whole matrix is one block run
+    on this thread.  The stream and every other public function are called
+    on this thread.  A row's arithmetic reads only that row's inputs, the
     column mean (taken once per hop on this thread) and the hop's one
     noise stream, so the release is the same bits for any block size and
     thread count.
@@ -218,13 +188,8 @@ def run_pipeline(dataset: LabeledDataset, cfg: PipelineConfig) -> RunArtifacts:
     adj = normalized_adjacency(dataset.graph)
     out = np.empty_like(x)
     noise = np.empty_like(x) if noise_std > 0.0 else None
-    workers = _usable_cpus() if x.size >= _OVERLAP_MIN_CELLS else 1
-    blocks = _row_blocks(adj, _BLOCK_ROWS if workers > 1 else x.shape[0])
-    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        # workers run only private helpers and numpy/scipy calls that
-        # release the GIL; every public function (the stream included) is
-        # called on this thread, so wrappers a tracer installs around
-        # public functions never run on a worker
+    with _pool.thread_pool(x.size) as pool:
+        blocks = _row_blocks(adj, _pool.BLOCK_ROWS if pool else x.shape[0])
         for hop in range(cfg.k_hops):
             tasks = []
             if noise is not None:
@@ -235,8 +200,8 @@ def run_pipeline(dataset: LabeledDataset, cfg: PipelineConfig) -> RunArtifacts:
                 partial(_layer_rows, rows, x, x0[a:b], mean_term, cfg.cgl, out[a:b])
                 for a, b, rows in blocks
             ]
-            _run_all(pool, tasks)
-            _run_all(pool, [
+            _pool.run_all(pool, tasks)
+            _pool.run_all(pool, [
                 partial(_noise_and_project, out[a:b], None if noise is None else noise[a:b])
                 for a, b, _ in blocks
             ])

@@ -212,14 +212,17 @@ def grad_check(
     """Compare analytic gradients against central finite differences.
 
     Relative criterion per parameter: |a - n| <= tol * max(1, |a|, |n|).
-    Losses and gradients come from ``model._mean_loss_and_grads``, looked
-    up on the module at each call so a test can substitute it.
+    Losses and gradients come from ``model._HeadPass.loss_and_grads``, the
+    method ``train_head`` calls every epoch, looked up at each call so a
+    test can substitute it.
     """
     inputs = model.head_inputs(x0, xk)
     labels = np.asarray(labels)
     num_classes = head.sizes[-1]
     onehot = np.eye(num_classes)[labels]
-    _, analytic = model._mean_loss_and_grads(head, inputs, onehot)
+    passes = model._HeadPass(head, inputs, onehot)
+    # the pass reuses its gradient buffers on the next call
+    analytic = [g.copy() for g in passes.loss_and_grads()[1]]
     params = [head.weights[0], head.biases[0], head.weights[1], head.biases[1]]
     h = 1e-6
     for p, a_grad in zip(params, analytic):
@@ -227,9 +230,9 @@ def grad_check(
         for idx in range(flat.size):
             orig = flat[idx]
             flat[idx] = orig + h
-            loss_plus, _ = model._mean_loss_and_grads(head, inputs, onehot)
+            loss_plus, _ = passes.loss_and_grads()
             flat[idx] = orig - h
-            loss_minus, _ = model._mean_loss_and_grads(head, inputs, onehot)
+            loss_minus, _ = passes.loss_and_grads()
             flat[idx] = orig
             numeric = (loss_plus - loss_minus) / (2.0 * h)
             a = a_grad.ravel()[idx]

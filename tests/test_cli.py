@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+import caribou._pool
+from caribou import cli
 from caribou.accountant import noise_table
 from caribou.cli import main
 from caribou.graphs import load_dataset, write_dataset
@@ -375,3 +377,61 @@ class TestSweep:
         code, _, err = run_cli(["sweep", "--config", str(cfg)], capsys)
         assert code == 1
         assert "sweep" in json.loads(err.strip().split("\n")[-1])["message"]
+
+    @pytest.mark.parametrize("workers", ["0", "-3", "two"])
+    def test_bad_worker_count_is_usage_error(self, workers, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json")
+        code, out, err = run_cli(
+            ["sweep", "--config", str(cfg), "--seeds", "0", "--workers", workers], capsys
+        )
+        assert code == 2
+        assert out == ""
+        [line] = err.strip().split("\n")
+        assert json.loads(line)["stage"] == "usage"
+        assert "--workers" in json.loads(line)["message"]
+
+    @pytest.mark.parametrize(
+        "workers, seeds, processes",
+        [("5000", ["0", "1"], [2]), ("2", ["0", "1", "2"], [2]), ("8", ["0"], []),
+         ("1", ["0", "1"], [])],
+        ids=["capped-at-runs", "below-runs", "one-run", "one-worker"],
+    )
+    def test_process_count_capped_at_run_count(
+        self, workers, seeds, processes, tmp_path, capsys, monkeypatch
+    ):
+        started = []
+
+        class RecordingExecutor:
+            """Runs the jobs in this process and records the process count
+            a real executor would have started."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingExecutor)
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            train={"epochs": 5, "learning_rate": 0.5, "hidden_units": 4},
+            output_dir=str(tmp_path / "sweep"),
+        )
+        code, out, _ = run_cli(
+            ["sweep", "--config", str(cfg), "--seeds", *seeds, "--workers", workers], capsys
+        )
+        assert code == 0
+        assert json.loads(out)["runs"] == len(seeds)
+        assert started == processes
+
+    @pytest.mark.parametrize("cpus, default", [(1, 1), (2, 1), (8, 4)])
+    def test_default_workers_follow_usable_cpus(self, cpus, default, monkeypatch):
+        monkeypatch.setattr(caribou._pool, "usable_cpus", lambda: cpus)
+        args = cli.build_parser().parse_args(["sweep", "--config", "cfg.json"])
+        assert args.workers == default

@@ -1,9 +1,13 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+import caribou._pool
 from caribou import model as model_module
+from caribou.layers import normalize_rows
 from caribou.model import (
     DpSgdConfig,
     MlpHead,
@@ -101,6 +105,203 @@ class TestTrainHead:
         assert np.allclose(probs_a, probs_b)
 
 
+def reference_train_head(x0, xk, labels, mask, cfg, seed):
+    """The head's epoch loop written out serially, with whole-matrix
+    products and fresh temporaries: weights, biases and losses."""
+    inputs = np.hstack([x0[mask], normalize_rows(xk[mask])])
+    onehot = np.eye(int(labels.max()) + 1)[labels[mask]]
+    m, d_in = inputs.shape
+    init = stream(seed, model_module._INIT_STREAM)
+    w1 = init.normal(0.0, 1.0 / math.sqrt(d_in), size=(d_in, cfg.hidden_units))
+    w2 = np.zeros((cfg.hidden_units, onehot.shape[1]))
+    b1, b2 = np.zeros(cfg.hidden_units), np.zeros(onehot.shape[1])
+    noise = stream(seed, model_module._DP_STREAM)
+    losses = []
+    for _ in range(cfg.epochs):
+        hidden = np.tanh(inputs @ w1 + b1)
+        logits = hidden @ w2 + b2
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        probs = e / e.sum(axis=1, keepdims=True)
+        losses.append(float(-np.sum(onehot * np.log(np.maximum(probs, 1e-300))) / m))
+
+        def backward(g_logits):
+            g_hidden = (g_logits @ w2.T) * (1.0 - hidden**2)
+            return [inputs.T @ g_hidden, g_hidden.sum(axis=0), hidden.T @ g_logits,
+                    g_logits.sum(axis=0)]
+
+        if cfg.dp is None:
+            grads = backward((probs - onehot) / m)
+        else:
+            g_logits = probs - onehot
+            g_hidden = (g_logits @ w2.T) * (1.0 - hidden**2)
+            sq = ((inputs * inputs).sum(axis=1) + 1.0) * (g_hidden * g_hidden).sum(axis=1)
+            sq += ((hidden * hidden).sum(axis=1) + 1.0) * (g_logits * g_logits).sum(axis=1)
+            factors = np.minimum(1.0, cfg.dp.clip_norm / np.maximum(np.sqrt(sq), 1e-300))
+            std = cfg.dp.clip_norm * cfg.dp.noise_mult
+            grads = [
+                (g + noise.normal(0.0, std, size=g.shape)) / m
+                for g in backward(factors[:, None] * g_logits)
+            ]
+        for p, g in zip((w1, b1, w2, b2), grads):
+            p -= cfg.learning_rate * g
+    return [w1, b1, w2, b2], losses
+
+
+def reference_predict_proba(head, x0, xk):
+    """Class probabilities from the whole stacked input matrix."""
+    hidden = np.tanh(np.hstack([x0, normalize_rows(xk)]) @ head.weights[0] + head.biases[0])
+    logits = hidden @ head.weights[1] + head.biases[1]
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+# head inputs of 16384 x (32 + 32) entries sit above the pool cutoff (row
+# blocks and two W1 column chunks, on worker threads when there are CPUs
+# for them); 500 x (4 + 4) sit below it (one block on the calling thread).
+# At 16384 rows the whole hidden @ W2 takes another BLAS kernel than a
+# 4096-row block of it does, so splitting it would show.
+ABOVE_CUTOFF = (16384, 32)
+BELOW_CUTOFF = (500, 4)
+DP = DpSgdConfig(clip_norm=1.0, noise_mult=1.1)
+
+
+def head_case(size, seed=0):
+    rng = stream(seed, 64)
+    n, d = size
+    x0 = normalize_rows(rng.normal(size=(n, d)))
+    xk = rng.normal(size=(n, d)) * rng.uniform(0.1, 10.0, size=(n, 1))
+    labels = rng.integers(0, 4, size=n)
+    labels[0] = 3
+    return x0, xk, labels
+
+
+@pytest.fixture(scope="module")
+def above_cutoff_references():
+    x0, xk, labels = head_case(ABOVE_CUTOFF)
+    mask = np.arange(labels.size)
+    refs = {}
+    for dp in (None, DP):
+        cfg = TrainConfig(epochs=6, learning_rate=0.5, hidden_units=16, dp=dp)
+        refs[dp] = cfg, reference_train_head(x0, xk, labels, mask, cfg, seed=5)
+    return (x0, xk, labels, mask), refs
+
+
+def count_calls(monkeypatch, name, fail_at=None):
+    """Replace ``caribou.model.<name>`` by a wrapper that records, per
+    call, whether it ran on the main thread and how many threads were
+    alive, and raises on call number ``fail_at``."""
+    original = getattr(model_module, name)
+    calls = []
+    lock = threading.Lock()
+
+    def wrapper(*args):
+        with lock:
+            number = len(calls)
+            calls.append((threading.current_thread() is threading.main_thread(),
+                          threading.active_count()))
+        if number == fail_at:
+            raise ArithmeticError(f"call {number} failed")
+        return original(*args)
+
+    monkeypatch.setattr(model_module, name, wrapper)
+    return calls
+
+
+class TestHeadRowBlocks:
+    def test_sizes_straddle_the_cutoff(self):
+        assert 2 * ABOVE_CUTOFF[0] * ABOVE_CUTOFF[1] >= caribou._pool.MIN_CELLS
+        assert 2 * BELOW_CUTOFF[0] * BELOW_CUTOFF[1] < caribou._pool.MIN_CELLS
+
+    @pytest.mark.parametrize("size", [ABOVE_CUTOFF, BELOW_CUTOFF], ids=["above", "below"])
+    @pytest.mark.parametrize("dp", [None, DP], ids=["plain", "dp"])
+    def test_equals_reference_loop(self, size, dp):
+        x0, xk, labels = head_case(size, seed=1)
+        mask = np.arange(0, labels.size, 2)
+        cfg = TrainConfig(epochs=4, learning_rate=0.5, hidden_units=16, dp=dp)
+        head = train_head(x0, xk, labels, mask, cfg, seed=3)
+        params, losses = reference_train_head(x0, xk, labels, mask, cfg, seed=3)
+        assert head.loss_history == losses
+        for a, b in zip(head.weights + head.biases, [params[0], params[2], params[1], params[3]]):
+            assert np.array_equal(a, b)
+        assert np.array_equal(predict_proba(head, x0, xk), reference_predict_proba(head, x0, xk))
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "block_rows", [1000, 2500, 4096, 10_000], ids=["1000", "ragged", "4096", "above-n"]
+    )
+    def test_equals_reference_for_any_blocks_and_cpus(
+        self, block_rows, cpus, above_cutoff_references, monkeypatch
+    ):
+        monkeypatch.setattr(caribou._pool, "BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(caribou._pool, "usable_cpus", lambda: cpus)
+        (x0, xk, labels, mask), refs = above_cutoff_references
+        for cfg, (params, losses) in refs.values():
+            head = train_head(x0, xk, labels, mask, cfg, seed=5)
+            assert head.loss_history == losses
+            for a, b in zip(head.weights + head.biases,
+                            [params[0], params[2], params[1], params[3]]):
+                assert np.array_equal(a, b)
+            expected = reference_predict_proba(head, x0, xk)
+            assert np.array_equal(predict_proba(head, x0, xk), expected)
+            accuracy = float(np.mean(expected.argmax(axis=1) == labels))
+            assert evaluate(head, x0, xk, labels, mask) == accuracy
+
+    def test_equals_reference_under_frequent_thread_switches(
+        self, above_cutoff_references, monkeypatch
+    ):
+        monkeypatch.setattr(caribou._pool, "BLOCK_ROWS", 1000)
+        monkeypatch.setattr(caribou._pool, "usable_cpus", lambda: 4)
+        (x0, xk, labels, mask), refs = above_cutoff_references
+        cfg, (params, losses) = refs[DP]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            head = train_head(x0, xk, labels, mask, cfg, seed=5)
+        finally:
+            sys.setswitchinterval(interval)
+        assert head.loss_history == losses
+        assert np.array_equal(head.weights[0], params[0])
+
+    @pytest.mark.parametrize(
+        "size, cpus", [(ABOVE_CUTOFF, 2), (ABOVE_CUTOFF, 1), (BELOW_CUTOFF, 2)],
+        ids=["above", "above-one-cpu", "below"],
+    )
+    def test_worker_threads_only_above_cutoff(self, size, cpus, monkeypatch):
+        monkeypatch.setattr(caribou._pool, "usable_cpus", lambda: cpus)
+        x0, xk, labels = head_case(size)
+        cfg = TrainConfig(epochs=3, learning_rate=0.5, hidden_units=16)
+        before = threading.active_count()
+        calls = count_calls(monkeypatch, "_hidden_rows")
+        predict_calls = count_calls(monkeypatch, "predict_proba")
+        head = train_head(x0, xk, labels, np.arange(labels.size), cfg, seed=0)
+        evaluate(head, x0, xk, labels, np.arange(labels.size))
+        assert threading.active_count() == before
+        # evaluate calls the traced predict_proba once, on this thread
+        assert predict_calls == [(True, before)]
+        blocks = max(size[0] // caribou._pool.BLOCK_ROWS, 1) if size == ABOVE_CUTOFF else 1
+        assert len(calls) == 4 * blocks  # 3 epochs, then one prediction
+        if size == ABOVE_CUTOFF and cpus > 1:
+            assert all(not main and before < alive <= before + cpus for main, alive in calls)
+        else:
+            assert calls == [(True, before)] * (4 * blocks)
+
+    @pytest.mark.parametrize("name", ["_hidden_rows", "_output_grad_rows"])
+    def test_failing_block_reaches_caller_and_leaves_no_thread(self, name, monkeypatch):
+        monkeypatch.setattr(caribou._pool, "BLOCK_ROWS", 2500)
+        per_epoch = ABOVE_CUTOFF[0] // 2500
+        monkeypatch.setattr(caribou._pool, "usable_cpus", lambda: 2)
+        x0, xk, labels = head_case(ABOVE_CUTOFF)
+        cfg = TrainConfig(epochs=5, learning_rate=0.5, hidden_units=16, dp=DP)
+        before = threading.active_count()
+        # the first call of epoch 2 fails; the rest of its phase still ends
+        calls = count_calls(monkeypatch, name, fail_at=2 * per_epoch)
+        with pytest.raises(ArithmeticError, match=f"call {2 * per_epoch} failed"):
+            train_head(x0, xk, labels, np.arange(labels.size), cfg, seed=0)
+        assert len(calls) == 3 * per_epoch
+        assert not any(main for main, _ in calls)
+        assert threading.active_count() == before
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize(
         "clip, noise",
@@ -176,16 +377,18 @@ class TestGradCheck:
         # corrupt only the reported gradient; losses (hence the finite
         # differences) stay correct, so the check must notice
         head = toy_head(epochs=5)
-        from caribou import model as model_module
+        original = model_module._HeadPass.loss_and_grads
 
-        original = model_module._mean_loss_and_grads
-
-        def corrupted(h, inputs, onehot):
-            loss, grads = original(h, inputs, onehot)
+        def corrupted(self, rng=None):
+            loss, grads = original(self, rng)
             return loss, [g + 1e-3 for g in grads]
 
-        monkeypatch.setattr(model_module, "_mean_loss_and_grads", corrupted)
+        monkeypatch.setattr(model_module._HeadPass, "loss_and_grads", corrupted)
         assert not grad_check(head, TOY_X0, TOY_XK, TOY_Y, tol=1e-5)
+        # the patched method is the one training calls, so the check
+        # cannot pass on a path that training no longer takes
+        patched = toy_head(epochs=5)
+        assert not np.array_equal(patched.weights[0], head.weights[0])
 
 
 class TestLinearEncoder:
@@ -302,8 +505,8 @@ class TestDpStepMatchesPerExampleReference:
                 biases=[rng.normal(size=hidden), rng.normal(size=classes)],
             )
             onehot = np.eye(classes)[labels]
-            loss, grads = model_module._mean_loss_and_grads(
-                head, x, onehot, dp, stream(case, 7)
+            loss, grads = model_module._HeadPass(head, x, onehot, dp).loss_and_grads(
+                stream(case, 7)
             )
             ref_loss, ref_grads = reference_head_step(head, x, onehot, dp, stream(case, 7))
             assert loss == ref_loss

@@ -4,12 +4,13 @@ import threading
 import numpy as np
 import pytest
 
+import caribou._pool
 import caribou.pipeline
 from caribou.accountant import PrivacySpec
 from caribou.graphs import LabeledDataset, build_graph, gen_chain_dataset, normalized_adjacency
 from caribou.layers import LayerParams, layer_forward, project_rows
+from caribou._pool import MIN_CELLS
 from caribou.pipeline import (
-    _OVERLAP_MIN_CELLS,
     PipelineConfig,
     RunArtifacts,
     _draw_noise,
@@ -139,8 +140,8 @@ def count_calls(monkeypatch, name, fail_at=None):
 
 class TestNoiseOverlap:
     def test_sizes_straddle_the_cutoff(self):
-        assert ABOVE_CUTOFF[0] * ABOVE_CUTOFF[1] >= _OVERLAP_MIN_CELLS
-        assert BELOW_CUTOFF[0] * BELOW_CUTOFF[1] < _OVERLAP_MIN_CELLS
+        assert ABOVE_CUTOFF[0] * ABOVE_CUTOFF[1] >= MIN_CELLS
+        assert BELOW_CUTOFF[0] * BELOW_CUTOFF[1] < MIN_CELLS
 
     @pytest.mark.parametrize("size", [ABOVE_CUTOFF, BELOW_CUTOFF], ids=["above", "below"])
     @pytest.mark.parametrize("level", ["edge", "node"])
@@ -159,8 +160,8 @@ class TestNoiseOverlap:
         ids=["ragged-blocks", "one-block", "n-below-one-block", "three-cpus", "one-cpu"],
     )
     def test_equals_reference_loop_for_any_blocks_and_cpus(self, block_rows, cpus, monkeypatch):
-        monkeypatch.setattr(caribou.pipeline, "_BLOCK_ROWS", block_rows)
-        monkeypatch.setattr(caribou.pipeline, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(caribou._pool, "BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(caribou._pool, "usable_cpus", lambda: cpus)
         ds = random_dataset(*ABOVE_CUTOFF, seed=6)
         for level in ("edge", "node"):
             cfg = mixed_config(level, 1)
@@ -169,8 +170,8 @@ class TestNoiseOverlap:
             assert np.array_equal(artifacts.x_k_final, expected)
 
     def test_equals_reference_loop_under_frequent_thread_switches(self, monkeypatch):
-        monkeypatch.setattr(caribou.pipeline, "_BLOCK_ROWS", 1000)
-        monkeypatch.setattr(caribou.pipeline, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(caribou._pool, "BLOCK_ROWS", 1000)
+        monkeypatch.setattr(caribou._pool, "usable_cpus", lambda: 4)
         ds = random_dataset(*ABOVE_CUTOFF, seed=5)
         cfg = mixed_config("edge", 7, k=4)
         interval = sys.getswitchinterval()
@@ -187,21 +188,21 @@ class TestNoiseOverlap:
         ids=["above", "above-one-cpu", "below"],
     )
     def test_worker_thread_only_above_cutoff(self, size, cpus, monkeypatch):
-        monkeypatch.setattr(caribou.pipeline, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(caribou._pool, "usable_cpus", lambda: cpus)
         ds = random_dataset(*size, seed=3)
         before = threading.active_count()
         calls = count_calls(monkeypatch, "_layer_rows")
         run_pipeline(ds, mixed_config("edge", 0))
         assert threading.active_count() == before
         if size == ABOVE_CUTOFF and cpus > 1:
-            assert len(calls) == 3 * -(-size[0] // caribou.pipeline._BLOCK_ROWS)
+            assert len(calls) == 3 * -(-size[0] // caribou._pool.BLOCK_ROWS)
             assert all(not main and before < alive <= before + cpus for main, alive in calls)
         else:
             assert calls == [(True, before)] * 3
 
     def test_failing_hop_reaches_caller_and_ends_worker(self, monkeypatch):
-        monkeypatch.setattr(caribou.pipeline, "_BLOCK_ROWS", 3000)
-        monkeypatch.setattr(caribou.pipeline, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(caribou._pool, "BLOCK_ROWS", 3000)
+        monkeypatch.setattr(caribou._pool, "usable_cpus", lambda: 2)
         ds = random_dataset(*ABOVE_CUTOFF, seed=4)
         before = threading.active_count()
         for name, per_hop in (("_draw_noise", 1), ("_layer_rows", 3), ("_noise_and_project", 3)):
