@@ -6,6 +6,23 @@ challenge item.  Scores over all trials are summarized by rank-based AUC
 (0.5 = chance).  Two attacks are provided: an edge-influence probe (does
 nudging node v's features move node u's prediction?) and a node-confidence
 probe (is the model unusually confident on this node?).
+
+A game runs its trials in batches, each in three steps:
+
+1. for each trial, in order: sample the training graph or subgraph, run
+   the training release and form the head's inputs;
+2. train the batch's heads in one pass (``model._fit_heads``);
+3. for each trial, in order: draw the bit and the challenge, then score.
+
+A trial joins the current batch while its head's input shape and class
+count match the batch's and the stacked inputs stay below
+``_pool.MIN_CELLS`` (``model._joins_batch``); the node game's subgraphs
+can lack a class, which ends a batch.  Reports do not depend on the
+batches: each trial draws from its own stream, keyed by its index, for
+the sample, the bit and the challenge, and from seeds keyed by its index
+for the release, the head and the queries; a head trained in a batch has
+the bits of the same head trained alone; and the attacker sees the
+trials in order.
 """
 
 from __future__ import annotations
@@ -13,15 +30,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
-from typing import Callable, Literal
+from typing import Callable, Iterator, Literal, NamedTuple
 
 import numpy as np
 from scipy.stats import rankdata
 
 from .graphs import Graph, LabeledDataset, degree_stats
 from .layers import project_rows
-from .model import TrainConfig, predict_proba, train_head
+from .model import MlpHead, TrainConfig, _fit_heads, _head_data, _joins_batch, predict_proba
 from .pipeline import PipelineConfig, run_pipeline
 from .prng import stream
 
@@ -48,8 +66,10 @@ class AuditConfig:
             raise ValueError(f"unknown attack {self.attack!r}")
         if self.trials < 10:
             raise ValueError("at least 10 trials are required")
-        if self.perturb_scale <= 0:
-            raise ValueError("perturb_scale must be positive")
+        if not 0 < self.perturb_scale < math.inf:
+            raise ValueError(
+                f"perturb_scale must be positive and finite, got {self.perturb_scale!r}"
+            )
         for frac in (self.edge_keep_fraction, self.node_keep_fraction):
             if not 0.0 < frac < 1.0:
                 raise ValueError("keep fractions must be in (0, 1)")
@@ -148,10 +168,10 @@ def _induced_subgraph(g: Graph, nodes: np.ndarray) -> tuple[Graph, np.ndarray]:
 
 
 class _PipelineModel:
-    """Trained pipeline + head exposed as a black-box query interface.
+    """A trained head over the pipeline, exposed as a black-box query
+    interface.
 
-    The head is trained on ``dataset``; queries run inference on
-    ``serve_on`` (default: the training dataset) and count against
+    Queries run inference on ``serve_on`` and count against
     ``_QUERY_LIMIT``.  Every query reruns inference end to end with a fresh
     counter-derived noise stream, so a private pipeline answers queries
     noisily while a non-private one is deterministic.
@@ -159,25 +179,16 @@ class _PipelineModel:
 
     def __init__(
         self,
-        dataset: LabeledDataset,
+        head: MlpHead,
+        serve_on: LabeledDataset,
         pipeline_cfg: PipelineConfig,
-        train_cfg: TrainConfig,
         query_seed: int,
-        serve_on: LabeledDataset | None = None,
     ):
-        self._dataset = dataset if serve_on is None else serve_on
+        self.head = head
+        self._dataset = serve_on
         self._cfg = pipeline_cfg
         self._query_seed = query_seed
         self._queries = 0
-        artifacts = run_pipeline(dataset, pipeline_cfg)
-        self.head = train_head(
-            dataset.features,
-            artifacts.x_k_final,
-            dataset.labels,
-            dataset.train_mask,
-            train_cfg,
-            seed=pipeline_cfg.seed,
-        )
 
     def query(self, node: int, nudge: tuple[int, float] | None = None) -> np.ndarray:
         self._queries += 1
@@ -214,15 +225,18 @@ def _absent_pairs(g: Graph) -> np.ndarray:
     return np.stack([u[absent], v[absent]], axis=1)
 
 
+#: A trial's challenge picker: draws the membership bit and the challenge
+#: from the trial's generator; None when no non-member exists.
+_Challenge = Callable[[], "tuple[object, int] | None"]
+
+
 def _edge_trial(
-    dataset: LabeledDataset,
-    pipeline_cfg: PipelineConfig,
-    train_cfg: TrainConfig,
-    audit_cfg: AuditConfig,
+    dataset: LabeledDataset, pipeline_cfg: PipelineConfig, audit_cfg: AuditConfig,
     rng: np.random.Generator,
-    trial: int,
-    score_fn: Callable[[ModelQuery, object], float] | None = None,
-) -> tuple[float, int]:
+) -> tuple[LabeledDataset, LabeledDataset, _Challenge]:
+    """Sample an edge subset as the training graph; return the training
+    set, the set queries run on (the same) and the challenge picker:
+    members are present edges, non-members uniformly drawn absent pairs."""
     training_graph = _sample_edge_subset(
         dataset.graph,
         audit_cfg.edge_keep_fraction,
@@ -230,36 +244,26 @@ def _edge_trial(
         require_min_degree=pipeline_cfg.spec.level != "none",
     )
     train_set = replace(dataset, graph=training_graph)
-    model = _PipelineModel(
-        train_set,
-        replace(pipeline_cfg, seed=stream_seed(audit_cfg.seed, 2 * trial)),
-        train_cfg,
-        query_seed=stream_seed(audit_cfg.seed, 2 * trial + 1),
-    )
-    bit = int(rng.integers(0, 2))
-    if bit == 1:
-        members = training_graph.edges
-        u, v = members[int(rng.integers(0, len(members)))].tolist()
-    else:
+
+    def challenge():
+        bit = int(rng.integers(0, 2))
+        if bit == 1:
+            members = training_graph.edges
+            return tuple(members[int(rng.integers(0, len(members)))].tolist()), bit
         absent = _absent_pairs(training_graph)
         if not absent.size:
-            return math.nan, 0
-        u, v = absent[int(rng.integers(0, len(absent)))].tolist()
-    if score_fn is not None:
-        return float(score_fn(model.query, (u, v))), bit
-    score = edge_influence_score(model.query, u, v, audit_cfg.perturb_scale)
-    return score, bit
+            return None
+        return tuple(absent[int(rng.integers(0, len(absent)))].tolist()), bit
+
+    return train_set, train_set, challenge
 
 
 def _node_trial(
-    dataset: LabeledDataset,
-    pipeline_cfg: PipelineConfig,
-    train_cfg: TrainConfig,
-    audit_cfg: AuditConfig,
+    dataset: LabeledDataset, pipeline_cfg: PipelineConfig, audit_cfg: AuditConfig,
     rng: np.random.Generator,
-    trial: int,
-    score_fn: Callable[[ModelQuery, object], float] | None = None,
-) -> tuple[float, int]:
+) -> tuple[LabeledDataset, LabeledDataset, _Challenge]:
+    """Sample an induced subgraph as the training set; queries run on the
+    full graph.  Members are the subgraph's nodes."""
     n = dataset.graph.num_nodes
     keep = max(2, round(audit_cfg.node_keep_fraction * n))
     need_degree = pipeline_cfg.spec.level != "none"
@@ -279,25 +283,52 @@ def _node_trial(
         train_mask=np.arange(len(id_map)),
         test_mask=np.array([], dtype=np.int64),
     )
-    # train on subgraph, test on full graph: queries run on the full topology
-    model = _PipelineModel(
-        sub_set,
-        replace(pipeline_cfg, seed=stream_seed(audit_cfg.seed, 2 * trial)),
-        train_cfg,
-        query_seed=stream_seed(audit_cfg.seed, 2 * trial + 1),
-        serve_on=dataset,
-    )
-    bit = int(rng.integers(0, 2))
-    if bit == 1:
-        node = int(member_nodes[int(rng.integers(0, len(member_nodes)))])
-    else:
+
+    def challenge():
+        bit = int(rng.integers(0, 2))
+        if bit == 1:
+            return int(member_nodes[int(rng.integers(0, len(member_nodes)))]), bit
         outside = np.setdiff1d(np.arange(n), member_nodes)
         if not outside.size:
-            return math.nan, 0
-        node = int(outside[int(rng.integers(0, len(outside)))])
-    if score_fn is not None:
-        return float(score_fn(model.query, node)), bit
-    return node_confidence_score(model.query, node), bit
+            return None
+        return int(outside[int(rng.integers(0, len(outside)))]), bit
+
+    return sub_set, dataset, challenge
+
+
+class _Released(NamedTuple):
+    """A trial after step 1: its training release's head problem, the
+    pipeline config it ran with and what scoring it needs."""
+
+    trial: int
+    cfg: PipelineConfig
+    serve_on: LabeledDataset
+    challenge: _Challenge
+    problem: tuple[np.ndarray, np.ndarray]
+
+
+def _released_batches(dataset, pipeline_cfg, audit_cfg, sample) -> Iterator[list[_Released]]:
+    """Step 1 for each trial in order: sample its training set with
+    ``sample`` and release it.  The trials come in batches whose heads
+    train in one pass; the next batch is released only once the caller
+    asks for it, so at most one batch of training sets is held."""
+    batch: list[_Released] = []
+    for trial in range(audit_cfg.trials):
+        rng = stream(audit_cfg.seed, _TRIAL_STREAM, trial)
+        train_set, serve_on, challenge = sample(dataset, pipeline_cfg, audit_cfg, rng)
+        cfg = replace(pipeline_cfg, seed=stream_seed(audit_cfg.seed, 2 * trial))
+        release = run_pipeline(train_set, cfg)
+        problem = _head_data(train_set.features, release.x_k_final, train_set.labels,
+                             train_set.train_mask)
+        if batch and not _joins_batch(batch[0].problem, len(batch), problem):
+            yield batch
+            batch = []
+        batch.append(_Released(trial, cfg, serve_on, challenge, problem))
+    yield batch
+
+
+def _edge_attack(perturb_scale: float, query: ModelQuery, pair: tuple[int, int]) -> float:
+    return edge_influence_score(query, *pair, perturb_scale)
 
 
 def run_mia_game(
@@ -317,26 +348,29 @@ def run_mia_game(
 
     ``score_fn(query, challenge)`` replaces the built-in attacker when
     given; the challenge is an (u, v) pair for the edge game and a node id
-    for the node game.
+    for the node game.  It is called at most once per trial, in trial
+    order.
     """
+    if audit_cfg.attack == "edge_influence":
+        sample, attack = _edge_trial, partial(_edge_attack, audit_cfg.perturb_scale)
+    else:
+        sample, attack = _node_trial, node_confidence_score
+    attack = score_fn or attack
     scores: list[float] = []
     bits: list[int] = []
     discarded = 0
-    for trial in range(audit_cfg.trials):
-        rng = stream(audit_cfg.seed, _TRIAL_STREAM, trial)
-        if audit_cfg.attack == "edge_influence":
-            score, bit = _edge_trial(
-                dataset, pipeline_cfg, train_cfg, audit_cfg, rng, trial, score_fn
-            )
-        else:
-            score, bit = _node_trial(
-                dataset, pipeline_cfg, train_cfg, audit_cfg, rng, trial, score_fn
-            )
-        if not math.isfinite(score):
-            discarded += 1
-            continue
-        scores.append(score)
-        bits.append(bit)
+    for batch in _released_batches(dataset, pipeline_cfg, audit_cfg, sample):
+        heads = _fit_heads([r.problem for r in batch], train_cfg, [r.cfg.seed for r in batch])
+        for released, head in zip(batch, heads):
+            query_seed = stream_seed(audit_cfg.seed, 2 * released.trial + 1)
+            model = _PipelineModel(head, released.serve_on, released.cfg, query_seed)
+            picked = released.challenge()
+            score = math.nan if picked is None else float(attack(model.query, picked[0]))
+            if not math.isfinite(score):
+                discarded += 1
+                continue
+            scores.append(score)
+            bits.append(picked[1])
     return AuditReport(
         scores=scores,
         membership_bits=bits,

@@ -285,7 +285,7 @@ def load_dataset(edge_path, feature_path, label_path) -> LabeledDataset:
     Feature rows are projected to Euclidean norm <= 1 on load.
     """
     feature_path = Path(feature_path)
-    rows = []
+    rows, line_nos = [], []
     width = None
     with feature_path.open() as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -304,9 +304,15 @@ def load_dataset(edge_path, feature_path, label_path) -> LabeledDataset:
                     feature_path, line_no, f"expected {width} columns, got {len(row)}"
                 )
             rows.append(row)
+            line_nos.append(line_no)
     if not rows:
         raise ParseError(feature_path, 0, "feature file is empty")
-    features = project_rows(np.array(rows, dtype=float))
+    features = np.array(rows, dtype=float)
+    finite = np.isfinite(features).all(axis=1)
+    if not finite.all():
+        # float() reads "nan" and "inf"; the release must never see them
+        raise ParseError(feature_path, line_nos[int(finite.argmin())], "non-finite feature value")
+    features = project_rows(features)
     n = features.shape[0]
 
     edge_path = Path(edge_path)

@@ -124,9 +124,10 @@ def normalize_rows(x: Array) -> Array:
     return _normalize_rows(np.asarray(x, dtype=float))
 
 
-def _normalize_rows(x: Array) -> Array:
-    """``normalize_rows`` on a float array, for worker threads: each row is
-    scaled by a factor computed from that row alone."""
+def _normalize_rows(x: Array, out: Array | None = None) -> Array:
+    """``normalize_rows`` on a float array, for worker threads, written
+    into ``out`` if it is given: each row is scaled by a factor computed
+    from that row alone."""
     norms = np.linalg.norm(x, axis=-1, keepdims=True)
     safe = np.where(norms > 0, norms, 1.0)
-    return x / safe
+    return np.divide(x, safe, out=out)

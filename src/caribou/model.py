@@ -12,6 +12,19 @@ x_i (x) g_i has norm |x_i| |g_i|, so clipping norms come in closed form
 and the backward pass on clip-scaled output gradients sums the clipped
 per-example gradients.
 
+One pass trains T heads that share their input shape (m, d_in), class
+count C and hidden width h; ``train_head`` is the case T = 1.  Inputs are
+stacked (T, m, d_in), and each head's parameters (W1, b1, W2, b2) fill one
+row of a (T, n) buffer, so one update is ``P -= lr * G``.  Every product
+is a stacked ``np.matmul``, which runs head t's slice through the same
+BLAS call as a lone head's matrix, and every sum over examples is an
+``np.add.reduce`` over the example axis, which adds head t's rows in the
+order a lone head's are added.  DP clip factors stay per example, and
+head t draws its noise from its own stream, for W1, b1, W2, b2 in turn.
+So head t of a pass has the bits of the head ``train_head`` fits alone.
+The audit game uses this to train its trials' heads together
+(``_joins_batch`` is the rule).
+
 One epoch runs in four phases over buffers allocated once per call:
 
 1. row blocks: hidden = tanh(inputs @ W1 + b1);
@@ -22,8 +35,9 @@ One epoch runs in four phases over buffers allocated once per call:
    each whole on one thread, the two bias sums, hidden^T @ g and the loss
    sum.
 
-DP noise is then drawn on the calling thread.  ``predict_proba`` runs
-phases 1-2 and the softmax, forming the inputs block by block.
+DP noise is then drawn on the calling thread.  ``predict_proba`` and
+``evaluate`` run phases 1-2 and the softmax on one head, each row block
+gathering and forming its own inputs.
 
 Which products are split follows from the arithmetic.  Each row of
 inputs @ W1 and of g @ W2^T, and each row of the W1 gradient, is one dot
@@ -38,12 +52,12 @@ with the default 16 hidden units; with 1, 2 or 4 hidden units some block
 products on OpenBLAS 0.3.31 take another kernel, and the last bits can
 differ from a one-block run.
 
-The blocks depend only on the input's shape.  At least
-``_pool.MIN_CELLS`` input entries make ``rows // BLOCK_ROWS`` blocks of
+The blocks depend only on the input's shape.  A lone head with at least
+``_pool.MIN_CELLS`` input entries makes ``rows // BLOCK_ROWS`` blocks of
 even height, run on ``_pool``'s threads when the process may use two or
 more CPUs and one after another otherwise, so the CPU count never changes
-the bits.  Fewer entries make one block on the calling thread, with no
-thread started.
+the bits.  Fewer entries, and every pass of two or more heads, make one
+block on the calling thread, with no thread started.
 """
 
 from __future__ import annotations
@@ -183,8 +197,16 @@ def head_inputs(x0: Array, xk: Array) -> Array:
     return _input_rows(*_row_pair(x0, xk))
 
 
-def _input_rows(x0: Array, xk: Array) -> Array:
-    return np.hstack([x0, _normalize_rows(xk)])
+def _input_rows(x0: Array, xk: Array, rows=slice(None)) -> Array:
+    """``head_inputs`` of the rows ``rows`` of ``x0`` and ``xk``, written
+    into one new array."""
+    # no stacked temporaries: memory that worker threads free stays with
+    # their allocator arenas and showed in release-1e5's peak RSS
+    left = x0[rows]
+    out = np.empty((left.shape[0], left.shape[1] + xk.shape[1]))
+    out[:, : left.shape[1]] = left
+    _normalize_rows(xk[rows], out=out[:, left.shape[1] :])
+    return out
 
 
 def _row_blocks(rows: int, cells: int) -> list[tuple[int, int]]:
@@ -207,21 +229,22 @@ def _w1_chunks(d_in: int, blocks: int) -> list[tuple[int, int]]:
 
 
 def _softmax_inplace(z: Array) -> Array:
-    """Overwrite each row of ``z`` with its softmax; return ``z``."""
+    """Overwrite each row of ``z`` (the last axis) with its softmax; return
+    ``z``."""
     # the row maximum, one column at a time: a maximum is exact, so this
-    # gives the softmax of z.max(axis=1) at a tenth of its cost on a few
+    # gives the softmax of z.max(axis=-1) at a tenth of its cost on a few
     # columns
-    row_max = z[:, 0].copy()
-    for j in range(1, z.shape[1]):
-        np.maximum(row_max, z[:, j], out=row_max)
-    np.subtract(z, row_max[:, None], out=z)
+    row_max = z[..., 0].copy()
+    for j in range(1, z.shape[-1]):
+        np.maximum(row_max, z[..., j], out=row_max)
+    np.subtract(z, row_max[..., None], out=z)
     np.exp(z, out=z)
-    z /= z.sum(axis=1, keepdims=True)
+    z /= np.add.reduce(z, axis=-1, keepdims=True)
     return z
 
 
 def _sq_rows(a: Array) -> Array:
-    return (a * a).sum(axis=1)
+    return np.add.reduce(a * a, axis=-1)
 
 
 def _hidden_rows(inputs: Array, w1: Array, b1: Array, out: Array) -> None:
@@ -231,9 +254,11 @@ def _hidden_rows(inputs: Array, w1: Array, b1: Array, out: Array) -> None:
     np.tanh(out, out=out)
 
 
-def _predict_hidden_rows(x0: Array, xk: Array, w1: Array, b1: Array, out: Array) -> None:
-    """``_hidden_rows`` on the head inputs formed from these rows."""
-    _hidden_rows(_input_rows(x0, xk), w1, b1, out)
+def _predict_hidden_rows(x0: Array, xk: Array, rows, w1: Array, b1: Array,
+                         out: Array) -> None:
+    """``_hidden_rows`` on the head inputs formed from ``x0[rows]`` and
+    ``xk[rows]``."""
+    _hidden_rows(_input_rows(x0, xk, rows), w1, b1, out)
 
 
 def _logits(hidden: Array, w2: Array, b2: Array, out: Array) -> None:
@@ -245,13 +270,13 @@ def _logits(hidden: Array, w2: Array, b2: Array, out: Array) -> None:
 
 
 def _output_grad_rows(
-    logits: Array, onehot: Array, hidden: Array, w2: Array, x_sq: Array | None,
+    logits: Array, onehot: Array, hidden: Array, w2_t: Array, x_sq: Array | None,
     clip_norm: float | None, m: int, log_lik: Array, d_tanh: Array, g_hidden: Array,
 ) -> None:
     """For rows of the batch: overwrite ``logits`` with the gradient of the
     loss w.r.t. them, and write each entry's ``onehot * log(p)`` into
     ``log_lik``, 1 - hidden^2 into ``d_tanh`` and the gradient w.r.t. the
-    hidden pre-activations into ``g_hidden``.
+    hidden pre-activations into ``g_hidden``.  ``w2_t`` is W2 transposed.
 
     The output gradient p - y is scaled by 1/m, or with ``clip_norm`` set
     by each example's clip factor.  With gl_i = p_i - y_i and gh_i =
@@ -269,12 +294,12 @@ def _output_grad_rows(
     if clip_norm is None:
         g /= m
     else:
-        np.matmul(g, w2.T, out=g_hidden)
+        np.matmul(g, w2_t, out=g_hidden)
         g_hidden *= d_tanh
         sq_norms = x_sq * _sq_rows(g_hidden)
         sq_norms += (_sq_rows(hidden) + 1.0) * _sq_rows(g)
-        g *= _clip_factors(sq_norms, clip_norm)[:, None]
-    np.matmul(g, w2.T, out=g_hidden)
+        g *= _clip_factors(sq_norms, clip_norm)[..., None]
+    np.matmul(g, w2_t, out=g_hidden)
     g_hidden *= d_tanh
 
 
@@ -293,78 +318,108 @@ def _clip_factors(sq_norms: Array, clip_norm: float) -> Array:
     return factors
 
 
-def _noised_mean(sums: list[Array], dp: DpSgdConfig, rng, m: int) -> list[Array]:
-    """The rest of one DP-SGD step after clipping: add Gaussian noise of std
-    clip_norm * noise_mult to each sum of clipped gradients, in order, and
-    average over the ``m`` examples."""
+def _noised_mean(sums: Array, dp: DpSgdConfig, rngs, m: int) -> Array:
+    """The rest of one DP-SGD step after clipping, in place on a (T, n)
+    buffer of T models' sums of clipped gradients: add Gaussian noise of
+    std clip_norm * noise_mult to row t, drawn from ``rngs[t]`` in the
+    row's order, and average over the ``m`` examples."""
     noise_std = dp.clip_norm * dp.noise_mult
-    grads = []
-    for summed in sums:
-        if noise_std > 0:
-            summed = summed + rng.normal(0.0, noise_std, size=summed.shape)
-        grads.append(summed / m)
-    return grads
+    if noise_std > 0:
+        for row, rng in zip(sums, rngs):
+            row += rng.normal(0.0, noise_std, size=row.shape)
+    sums /= m
+    return sums
+
+
+def _param_views(flat: Array, d_in: int, hidden: int, classes: int) -> list[Array]:
+    """W1 (T, d_in, h), b1 (T, 1, h), W2 (T, h, C) and b2 (T, 1, C) as
+    views of a (T, n) buffer whose row t holds head t's parameters (or
+    gradients) in that order, each in C order."""
+    views, start = [], 0
+    for shape in ((d_in, hidden), (1, hidden), (hidden, classes), (1, classes)):
+        stop = start + shape[0] * shape[1]
+        views.append(flat[:, start:stop].reshape(len(flat), *shape))
+        start = stop
+    return views
+
+
+def _param_row(head: MlpHead) -> Array:
+    """``head``'s parameters as a one-row buffer of ``_param_views``."""
+    parts = (head.weights[0], head.biases[0], head.weights[1], head.biases[1])
+    return np.concatenate([np.ravel(p) for p in parts])[None]
+
+
+def _pass_cells(inputs: Array) -> int:
+    """The entries that set a pass's row blocks and pool: those of a lone
+    head's inputs.  A batch of heads always runs as one block on the
+    calling thread."""
+    return inputs.size if len(inputs) == 1 else 0
 
 
 class _HeadPass:
-    """Full-batch passes of one head over fixed inputs.
+    """Full-batch passes of T heads of one shape over fixed inputs.
 
-    Every buffer and every task is made once, here; the tasks hold the
-    head's weight arrays, which training updates in place.  Each call of
-    ``loss_and_grads`` runs the phases the module docstring describes, on
-    ``pool`` if it is given.
+    ``params`` is the heads' (T, n) parameter buffer, laid out as
+    ``_param_views`` describes, which training updates in place; the
+    (T, m, d_in) ``inputs`` and (T, m, C) ``onehot`` hold each head's
+    examples.  Every buffer and every task is made once, here.  Each call
+    of ``loss_and_grads`` runs the phases the module docstring describes,
+    on ``pool`` if it is given.
     """
 
-    def __init__(self, head: MlpHead, inputs: Array, onehot: Array,
+    def __init__(self, params: Array, hidden_units: int, inputs: Array, onehot: Array,
                  dp: DpSgdConfig | None = None, pool=None) -> None:
-        m, d_in = inputs.shape
-        w1, b1, w2, b2 = head.weights[0], head.biases[0], head.weights[1], head.biases[1]
+        t, m, d_in = inputs.shape
+        classes = onehot.shape[2]
+        w1, b1, w2, b2 = _param_views(params, d_in, hidden_units, classes)
         self._w2, self._b2 = w2, b2
         self._dp, self._pool, self._m = dp, pool, m
-        self._hidden = hidden = np.empty((m, w1.shape[1]))
+        self._hidden = hidden = np.empty((t, m, hidden_units))
         # the logits, overwritten in place by the output gradient
-        self._logits = logits = np.empty((m, w2.shape[1]))
+        self._logits = logits = np.empty((t, m, classes))
         g_hidden, d_tanh = np.empty_like(hidden), np.empty_like(hidden)
         log_lik = np.empty_like(logits)
-        self._loss_sum = np.empty(())
-        self._grads = [np.empty_like(w1), np.empty_like(b1), np.empty_like(w2),
-                       np.empty_like(b2)]
-        g_w1, g_b1, g_w2, g_b2 = self._grads
+        self._loss_sums = np.empty(t)
+        self._grads = np.empty_like(params)
+        g_w1, g_b1, g_w2, g_b2 = _param_views(self._grads, d_in, hidden_units, classes)
         x_sq = _sq_rows(inputs) + 1.0 if dp is not None else None
         clip = dp.clip_norm if dp is not None else None
-        blocks = _row_blocks(m, inputs.size)
+        w2_t = w2.transpose(0, 2, 1)
+        blocks = _row_blocks(m, _pass_cells(inputs))
         self._forward_tasks = [
-            partial(_hidden_rows, inputs[a:b], w1, b1, hidden[a:b]) for a, b in blocks
+            partial(_hidden_rows, inputs[:, a:b], w1, b1, hidden[:, a:b]) for a, b in blocks
         ]
         self._row_tasks = [
-            partial(_output_grad_rows, logits[a:b], onehot[a:b], hidden[a:b], w2,
-                    None if x_sq is None else x_sq[a:b], clip, m, log_lik[a:b],
-                    d_tanh[a:b], g_hidden[a:b])
+            partial(_output_grad_rows, logits[:, a:b], onehot[:, a:b], hidden[:, a:b], w2_t,
+                    None if x_sq is None else x_sq[:, a:b], clip, m, log_lik[:, a:b],
+                    d_tanh[:, a:b], g_hidden[:, a:b])
             for a, b in blocks
         ]
+        inputs_t = inputs.transpose(0, 2, 1)
         self._sum_tasks = [
-            partial(np.matmul, inputs[:, lo:hi].T, g_hidden, out=g_w1[lo:hi])
+            partial(np.matmul, inputs_t[:, lo:hi], g_hidden, out=g_w1[:, lo:hi])
             for lo, hi in _w1_chunks(d_in, len(blocks))
         ] + [
-            partial(np.sum, g_hidden, axis=0, out=g_b1),
-            partial(np.matmul, hidden.T, logits, out=g_w2),
-            partial(np.sum, logits, axis=0, out=g_b2),
-            partial(np.sum, log_lik, out=self._loss_sum),
+            partial(np.add.reduce, g_hidden, axis=1, keepdims=True, out=g_b1),
+            partial(np.matmul, hidden.transpose(0, 2, 1), logits, out=g_w2),
+            partial(np.add.reduce, logits, axis=1, keepdims=True, out=g_b2),
+            partial(np.add.reduce, log_lik.reshape(t, -1), axis=1, out=self._loss_sums),
         ]
 
-    def loss_and_grads(self, rng=None) -> tuple[float, list[Array]]:
-        """Mean cross-entropy and its gradient w.r.t. (W1, b1, W2, b2) at
-        the head's current weights; with DP set, one DP-SGD step's gradient
-        drawing noise from ``rng``.  Without DP the gradients are this
-        pass's own buffers, overwritten by the next call."""
+    def loss_and_grads(self, rngs=None) -> tuple[Array, Array]:
+        """Each head's mean cross-entropy and its (T, n) gradient buffer
+        w.r.t. the parameters at their current values; with DP set, one
+        DP-SGD step's gradients, head t drawing noise from ``rngs[t]``.
+        The gradients are this pass's own buffer, overwritten by the next
+        call."""
         _pool.run_all(self._pool, self._forward_tasks)
         _logits(self._hidden, self._w2, self._b2, self._logits)
         _pool.run_all(self._pool, self._row_tasks)
         _pool.run_all(self._pool, self._sum_tasks)
-        loss = float(-self._loss_sum / self._m)
+        losses = -self._loss_sums / self._m
         if self._dp is None:
-            return loss, self._grads
-        return loss, _noised_mean(self._grads, self._dp, rng, self._m)
+            return losses, self._grads
+        return losses, _noised_mean(self._grads, self._dp, rngs, self._m)
 
 
 def _rdp_coeff(cfg: TrainConfig) -> float:
@@ -375,6 +430,68 @@ def _rdp_coeff(cfg: TrainConfig) -> float:
     if cfg.dp.noise_mult == 0:
         return math.inf
     return cfg.epochs / (2.0 * cfg.dp.noise_mult**2)
+
+
+def _head_data(x0: Array, xk: Array, labels: Array, train_mask: Array) -> tuple[Array, Array]:
+    """A head's training inputs (m, d_in) and one-hot labels (m, C), with C
+    one more than the largest label in ``labels``."""
+    train_mask = np.asarray(train_mask, dtype=np.int64)
+    if train_mask.size == 0:
+        raise ValueError("no training nodes")
+    labels = np.asarray(labels)
+    num_classes = int(labels[labels >= 0].max()) + 1
+    x0, xk = _row_pair(x0, xk)
+    y = labels[train_mask]
+    if np.any(y < 0):
+        raise ValueError("training mask contains unlabeled nodes")
+    # rows are normalized one by one, so only the training rows are formed
+    return _input_rows(x0, xk, train_mask), np.eye(num_classes)[y]
+
+
+def _joins_batch(first: tuple[Array, Array], size: int, problem: tuple[Array, Array]) -> bool:
+    """Whether the ``_head_data`` problem (inputs, onehot) may train in one
+    pass with a batch of ``size`` problems shaped like ``first``: its
+    shapes match, and the stacked inputs stay below ``_pool.MIN_CELLS``.
+    So a problem that alone reaches the cutoff trains alone, on row
+    blocks."""
+    return (problem[0].shape == first[0].shape and problem[1].shape == first[1].shape
+            and (size + 1) * first[0].size < _pool.MIN_CELLS)
+
+
+def _fit_heads(problems: list[tuple[Array, Array]], cfg: TrainConfig, seeds) -> list[MlpHead]:
+    """Train one head per ``_head_data`` problem (inputs, onehot) and seed,
+    all in one pass; the problems share their shapes.  Head t is the head
+    ``train_head`` fits on problem t with ``seeds[t]``."""
+    if len(problems) == 1:
+        inputs, onehot = (a[None] for a in problems[0])
+    else:
+        inputs, onehot = (np.stack(arrays) for arrays in zip(*problems))
+    t, m, d_in = inputs.shape
+    hidden, classes = cfg.hidden_units, onehot.shape[2]
+    params = np.zeros((t, (d_in + 1) * hidden + (hidden + 1) * classes))
+    # the output layer starts at zero so early updates follow the data signal
+    for w1, seed in zip(_param_views(params, d_in, hidden, classes)[0], seeds):
+        w1[...] = stream(seed, _INIT_STREAM).normal(0.0, 1.0 / math.sqrt(d_in),
+                                                     size=(d_in, hidden))
+    noise_rngs = [stream(seed, _DP_STREAM) for seed in seeds] if cfg.dp is not None else None
+    losses = np.empty((cfg.epochs, t))
+    with _pool.thread_pool(_pass_cells(inputs)) as pool:
+        step = _HeadPass(params, hidden, inputs, onehot, cfg.dp, pool)
+        for epoch in range(cfg.epochs):
+            losses[epoch], grads = step.loss_and_grads(noise_rngs)
+            params -= cfg.learning_rate * grads
+
+    w1, b1, w2, b2 = _param_views(params, d_in, hidden, classes)
+    return [
+        MlpHead(
+            sizes=[d_in, hidden, classes],
+            weights=[w1[i].copy(), w2[i].copy()],
+            biases=[b1[i, 0].copy(), b2[i, 0].copy()],
+            cm_rdp_coeff=_rdp_coeff(cfg),
+            loss_history=losses[:, i].tolist(),
+        )
+        for i in range(t)
+    ]
 
 
 def train_head(
@@ -392,61 +509,33 @@ def train_head(
     Gaussian noise of std clip_norm * noise_mult, and averages; the
     accumulated Renyi cost is exported as ``cm_rdp_coeff``.
     """
-    train_mask = np.asarray(train_mask, dtype=np.int64)
-    if train_mask.size == 0:
-        raise ValueError("no training nodes")
-    labels = np.asarray(labels)
-    num_classes = int(labels[labels >= 0].max()) + 1
-    x0, xk = _row_pair(x0, xk)
-    # rows are normalized one by one, so only the training rows are formed
-    inputs = _input_rows(x0[train_mask], xk[train_mask])
-    y = labels[train_mask]
-    if np.any(y < 0):
-        raise ValueError("training mask contains unlabeled nodes")
-    onehot = np.eye(num_classes)[y]
+    return _fit_heads([_head_data(x0, xk, labels, train_mask)], cfg, [seed])[0]
 
-    d_in = inputs.shape[1]
-    rng = stream(seed, _INIT_STREAM)
-    # output layer starts at zero so early updates follow the data signal
-    head = MlpHead(
-        sizes=[d_in, cfg.hidden_units, num_classes],
-        weights=[
-            rng.normal(0.0, 1.0 / math.sqrt(d_in), size=(d_in, cfg.hidden_units)),
-            np.zeros((cfg.hidden_units, num_classes)),
-        ],
-        biases=[np.zeros(cfg.hidden_units), np.zeros(num_classes)],
-    )
 
-    noise_rng = stream(seed, _DP_STREAM) if cfg.dp is not None else None
-    params = [head.weights[0], head.biases[0], head.weights[1], head.biases[1]]
-    with _pool.thread_pool(inputs.size) as pool:
-        step = _HeadPass(head, inputs, onehot, cfg.dp, pool)
-        for _ in range(cfg.epochs):
-            loss, grads = step.loss_and_grads(noise_rng)
-            head.loss_history.append(loss)
-            for p, g in zip(params, grads):
-                p -= cfg.learning_rate * g
-
-    head.cm_rdp_coeff = _rdp_coeff(cfg)
-    return head
+def _predict_rows(head: MlpHead, x0: Array, xk: Array, rows: Array | None = None) -> Array:
+    """Class probabilities of the rows ``rows`` of ``x0`` and ``xk`` (all
+    rows when ``None``); each row block gathers its own rows."""
+    w1, b1, w2, b2 = head.weights[0], head.biases[0], head.weights[1], head.biases[1]
+    count = x0.shape[0] if rows is None else rows.size
+    cells = count * (x0.shape[1] + xk.shape[1])
+    hidden = np.empty((count, w1.shape[1]))
+    probs = np.empty((count, w2.shape[1]))
+    blocks = _row_blocks(count, cells)
+    with _pool.thread_pool(cells) as pool:
+        _pool.run_all(pool, [
+            partial(_predict_hidden_rows, x0, xk, slice(a, b) if rows is None else rows[a:b],
+                    w1, b1, hidden[a:b])
+            for a, b in blocks
+        ])
+        _logits(hidden, w2, b2, probs)
+        _pool.run_all(pool, [partial(_softmax_inplace, probs[a:b]) for a, b in blocks])
+    return probs
 
 
 def predict_proba(head: MlpHead, x0_row: Array, xk_row: Array) -> Array:
     """Class probabilities for one node (or a batch); rows sum to 1."""
     single = np.asarray(x0_row).ndim == 1
-    x0, xk = _row_pair(x0_row, xk_row)
-    w1, b1, w2, b2 = head.weights[0], head.biases[0], head.weights[1], head.biases[1]
-    rows, cells = x0.shape[0], x0.shape[0] * (x0.shape[1] + xk.shape[1])
-    hidden = np.empty((rows, w1.shape[1]))
-    probs = np.empty((rows, w2.shape[1]))
-    blocks = _row_blocks(rows, cells)
-    with _pool.thread_pool(cells) as pool:
-        _pool.run_all(pool, [
-            partial(_predict_hidden_rows, x0[a:b], xk[a:b], w1, b1, hidden[a:b])
-            for a, b in blocks
-        ])
-        _logits(hidden, w2, b2, probs)
-        _pool.run_all(pool, [partial(_softmax_inplace, probs[a:b]) for a, b in blocks])
+    probs = _predict_rows(head, *_row_pair(x0_row, xk_row))
     return probs[0] if single else probs
 
 
@@ -455,7 +544,7 @@ def evaluate(head: MlpHead, x0: Array, xk: Array, labels: Array, mask: Array) ->
     mask = np.asarray(mask, dtype=np.int64)
     if mask.size == 0:
         raise ValueError("empty evaluation mask")
-    probs = predict_proba(head, np.asarray(x0)[mask], np.asarray(xk)[mask])
+    probs = _predict_rows(head, *_row_pair(x0, xk), mask)
     predicted = probs.argmax(axis=1)
     return float(np.mean(predicted == np.asarray(labels)[mask]))
 
@@ -507,7 +596,7 @@ def train_linear_encoder(
 
     w = np.zeros((d, num_classes))
     b = np.zeros(num_classes)
-    noise_rng = stream(seed, _DP_STREAM, 1) if cfg.dp is not None else None
+    noise_rngs = [stream(seed, _DP_STREAM, 1)] if cfg.dp is not None else None
     x_sq = _sq_rows(x) + 1.0
 
     def backward(g_logits: Array) -> list[Array]:
@@ -520,7 +609,9 @@ def train_linear_encoder(
         else:
             # example i's squared norm over (W, b): (|x_i|^2 + 1) |g_i|^2
             factors = _clip_factors(x_sq * _sq_rows(g_logits), cfg.dp.clip_norm)
-            g_w, g_b = _noised_mean(backward(factors[:, None] * g_logits), cfg.dp, noise_rng, m)
+            sums = np.concatenate([g.ravel() for g in backward(factors[:, None] * g_logits)])
+            grads = _noised_mean(sums[None], cfg.dp, noise_rngs, m)[0]
+            g_w, g_b = grads[: w.size].reshape(w.shape), grads[w.size :]
         w -= cfg.learning_rate * g_w
         b -= cfg.learning_rate * g_b
 

@@ -158,11 +158,14 @@ def run_pipeline(dataset: LabeledDataset, cfg: PipelineConfig) -> RunArtifacts:
     thread count.
     """
     x0 = np.asarray(dataset.features, dtype=float)
-    row_norms = np.linalg.norm(x0, axis=1)
-    if row_norms.size and row_norms.max() > 1.0 + _ROW_NORM_TOL:
+    # a NaN or infinite entry makes its row's norm NaN or infinite; NaN
+    # fails every comparison, so it is tested for before the bound
+    worst = float(np.linalg.norm(x0, axis=1).max()) if x0.size else 0.0
+    if not np.isfinite(worst):
+        raise ValueError("input features must be finite (found a NaN or infinite row norm)")
+    if worst > 1.0 + _ROW_NORM_TOL:
         raise ValueError(
-            f"input features must have row norm <= 1 (max {row_norms.max():.6g}); "
-            "project them first"
+            f"input features must have row norm <= 1 (max {worst:.6g}); project them first"
         )
 
     level = cfg.spec.level

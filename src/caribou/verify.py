@@ -220,22 +220,20 @@ def grad_check(
     labels = np.asarray(labels)
     num_classes = head.sizes[-1]
     onehot = np.eye(num_classes)[labels]
-    passes = model._HeadPass(head, inputs, onehot)
-    # the pass reuses its gradient buffers on the next call
-    analytic = [g.copy() for g in passes.loss_and_grads()[1]]
-    params = [head.weights[0], head.biases[0], head.weights[1], head.biases[1]]
+    params = model._param_row(head)
+    passes = model._HeadPass(params, head.sizes[1], inputs[None], onehot[None])
+    # the pass reuses its gradient buffer on the next call
+    analytic = passes.loss_and_grads()[1][0].copy()
+    flat = params[0]
     h = 1e-6
-    for p, a_grad in zip(params, analytic):
-        flat = p.ravel()
-        for idx in range(flat.size):
-            orig = flat[idx]
-            flat[idx] = orig + h
-            loss_plus, _ = passes.loss_and_grads()
-            flat[idx] = orig - h
-            loss_minus, _ = passes.loss_and_grads()
-            flat[idx] = orig
-            numeric = (loss_plus - loss_minus) / (2.0 * h)
-            a = a_grad.ravel()[idx]
-            if abs(a - numeric) > tol * max(1.0, abs(a), abs(numeric)):
-                return False
+    for idx, a in enumerate(analytic):
+        orig = flat[idx]
+        flat[idx] = orig + h
+        loss_plus = passes.loss_and_grads()[0][0]
+        flat[idx] = orig - h
+        loss_minus = passes.loss_and_grads()[0][0]
+        flat[idx] = orig
+        numeric = (loss_plus - loss_minus) / (2.0 * h)
+        if abs(a - numeric) > tol * max(1.0, abs(a), abs(numeric)):
+            return False
     return True

@@ -1,25 +1,31 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import caribou._pool
+import caribou.audit
 from caribou.accountant import PrivacySpec
 from caribou.audit import (
+    _TRIAL_STREAM,
     AuditConfig,
     AuditReport,
     _absent_pairs,
     _induced_subgraph,
+    _PipelineModel,
     _sample_edge_subset,
     auc,
     edge_influence_score,
     node_confidence_score,
     run_mia_game,
+    stream_seed,
 )
-from caribou.graphs import build_graph, gen_chain_dataset
+from caribou.graphs import LabeledDataset, build_graph, degree_stats, gen_chain_dataset
 from caribou.layers import LayerParams
-from caribou.model import TrainConfig
-from caribou.pipeline import PipelineConfig
+from caribou.model import DpSgdConfig, TrainConfig, train_head
+from caribou.pipeline import PipelineConfig, run_pipeline
 from caribou.prng import stream
 from tests.helpers import dense_block_dataset
 
@@ -49,6 +55,101 @@ def make_pipeline_cfg(level="none", eps=8.0, k=1, c_l=0.5, seed=0):
 
 
 FAST_TRAIN = TrainConfig(epochs=60, learning_rate=0.5, hidden_units=8)
+DP_TRAIN = TrainConfig(epochs=30, learning_rate=0.5, hidden_units=4,
+                       dp=DpSgdConfig(clip_norm=1.0, noise_mult=1.1))
+
+
+def trained_model(dataset, pipeline_cfg, train_cfg, query_seed, serve_on=None):
+    """The query interface over a pipeline run and a head trained on
+    ``dataset`` by their public functions, one model at a time."""
+    artifacts = run_pipeline(dataset, pipeline_cfg)
+    head = train_head(dataset.features, artifacts.x_k_final, dataset.labels,
+                      dataset.train_mask, train_cfg, seed=pipeline_cfg.seed)
+    return _PipelineModel(head, dataset if serve_on is None else serve_on, pipeline_cfg,
+                          query_seed)
+
+
+def reference_edge_trial(dataset, pipeline_cfg, train_cfg, audit_cfg, rng, trial, score_fn):
+    training_graph = _sample_edge_subset(
+        dataset.graph, audit_cfg.edge_keep_fraction, rng,
+        require_min_degree=pipeline_cfg.spec.level != "none",
+    )
+    train_set = replace(dataset, graph=training_graph)
+    model = trained_model(
+        train_set, replace(pipeline_cfg, seed=stream_seed(audit_cfg.seed, 2 * trial)),
+        train_cfg, query_seed=stream_seed(audit_cfg.seed, 2 * trial + 1),
+    )
+    bit = int(rng.integers(0, 2))
+    if bit == 1:
+        members = training_graph.edges
+        u, v = members[int(rng.integers(0, len(members)))].tolist()
+    else:
+        absent = _absent_pairs(training_graph)
+        if not absent.size:
+            return math.nan, 0
+        u, v = absent[int(rng.integers(0, len(absent)))].tolist()
+    if score_fn is not None:
+        return float(score_fn(model.query, (u, v))), bit
+    return edge_influence_score(model.query, u, v, audit_cfg.perturb_scale), bit
+
+
+def reference_node_trial(dataset, pipeline_cfg, train_cfg, audit_cfg, rng, trial, score_fn):
+    n = dataset.graph.num_nodes
+    keep = max(2, round(audit_cfg.node_keep_fraction * n))
+    for _ in range(200):
+        member_nodes = np.sort(rng.choice(n, size=keep, replace=False))
+        sub_graph, id_map = _induced_subgraph(dataset.graph, member_nodes)
+        if pipeline_cfg.spec.level == "none" or degree_stats(sub_graph).d_min >= 1:
+            break
+    else:
+        raise RuntimeError("could not sample a training subgraph with minimum degree >= 1")
+    sub_set = LabeledDataset(
+        graph=sub_graph, features=dataset.features[id_map], labels=dataset.labels[id_map],
+        train_mask=np.arange(len(id_map)), test_mask=np.array([], dtype=np.int64),
+    )
+    model = trained_model(
+        sub_set, replace(pipeline_cfg, seed=stream_seed(audit_cfg.seed, 2 * trial)),
+        train_cfg, query_seed=stream_seed(audit_cfg.seed, 2 * trial + 1), serve_on=dataset,
+    )
+    bit = int(rng.integers(0, 2))
+    if bit == 1:
+        node = int(member_nodes[int(rng.integers(0, len(member_nodes)))])
+    else:
+        outside = np.setdiff1d(np.arange(n), member_nodes)
+        if not outside.size:
+            return math.nan, 0
+        node = int(outside[int(rng.integers(0, len(outside)))])
+    if score_fn is not None:
+        return float(score_fn(model.query, node)), bit
+    return node_confidence_score(model.query, node), bit
+
+
+def reference_run_mia_game(dataset, pipeline_cfg, train_cfg, audit_cfg, score_fn=None):
+    """The game as a sequential loop: each trial trains its own head with
+    ``train_head``, then draws its bit and challenge and is scored."""
+    play = reference_edge_trial if audit_cfg.attack == "edge_influence" else reference_node_trial
+    scores, bits, discarded = [], [], 0
+    for trial in range(audit_cfg.trials):
+        rng = stream(audit_cfg.seed, _TRIAL_STREAM, trial)
+        score, bit = play(dataset, pipeline_cfg, train_cfg, audit_cfg, rng, trial, score_fn)
+        if not math.isfinite(score):
+            discarded += 1
+            continue
+        scores.append(score)
+        bits.append(bit)
+    return AuditReport(scores=scores, membership_bits=bits, auc=auc(scores, bits),
+                       discarded_trials=discarded)
+
+
+def flaky_score_fn():
+    """A stateful attacker: every third call scores NaN, the others count
+    calls, so the report depends on the order of the calls."""
+    calls = itertools.count()
+
+    def flaky(query, challenge):
+        return math.nan if next(calls) % 3 == 0 else float(next(calls))
+
+    return flaky
 
 
 class TestAuc:
@@ -92,14 +193,11 @@ class TestEdgeInfluenceScore:
         # K = 0: predictions never see other rows
         ds = dense_block_dataset(num_nodes=8, seed=1)
         cfg = make_pipeline_cfg(level="none", k=0)
-        from caribou.audit import _PipelineModel
-
-        model = _PipelineModel(ds, cfg, FAST_TRAIN, query_seed=5)
+        model = trained_model(ds, cfg, FAST_TRAIN, query_seed=5)
         for u, v in [(0, 3), (2, 7), (5, 1)]:
             assert edge_influence_score(model.query, u, v, 1e-3) == pytest.approx(0.0, abs=1e-9)
 
     def test_connected_pair_outscores_disconnected(self):
-        from caribou.audit import _PipelineModel
         from caribou.graphs import LabeledDataset, build_graph
 
         features = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
@@ -111,16 +209,14 @@ class TestEdgeInfluenceScore:
             train_mask=np.arange(3),
             test_mask=np.array([], dtype=np.int64),
         )
-        model = _PipelineModel(ds, make_pipeline_cfg(level="none", k=1), FAST_TRAIN, query_seed=2)
+        model = trained_model(ds, make_pipeline_cfg(level="none", k=1), FAST_TRAIN, query_seed=2)
         connected = edge_influence_score(model.query, 0, 1, 1e-3)
         disconnected = edge_influence_score(model.query, 0, 2, 1e-3)
         assert connected > disconnected
 
     def test_score_stable_under_scale_halving(self):
-        from caribou.audit import _PipelineModel
-
         ds = dense_block_dataset(num_nodes=10, seed=3)
-        model = _PipelineModel(ds, make_pipeline_cfg(level="none", k=1), FAST_TRAIN, query_seed=4)
+        model = trained_model(ds, make_pipeline_cfg(level="none", k=1), FAST_TRAIN, query_seed=4)
         full = edge_influence_score(model.query, 0, 1, 1e-3)
         half = edge_influence_score(model.query, 0, 1, 5e-4)
         assert half == pytest.approx(full, rel=0.10)
@@ -199,6 +295,93 @@ class TestRunMiaGame:
     def test_trials_minimum_enforced(self):
         with pytest.raises(ValueError):
             AuditConfig(trials=5)
+
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, 0.0, -1e-3])
+    def test_bad_perturb_scale_rejected(self, scale):
+        with pytest.raises(ValueError, match="perturb_scale"):
+            AuditConfig(perturb_scale=scale)
+
+
+def record_batches(monkeypatch):
+    """Record the (T, m, d_in, C) of every batched pass of heads."""
+    original = caribou.audit._fit_heads
+    shapes = []
+
+    def recording(problems, cfg, seeds):
+        inputs, onehot = problems[0]
+        shapes.append((len(problems), *inputs.shape, onehot.shape[1]))
+        return original(problems, cfg, seeds)
+
+    monkeypatch.setattr(caribou.audit, "_fit_heads", recording)
+    return shapes
+
+
+GAMES = {
+    "edge": ("edge_influence", "edge"),
+    "node": ("node_confidence", "node"),
+}
+
+
+class TestGameEqualsSequentialReference:
+    """The game trains its heads in batches; its report must equal that of
+    the sequential loop, in which every trial trains its own head."""
+
+    @pytest.mark.parametrize("scorer", ["builtin", "stateful"])
+    @pytest.mark.parametrize("train_cfg", [FAST_TRAIN, DP_TRAIN], ids=["plain", "dp"])
+    @pytest.mark.parametrize("game", sorted(GAMES))
+    def test_report_equals_reference(self, game, train_cfg, scorer, monkeypatch):
+        attack, level = GAMES[game]
+        ds = dense_block_dataset(seed=5)
+        cfg = make_pipeline_cfg(level=level, k=2)
+        audit_cfg = AuditConfig(attack=attack, trials=10, seed=3)
+        expected = reference_run_mia_game(
+            ds, cfg, train_cfg, audit_cfg, flaky_score_fn() if scorer == "stateful" else None
+        )
+        batches = record_batches(monkeypatch)
+        report = run_mia_game(
+            ds, cfg, train_cfg, audit_cfg, flaky_score_fn() if scorer == "stateful" else None
+        )
+        assert report == expected
+        # every trial's head has the same shape, so one pass trains them all
+        assert [shape[0] for shape in batches] == [10]
+
+    @pytest.mark.parametrize(
+        "min_cells, sizes",
+        # the edge game's heads see 20 x 4 inputs: two fit below 200 cells,
+        # and one alone reaches 50 cells and trains alone
+        [(200, [2] * 5), (50, [1] * 10)],
+        ids=["batches-of-two", "each-alone"],
+    )
+    def test_report_equals_reference_when_split(self, min_cells, sizes, monkeypatch):
+        monkeypatch.setattr(caribou._pool, "MIN_CELLS", min_cells)
+        ds = dense_block_dataset(seed=5)
+        cfg = make_pipeline_cfg(level="edge", k=2)
+        audit_cfg = AuditConfig(attack="edge_influence", trials=10, seed=3)
+        for train_cfg in (FAST_TRAIN, DP_TRAIN):
+            expected = reference_run_mia_game(ds, cfg, train_cfg, audit_cfg, flaky_score_fn())
+            batches = record_batches(monkeypatch)
+            report = run_mia_game(ds, cfg, train_cfg, audit_cfg, flaky_score_fn())
+            assert report == expected
+            assert [shape[0] for shape in batches] == sizes
+
+    def test_node_game_with_differing_class_counts(self, monkeypatch):
+        # class 2 has one node, so some training subgraphs lack it and
+        # their heads have two classes, not three
+        ds = dense_block_dataset(seed=8)
+        labels = ds.labels.copy()
+        labels[0] = 2
+        ds = replace(ds, labels=labels)
+        cfg = make_pipeline_cfg(level="node", k=2)
+        # with this seed, trials 0, 8 and 11 leave node 0 out
+        audit_cfg = AuditConfig(attack="node_confidence", trials=12, seed=6)
+        for train_cfg in (FAST_TRAIN, DP_TRAIN):
+            expected = reference_run_mia_game(ds, cfg, train_cfg, audit_cfg)
+            batches = record_batches(monkeypatch)
+            report = run_mia_game(ds, cfg, train_cfg, audit_cfg)
+            assert report == expected
+            assert [(shape[0], shape[3]) for shape in batches] == [
+                (1, 2), (7, 3), (1, 2), (2, 3), (1, 2)
+            ]
 
 
 def random_graph(seed, n, p):

@@ -297,6 +297,36 @@ class TestTrain:
         assert record["stage"] == "train"
         assert record["error"] == "CalibrationError"
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_feature_file_is_one_line_error(self, tmp_path, capsys, value):
+        # a 4-node path whose second feature row is not finite: nothing may
+        # be released, since the NaN pattern would show node 1's K-hop
+        # neighbourhood
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "edges.txt").write_text("0 1\n1 2\n2 3\n")
+        (data / "features.csv").write_text(f"1,0\n{value},0\n0,1\n0.5,0.5\n")
+        (data / "labels.csv").write_text("0,0\n1,0\n2,1\n3,1\n")
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            privacy={"level": "edge", "k_hops": 2, "epsilon": 4.0},
+            output_dir=str(tmp_path / "out"),
+        )
+        config = json.loads(cfg.read_text())
+        config["cgl"]["c_l"] = 0.9
+        config["dataset"] = {name: str(data / f"{name}.{ext}") for name, ext in
+                             (("edges", "txt"), ("features", "csv"), ("labels", "csv"))}
+        config["dataset"].update(train_count=2, test_count=2)
+        cfg.write_text(json.dumps(config))
+        code, out, err = run_cli(["train", "--config", str(cfg)], capsys)
+        assert code == 1 and out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["stage"] == "train" and record["error"] == "ParseError"
+        assert "features.csv:2: non-finite" in record["message"]
+        assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
     def test_missing_dataset_file_rejected(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "cfg.json",
@@ -344,6 +374,21 @@ class TestAudit:
         lines = (tmp_path / "out" / "audit.jsonl").read_text().strip().split("\n")
         assert json.loads(lines[-1])["summary"] is True
         assert len(lines) == summary["trials"] + 1
+
+    @pytest.mark.parametrize("scale", ["nan", "inf", 0.0])
+    def test_bad_perturb_scale_is_one_line_error(self, tmp_path, capsys, scale):
+        cfg = self.make_audit_config(tmp_path)
+        config = json.loads(cfg.read_text())
+        config["audit"]["perturb_scale"] = scale
+        cfg.write_text(json.dumps(config))
+        code, out, err = run_cli(["audit", "--config", str(cfg)], capsys)
+        assert code == 1 and out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["stage"] == "audit" and record["error"] == "ValueError"
+        assert "perturb_scale" in record["message"]
+        assert not (tmp_path / "out" / "audit.jsonl").exists()
 
     def test_audit_deterministic(self, tmp_path, capsys):
         cfg = self.make_audit_config(tmp_path)

@@ -379,6 +379,17 @@ class TestDatasetIo:
         with pytest.raises(ParseError, match="e.txt:2"):
             load_dataset(tmp_path / "e.txt", tmp_path / "f.csv", tmp_path / "l.csv")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_reports_position(self, tmp_path, value):
+        # float() parses these; projecting a NaN row leaves it NaN, and the
+        # release would carry it to every node within K hops
+        (tmp_path / "e.txt").write_text("0 1\n1 2\n2 3\n")
+        (tmp_path / "f.csv").write_text(f"# x, y\n1,0\n{value},0\n0,1\n0.5,0.5\n")
+        (tmp_path / "l.csv").write_text("0,0\n1,0\n2,1\n3,1\n")
+        with pytest.raises(ParseError, match="f.csv:3: non-finite") as info:
+            load_dataset(tmp_path / "e.txt", tmp_path / "f.csv", tmp_path / "l.csv")
+        assert info.value.line_no == 3
+
     def test_dimension_mismatch(self, tmp_path):
         (tmp_path / "e.txt").write_text("0 5\n")
         (tmp_path / "f.csv").write_text("1,0\n0,1\n")

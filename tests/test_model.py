@@ -272,11 +272,11 @@ class TestHeadRowBlocks:
         cfg = TrainConfig(epochs=3, learning_rate=0.5, hidden_units=16)
         before = threading.active_count()
         calls = count_calls(monkeypatch, "_hidden_rows")
-        predict_calls = count_calls(monkeypatch, "predict_proba")
+        predict_calls = count_calls(monkeypatch, "_predict_rows")
         head = train_head(x0, xk, labels, np.arange(labels.size), cfg, seed=0)
         evaluate(head, x0, xk, labels, np.arange(labels.size))
         assert threading.active_count() == before
-        # evaluate calls the traced predict_proba once, on this thread
+        # evaluate enters the prediction pass once, on this thread
         assert predict_calls == [(True, before)]
         blocks = max(size[0] // caribou._pool.BLOCK_ROWS, 1) if size == ABOVE_CUTOFF else 1
         assert len(calls) == 4 * blocks  # 3 epochs, then one prediction
@@ -284,6 +284,40 @@ class TestHeadRowBlocks:
             assert all(not main and before < alive <= before + cpus for main, alive in calls)
         else:
             assert calls == [(True, before)] * (4 * blocks)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("size", [ABOVE_CUTOFF, BELOW_CUTOFF], ids=["above", "below"])
+    def test_evaluate_gathers_rows_per_block(self, size, cpus, monkeypatch):
+        # evaluate gathers each block's mask rows itself; the probabilities
+        # equal those of the gathered matrices
+        monkeypatch.setattr(caribou._pool, "usable_cpus", lambda: cpus)
+        x0, xk, labels = head_case(size, seed=3)
+        cfg = TrainConfig(epochs=2, learning_rate=0.5, hidden_units=16)
+        head = train_head(x0, xk, labels, np.arange(labels.size), cfg, seed=1)
+        mask = stream(3, 66).permutation(labels.size)[: (3 * labels.size) // 4]
+        probs = model_module._predict_rows(head, x0, xk, mask)
+        expected = predict_proba(head, x0[mask], xk[mask])
+        assert np.array_equal(probs, expected)
+        accuracy = float(np.mean(expected.argmax(axis=1) == labels[mask]))
+        assert evaluate(head, x0, xk, labels, mask) == accuracy
+
+    @pytest.mark.parametrize("dp", [None, DP], ids=["plain", "dp"])
+    @pytest.mark.parametrize("hidden", [1, 2, 4])
+    def test_narrow_heads_do_not_depend_on_cpu_count(self, hidden, dp, monkeypatch):
+        # with 1, 2 or 4 hidden units a row block may take another BLAS
+        # kernel than the whole matrix, but the blocks follow the shape
+        # alone, so every CPU count gives the same bits
+        x0, xk, labels = head_case(ABOVE_CUTOFF, seed=2)
+        mask = np.arange(labels.size)
+        cfg = TrainConfig(epochs=3, learning_rate=0.5, hidden_units=hidden, dp=dp)
+        heads = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(caribou._pool, "usable_cpus", lambda: cpus)
+            heads.append(train_head(x0, xk, labels, mask, cfg, seed=4))
+        for head in heads[1:]:
+            assert head.loss_history == heads[0].loss_history
+            for a, b in zip(head.weights + head.biases, heads[0].weights + heads[0].biases):
+                assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("name", ["_hidden_rows", "_output_grad_rows"])
     def test_failing_block_reaches_caller_and_leaves_no_thread(self, name, monkeypatch):
@@ -300,6 +334,59 @@ class TestHeadRowBlocks:
         assert len(calls) == 3 * per_epoch
         assert not any(main for main, _ in calls)
         assert threading.active_count() == before
+
+
+def batch_case(count, m=50, seed=0):
+    """``count`` heads' data of one shape: 50 rows of 3 + 3 features,
+    three classes, every other row a training row."""
+    cases = []
+    for t in range(count):
+        rng = stream(seed, 65, t)
+        x0 = normalize_rows(rng.normal(size=(2 * m, 3)))
+        xk = rng.normal(size=(2 * m, 3)) * rng.uniform(0.1, 10.0, size=(2 * m, 1))
+        labels = rng.integers(0, 3, size=2 * m)
+        labels[0] = 2
+        cases.append((x0, xk, labels, np.arange(0, 2 * m, 2)))
+    return cases
+
+
+class TestBatchedHeads:
+    """T heads trained in one pass equal T ``train_head`` calls."""
+
+    @pytest.mark.parametrize("dp", [None, DP], ids=["plain", "dp"])
+    @pytest.mark.parametrize("hidden", [1, 2, 4, 16])
+    @pytest.mark.parametrize("count", [1, 2, 7])
+    def test_one_pass_equals_separate_calls(self, count, hidden, dp):
+        cfg = TrainConfig(epochs=12, learning_rate=0.5, hidden_units=hidden, dp=dp)
+        cases = batch_case(count)
+        seeds = [11 + 3 * t for t in range(count)]
+        problems = [model_module._head_data(*case) for case in cases]
+        heads = model_module._fit_heads(problems, cfg, seeds)
+        assert len(heads) == count
+        for head, case, seed in zip(heads, cases, seeds):
+            single = train_head(*case, cfg, seed=seed)
+            assert head.sizes == single.sizes
+            assert head.loss_history == single.loss_history
+            assert head.cm_rdp_coeff == single.cm_rdp_coeff
+            for a, b in zip(head.weights + head.biases, single.weights + single.biases):
+                assert a.shape == b.shape
+                assert np.array_equal(a, b)
+
+    def test_join_rule_follows_shape_and_cutoff(self, monkeypatch):
+        # problems of 25 x 6 inputs hold 150 cells each
+        monkeypatch.setattr(caribou._pool, "MIN_CELLS", 400)
+        first, second, third = (model_module._head_data(*c) for c in batch_case(3, m=25))
+        assert model_module._joins_batch(first, 1, second)  # 300 cells
+        assert not model_module._joins_batch(first, 2, third)  # 450 cells
+        longer = model_module._head_data(*batch_case(1, m=27, seed=1)[0])
+        assert not model_module._joins_batch(first, 1, longer)
+        x0, xk, labels, mask = batch_case(1, m=25, seed=2)[0]
+        fewer_classes = model_module._head_data(x0, xk, np.minimum(labels, 1), mask)
+        assert fewer_classes[0].shape == first[0].shape
+        assert not model_module._joins_batch(first, 1, fewer_classes)
+        # a problem that alone reaches the cutoff trains alone
+        monkeypatch.setattr(caribou._pool, "MIN_CELLS", 150)
+        assert not model_module._joins_batch(first, 1, second)
 
 
 class TestConfigValidation:
@@ -379,9 +466,9 @@ class TestGradCheck:
         head = toy_head(epochs=5)
         original = model_module._HeadPass.loss_and_grads
 
-        def corrupted(self, rng=None):
-            loss, grads = original(self, rng)
-            return loss, [g + 1e-3 for g in grads]
+        def corrupted(self, rngs=None):
+            losses, grads = original(self, rngs)
+            return losses, grads + 1e-3
 
         monkeypatch.setattr(model_module._HeadPass, "loss_and_grads", corrupted)
         assert not grad_check(head, TOY_X0, TOY_XK, TOY_Y, tol=1e-5)
@@ -505,12 +592,14 @@ class TestDpStepMatchesPerExampleReference:
                 biases=[rng.normal(size=hidden), rng.normal(size=classes)],
             )
             onehot = np.eye(classes)[labels]
-            loss, grads = model_module._HeadPass(head, x, onehot, dp).loss_and_grads(
-                stream(case, 7)
+            step = model_module._HeadPass(
+                model_module._param_row(head), hidden, x[None], onehot[None], dp
             )
+            losses, flat = step.loss_and_grads([stream(case, 7)])
+            g_w1, g_b1, g_w2, g_b2 = model_module._param_views(flat, x.shape[1], hidden, classes)
             ref_loss, ref_grads = reference_head_step(head, x, onehot, dp, stream(case, 7))
-            assert loss == ref_loss
-            assert_close_to_reference(grads, ref_grads)
+            assert losses.tolist() == [ref_loss]
+            assert_close_to_reference([g_w1[0], g_b1[0, 0], g_w2[0], g_b2[0, 0]], ref_grads)
 
     def test_linear_encoder(self):
         rng = stream(62, 0)

@@ -1,5 +1,7 @@
+import math
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -298,6 +300,17 @@ class TestRunPipeline:
         )
         with pytest.raises(ValueError, match="row norm"):
             run_pipeline(bad, chain_config(k=2))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("level", ["none", "edge"])
+    def test_non_finite_features_rejected(self, value, level):
+        # a NaN row norm passes `norm > 1`; the row must not be released
+        ds = gen_chain_dataset(2, 3, 2, 3, seed=0)
+        features = ds.features.copy()
+        features[1, 0] = value
+        bad = replace(ds, features=features)
+        with pytest.raises(ValueError, match="finite"):
+            run_pipeline(bad, chain_config(level=level, eps=8.0, k=2))
 
     def test_isolated_node_rejected_under_edge_level(self):
         from caribou.graphs import LabeledDataset, build_graph
