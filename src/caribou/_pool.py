@@ -7,6 +7,13 @@ count, the size from which a pool runs and the block size are stated here
 once.  Workers run only private helpers and numpy/scipy calls that release
 the GIL; every public function is called on the calling thread, so
 wrappers a tracer installs around public functions never run on a worker.
+
+The tasks assume one BLAS thread (``OPENBLAS_NUM_THREADS=1``, which the
+benchmark sets); numpy cannot read or set the BLAS thread count by
+itself.  With OpenBLAS's own threads as well, the workers oversubscribe
+the CPUs: on a 1e5-node graph with 64 features and 2 CPUs, one
+``train_head`` call took 1.34-1.46 s with OpenBLAS at its default of two
+threads, against 0.76-0.83 s with one.
 """
 
 from __future__ import annotations

@@ -15,14 +15,15 @@ A game runs its trials in batches, each in three steps:
 3. for each trial, in order: draw the bit and the challenge, then score.
 
 A trial joins the current batch while its head's input shape and class
-count match the batch's and the stacked inputs stay below
-``_pool.MIN_CELLS`` (``model._joins_batch``); the node game's subgraphs
-can lack a class, which ends a batch.  Reports do not depend on the
-batches: each trial draws from its own stream, keyed by its index, for
-the sample, the bit and the challenge, and from seeds keyed by its index
-for the release, the head and the queries; a head trained in a batch has
-the bits of the same head trained alone; and the attacker sees the
-trials in order.
+count match the batch's and the stacked inputs, plus the normalized
+adjacency entries of the edge trials' own training graphs, stay below
+``_pool.MIN_CELLS`` (``model._joins_batch``); the node game serves every
+trial on the shared graph, and its subgraphs can lack a class, which ends
+a batch.  Reports do not depend on the batches: each trial draws from its
+own stream, keyed by its index, for the sample, the bit and the challenge,
+and from seeds keyed by its index for the release, the head and the
+queries; a head trained in a batch has the bits of the same head trained
+alone; and the attacker sees the trials in order.
 """
 
 from __future__ import annotations
@@ -311,8 +312,11 @@ def _released_batches(dataset, pipeline_cfg, audit_cfg, sample) -> Iterator[list
     """Step 1 for each trial in order: sample its training set with
     ``sample`` and release it.  The trials come in batches whose heads
     train in one pass; the next batch is released only once the caller
-    asks for it, so at most one batch of training sets is held."""
+    asks for it, so at most one batch of training sets is held.  The
+    normalized adjacency of each training graph a batch holds counts
+    toward its ``_pool.MIN_CELLS``."""
     batch: list[_Released] = []
+    graph_cells = 0
     for trial in range(audit_cfg.trials):
         rng = stream(audit_cfg.seed, _TRIAL_STREAM, trial)
         train_set, serve_on, challenge = sample(dataset, pipeline_cfg, audit_cfg, rng)
@@ -320,10 +324,15 @@ def _released_batches(dataset, pipeline_cfg, audit_cfg, sample) -> Iterator[list
         release = run_pipeline(train_set, cfg)
         problem = _head_data(train_set.features, release.x_k_final, train_set.labels,
                              train_set.train_mask)
-        if batch and not _joins_batch(batch[0].problem, len(batch), problem):
+        # a trial that serves on its own training graph holds that graph's
+        # cached normalized adjacency: n diagonal entries and two per edge
+        held = serve_on.graph
+        cells = 0 if held is dataset.graph else held.num_nodes + 2 * held.num_edges
+        if batch and not _joins_batch(batch[0].problem, len(batch), problem, graph_cells + cells):
             yield batch
-            batch = []
+            batch, graph_cells = [], 0
         batch.append(_Released(trial, cfg, serve_on, challenge, problem))
+        graph_cells += cells
     yield batch
 
 

@@ -2,18 +2,27 @@
 noise-scale table, training/evaluation runs, audits, and seed sweeps.
 
 Runs are described by a JSON config; command line flags override config
-fields.  The config keys read here are ``dataset`` (``preset``, or
+fields.  The config keys are ``dataset`` (``preset``, or
 ``edges``/``features``/``labels`` files with optional ``train_count`` and
 ``test_count``), ``cgl`` (``c_l``, ``alpha1``, ``alpha2``, ``beta``),
 ``privacy`` (``level``, ``mode``, ``epsilon``, ``delta``, ``k_hops``,
 ``max_degree``), ``train`` (``epochs``, ``learning_rate``, ``hidden_units``,
 ``dp``: ``clip_norm``/``noise_mult``), ``encoder.enabled``, ``budgets``
-(``eps_dae_at_alpha``, ``eps_cm_at_alpha``), ``audit`` (see ``cmd_audit``),
-``sweep``, ``seed`` and ``output_dir``.  The CARIBOU_OUT environment
-variable overrides the output directory.
+(``eps_dae_at_alpha``, ``eps_cm_at_alpha``), ``audit`` (the fields of
+``AuditConfig``; its ``seed`` falls back to the config's), ``sweep``,
+``seed`` and ``output_dir``.  Any other key is an error.  ``privacy.level``
+(or ``--level``) is required, and so is each key of a ``train.dp`` object.
+A missing key takes the default of the dataclass it feeds; only the values
+that no dataclass defaults are defaulted here: the ``cgl`` coefficients,
+``epsilon`` 1.0, ``delta`` 1e-3 and ``seed`` 0.  The CARIBOU_OUT
+environment variable overrides the output directory.
 
 Exit codes: 0 for success, 1 for a failed run, 2 for a usage error.  Every
-error is reported as one JSON line on stderr.
+error is reported as one JSON line on stderr; ``main`` turns each failure
+of a command into that line, with the command name as its ``stage``.
+
+Large hops and heads run in row-block tasks that assume one BLAS thread:
+set ``OPENBLAS_NUM_THREADS=1`` (``caribou._pool`` quotes what more cost).
 """
 
 from __future__ import annotations
@@ -27,12 +36,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import _pool
 from .accountant import (
     DEFAULT_K_VALUES,
-    CalibrationError,
     ModuleBudgets,
     PrivacySpec,
     calibrate_sigma,
@@ -42,6 +48,7 @@ from .accountant import (
 from .audit import AuditConfig, run_mia_game
 from .graphs import (
     LabeledDataset,
+    _split_counts,
     gen_chain_dataset,
     load_dataset,
     stratified_split,
@@ -62,10 +69,8 @@ CHAIN_PRESETS = {
 DATASET_FILES = ("edges.txt", "features.csv", "labels.csv")
 
 
-class CliError(RuntimeError):
-    def __init__(self, stage: str, message: str):
-        super().__init__(message)
-        self.stage = stage
+class CliError(ValueError):
+    """A config that cannot be run."""
 
 
 def _fail(stage: str, exc: BaseException) -> int:
@@ -83,6 +88,72 @@ class _JsonErrorParser(argparse.ArgumentParser):
     def error(self, message: str):
         _fail("usage", argparse.ArgumentError(None, f"{self.prog}: {message}"))
         self.exit(2)
+
+
+def _as_is(value):
+    return value
+
+
+# Each config object's keys, with the cast that reads each value.  The
+# sections of the top level are read by their own tables.
+_TOP_LEVEL = {
+    **dict.fromkeys(
+        ("dataset", "cgl", "privacy", "train", "encoder", "budgets", "audit", "sweep"), _as_is
+    ),
+    "seed": int,
+    "output_dir": str,
+}
+_DATASET = {
+    "preset": str, "edges": str, "features": str, "labels": str,
+    "train_count": int, "test_count": int,
+}
+_PRIVACY = {
+    "level": str, "mode": str, "epsilon": float, "delta": float, "k_hops": int,
+    "max_degree": _as_is,
+}
+_TRAIN = {"epochs": int, "learning_rate": float, "hidden_units": int, "dp": _as_is}
+_DP = {"clip_norm": float, "noise_mult": float}
+_ENCODER = {"enabled": bool}
+_BUDGETS = {"eps_dae_at_alpha": float, "eps_cm_at_alpha": float}
+_AUDIT = {
+    "attack": str, "trials": int, "seed": int, "perturb_scale": float,
+    "edge_keep_fraction": float, "node_keep_fraction": float,
+}
+# The values that no dataclass defaults: ``LayerParams`` has no defaults,
+# and ``PrivacySpec`` none for its target.
+_CGL_DEFAULTS = {"c_l": 0.9, "alpha1": 1.0, "alpha2": 0.0, "beta": 0.0}
+_PRIVACY_DEFAULTS = {"epsilon": 1.0, "delta": 1e-3}
+
+
+def _read(raw, section: str, casts: dict, required: tuple[str, ...] = ()) -> dict:
+    """The keys of the config object ``raw``, each cast by ``casts``.
+
+    ``section`` names the object in errors.  A key that ``casts`` lacks, a
+    missing ``required`` key and a value its cast rejects raise
+    ``CliError``.  Other missing keys are left out, so that each takes the
+    default of the dataclass the values are passed to.
+    """
+    if not isinstance(raw, dict):
+        raise CliError(f"{section!r} must be a JSON object, got {raw!r}")
+    unknown = [key for key in raw if key not in casts]
+    if unknown:
+        raise CliError(f"unknown key {unknown[0]!r} in {section!r}")
+    missing = [key for key in required if key not in raw]
+    if missing:
+        raise CliError(f"{section!r} needs {missing[0]!r}")
+    values = {}
+    for key, value in raw.items():
+        try:
+            values[key] = casts[key](value)
+        except (TypeError, ValueError):
+            raise CliError(f"cannot read {section}.{key} from {value!r}") from None
+    return values
+
+
+def _given(args, *names: str) -> dict:
+    """The flags among ``names`` given on the command line; the others are
+    left to the defaults of the function they are passed to."""
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
 
 
 def _out_dir(config: dict, flag_value: str | None) -> Path:
@@ -104,113 +175,70 @@ def _load_config(path: str) -> dict:
         return json.load(fh)
 
 
-def _dataset_from_config(config: dict) -> LabeledDataset:
-    spec = config.get("dataset")
-    if not isinstance(spec, dict):
-        raise CliError("dataset", "config needs a 'dataset' object")
-    seed = int(config.get("seed", 0))
+def _dataset_from_config(config: dict, seed: int) -> LabeledDataset:
+    spec = _read(config.get("dataset"), "dataset", _DATASET)
     has_preset = "preset" in spec
     has_files = "edges" in spec or "features" in spec or "labels" in spec
     if has_preset == has_files:
-        raise CliError(
-            "dataset", "dataset must specify exactly one of 'preset' or file paths"
-        )
+        raise CliError("dataset must specify exactly one of 'preset' or file paths")
     if has_preset:
         name = spec["preset"]
         if name not in CHAIN_PRESETS:
-            raise CliError("dataset", f"unknown preset {name!r}")
+            raise CliError(f"unknown preset {name!r}")
         chains, length, classes, dim = CHAIN_PRESETS[name]
         return gen_chain_dataset(chains, length, classes, dim, seed=seed)
     for key in ("edges", "features", "labels"):
         if key not in spec:
-            raise CliError("dataset", f"dataset files need '{key}'")
+            raise CliError(f"dataset files need '{key}'")
         if not Path(spec[key]).exists():
-            raise CliError("dataset", f"{key} file {spec[key]!r} does not exist")
+            raise CliError(f"{key} file {spec[key]!r} does not exist")
     dataset = load_dataset(spec["edges"], spec["features"], spec["labels"])
-    n_labeled = int((dataset.labels >= 0).sum())
-    n_train = int(spec.get("train_count", max(1, n_labeled // 6)))
-    n_test = int(spec.get("test_count", (2 * n_labeled) // 3))
-    train, test = stratified_split(dataset.labels, n_train, n_test, stream(seed, 0x5917))
+    n_train, n_test = _split_counts(int((dataset.labels >= 0).sum()))
+    train, test = stratified_split(
+        dataset.labels, spec.get("train_count", n_train), spec.get("test_count", n_test),
+        stream(seed, 0x5917),
+    )
     return replace(dataset, train_mask=train, test_mask=test)
 
 
-def _layer_params(config: dict) -> LayerParams:
-    cgl = config.get("cgl", {})
-    return LayerParams(
-        c_l=float(cgl.get("c_l", 0.9)),
-        alpha1=float(cgl.get("alpha1", 1.0)),
-        alpha2=float(cgl.get("alpha2", 0.0)),
-        beta=float(cgl.get("beta", 0.0)),
-    )
-
-
-def _privacy_spec(config: dict, params: LayerParams) -> tuple[PrivacySpec, str]:
-    privacy = config.get("privacy", {})
-    level = privacy.get("level", "none")
-    mode = privacy.get("mode", "convergent")
+def _run_inputs(config: dict) -> tuple[LabeledDataset, PipelineConfig, TrainConfig]:
+    """Read a run config: its dataset, pipeline config and head config."""
+    seed = _read(config, "config", _TOP_LEVEL).get("seed", 0)
+    cgl = _read(config.get("cgl", {}), "cgl", dict.fromkeys(_CGL_DEFAULTS, float))
+    params = LayerParams(**{**_CGL_DEFAULTS, **cgl})
+    privacy = _read(config.get("privacy", {}), "privacy", _PRIVACY, required=("level",))
+    run_keys = {key: privacy.pop(key) for key in ("mode", "max_degree") if key in privacy}
     spec = PrivacySpec(
-        epsilon=float(privacy.get("epsilon", 1.0)),
-        delta=float(privacy.get("delta", 1e-3)),
-        level=level,
-        k_hops=int(privacy.get("k_hops", 1)),
-        gamma=params.c_l if level != "none" else 0.0,
+        **{**_PRIVACY_DEFAULTS, **privacy},
+        gamma=params.c_l if privacy["level"] != "none" else 0.0,
     )
-    return spec, mode
-
-
-def _train_config(config: dict) -> TrainConfig:
-    train = config.get("train", {})
-    dp = train.get("dp")
-    dp_cfg = None
-    if dp:
-        dp_cfg = DpSgdConfig(
-            clip_norm=float(dp["clip_norm"]), noise_mult=float(dp["noise_mult"])
-        )
-    return TrainConfig(
-        epochs=int(train.get("epochs", 300)),
-        learning_rate=float(train.get("learning_rate", 0.5)),
-        hidden_units=int(train.get("hidden_units", 16)),
-        dp=dp_cfg,
-    )
-
-
-def _budgets(config: dict) -> ModuleBudgets:
-    raw = config.get("budgets", {})
-    return ModuleBudgets(
-        eps_dae_at_alpha=float(raw.get("eps_dae_at_alpha", 0.0)),
-        eps_cm_at_alpha=float(raw.get("eps_cm_at_alpha", 0.0)),
-    )
-
-
-def _pipeline_config(config: dict) -> tuple[PipelineConfig, TrainConfig]:
-    params = _layer_params(config)
-    spec, mode = _privacy_spec(config, params)
     cfg = PipelineConfig(
         cgl=params,
         spec=spec,
         k_hops=spec.k_hops,
-        seed=int(config.get("seed", 0)),
-        mode=mode,
-        budgets=_budgets(config),
-        max_degree=config.get("privacy", {}).get("max_degree"),
+        seed=seed,
+        budgets=ModuleBudgets(**_read(config.get("budgets", {}), "budgets", _BUDGETS)),
+        **run_keys,
     )
-    return cfg, _train_config(config)
+    train = _read(config.get("train", {}), "train", _TRAIN)
+    dp = train.pop("dp", None)
+    if dp:
+        train["dp"] = DpSgdConfig(**_read(dp, "train.dp", _DP, required=tuple(_DP)))
+    return _dataset_from_config(config, seed), cfg, TrainConfig(**train)
 
 
 def _run_train(config: dict, out_dir: Path) -> dict:
-    dataset = _dataset_from_config(config)
-    cfg, train_cfg = _pipeline_config(config)
+    dataset, cfg, train_cfg = _run_inputs(config)
+    encoder_cfg = _read(config.get("encoder", {}), "encoder", _ENCODER)
 
     features = dataset.features
-    encoder_cfg = config.get("encoder", {})
-    encoder_result = None
+    encoder = None
     if encoder_cfg.get("enabled"):
         encoder = train_linear_encoder(
             features, dataset.labels, dataset.train_mask, train_cfg, cfg.seed
         )
         features = encoder.encode(features)
         dataset = replace(dataset, features=features)
-        encoder_result = {"dae_rdp_coeff": encoder.dae_rdp_coeff}
 
     artifacts = run_pipeline(dataset, cfg)
     head = train_head(
@@ -234,134 +262,78 @@ def _run_train(config: dict, out_dir: Path) -> dict:
     }
     if train_cfg.dp is not None:
         results["eps_cm_at_alpha_star"] = head.eps_cm(artifacts.plan.alpha_star)
-    if encoder_result is not None:
-        results["encoder"] = encoder_result
+    if encoder is not None:
+        results["encoder"] = {"dae_rdp_coeff": encoder.dae_rdp_coeff}
     _write_json(out_dir / "results.json", results)
     return results
 
 
-def cmd_gen_chain(args) -> int:
+# Each command returns what ``main`` prints on stdout (a JSON object, or
+# text as it is) and, for a run, the output directory for the status line.
+
+
+def cmd_gen_chain(args) -> tuple[dict, None]:
     if args.preset:
         chains, length, classes, dim = CHAIN_PRESETS[args.preset]
     else:
         chains, length, classes, dim = args.chains, args.length, args.classes, args.features
-    try:
-        dataset = gen_chain_dataset(chains, length, classes, dim, seed=args.seed)
-        out = _out_dir({}, args.out_dir)
-        paths = [out / name for name in DATASET_FILES]
-        write_dataset(dataset, *paths)
-    except Exception as exc:  # noqa: BLE001
-        return _fail("gen-chain", exc)
-    print(
-        json.dumps(
-            {
-                "nodes": dataset.graph.num_nodes,
-                "edges": dataset.graph.num_edges,
-                "classes": dataset.num_classes,
-                "train_nodes": int(dataset.train_mask.size),
-                "test_nodes": int(dataset.test_mask.size),
-                "files": [str(p) for p in paths],
-            }
-        )
-    )
-    return 0
+    dataset = gen_chain_dataset(chains, length, classes, dim, seed=args.seed)
+    out = _out_dir({}, args.out_dir)
+    paths = [out / name for name in DATASET_FILES]
+    write_dataset(dataset, *paths)
+    return {
+        "nodes": dataset.graph.num_nodes,
+        "edges": dataset.graph.num_edges,
+        "classes": dataset.num_classes,
+        "train_nodes": int(dataset.train_mask.size),
+        "test_nodes": int(dataset.test_mask.size),
+        "files": [str(p) for p in paths],
+    }, None
 
 
-def cmd_calibrate(args) -> int:
-    try:
-        spec = PrivacySpec(
-            epsilon=args.eps,
-            delta=args.delta,
-            level="edge",
-            k_hops=args.k,
-            gamma=args.gamma,
-        )
-        budgets = ModuleBudgets(
-            eps_dae_at_alpha=args.eps_dae, eps_cm_at_alpha=args.eps_cm
-        )
-        alphas = [args.alpha] if args.alpha is not None else None
-        plan = calibrate_sigma(
-            spec, args.delta_mp, budgets, mode=args.mode, alphas=alphas
-        )
-    except (CalibrationError, ValueError) as exc:
-        return _fail("calibrate", exc)
-    print(json.dumps(plan.to_dict(), sort_keys=True))
-    return 0
+def cmd_calibrate(args) -> tuple[dict, None]:
+    spec = PrivacySpec(epsilon=args.eps, delta=args.delta, k_hops=args.k, gamma=args.gamma)
+    budgets = ModuleBudgets(**_given(args, "eps_dae_at_alpha", "eps_cm_at_alpha"))
+    alphas = [args.alpha] if args.alpha is not None else None
+    plan = calibrate_sigma(spec, args.delta_mp, budgets, alphas=alphas, **_given(args, "mode"))
+    return plan.to_dict(), None
 
 
-def cmd_noise_table(args) -> int:
-    try:
-        rows = noise_table(args.eps, args.delta, args.alpha, args.gamma, args.k_values)
-        text = format_noise_table(rows, args.digits)
-    except (CalibrationError, ValueError) as exc:
-        return _fail("noise-table", exc)
-    if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+def cmd_noise_table(args) -> tuple[str, None]:
+    rows = noise_table(args.eps, args.delta, args.alpha, args.gamma, args.k_values)
+    text = format_noise_table(rows, args.digits)
+    if not args.out:
+        return text, None
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+    Path(args.out).write_text(text)
+    return "", None
 
 
-def _apply_overrides(config: dict, args) -> dict:
-    config = json.loads(json.dumps(config))
+def _run_config(args) -> tuple[dict, Path]:
+    """The config of a ``train`` or ``audit`` run with its flags applied,
+    and the run's output directory."""
+    config = _load_config(args.config)
     if args.seed is not None:
         config["seed"] = args.seed
-    if getattr(args, "epsilon", None) is not None:
-        config.setdefault("privacy", {})["epsilon"] = args.epsilon
-    if getattr(args, "level", None) is not None:
-        config.setdefault("privacy", {})["level"] = args.level
-    if getattr(args, "k_hops", None) is not None:
-        config.setdefault("privacy", {})["k_hops"] = args.k_hops
-    return config
+    for key in ("epsilon", "level", "k_hops"):
+        if getattr(args, key, None) is not None:
+            config.setdefault("privacy", {})[key] = getattr(args, key)
+    return config, _out_dir(config, args.out_dir)
 
 
-def cmd_train(args) -> int:
-    started = time.monotonic()
-    try:
-        config = _apply_overrides(_load_config(args.config), args)
-        out_dir = _out_dir(config, args.out_dir)
-        results = _run_train(config, out_dir)
-    except Exception as exc:  # noqa: BLE001
-        return _fail("train", exc)
-    status = {
-        "command": "train",
-        "wall_time_ms": int(1000 * (time.monotonic() - started)),
-        "output_dir": str(out_dir),
-    }
-    print(json.dumps(status), file=sys.stderr)
-    print(json.dumps(results, sort_keys=True))
-    return 0
+def cmd_train(args) -> tuple[dict, Path]:
+    config, out_dir = _run_config(args)
+    return _run_train(config, out_dir), out_dir
 
 
-def cmd_audit(args) -> int:
-    started = time.monotonic()
-    try:
-        config = _apply_overrides(_load_config(args.config), args)
-        out_dir = _out_dir(config, args.out_dir)
-        dataset = _dataset_from_config(config)
-        cfg, train_cfg = _pipeline_config(config)
-        audit_raw = config.get("audit", {})
-        audit_cfg = AuditConfig(
-            attack=audit_raw.get("attack", "edge_influence"),
-            trials=int(audit_raw.get("trials", 20)),
-            seed=int(audit_raw.get("seed", config.get("seed", 0))),
-            perturb_scale=float(audit_raw.get("perturb_scale", 1e-3)),
-            edge_keep_fraction=float(audit_raw.get("edge_keep_fraction", 0.7)),
-            node_keep_fraction=float(audit_raw.get("node_keep_fraction", 0.7)),
-        )
-        report = run_mia_game(dataset, cfg, train_cfg, audit_cfg)
-        report.save(out_dir / "audit.jsonl")
-    except Exception as exc:  # noqa: BLE001
-        return _fail("audit", exc)
-    status = {
-        "command": "audit",
-        "wall_time_ms": int(1000 * (time.monotonic() - started)),
-        "output_dir": str(out_dir),
-    }
-    print(json.dumps(status), file=sys.stderr)
-    print(json.dumps({"auc": report.auc, "trials": len(report.scores)}))
-    return 0
+def cmd_audit(args) -> tuple[dict, Path]:
+    config, out_dir = _run_config(args)
+    dataset, cfg, train_cfg = _run_inputs(config)
+    audit = _read(config.get("audit", {}), "audit", _AUDIT)
+    audit_cfg = AuditConfig(**{"seed": cfg.seed, **audit})
+    report = run_mia_game(dataset, cfg, train_cfg, audit_cfg)
+    report.save(out_dir / "audit.jsonl")
+    return {"auc": report.auc, "trials": len(report.scores)}, out_dir
 
 
 def _sweep_one(payload: tuple[int, dict]) -> dict:
@@ -372,40 +344,36 @@ def _sweep_one(payload: tuple[int, dict]) -> dict:
     return {"run": index, "seed": config.get("seed"), **results}
 
 
-def cmd_sweep(args) -> int:
-    try:
-        base = _load_config(args.config)
-        out_root = _out_dir(base, args.out_dir)
-        overrides = base.get("sweep")
-        if args.seeds:
-            overrides = [{"seed": s} for s in args.seeds]
-        if not overrides:
-            raise CliError("sweep", "no sweep overrides: set 'sweep' in the config or pass --seeds")
-        jobs = []
-        for i, patch in enumerate(overrides):
-            config = json.loads(json.dumps(base))
-            config.pop("sweep", None)
-            for key, value in patch.items():
-                if isinstance(value, dict):
-                    config.setdefault(key, {}).update(value)
-                else:
-                    config[key] = value
-            config.setdefault("seed", int(base.get("seed", 0)) + i)
-            config["output_dir"] = str(out_root / f"run_{i:03d}")
-            jobs.append((i, config))
-        # the executor starts all its processes at the first submit, so it
-        # gets no more than there are runs
-        workers = min(args.workers, len(jobs))
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                summaries = list(pool.map(_sweep_one, jobs))
-        else:
-            summaries = [_sweep_one(job) for job in jobs]
-        _write_json(out_root / "sweep_summary.json", {"runs": summaries})
-    except Exception as exc:  # noqa: BLE001
-        return _fail("sweep", exc)
-    print(json.dumps({"runs": len(summaries), "output_dir": str(out_root)}))
-    return 0
+def cmd_sweep(args) -> tuple[dict, None]:
+    base = _load_config(args.config)
+    out_root = _out_dir(base, args.out_dir)
+    overrides = base.get("sweep")
+    if args.seeds:
+        overrides = [{"seed": s} for s in args.seeds]
+    if not overrides:
+        raise CliError("no sweep overrides: set 'sweep' in the config or pass --seeds")
+    jobs = []
+    for i, patch in enumerate(overrides):
+        config = json.loads(json.dumps(base))
+        config.pop("sweep", None)
+        for key, value in patch.items():
+            if isinstance(value, dict):
+                config.setdefault(key, {}).update(value)
+            else:
+                config[key] = value
+        config.setdefault("seed", i)
+        config["output_dir"] = str(out_root / f"run_{i:03d}")
+        jobs.append((i, config))
+    # the executor starts all its processes at the first submit, so it
+    # gets no more than there are runs
+    workers = min(args.workers, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            summaries = list(pool.map(_sweep_one, jobs))
+    else:
+        summaries = [_sweep_one(job) for job in jobs]
+    _write_json(out_root / "sweep_summary.json", {"runs": summaries})
+    return {"runs": len(summaries), "output_dir": str(out_root)}, None
 
 
 def _positive_int(text: str) -> int:
@@ -442,9 +410,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--delta-mp", type=float, required=True)
     p.add_argument("--alpha", type=float, default=None, help="pin one Renyi order")
-    p.add_argument("--mode", choices=["convergent", "linear"], default="convergent")
-    p.add_argument("--eps-dae", type=float, default=0.0)
-    p.add_argument("--eps-cm", type=float, default=0.0)
+    # left out, these take the defaults of calibrate_sigma and ModuleBudgets
+    p.add_argument("--mode", choices=["convergent", "linear"], default=argparse.SUPPRESS)
+    p.add_argument("--eps-dae", dest="eps_dae_at_alpha", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--eps-cm", dest="eps_cm_at_alpha", type=float, default=argparse.SUPPRESS)
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("noise-table", help="emit the K-sweep noise-scale CSV")
@@ -472,10 +441,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default=None)
     p.set_defaults(func=cmd_audit)
 
-    p = sub.add_parser("sweep", help="run independent configs in parallel")
+    # no abbreviated flags, so that a --seed is not taken for --seeds
+    p = sub.add_parser("sweep", help="run independent configs in parallel", allow_abbrev=False)
     p.add_argument("--config", required=True)
     p.add_argument("--seeds", type=int, nargs="*", default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--workers", type=_positive_int, default=max(1, _pool.usable_cpus() // 2))
     p.add_argument("--out-dir", default=None)
     p.set_defaults(func=cmd_sweep)
@@ -488,7 +457,23 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # --help exits with 0, a usage error with 2
         return int(exc.code or 0)
-    return args.func(args)
+    started = time.monotonic()
+    try:
+        payload, out_dir = args.func(args)
+    except Exception as exc:  # noqa: BLE001 - every failure ends as one JSON line
+        return _fail(args.command, exc)
+    if out_dir is not None:
+        status = {
+            "command": args.command,
+            "wall_time_ms": int(1000 * (time.monotonic() - started)),
+            "output_dir": str(out_dir),
+        }
+        print(json.dumps(status), file=sys.stderr)
+    if isinstance(payload, str):
+        sys.stdout.write(payload)
+    else:
+        print(json.dumps(payload, sort_keys=True))
+    return 0
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -277,34 +277,41 @@ def gen_chain_dataset(
     )
 
 
+def _data_lines(path: Path) -> Iterator[tuple[int, str]]:
+    """(line number, stripped line) for each line of ``path`` that is
+    neither blank nor a '#' comment."""
+    with path.open() as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if line and not line.startswith("#"):
+                yield line_no, line
+
+
 def load_dataset(edge_path, feature_path, label_path) -> LabeledDataset:
     """Read a dataset from the on-disk formats.
 
-    Edge file: one "u v" pair per line, '#' comments ignored.  Feature
-    file: CSV, one row per node.  Label file: CSV "node_id,class_id".
-    Feature rows are projected to Euclidean norm <= 1 on load.
+    Edge file: one "u v" pair per line.  Feature file: CSV, one row per
+    node.  Label file: CSV "node_id,class_id".  Blank lines and '#'
+    comments are skipped in all three.  Feature rows are projected to
+    Euclidean norm <= 1 on load.
     """
     feature_path = Path(feature_path)
     rows, line_nos = [], []
     width = None
-    with feature_path.open() as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            try:
-                row = [float(p) for p in parts]
-            except ValueError:
-                raise ParseError(feature_path, line_no, f"bad float in {line!r}") from None
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise ParseError(
-                    feature_path, line_no, f"expected {width} columns, got {len(row)}"
-                )
-            rows.append(row)
-            line_nos.append(line_no)
+    for line_no, line in _data_lines(feature_path):
+        parts = line.split(",")
+        try:
+            row = [float(p) for p in parts]
+        except ValueError:
+            raise ParseError(feature_path, line_no, f"bad float in {line!r}") from None
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise ParseError(
+                feature_path, line_no, f"expected {width} columns, got {len(row)}"
+            )
+        rows.append(row)
+        line_nos.append(line_no)
     if not rows:
         raise ParseError(feature_path, 0, "feature file is empty")
     features = np.array(rows, dtype=float)
@@ -317,45 +324,31 @@ def load_dataset(edge_path, feature_path, label_path) -> LabeledDataset:
 
     edge_path = Path(edge_path)
     edges = []
-    with edge_path.open() as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParseError(edge_path, line_no, f"expected 'u v', got {line!r}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ParseError(edge_path, line_no, f"bad node id in {line!r}") from None
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(
-                    f"{edge_path}:{line_no}: edge ({u}, {v}) out of range for {n} nodes"
-                )
-            edges.append((u, v))
+    for line_no, line in _data_lines(edge_path):
+        parts = line.split()
+        if len(parts) != 2:
+            raise ParseError(edge_path, line_no, f"expected 'u v', got {line!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError(edge_path, line_no, f"bad node id in {line!r}") from None
+        if not (0 <= u < n and 0 <= v < n):
+            raise ParseError(edge_path, line_no, f"edge ({u}, {v}) out of range for {n} nodes")
+        edges.append((u, v))
 
     label_path = Path(label_path)
     labels = np.full(n, -1, dtype=np.int64)
-    with label_path.open() as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ParseError(
-                    label_path, line_no, f"expected 'node_id,class_id', got {line!r}"
-                )
-            try:
-                node, cls = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ParseError(label_path, line_no, f"bad integer in {line!r}") from None
-            if not 0 <= node < n:
-                raise ValueError(
-                    f"{label_path}:{line_no}: node id {node} out of range for {n} nodes"
-                )
-            labels[node] = cls
+    for line_no, line in _data_lines(label_path):
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise ParseError(label_path, line_no, f"expected 'node_id,class_id', got {line!r}")
+        try:
+            node, cls = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError(label_path, line_no, f"bad integer in {line!r}") from None
+        if not 0 <= node < n:
+            raise ParseError(label_path, line_no, f"node id {node} out of range for {n} nodes")
+        labels[node] = cls
 
     return LabeledDataset(graph=build_graph(n, edges), features=features, labels=labels)
 

@@ -347,10 +347,13 @@ class TestGameEqualsSequentialReference:
 
     @pytest.mark.parametrize(
         "min_cells, sizes",
-        # the edge game's heads see 20 x 4 inputs: two fit below 200 cells,
-        # and one alone reaches 50 cells and trains alone
-        [(200, [2] * 5), (50, [1] * 10)],
-        ids=["batches-of-two", "each-alone"],
+        # each edge trial holds its head's 20 x 4 inputs and the 210
+        # normalized adjacency entries of its training graph (20 nodes, 95
+        # of 136 edges), 290 cells: two fit below 600 cells, and one alone
+        # reaches 50 cells and trains alone.  Below 1000 cells the inputs
+        # of all ten trials (800 cells) fit, so only the adjacency splits.
+        [(600, [2] * 5), (50, [1] * 10), (1000, [3, 3, 3, 1])],
+        ids=["batches-of-two", "each-alone", "adjacency-splits"],
     )
     def test_report_equals_reference_when_split(self, min_cells, sizes, monkeypatch):
         monkeypatch.setattr(caribou._pool, "MIN_CELLS", min_cells)
@@ -363,6 +366,18 @@ class TestGameEqualsSequentialReference:
             report = run_mia_game(ds, cfg, train_cfg, audit_cfg, flaky_score_fn())
             assert report == expected
             assert [shape[0] for shape in batches] == sizes
+
+    def test_node_game_counts_only_head_inputs(self, monkeypatch):
+        # node trials serve on the shared graph, so only their heads' 14 x 4
+        # inputs count: all ten fit below 561 cells
+        monkeypatch.setattr(caribou._pool, "MIN_CELLS", 10 * 14 * 4 + 1)
+        ds = dense_block_dataset(seed=5)
+        cfg = make_pipeline_cfg(level="node", k=2)
+        audit_cfg = AuditConfig(attack="node_confidence", trials=10, seed=3)
+        expected = reference_run_mia_game(ds, cfg, FAST_TRAIN, audit_cfg)
+        batches = record_batches(monkeypatch)
+        assert run_mia_game(ds, cfg, FAST_TRAIN, audit_cfg) == expected
+        assert batches == [(10, 14, 4, 2)]
 
     def test_node_game_with_differing_class_counts(self, monkeypatch):
         # class 2 has one node, so some training subgraphs lack it and

@@ -34,6 +34,28 @@ def write_config(path, **overrides):
     return path
 
 
+def write_path_config(tmp_path, edges="0 1\n1 2\n2 3\n", features="1,0\n0,1\n0,1\n0.5,0.5\n",
+                      labels="0,0\n1,0\n2,1\n3,1\n"):
+    """A train config on a 4-node path read from the given file texts."""
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "edges.txt").write_text(edges)
+    (data / "features.csv").write_text(features)
+    (data / "labels.csv").write_text(labels)
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        privacy={"level": "edge", "k_hops": 2, "epsilon": 4.0},
+        output_dir=str(tmp_path / "out"),
+    )
+    config = json.loads(cfg.read_text())
+    config["cgl"]["c_l"] = 0.9
+    config["dataset"] = {name: str(data / f"{name}.{ext}") for name, ext in
+                         (("edges", "txt"), ("features", "csv"), ("labels", "csv"))}
+    config["dataset"].update(train_count=2, test_count=2)
+    cfg.write_text(json.dumps(config))
+    return cfg
+
+
 class TestGenChain:
     def test_preset_chain_s(self, tmp_path, capsys):
         code, out, _ = run_cli(
@@ -302,22 +324,7 @@ class TestTrain:
         # a 4-node path whose second feature row is not finite: nothing may
         # be released, since the NaN pattern would show node 1's K-hop
         # neighbourhood
-        data = tmp_path / "data"
-        data.mkdir()
-        (data / "edges.txt").write_text("0 1\n1 2\n2 3\n")
-        (data / "features.csv").write_text(f"1,0\n{value},0\n0,1\n0.5,0.5\n")
-        (data / "labels.csv").write_text("0,0\n1,0\n2,1\n3,1\n")
-        cfg = write_config(
-            tmp_path / "cfg.json",
-            privacy={"level": "edge", "k_hops": 2, "epsilon": 4.0},
-            output_dir=str(tmp_path / "out"),
-        )
-        config = json.loads(cfg.read_text())
-        config["cgl"]["c_l"] = 0.9
-        config["dataset"] = {name: str(data / f"{name}.{ext}") for name, ext in
-                             (("edges", "txt"), ("features", "csv"), ("labels", "csv"))}
-        config["dataset"].update(train_count=2, test_count=2)
-        cfg.write_text(json.dumps(config))
+        cfg = write_path_config(tmp_path, features=f"1,0\n{value},0\n0,1\n0.5,0.5\n")
         code, out, err = run_cli(["train", "--config", str(cfg)], capsys)
         assert code == 1 and out == ""
         lines = err.strip().splitlines()
@@ -326,6 +333,21 @@ class TestTrain:
         assert record["stage"] == "train" and record["error"] == "ParseError"
         assert "features.csv:2: non-finite" in record["message"]
         assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+    @pytest.mark.parametrize(
+        "files, message",
+        [({"edges": "# path\n0 1\n1 4\n"}, "edges.txt:3: edge (1, 4) out of range"),
+         ({"labels": "0,0\n\n7,1\n"}, "labels.csv:3: node id 7 out of range")],
+        ids=["edge", "label"],
+    )
+    def test_out_of_range_id_is_parse_error(self, tmp_path, capsys, files, message):
+        cfg = write_path_config(tmp_path, **files)
+        code, out, err = run_cli(["train", "--config", str(cfg)], capsys)
+        assert code == 1 and out == ""
+        [line] = err.strip().splitlines()
+        record = json.loads(line)
+        assert record["stage"] == "train" and record["error"] == "ParseError"
+        assert message in record["message"]
 
     def test_missing_dataset_file_rejected(self, tmp_path, capsys):
         cfg = write_config(
@@ -340,33 +362,35 @@ class TestTrain:
         assert "does not exist" in json.loads(err.strip().split("\n")[-1])["message"]
 
 
-class TestAudit:
-    def make_audit_config(self, tmp_path, level="none"):
-        data = tmp_path / "data"
-        data.mkdir(exist_ok=True)
-        ds = dense_block_dataset(num_nodes=14, seed=2)
-        write_dataset(ds, data / "edges.txt", data / "features.csv", data / "labels.csv")
-        config = {
-            "dataset": {
-                "edges": str(data / "edges.txt"),
-                "features": str(data / "features.csv"),
-                "labels": str(data / "labels.csv"),
-                "train_count": 10,
-                "test_count": 4,
-            },
-            "cgl": {"c_l": 0.5, "alpha1": 1.0, "alpha2": 0.0, "beta": 0.0},
-            "privacy": {"level": level, "k_hops": 1, "epsilon": 1.0},
-            "train": {"epochs": 60, "learning_rate": 0.5, "hidden_units": 8},
-            "audit": {"attack": "edge_influence", "trials": 10, "seed": 4},
-            "seed": 0,
-            "output_dir": str(tmp_path / "out"),
-        }
-        path = tmp_path / "audit_cfg.json"
-        path.write_text(json.dumps(config))
-        return path
+def make_audit_config(tmp_path, level="none"):
+    data = tmp_path / "data"
+    data.mkdir(exist_ok=True)
+    ds = dense_block_dataset(num_nodes=14, seed=2)
+    write_dataset(ds, data / "edges.txt", data / "features.csv", data / "labels.csv")
+    config = {
+        "dataset": {
+            "edges": str(data / "edges.txt"),
+            "features": str(data / "features.csv"),
+            "labels": str(data / "labels.csv"),
+            "train_count": 10,
+            "test_count": 4,
+        },
+        "cgl": {"c_l": 0.5, "alpha1": 1.0, "alpha2": 0.0, "beta": 0.0},
+        "privacy": {"level": level, "k_hops": 1, "epsilon": 1.0},
+        "train": {"epochs": 60, "learning_rate": 0.5, "hidden_units": 8},
+        "audit": {"attack": "edge_influence", "trials": 10, "seed": 4},
+        "seed": 0,
+        "output_dir": str(tmp_path / "out"),
+    }
+    path = tmp_path / "audit_cfg.json"
+    path.write_text(json.dumps(config))
+    return path
 
+
+
+class TestAudit:
     def test_audit_writes_jsonl(self, tmp_path, capsys):
-        cfg = self.make_audit_config(tmp_path)
+        cfg = make_audit_config(tmp_path)
         code, out, _ = run_cli(["audit", "--config", str(cfg)], capsys)
         assert code == 0
         summary = json.loads(out)
@@ -377,7 +401,7 @@ class TestAudit:
 
     @pytest.mark.parametrize("scale", ["nan", "inf", 0.0])
     def test_bad_perturb_scale_is_one_line_error(self, tmp_path, capsys, scale):
-        cfg = self.make_audit_config(tmp_path)
+        cfg = make_audit_config(tmp_path)
         config = json.loads(cfg.read_text())
         config["audit"]["perturb_scale"] = scale
         cfg.write_text(json.dumps(config))
@@ -391,7 +415,7 @@ class TestAudit:
         assert not (tmp_path / "out" / "audit.jsonl").exists()
 
     def test_audit_deterministic(self, tmp_path, capsys):
-        cfg = self.make_audit_config(tmp_path)
+        cfg = make_audit_config(tmp_path)
         run_cli(["audit", "--config", str(cfg), "--out-dir", str(tmp_path / "a")], capsys)
         run_cli(["audit", "--config", str(cfg), "--out-dir", str(tmp_path / "b")], capsys)
         a = (tmp_path / "a" / "audit.jsonl").read_bytes()
@@ -480,3 +504,123 @@ class TestSweep:
         monkeypatch.setattr(caribou._pool, "usable_cpus", lambda: cpus)
         args = cli.build_parser().parse_args(["sweep", "--config", "cfg.json"])
         assert args.workers == default
+
+
+def one_error(err: str) -> dict:
+    """The one JSON line a failed command writes to stderr."""
+    [line] = err.strip().splitlines()
+    return json.loads(line)
+
+
+def no_artifacts(out_dir) -> bool:
+    return not out_dir.exists() or not any(out_dir.rglob("*"))
+
+
+class TestOneErrorBoundary:
+    @pytest.mark.parametrize(
+        "command, path, key",
+        [
+            ("train", (), "sed"),
+            ("train", ("dataset",), "presett"),
+            ("train", ("cgl",), "c_L"),
+            ("train", ("privacy",), "levle"),
+            ("train", ("train",), "epoch"),
+            ("train", ("train", "dp"), "clip"),
+            ("train", ("encoder",), "enable"),
+            ("train", ("budgets",), "eps_dae"),
+            ("audit", ("audit",), "trails"),
+        ],
+        ids=["top-level", "dataset", "cgl", "privacy", "train", "train.dp", "encoder",
+             "budgets", "audit"],
+    )
+    def test_unknown_key_is_one_line_error(self, command, path, key, tmp_path, capsys):
+        if command == "train":
+            cfg = write_config(tmp_path / "cfg.json", output_dir=str(tmp_path / "out"),
+                               train={"dp": {"clip_norm": 1.0, "noise_mult": 1.0}},
+                               encoder={"enabled": False}, budgets={})
+        else:
+            cfg = make_audit_config(tmp_path)
+        config = json.loads(cfg.read_text())
+        if path == ("privacy",):
+            # a misspelt level left the release without noise
+            config["privacy"] = {"levle": "edge", "epsilon": 1.0}
+        else:
+            section = config
+            for name in path:
+                section = section[name]
+            section[key] = 1
+        cfg.write_text(json.dumps(config))
+        code, out, err = run_cli([command, "--config", str(cfg)], capsys)
+        assert code == 1 and out == ""
+        record = one_error(err)
+        assert record["stage"] == command and record["error"] == "CliError"
+        assert repr(key) in record["message"]
+        assert repr(".".join(path) or "config") in record["message"]
+        assert no_artifacts(tmp_path / "out")
+
+    @pytest.mark.parametrize("command", ["train", "audit"])
+    def test_missing_privacy_level_is_one_line_error(self, command, tmp_path, capsys):
+        if command == "train":
+            cfg = write_config(tmp_path / "cfg.json", output_dir=str(tmp_path / "out"))
+        else:
+            cfg = make_audit_config(tmp_path)
+        config = json.loads(cfg.read_text())
+        config["privacy"] = {"epsilon": 1.0, "k_hops": 1}
+        cfg.write_text(json.dumps(config))
+        code, out, err = run_cli([command, "--config", str(cfg)], capsys)
+        assert code == 1 and out == ""
+        record = one_error(err)
+        assert record["stage"] == command and record["error"] == "CliError"
+        assert "'level'" in record["message"]
+        assert no_artifacts(tmp_path / "out")
+        if command == "train":  # the flag supplies the level
+            code, out, _ = run_cli([command, "--config", str(cfg), "--level", "none"], capsys)
+            assert code == 0 and json.loads(out)
+
+    @pytest.mark.parametrize(
+        "command, error",
+        [("gen-chain", "ValueError"), ("calibrate", "CalibrationError"),
+         ("noise-table", "IsADirectoryError"), ("train", "FileNotFoundError"),
+         ("audit", "ValueError"), ("sweep", "CliError")],
+    )
+    def test_failure_is_one_line_with_command_stage(self, command, error, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", sweep=[{"sed": 1}],
+                           output_dir=str(tmp_path / "sweep"))
+        audit_cfg = make_audit_config(tmp_path)
+        config = json.loads(audit_cfg.read_text())
+        config["audit"]["trials"] = 5
+        audit_cfg.write_text(json.dumps(config))
+        argv = {
+            # 3 chains cannot be split among 2 classes
+            "gen-chain": ["--chains", "3", "--classes", "2", "--out-dir", str(tmp_path)],
+            "calibrate": ["--eps", "0.05", "--delta", "1e-3", "--k", "2", "--gamma", "0.9",
+                          "--delta-mp", "1"],
+            "noise-table": ["--out", str(tmp_path)],
+            "train": ["--config", str(tmp_path / "missing.json")],
+            "audit": ["--config", str(audit_cfg)],
+            "sweep": ["--config", str(cfg), "--workers", "1"],
+        }[command]
+        code, out, err = run_cli([command, *argv], capsys)
+        assert code == 1 and out == ""
+        record = one_error(err)
+        assert record["stage"] == command and record["error"] == error
+
+    @pytest.mark.parametrize("command", ["train", "audit"])
+    def test_run_prints_status_line(self, command, tmp_path, capsys):
+        if command == "train":
+            cfg = write_config(tmp_path / "cfg.json", output_dir=str(tmp_path / "out"))
+        else:
+            cfg = make_audit_config(tmp_path)
+        code, out, err = run_cli([command, "--config", str(cfg)], capsys)
+        assert code == 0 and json.loads(out)
+        status = one_error(err)
+        assert status["command"] == command
+        assert status["output_dir"] == str(tmp_path / "out")
+        assert status["wall_time_ms"] >= 0
+
+    def test_sweep_seed_flag_is_usage_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json")
+        code, out, err = run_cli(["sweep", "--config", str(cfg), "--seed", "3"], capsys)
+        assert code == 2 and out == ""
+        record = one_error(err)
+        assert record["stage"] == "usage" and "--seed" in record["message"]
