@@ -8,19 +8,23 @@ once.  Workers run only private helpers and numpy/scipy calls that release
 the GIL; every public function is called on the calling thread, so
 wrappers a tracer installs around public functions never run on a worker.
 
-The tasks assume one BLAS thread (``OPENBLAS_NUM_THREADS=1``, which the
-benchmark sets); numpy cannot read or set the BLAS thread count by
-itself.  With OpenBLAS's own threads as well, the workers oversubscribe
-the CPUs: on a 1e5-node graph with 64 features and 2 CPUs, one
-``train_head`` call took 1.34-1.46 s with OpenBLAS at its default of two
-threads, against 0.76-0.83 s with one.
+The tasks assume one BLAS thread.  With OpenBLAS's own threads as well,
+the workers oversubscribe the CPUs: on a 1e5-node graph with 64 features
+and 2 CPUs, one ``train_head`` call took 1.34-1.46 s with OpenBLAS at its
+default of two threads, against 0.76-0.83 s with one.  So while a pool is
+open, numpy's bundled OpenBLAS runs on one thread; numpy has no call for
+this, so ``thread_pool`` reaches the library's own through ``ctypes``.
+Without that library, set ``OPENBLAS_NUM_THREADS=1`` or its equivalent.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
+from functools import cache
 from typing import Callable, Iterator
 
 #: Matrix entries (2**19 float64 fill 4 MiB) from which the tasks run on a
@@ -44,16 +48,65 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+@cache
+def _openblas() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """The thread-count getter and setter of the OpenBLAS that numpy bundles,
+    or ``None`` when numpy bundles none that exports them."""
+    try:
+        from numpy._core import _multiarray_umath
+
+        # a handle on numpy's core module also finds the symbols of the
+        # libraries it was linked against
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        set_ = lib.scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+# The BLAS thread count belongs to the process: the first open pool saves
+# it and sets one thread, and the last pool to close restores it.
+_blas_lock = threading.Lock()
+_blas_pools = 0
+_blas_saved = 1
+
+
+@contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    global _blas_pools, _blas_saved
+    calls = _openblas()
+    if calls is None:
+        yield
+        return
+    get, set_ = calls
+    with _blas_lock:
+        if not _blas_pools:
+            _blas_saved = get()
+            set_(1)
+        _blas_pools += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_pools -= 1
+            if not _blas_pools:
+                set_(_blas_saved)
+
+
 @contextmanager
 def thread_pool(cells: int) -> Iterator[ThreadPoolExecutor | None]:
     """A pool with one thread per usable CPU for work on a matrix of
     ``cells`` entries, or ``None`` below ``MIN_CELLS`` or with one CPU.
-    Leaving the block joins every thread."""
+    While the pool is open numpy's bundled OpenBLAS runs on one thread;
+    leaving the block joins every thread and restores the BLAS count."""
     workers = usable_cpus() if cells >= MIN_CELLS else 1
     if workers < 2:
         yield None
         return
-    with ThreadPoolExecutor(workers) as pool:
+    with _one_blas_thread(), ThreadPoolExecutor(workers) as pool:
         yield pool
 
 

@@ -9,9 +9,13 @@ fields.  The config keys are ``dataset`` (``preset``, or
 ``max_degree``), ``train`` (``epochs``, ``learning_rate``, ``hidden_units``,
 ``dp``: ``clip_norm``/``noise_mult``), ``encoder.enabled``, ``budgets``
 (``eps_dae_at_alpha``, ``eps_cm_at_alpha``), ``audit`` (the fields of
-``AuditConfig``; its ``seed`` falls back to the config's), ``sweep``,
-``seed`` and ``output_dir``.  Any other key is an error.  ``privacy.level``
-(or ``--level``) is required, and so is each key of a ``train.dp`` object.
+``AuditConfig``; its ``seed`` falls back to the config's), ``sweep`` (a
+list of objects, each patching the config of one run), ``seed`` and
+``output_dir``.  Any other key is an error.  ``train``, ``audit`` and every
+run of a ``sweep`` read and check all of these, also the sections they do
+not use; ``audit`` runs no encoder and rejects ``encoder.enabled: true``.
+``privacy.level`` (or ``--level``) is required, and so is each key of a
+``train.dp`` object.
 A missing key takes the default of the dataclass it feeds; only the values
 that no dataclass defaults are defaulted here: the ``cgl`` coefficients,
 ``epsilon`` 1.0, ``delta`` 1e-3 and ``seed`` 0.  The CARIBOU_OUT
@@ -21,8 +25,9 @@ Exit codes: 0 for success, 1 for a failed run, 2 for a usage error.  Every
 error is reported as one JSON line on stderr; ``main`` turns each failure
 of a command into that line, with the command name as its ``stage``.
 
-Large hops and heads run in row-block tasks that assume one BLAS thread:
-set ``OPENBLAS_NUM_THREADS=1`` (``caribou._pool`` quotes what more cost).
+Large hops and heads run in row-block tasks on one thread per usable CPU,
+with numpy's bundled OpenBLAS held to one thread meanwhile (``caribou._pool``
+says why and what to set when numpy bundles another BLAS).
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 
 from . import _pool
 from .accountant import (
@@ -175,35 +181,44 @@ def _load_config(path: str) -> dict:
         return json.load(fh)
 
 
-def _dataset_from_config(config: dict, seed: int) -> LabeledDataset:
-    spec = _read(config.get("dataset"), "dataset", _DATASET)
+class _Run(NamedTuple):
+    """Every section of a run config, read and checked."""
+
+    dataset: dict
+    pipeline: PipelineConfig
+    train: TrainConfig
+    encoder: bool
+    audit: AuditConfig
+
+
+def _sweep_patches(config: dict) -> list[dict]:
+    patches = config.get("sweep", [])
+    if not isinstance(patches, list) or not all(isinstance(p, dict) for p in patches):
+        raise CliError(f"'sweep' must be a list of JSON objects, got {patches!r}")
+    return patches
+
+
+def _dataset_spec(raw) -> dict:
+    spec = _read(raw, "dataset", _DATASET)
     has_preset = "preset" in spec
     has_files = "edges" in spec or "features" in spec or "labels" in spec
     if has_preset == has_files:
         raise CliError("dataset must specify exactly one of 'preset' or file paths")
-    if has_preset:
-        name = spec["preset"]
-        if name not in CHAIN_PRESETS:
-            raise CliError(f"unknown preset {name!r}")
-        chains, length, classes, dim = CHAIN_PRESETS[name]
-        return gen_chain_dataset(chains, length, classes, dim, seed=seed)
-    for key in ("edges", "features", "labels"):
-        if key not in spec:
-            raise CliError(f"dataset files need '{key}'")
-        if not Path(spec[key]).exists():
-            raise CliError(f"{key} file {spec[key]!r} does not exist")
-    dataset = load_dataset(spec["edges"], spec["features"], spec["labels"])
-    n_train, n_test = _split_counts(int((dataset.labels >= 0).sum()))
-    train, test = stratified_split(
-        dataset.labels, spec.get("train_count", n_train), spec.get("test_count", n_test),
-        stream(seed, 0x5917),
-    )
-    return replace(dataset, train_mask=train, test_mask=test)
+    if has_preset and spec["preset"] not in CHAIN_PRESETS:
+        raise CliError(f"unknown preset {spec['preset']!r}")
+    if has_files:
+        for key in ("edges", "features", "labels"):
+            if key not in spec:
+                raise CliError(f"dataset files need '{key}'")
+    return spec
 
 
-def _run_inputs(config: dict) -> tuple[LabeledDataset, PipelineConfig, TrainConfig]:
-    """Read a run config: its dataset, pipeline config and head config."""
+def _read_run(config: dict) -> _Run:
+    """Read and check every section of a run config, also those the command
+    does not use, so that no typo passes unnoticed; reads no file."""
     seed = _read(config, "config", _TOP_LEVEL).get("seed", 0)
+    _sweep_patches(config)
+    dataset = _dataset_spec(config.get("dataset"))
     cgl = _read(config.get("cgl", {}), "cgl", dict.fromkeys(_CGL_DEFAULTS, float))
     params = LayerParams(**{**_CGL_DEFAULTS, **cgl})
     privacy = _read(config.get("privacy", {}), "privacy", _PRIVACY, required=("level",))
@@ -224,16 +239,42 @@ def _run_inputs(config: dict) -> tuple[LabeledDataset, PipelineConfig, TrainConf
     dp = train.pop("dp", None)
     if dp:
         train["dp"] = DpSgdConfig(**_read(dp, "train.dp", _DP, required=tuple(_DP)))
-    return _dataset_from_config(config, seed), cfg, TrainConfig(**train)
+    encoder = _read(config.get("encoder", {}), "encoder", _ENCODER)
+    audit = _read(config.get("audit", {}), "audit", _AUDIT)
+    return _Run(
+        dataset=dataset,
+        pipeline=cfg,
+        train=TrainConfig(**train),
+        encoder=encoder.get("enabled", False),
+        audit=AuditConfig(**{"seed": seed, **audit}),
+    )
+
+
+def _load(spec: dict, seed: int) -> LabeledDataset:
+    """The dataset of a checked ``dataset`` section, split by ``seed``."""
+    if "preset" in spec:
+        chains, length, classes, dim = CHAIN_PRESETS[spec["preset"]]
+        return gen_chain_dataset(chains, length, classes, dim, seed=seed)
+    for key in ("edges", "features", "labels"):
+        if not Path(spec[key]).exists():
+            raise CliError(f"{key} file {spec[key]!r} does not exist")
+    dataset = load_dataset(spec["edges"], spec["features"], spec["labels"])
+    n_train, n_test = _split_counts(int((dataset.labels >= 0).sum()))
+    train, test = stratified_split(
+        dataset.labels, spec.get("train_count", n_train), spec.get("test_count", n_test),
+        stream(seed, 0x5917),
+    )
+    return replace(dataset, train_mask=train, test_mask=test)
 
 
 def _run_train(config: dict, out_dir: Path) -> dict:
-    dataset, cfg, train_cfg = _run_inputs(config)
-    encoder_cfg = _read(config.get("encoder", {}), "encoder", _ENCODER)
+    run = _read_run(config)
+    cfg, train_cfg = run.pipeline, run.train
+    dataset = _load(run.dataset, cfg.seed)
 
     features = dataset.features
     encoder = None
-    if encoder_cfg.get("enabled"):
+    if run.encoder:
         encoder = train_linear_encoder(
             features, dataset.labels, dataset.train_mask, train_cfg, cfg.seed
         )
@@ -328,10 +369,11 @@ def cmd_train(args) -> tuple[dict, Path]:
 
 def cmd_audit(args) -> tuple[dict, Path]:
     config, out_dir = _run_config(args)
-    dataset, cfg, train_cfg = _run_inputs(config)
-    audit = _read(config.get("audit", {}), "audit", _AUDIT)
-    audit_cfg = AuditConfig(**{"seed": cfg.seed, **audit})
-    report = run_mia_game(dataset, cfg, train_cfg, audit_cfg)
+    run = _read_run(config)
+    if run.encoder:
+        raise CliError("encoder.enabled must be false for an audit, which does not run the encoder")
+    dataset = _load(run.dataset, run.pipeline.seed)
+    report = run_mia_game(dataset, run.pipeline, run.train, run.audit)
     report.save(out_dir / "audit.jsonl")
     return {"auc": report.auc, "trials": len(report.scores)}, out_dir
 
@@ -347,7 +389,7 @@ def _sweep_one(payload: tuple[int, dict]) -> dict:
 def cmd_sweep(args) -> tuple[dict, None]:
     base = _load_config(args.config)
     out_root = _out_dir(base, args.out_dir)
-    overrides = base.get("sweep")
+    overrides = _sweep_patches(base)
     if args.seeds:
         overrides = [{"seed": s} for s in args.seeds]
     if not overrides:
@@ -363,6 +405,10 @@ def cmd_sweep(args) -> tuple[dict, None]:
                 config[key] = value
         config.setdefault("seed", i)
         config["output_dir"] = str(out_root / f"run_{i:03d}")
+        try:
+            _read_run(config)
+        except ValueError as exc:  # a CliError, or a value a config class rejects
+            raise CliError(f"sweep run {i}: {exc}") from None
         jobs.append((i, config))
     # the executor starts all its processes at the first submit, so it
     # gets no more than there are runs

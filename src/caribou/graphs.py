@@ -9,10 +9,11 @@ once per ``Graph`` object and cached with it.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -212,6 +213,10 @@ def stratified_split(
     requested counts divide evenly; leftover quota is filled uniformly."""
     labels = np.asarray(labels)
     labeled = np.flatnonzero(labels >= 0)
+    if not labeled.size:
+        raise ValueError("no labeled nodes to split")
+    if n_train < 0 or n_test < 0:
+        raise ValueError(f"split counts must be non-negative, got {n_train} and {n_test}")
     if n_train + n_test > labeled.size:
         raise ValueError("split larger than the number of labeled nodes")
     classes = np.unique(labels[labeled])
@@ -277,91 +282,204 @@ def gen_chain_dataset(
     )
 
 
-def _data_lines(path: Path) -> Iterator[tuple[int, str]]:
+def _data_lines(path: Path) -> list[tuple[int, str]]:
     """(line number, stripped line) for each line of ``path`` that is
     neither blank nor a '#' comment."""
     with path.open() as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                yield line_no, line
+        text = fh.read()
+    return [
+        (line_no, line)
+        for line_no, raw in enumerate(text.split("\n"), start=1)
+        if (line := raw.strip()) and not line.startswith("#")
+    ]
+
+
+#: A character outside the grammar of a data line: printable ASCII and tabs.
+_BAD_CHAR = re.compile(r"[^\t -~]")
+#: The ASCII characters outside the grammar that numpy's reader takes as
+#: blanks, as it takes every Unicode space.
+_NUMPY_BLANKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f")
+_INT64 = np.iinfo(np.int64)
+
+
+def _numpy_grammar(text: list[str]) -> bool:
+    """Whether numpy reads ``text`` by the grammar of ``load_dataset``: no
+    line holds a non-ASCII character or one of ``_NUMPY_BLANKS``, and numpy
+    rejects every other character outside it.  One search of the joined
+    lines costs far less than one search per line."""
+    joined = "".join(text)
+    return joined.isascii() and not any(c in joined for c in _NUMPY_BLANKS)
+
+
+def _bulk(lines: list[tuple[int, str]], dtype, delimiter: str | None) -> np.ndarray | None:
+    """The kept lines as one 2-D array read by numpy's C reader, or ``None``
+    when there are none or the reader rejects them."""
+    text = [line for _, line in lines]
+    if not text or not _numpy_grammar(text):
+        return None
+    try:
+        return np.loadtxt(text, dtype=dtype, delimiter=delimiter, comments=None, ndmin=2)
+    except ValueError:
+        return None
+
+
+def _number(cast, text: str):
+    """``cast(text)`` without the underscores ``float`` and ``int`` accept."""
+    if "_" in text:
+        raise ValueError(text)
+    return cast(text)
+
+
+def _check_chars(path: Path, line_no: int, line: str) -> None:
+    if _BAD_CHAR.search(line):
+        raise ParseError(path, line_no, f"character outside printable ASCII in {line!r}")
+
+
+# The scans below read the kept lines one at a time and raise the
+# ``ParseError`` of the first bad line.  ``load_dataset`` runs one only when
+# the bulk reader or a whole-array check fails; each returns its table when
+# it finds no fault.
+
+
+def _scan_features(path: Path, lines: list[tuple[int, str]]) -> np.ndarray:
+    rows = []
+    width = None
+    for line_no, line in lines:
+        _check_chars(path, line_no, line)
+        parts = line.split(",")
+        try:
+            row = [_number(float, p) for p in parts]
+        except ValueError:
+            raise ParseError(path, line_no, f"bad float in {line!r}") from None
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise ParseError(path, line_no, f"expected {width} columns, got {len(row)}")
+        rows.append(row)
+    if not rows:
+        raise ParseError(path, 0, "feature file is empty")
+    features = np.array(rows, dtype=float)
+    finite = np.isfinite(features).all(axis=1)
+    if not finite.all():
+        # float() reads "nan" and "inf"; the release must never see them
+        raise ParseError(path, lines[int(finite.argmin())][0], "non-finite feature value")
+    return features
+
+
+def _scan_edges(path: Path, lines: list[tuple[int, str]], n: int) -> np.ndarray:
+    edges = []
+    for line_no, line in lines:
+        _check_chars(path, line_no, line)
+        parts = line.split()
+        if len(parts) != 2:
+            raise ParseError(path, line_no, f"expected 'u v', got {line!r}")
+        try:
+            u, v = _number(int, parts[0]), _number(int, parts[1])
+        except ValueError:
+            raise ParseError(path, line_no, f"bad node id in {line!r}") from None
+        if not (0 <= u < n and 0 <= v < n):
+            raise ParseError(path, line_no, f"edge ({u}, {v}) out of range for {n} nodes")
+        edges.append((u, v))
+    return np.array(edges, dtype=np.int64).reshape(-1, 2)
+
+
+def _scan_labels(path: Path, lines: list[tuple[int, str]], n: int) -> np.ndarray:
+    pairs = []
+    for line_no, line in lines:
+        _check_chars(path, line_no, line)
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise ParseError(path, line_no, f"expected 'node_id,class_id', got {line!r}")
+        try:
+            node, cls = _number(int, parts[0]), _number(int, parts[1])
+        except ValueError:
+            raise ParseError(path, line_no, f"bad integer in {line!r}") from None
+        if not 0 <= node < n:
+            raise ParseError(path, line_no, f"node id {node} out of range for {n} nodes")
+        if not _INT64.min <= cls <= _INT64.max:
+            raise ParseError(path, line_no, f"class id {cls} does not fit in int64")
+        pairs.append((node, cls))
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+def _in_range(ids: np.ndarray, n: int) -> bool:
+    return bool(((ids >= 0) & (ids < n)).all())
 
 
 def load_dataset(edge_path, feature_path, label_path) -> LabeledDataset:
     """Read a dataset from the on-disk formats.
 
     Edge file: one "u v" pair per line.  Feature file: CSV, one row per
-    node.  Label file: CSV "node_id,class_id".  Blank lines and '#'
-    comments are skipped in all three.  Feature rows are projected to
+    node.  Label file: CSV "node_id,class_id"; a node listed twice keeps
+    its last class.  Blank lines and lines whose first non-blank character
+    is '#' are skipped in all three.  Feature rows are projected to
     Euclidean norm <= 1 on load.
+
+    Grammar of the other lines: printable ASCII characters and tabs only.
+    Fields are separated by "," (features, labels) or by runs of spaces and
+    tabs (edges), with spaces and tabs allowed around each field.  A node
+    or class id is a decimal integer with an optional sign; a feature value
+    is a decimal or exponent literal with an optional sign, or "nan"/"inf"/
+    "infinity" in any case, which are then rejected as non-finite.  Unlike
+    Python's ``int`` and ``float``, the grammar has no underscores, no
+    non-ASCII digits or spaces and no control characters but the tab.
+
+    Every fault raises a ``ParseError`` naming the first bad line of the
+    first file that has one, read in the order features, edges, labels; in
+    the feature file, a line that does not parse comes before a non-finite
+    value.
     """
     feature_path = Path(feature_path)
-    rows, line_nos = [], []
-    width = None
-    for line_no, line in _data_lines(feature_path):
-        parts = line.split(",")
-        try:
-            row = [float(p) for p in parts]
-        except ValueError:
-            raise ParseError(feature_path, line_no, f"bad float in {line!r}") from None
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ParseError(
-                feature_path, line_no, f"expected {width} columns, got {len(row)}"
-            )
-        rows.append(row)
-        line_nos.append(line_no)
-    if not rows:
-        raise ParseError(feature_path, 0, "feature file is empty")
-    features = np.array(rows, dtype=float)
-    finite = np.isfinite(features).all(axis=1)
-    if not finite.all():
-        # float() reads "nan" and "inf"; the release must never see them
-        raise ParseError(feature_path, line_nos[int(finite.argmin())], "non-finite feature value")
+    lines = _data_lines(feature_path)
+    features = _bulk(lines, np.float64, ",")
+    if features is None or not np.isfinite(features).all():
+        features = _scan_features(feature_path, lines)
     features = project_rows(features)
     n = features.shape[0]
 
     edge_path = Path(edge_path)
-    edges = []
-    for line_no, line in _data_lines(edge_path):
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(edge_path, line_no, f"expected 'u v', got {line!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(edge_path, line_no, f"bad node id in {line!r}") from None
-        if not (0 <= u < n and 0 <= v < n):
-            raise ParseError(edge_path, line_no, f"edge ({u}, {v}) out of range for {n} nodes")
-        edges.append((u, v))
+    lines = _data_lines(edge_path)
+    edges = _bulk(lines, np.int64, None)
+    if edges is None or edges.shape[1] != 2 or not _in_range(edges, n):
+        edges = _scan_edges(edge_path, lines, n)
 
     label_path = Path(label_path)
+    lines = _data_lines(label_path)
+    pairs = _bulk(lines, np.int64, ",")
+    if pairs is None or pairs.shape[1] != 2 or not _in_range(pairs[:, 0], n):
+        pairs = _scan_labels(label_path, lines, n)
+    nodes, classes = pairs[:, 0], pairs[:, 1]
+    # the first index of each node in the reversed pairs is its last line;
+    # numpy leaves the outcome of a repeated index in an assignment unspecified
+    _, last = np.unique(nodes[::-1], return_index=True)
+    last = nodes.size - 1 - last
     labels = np.full(n, -1, dtype=np.int64)
-    for line_no, line in _data_lines(label_path):
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ParseError(label_path, line_no, f"expected 'node_id,class_id', got {line!r}")
-        try:
-            node, cls = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(label_path, line_no, f"bad integer in {line!r}") from None
-        if not 0 <= node < n:
-            raise ParseError(label_path, line_no, f"node id {node} out of range for {n} nodes")
-        labels[node] = cls
+    labels[nodes[last]] = classes[last]
 
     return LabeledDataset(graph=build_graph(n, edges), features=features, labels=labels)
+
+
+#: Rows per ``tolist`` chunk in ``write_float_csv``: enough that the per-chunk
+#: calls cost little, few enough that one chunk's Python floats stay small.
+_WRITE_ROWS = 1024
+
+
+def write_float_csv(path, matrix) -> None:
+    """Write a 2-D float array as CSV, one line per row, each value as
+    ``repr(float(v))``: the shortest text that reads back to the same float."""
+    rows = np.asarray(matrix, dtype=np.float64)
+    with Path(path).open("w") as fh:
+        for start in range(0, rows.shape[0], _WRITE_ROWS):
+            chunk = rows[start : start + _WRITE_ROWS].tolist()
+            fh.writelines([",".join(map(repr, row)) + "\n" for row in chunk])
 
 
 def write_dataset(dataset: LabeledDataset, edge_path, feature_path, label_path) -> None:
     """Write the three dataset files in the formats ``load_dataset`` reads."""
     with Path(edge_path).open("w") as fh:
-        for u, v in dataset.graph.edges.tolist():
-            fh.write(f"{u} {v}\n")
-    with Path(feature_path).open("w") as fh:
-        for row in dataset.features:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+        fh.writelines(f"{u} {v}\n" for u, v in dataset.graph.edges.tolist())
+    write_float_csv(feature_path, dataset.features)
+    labeled = np.flatnonzero(dataset.labels >= 0)
     with Path(label_path).open("w") as fh:
-        for node, cls in enumerate(dataset.labels):
-            if cls >= 0:
-                fh.write(f"{node},{cls}\n")
+        classes = dataset.labels[labeled].tolist()
+        fh.writelines(f"{node},{cls}\n" for node, cls in zip(labeled.tolist(), classes))

@@ -37,7 +37,7 @@ from .accountant import (
     convergent_factor,
     sensitivity_for_level,
 )
-from .graphs import LabeledDataset, normalized_adjacency
+from .graphs import LabeledDataset, normalized_adjacency, write_float_csv
 from .layers import LayerParams, _layer_rows, _mean_term, _project_rows_inplace
 from .prng import stream
 
@@ -214,10 +214,7 @@ def run_pipeline(dataset: LabeledDataset, cfg: PipelineConfig) -> RunArtifacts:
 
 def save_artifacts(artifacts: RunArtifacts, embedding_path, plan_path) -> None:
     """Persist the embedding as CSV and the noise plan as a JSON sidecar."""
-    emb = np.asarray(artifacts.x_k_final)
-    with Path(embedding_path).open("w") as fh:
-        for row in emb:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    write_float_csv(embedding_path, artifacts.x_k_final)
     sidecar = dict(artifacts.plan.to_dict(), per_hop_noise_std=artifacts.per_hop_noise_std)
     with Path(plan_path).open("w") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)

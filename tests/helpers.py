@@ -37,3 +37,9 @@ def dense_block_dataset(
         train_mask=np.arange(num_nodes, dtype=np.int64),
         test_mask=np.array([], dtype=np.int64),
     )
+
+
+def per_value_csv(matrix) -> str:
+    """The float CSV text as the per-value writer made it: the reference
+    that the bulk row writer must match byte for byte."""
+    return "".join(",".join(repr(float(v)) for v in row) + "\n" for row in matrix)

@@ -529,9 +529,11 @@ class TestOneErrorBoundary:
             ("train", ("encoder",), "enable"),
             ("train", ("budgets",), "eps_dae"),
             ("audit", ("audit",), "trails"),
+            ("train", ("audit",), "trails"),
+            ("audit", ("encoder",), "enable"),
         ],
         ids=["top-level", "dataset", "cgl", "privacy", "train", "train.dp", "encoder",
-             "budgets", "audit"],
+             "budgets", "audit", "train-audit", "audit-encoder"],
     )
     def test_unknown_key_is_one_line_error(self, command, path, key, tmp_path, capsys):
         if command == "train":
@@ -547,7 +549,7 @@ class TestOneErrorBoundary:
         else:
             section = config
             for name in path:
-                section = section[name]
+                section = section.setdefault(name, {})
             section[key] = 1
         cfg.write_text(json.dumps(config))
         code, out, err = run_cli([command, "--config", str(cfg)], capsys)
@@ -556,6 +558,69 @@ class TestOneErrorBoundary:
         assert record["stage"] == command and record["error"] == "CliError"
         assert repr(key) in record["message"]
         assert repr(".".join(path) or "config") in record["message"]
+        assert no_artifacts(tmp_path / "out")
+
+    @pytest.mark.parametrize(
+        "section, error, message",
+        [({"audit": {"trials": 3}}, "ValueError", "at least 10 trials"),
+         ({"sweep": 5}, "CliError", "'sweep' must be a list")],
+        ids=["audit", "sweep"],
+    )
+    def test_train_checks_sections_it_does_not_use(self, section, error, message, tmp_path,
+                                                   capsys):
+        cfg = write_config(tmp_path / "cfg.json", output_dir=str(tmp_path / "out"), **section)
+        code, out, err = run_cli(["train", "--config", str(cfg)], capsys)
+        assert code == 1 and out == ""
+        record = one_error(err)
+        assert record["stage"] == "train" and record["error"] == error
+        assert message in record["message"]
+        assert no_artifacts(tmp_path / "out")
+
+    def test_audit_rejects_the_encoder(self, tmp_path, capsys):
+        cfg = make_audit_config(tmp_path)
+        config = json.loads(cfg.read_text())
+        config["encoder"] = {"enabled": True}
+        cfg.write_text(json.dumps(config))
+        code, out, err = run_cli(["audit", "--config", str(cfg)], capsys)
+        assert code == 1 and out == ""
+        record = one_error(err)
+        assert record["stage"] == "audit" and record["error"] == "CliError"
+        assert "encoder.enabled" in record["message"]
+        assert no_artifacts(tmp_path / "out")
+        config["encoder"] = {"enabled": False}
+        cfg.write_text(json.dumps(config))
+        code, out, _ = run_cli(["audit", "--config", str(cfg)], capsys)
+        assert code == 0 and json.loads(out)
+
+    def test_sweep_checks_every_run_before_the_first(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", output_dir=str(tmp_path / "sweep"),
+                           sweep=[{"seed": 1}, {"audit": {"trails": 5}}])
+        code, out, err = run_cli(["sweep", "--config", str(cfg), "--workers", "1"], capsys)
+        assert code == 1 and out == ""
+        record = one_error(err)
+        assert record["stage"] == "sweep" and record["error"] == "CliError"
+        assert "sweep run 1" in record["message"] and "'trails'" in record["message"]
+        assert not (tmp_path / "sweep" / "run_000").exists()
+
+    @pytest.mark.parametrize(
+        "labels, counts, message",
+        [("0,0\n1,0\n2,1\n3,1\n", {"train_count": -1}, "non-negative"),
+         ("0,0\n1,0\n2,1\n3,1\n", {"test_count": -2}, "non-negative"),
+         ("# no node is labeled\n", {}, "no labeled nodes")],
+        ids=["train-count", "test-count", "unlabeled"],
+    )
+    def test_bad_split_is_one_line_error(self, labels, counts, message, tmp_path, capsys):
+        cfg = write_path_config(tmp_path, labels=labels)
+        config = json.loads(cfg.read_text())
+        if not counts:  # the default counts of zero labeled nodes are (1, -1)
+            del config["dataset"]["train_count"], config["dataset"]["test_count"]
+        config["dataset"].update(counts)
+        cfg.write_text(json.dumps(config))
+        code, out, err = run_cli(["train", "--config", str(cfg)], capsys)
+        assert code == 1 and out == ""
+        record = one_error(err)
+        assert record["stage"] == "train" and record["error"] == "ValueError"
+        assert message in record["message"]
         assert no_artifacts(tmp_path / "out")
 
     @pytest.mark.parametrize("command", ["train", "audit"])

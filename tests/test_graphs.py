@@ -1,10 +1,13 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import caribou.graphs
 from caribou.graphs import (
     Graph,
     LabeledDataset,
@@ -14,10 +17,14 @@ from caribou.graphs import (
     gen_chain_dataset,
     load_dataset,
     normalized_adjacency,
+    _split_counts,
     stratified_split,
     write_dataset,
+    write_float_csv,
 )
+from caribou.layers import project_rows
 from caribou.prng import stream
+from tests.helpers import per_value_csv
 from caribou.verify import (
     enumerate_edge_neighbors,
     enumerate_node_neighbors,
@@ -291,6 +298,16 @@ class TestStratifiedSplit:
         with pytest.raises(ValueError):
             stratified_split(np.array([0, 1]), 2, 1, stream(0, 1))
 
+    @pytest.mark.parametrize("counts", [(-1, 1), (1, -1)])
+    def test_negative_count_rejected(self, counts):
+        with pytest.raises(ValueError, match="non-negative"):
+            stratified_split(np.array([0, 1, 0, 1]), *counts, stream(0, 1))
+
+    def test_no_labeled_nodes_reported_before_the_counts(self):
+        # the default counts of zero labeled nodes are (1, -1)
+        with pytest.raises(ValueError, match="no labeled nodes"):
+            stratified_split(np.full(4, -1), *_split_counts(0), stream(0, 1))
+
     def test_leftover_fill_matches_loop_definition(self):
         # uneven classes leave quota for the uniform leftover fill
         labels = np.array([0] * 7 + [1] * 5 + [2] * 9 + [-1] * 3)
@@ -340,15 +357,182 @@ class TestLabeledDataset:
         LabeledDataset(ds.graph, ds.features, ds.labels, np.array([]), np.array([]))
 
 
+def write_files(tmp_path, edges="0 1\n", features="1,0\n0,1\n", labels="0,0\n1,1\n"):
+    paths = [tmp_path / n for n in ("e.txt", "f.csv", "l.csv")]
+    for path, text in zip(paths, (edges, features, labels)):
+        path.write_bytes(text.encode())
+    return paths
+
+
+FLOAT_FIELDS = ["0.5", "-1", "+2e-3", ".5", "5.", "1E3", "nan", "-inf", "Infinity", "1_0",
+                "0x1", "1d2", "", "1 2", "\u0663", "\xa01", "1\x0c", "\x1c2", "\x0b3", "\x001",
+                "1e400", "5e-324", "-0.0"]
+INT_FIELDS = ["0", "1", "2", "-1", "+1", "007", "1.0", "1e1", "1_0", "\u0661", "",
+              "9223372036854775808", "99999999999999999999", "\x1c1", "1\x0c", "\xa02", "x"]
+
+
+def file_text(sep, fields):
+    """Texts of a data file: lines of fields, padded and joined by ``sep``,
+    with comment and blank lines and any line ending."""
+    field = st.tuples(st.sampled_from(["", " ", "\t"]), st.sampled_from(fields),
+                      st.sampled_from(["", " "])).map("".join)
+    line = st.one_of(
+        st.lists(field, min_size=1, max_size=3).map(sep.join),
+        st.sampled_from(["", "  ", "# comment, 1", "\u00a0"]),
+    )
+    return st.tuples(st.lists(line, max_size=6), st.sampled_from(["\n", "\r\n", "\r"])).map(
+        lambda parts: parts[1].join(parts[0]) + parts[1])
+
+
+def scan_only(edge_path, feature_path, label_path):
+    """``load_dataset``'s arrays as the line-by-line scans alone read them,
+    with a loop in which a node's last line sets its class."""
+    features = project_rows(caribou.graphs._scan_features(
+        feature_path, caribou.graphs._data_lines(feature_path)))
+    n = features.shape[0]
+    edges = caribou.graphs._scan_edges(edge_path, caribou.graphs._data_lines(edge_path), n)
+    pairs = caribou.graphs._scan_labels(label_path, caribou.graphs._data_lines(label_path), n)
+    labels = np.full(n, -1, dtype=np.int64)
+    for node, cls in pairs.tolist():
+        labels[node] = cls
+    return features, build_graph(n, edges).edges, labels
+
+
+#: One file with a fault, the line the fault is on, and the error's text
+#: after the "path:line: " prefix.
+PARSE_ERRORS = {
+    "bad-float": ({"features": "1,0\n\n1,x\n"}, "f.csv", 3, "bad float in '1,x'"),
+    "width": ({"features": "# a, b\n1,0\n1,0,0\n"}, "f.csv", 3, "expected 2 columns, got 3"),
+    "empty-features": ({"features": "# none\n\n"}, "f.csv", 0, "feature file is empty"),
+    "nan": ({"features": "1,0\nnan,0\n"}, "f.csv", 2, "non-finite feature value"),
+    "edge-fields": ({"edges": "0 1\n0 1 1\n"}, "e.txt", 2, "expected 'u v', got '0 1 1'"),
+    "edge-id": ({"edges": "0 x\n"}, "e.txt", 1, "bad node id in '0 x'"),
+    "edge-range": ({"edges": "\n0 2\n"}, "e.txt", 2, "edge (0, 2) out of range for 2 nodes"),
+    "edge-one-field": ({"edges": "0\n1\n"}, "e.txt", 1, "expected 'u v', got '0'"),
+    "label-fields": ({"labels": "0,0,0\n"}, "l.csv", 1, "expected 'node_id,class_id', got '0,0,0'"),
+    "label-int": ({"labels": "0,0\n1,1.0\n"}, "l.csv", 2, "bad integer in '1,1.0'"),
+    "label-range": ({"labels": "0,0\n-1,0\n"}, "l.csv", 2, "node id -1 out of range for 2 nodes"),
+    "class-int64": ({"labels": "0,9223372036854775808\n"}, "l.csv", 1,
+                    "class id 9223372036854775808 does not fit in int64"),
+    # the reader's grammar is narrower than Python's float() and int():
+    # underscores, non-ASCII digits and control characters are faults
+    "float-underscore": ({"features": "1,0\n1_0,0\n"}, "f.csv", 2, "bad float in '1_0,0'"),
+    "edge-underscore": ({"edges": "0 1_0\n"}, "e.txt", 1, "bad node id in '0 1_0'"),
+    "label-underscore": ({"labels": "0,1_0\n"}, "l.csv", 1, "bad integer in '0,1_0'"),
+    "float-non-ascii": ({"features": "1,0\n\u0663,0\n"}, "f.csv", 2,
+                        "character outside printable ASCII in " + repr("\u0663,0")),
+    "edge-non-ascii": ({"edges": "0\u20031\n"}, "e.txt", 1,
+                       "character outside printable ASCII in " + repr("0\u20031")),
+    "label-non-ascii": ({"labels": "\u0661,0\n"}, "l.csv", 1,
+                        "character outside printable ASCII in " + repr("\u0661,0")),
+    "control-char": ({"features": "1,0\n1,\x1c0\n"}, "f.csv", 2,
+                     "character outside printable ASCII in " + repr("1,\x1c0")),
+}
+
+
 class TestDatasetIo:
-    def test_roundtrip(self, tmp_path):
-        ds = gen_chain_dataset(2, 4, 2, 3, seed=5)
+    def test_roundtrip_is_exact(self, tmp_path):
+        rng = stream(3, 9)
+        n = 60
+        features = project_rows(rng.normal(size=(n, 5))) * 0.9  # inside the ball
+        features[3] = [-0.0, 1e-05, 5e-324, 0.0, 1 / 3]
+        labels = rng.integers(-1, 3, size=n)
+        ds = LabeledDataset(
+            graph=build_graph(n, rng.integers(0, n, size=(150, 2))),
+            features=features,
+            labels=labels,
+        )
         paths = [tmp_path / n for n in ("e.txt", "f.csv", "l.csv")]
         write_dataset(ds, *paths)
         loaded = load_dataset(*paths)
         assert np.array_equal(loaded.graph.edges, ds.graph.edges)
-        assert np.allclose(loaded.features, ds.features)
+        assert np.array_equal(loaded.features, ds.features)
         assert np.array_equal(loaded.labels, ds.labels)
+        assert paths[1].read_text() == per_value_csv(features)
+
+    @pytest.mark.parametrize("rows", [0, 1, 3, 4, 5, 9])
+    def test_float_csv_matches_the_per_value_writer(self, tmp_path, monkeypatch, rows):
+        # 4-row chunks: none, one short, one full, one full plus a short one
+        monkeypatch.setattr(caribou.graphs, "_WRITE_ROWS", 4)
+        special = [-0.0, 1e-05, 1e16, 5e-324, 0.1, -1 / 3, 2.0**-1074, 1.7976931348623157e308]
+        matrix = stream(rows, 1).normal(size=(rows, len(special)))
+        matrix[::2] = special
+        write_float_csv(tmp_path / "m.csv", matrix)
+        assert (tmp_path / "m.csv").read_text() == per_value_csv(matrix)
+
+    def test_crlf_comments_and_blank_lines_read_alike(self, tmp_path):
+        plain = load_dataset(*write_files(tmp_path, "0 1\n1 2\n", "1,0\n0,1\n0.5,0.5\n",
+                                          "0,0\n2,1\n"))
+        edges = "# edges\r\n\r\n  0 1  \r\n\t1\t2\r\n"
+        features = "\r\n# x,y\r\n1,0\r\n 0 , 1 \r\n\r\n0.5,0.5"
+        labels = "0,0\r\n   # none\r\n2, 1\r\n"
+        messy = load_dataset(*write_files(tmp_path, edges, features, labels))
+        assert np.array_equal(messy.graph.edges, plain.graph.edges)
+        assert np.array_equal(messy.features, plain.features)
+        assert np.array_equal(messy.labels, plain.labels)
+
+    def test_crlf_line_numbers_count_every_line(self, tmp_path):
+        paths = write_files(tmp_path, edges="# c\r\n\r\n0 1\r\n0 7\r\n")
+        with pytest.raises(ParseError, match="e.txt:4: edge") as info:
+            load_dataset(*paths)
+        assert info.value.line_no == 4
+
+    @pytest.mark.parametrize("case", list(PARSE_ERRORS), ids=list(PARSE_ERRORS))
+    def test_parse_error_names_the_line(self, tmp_path, case):
+        files, name, line_no, message = PARSE_ERRORS[case]
+        paths = write_files(tmp_path, **files)
+        with pytest.raises(ParseError) as info:
+            load_dataset(*paths)
+        assert str(info.value) == f"{tmp_path / name}:{line_no}: {message}"
+        assert info.value.line_no == line_no
+
+    @pytest.mark.parametrize(
+        "files, line_no",
+        [
+            # the bulk reader fails on line 3; the scan finds line 2 first
+            ({"edges": "0 1\n0 5\n0 1 1\n"}, 2),
+            ({"edges": "0 1\n0 1 1\n0 5\n"}, 2),
+            ({"labels": "0,0\n5,0\n1,x\n"}, 2),
+            ({"labels": "0,0\n1,x\n5,0\n"}, 2),
+            ({"features": "1,0\n1,0,0\n1,x\n"}, 2),
+            ({"features": "1,0\n1,x\n1,0,0\n"}, 2),
+            # a non-finite value is found only once every line parses
+            ({"features": "1,0\nnan,0\n1,x\n"}, 3),
+        ],
+    )
+    def test_first_bad_line_wins(self, tmp_path, files, line_no):
+        with pytest.raises(ParseError) as info:
+            load_dataset(*write_files(tmp_path, **files))
+        assert info.value.line_no == line_no
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        features=file_text(",", FLOAT_FIELDS),
+        edges=file_text(" ", INT_FIELDS),
+        labels=file_text(",", INT_FIELDS),
+    )
+    def test_bulk_reader_agrees_with_the_line_scan(self, features, edges, labels):
+        # numpy's reader may never accept a line, or read a value, that the
+        # line-by-line scan would not
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = write_files(Path(tmp), edges, features, labels)
+            try:
+                expected = scan_only(*paths)
+            except ParseError as exc:
+                with pytest.raises(ParseError) as info:
+                    load_dataset(*paths)
+                assert str(info.value) == str(exc)
+                return
+            ds = load_dataset(*paths)
+        assert np.array_equal(ds.features, expected[0])
+        assert np.array_equal(ds.graph.edges, expected[1])
+        assert np.array_equal(ds.labels, expected[2])
+
+    def test_repeated_node_keeps_its_last_class(self, tmp_path):
+        # node 0 listed 300 times; its last line gives class 2
+        labels = "".join(f"0,{i % 2}\n" for i in range(299)) + "1,1\n0,2\n"
+        ds = load_dataset(*write_files(tmp_path, labels=labels))
+        assert ds.labels.tolist() == [2, 1]
 
     def test_three_node_path(self, tmp_path):
         (tmp_path / "e.txt").write_text("0 1\n1 2\n")

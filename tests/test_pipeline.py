@@ -21,6 +21,7 @@ from caribou.pipeline import (
     sample_gaussian_matrix,
 )
 from caribou.prng import stream
+from tests.helpers import per_value_csv
 
 
 def chain_config(level="none", eps=8.0, k=3, c_l=0.5, seed=0, mode="convergent"):
@@ -371,3 +372,4 @@ class TestArtifactsIo:
         assert sidecar["per_hop_noise_std"] == artifacts.per_hop_noise_std
         loaded = np.array([[float(v) for v in line.split(",")] for line in rows])
         assert np.array_equal(loaded, artifacts.x_k_final)
+        assert emb.read_text() == per_value_csv(artifacts.x_k_final)
