@@ -431,7 +431,7 @@ PARSE_ERRORS = {
 
 
 class TestDatasetIo:
-    def test_roundtrip_is_exact(self, tmp_path):
+    def test_roundtrip(self, tmp_path):
         rng = stream(3, 9)
         n = 60
         features = project_rows(rng.normal(size=(n, 5))) * 0.9  # inside the ball
