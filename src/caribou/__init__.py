@@ -7,7 +7,6 @@ The verification oracles are not exported; import ``caribou.verify``.
 
 from .accountant import (
     CalibrationError,
-    ModuleBudgets,
     NoisePlan,
     PrivacySpec,
     calibrate_sigma,
@@ -74,7 +73,6 @@ __all__ = [
     "LayerParams",
     "LinearEncoder",
     "MlpHead",
-    "ModuleBudgets",
     "NoisePlan",
     "ParseError",
     "PipelineConfig",

@@ -11,7 +11,10 @@ Conventions: ``sigma`` in a ``NoisePlan`` is the noise multiplier, i.e. the
 per-layer Gaussian standard deviation *before* scaling by the sensitivity.
 The pipeline injects noise with standard deviation ``delta_mp * sigma``, so
 the per-step Gaussian mechanism has mu = 1/sigma regardless of delta_mp,
-and calibration solves the composed budget with unit sensitivity.
+and calibration solves for the K-hop release alone with unit sensitivity.
+A trained module states its own cost once, as a Renyi coefficient c with
+(alpha, c * alpha)-RDP at every order (``MlpHead.cm_rdp_coeff``,
+``LinearEncoder.dae_rdp_coeff``); calibration does not compose it.
 """
 
 from __future__ import annotations
@@ -68,23 +71,6 @@ class PrivacySpec:
             raise ValueError(f"k_hops must be >= {min_hops}")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError("gamma must be in [0, 1)")
-
-
-@dataclass(frozen=True)
-class ModuleBudgets:
-    """Renyi-DP costs already spent by the encoder and classifier modules,
-    evaluated at the order used for composition."""
-
-    eps_dae_at_alpha: float = 0.0
-    eps_cm_at_alpha: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not (self.eps_dae_at_alpha >= 0 and self.eps_cm_at_alpha >= 0):
-            raise ValueError("module budgets must be non-negative")
-
-    @property
-    def total(self) -> float:
-        return self.eps_dae_at_alpha + self.eps_cm_at_alpha
 
 
 @dataclass(frozen=True)
@@ -242,41 +228,37 @@ def node_sensitivity(
     return 1.0 + mean_term + adj_term
 
 
-def _composed_epsilon(
-    sigma: float, alpha: float, factor: float, spec: PrivacySpec, budgets: ModuleBudgets
-) -> float:
+def _composed_epsilon(sigma: float, alpha: float, factor: float, spec: PrivacySpec) -> float:
     # unit sensitivity: injected noise scales with delta_mp, so the
     # per-step mechanism has mu = 1/sigma and the hops cost alpha F/(2 sigma^2)
     rdp = 0.5 * alpha * (1.0 / sigma) ** 2 * factor
-    return rdp_to_dp(budgets.total + rdp, alpha, spec.delta)
+    return rdp_to_dp(rdp, alpha, spec.delta)
 
 
 def calibrate_sigma(
     spec: PrivacySpec,
     delta_mp: float,
-    budgets: ModuleBudgets | None = None,
     mode: AccountantMode = "convergent",
     alphas: Sequence[float] | None = None,
 ) -> NoisePlan:
-    """Smallest noise multiplier meeting the target budget.
+    """Smallest noise multiplier meeting the target budget with the K-hop
+    release, the one mechanism composed here.
 
-    At each order alpha the composed guarantee is
-    eps = B + alpha * F / (2 sigma^2) + log(1/delta)/(alpha - 1), with B the
-    module budgets and F the hop factor, so wherever
-    room = eps - B - log(1/delta)/(alpha - 1) is positive the boundary is
-    sigma = sqrt(alpha * F / (2 room)).  When rounding leaves the evaluated
-    epsilon above the target, room is lowered by that overshoot (at least
-    one ulp of epsilon) and sigma recomputed, so ``eps_achieved <= epsilon``
-    holds exactly; this takes at most a few passes, and an order whose room
-    vanishes is skipped.  The smallest sigma over the grid wins.  Raises
+    At each order alpha the guarantee is
+    eps = alpha * F / (2 sigma^2) + log(1/delta)/(alpha - 1), with F the hop
+    factor, so wherever room = eps - log(1/delta)/(alpha - 1) is positive
+    the boundary is sigma = sqrt(alpha * F / (2 room)).  When rounding
+    leaves the evaluated epsilon above the target, room is lowered by that
+    overshoot (at least one ulp of epsilon) and sigma recomputed, so
+    ``eps_achieved <= epsilon`` holds exactly; this takes at most a few
+    passes, and an order whose room vanishes is skipped.  The smallest sigma over the grid wins.  Raises
     CalibrationError when even infinite noise cannot meet the target (the
-    floor min_alpha [budgets + log(1/delta)/(alpha-1)] is reported).
+    floor min_alpha log(1/delta)/(alpha-1) is reported).
     """
     if not 0 <= delta_mp < math.inf:
         raise ValueError(f"delta_mp must be finite and non-negative, got {delta_mp!r}")
     if mode not in ("convergent", "linear"):
         raise ValueError(f"unknown accountant mode {mode!r}")
-    budgets = budgets or ModuleBudgets()
     grid = tuple(alphas) if alphas is not None else DEFAULT_ALPHA_GRID
     if not grid or any(a <= 1 for a in grid):
         raise ValueError("alpha grid must be non-empty with orders > 1")
@@ -286,7 +268,7 @@ def calibrate_sigma(
         if mode == "convergent"
         else float(spec.k_hops)
     )
-    floors = {a: rdp_to_dp(budgets.total, a, spec.delta) for a in grid}
+    floors = {a: math.log(1.0 / spec.delta) / (a - 1.0) for a in grid}
     floor = min(floors.values())
     if floor > spec.epsilon:
         raise CalibrationError(
@@ -312,7 +294,7 @@ def calibrate_sigma(
         room = spec.epsilon - floors[alpha]
         while room > 0:
             candidate = math.sqrt(alpha * factor / (2.0 * room))
-            over = _composed_epsilon(candidate, alpha, factor, spec, budgets) - spec.epsilon
+            over = _composed_epsilon(candidate, alpha, factor, spec) - spec.epsilon
             if over <= 0:
                 if best is None or candidate < best[0]:
                     best = (candidate, alpha)
@@ -324,7 +306,7 @@ def calibrate_sigma(
             f"(best floor {floor:.6g})"
         )
     sigma, alpha_star = best
-    achieved = min(_composed_epsilon(sigma, a, factor, spec, budgets) for a in grid)
+    achieved = min(_composed_epsilon(sigma, a, factor, spec) for a in grid)
     return NoisePlan(
         sigma=sigma,
         alpha_star=float(alpha_star),

@@ -7,19 +7,22 @@ fields.  The config keys are ``dataset`` (``preset``, or
 ``test_count``), ``cgl`` (``c_l``, ``alpha1``, ``alpha2``, ``beta``),
 ``privacy`` (``level``, ``mode``, ``epsilon``, ``delta``, ``k_hops``,
 ``max_degree``), ``train`` (``epochs``, ``learning_rate``, ``hidden_units``,
-``dp``: ``clip_norm``/``noise_mult``), ``encoder.enabled``, ``budgets``
-(``eps_dae_at_alpha``, ``eps_cm_at_alpha``), ``audit`` (the fields of
-``AuditConfig``; its ``seed`` falls back to the config's), ``sweep`` (a
-list of objects, each patching the config of one run), ``seed`` and
-``output_dir``.  Any other key is an error.  ``train``, ``audit`` and every
-run of a ``sweep`` read and check all of these, also the sections they do
-not use; ``audit`` runs no encoder and rejects ``encoder.enabled: true``.
+``dp``: ``clip_norm``/``noise_mult``), ``encoder.enabled``, ``audit`` (the
+fields of ``AuditConfig``; its ``seed`` falls back to the config's),
+``sweep`` (a list of objects, each patching the config of one run),
+``seed`` and ``output_dir``.  Any other key is an error.  ``train``,
+``audit`` and every run of a ``sweep`` read and check all of these, also
+the sections they do not use; ``audit`` runs no encoder and rejects ``encoder.enabled: true``.
 ``privacy.level`` (or ``--level``) is required, and so is each key of a
 ``train.dp`` object.
 A missing key takes the default of the dataclass it feeds; only the values
 that no dataclass defaults are defaulted here: the ``cgl`` coefficients,
 ``epsilon`` 1.0, ``delta`` 1e-3 and ``seed`` 0.  The CARIBOU_OUT
 environment variable overrides the output directory.
+
+Calibration composes the K-hop release alone.  A DP-SGD head or encoder
+states its cost once, as a Renyi coefficient (``cm_rdp_coeff`` in
+``head.json``, ``encoder.dae_rdp_coeff`` in ``results.json``).
 
 Exit codes: 0 for success, 1 for a failed run, 2 for a usage error.  Every
 error is reported as one JSON line on stderr; ``main`` turns each failure
@@ -45,7 +48,6 @@ from typing import NamedTuple
 from . import _pool
 from .accountant import (
     DEFAULT_K_VALUES,
-    ModuleBudgets,
     PrivacySpec,
     calibrate_sigma,
     format_noise_table,
@@ -104,7 +106,7 @@ def _as_is(value):
 # sections of the top level are read by their own tables.
 _TOP_LEVEL = {
     **dict.fromkeys(
-        ("dataset", "cgl", "privacy", "train", "encoder", "budgets", "audit", "sweep"), _as_is
+        ("dataset", "cgl", "privacy", "train", "encoder", "audit", "sweep"), _as_is
     ),
     "seed": int,
     "output_dir": str,
@@ -120,7 +122,6 @@ _PRIVACY = {
 _TRAIN = {"epochs": int, "learning_rate": float, "hidden_units": int, "dp": _as_is}
 _DP = {"clip_norm": float, "noise_mult": float}
 _ENCODER = {"enabled": bool}
-_BUDGETS = {"eps_dae_at_alpha": float, "eps_cm_at_alpha": float}
 _AUDIT = {
     "attack": str, "trials": int, "seed": int, "perturb_scale": float,
     "edge_keep_fraction": float, "node_keep_fraction": float,
@@ -227,14 +228,7 @@ def _read_run(config: dict) -> _Run:
         **{**_PRIVACY_DEFAULTS, **privacy},
         gamma=params.c_l if privacy["level"] != "none" else 0.0,
     )
-    cfg = PipelineConfig(
-        cgl=params,
-        spec=spec,
-        k_hops=spec.k_hops,
-        seed=seed,
-        budgets=ModuleBudgets(**_read(config.get("budgets", {}), "budgets", _BUDGETS)),
-        **run_keys,
-    )
+    cfg = PipelineConfig(cgl=params, spec=spec, k_hops=spec.k_hops, seed=seed, **run_keys)
     train = _read(config.get("train", {}), "train", _TRAIN)
     dp = train.pop("dp", None)
     if dp:
@@ -302,7 +296,7 @@ def _run_train(config: dict, out_dir: Path) -> dict:
         "seed": cfg.seed,
     }
     if train_cfg.dp is not None:
-        results["eps_cm_at_alpha_star"] = head.eps_cm(artifacts.plan.alpha_star)
+        results["eps_cm_at_alpha_star"] = head.cm_rdp_coeff * artifacts.plan.alpha_star
     if encoder is not None:
         results["encoder"] = {"dae_rdp_coeff": encoder.dae_rdp_coeff}
     _write_json(out_dir / "results.json", results)
@@ -334,9 +328,8 @@ def cmd_gen_chain(args) -> tuple[dict, None]:
 
 def cmd_calibrate(args) -> tuple[dict, None]:
     spec = PrivacySpec(epsilon=args.eps, delta=args.delta, k_hops=args.k, gamma=args.gamma)
-    budgets = ModuleBudgets(**_given(args, "eps_dae_at_alpha", "eps_cm_at_alpha"))
     alphas = [args.alpha] if args.alpha is not None else None
-    plan = calibrate_sigma(spec, args.delta_mp, budgets, alphas=alphas, **_given(args, "mode"))
+    plan = calibrate_sigma(spec, args.delta_mp, alphas=alphas, **_given(args, "mode"))
     return plan.to_dict(), None
 
 
@@ -456,10 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--delta-mp", type=float, required=True)
     p.add_argument("--alpha", type=float, default=None, help="pin one Renyi order")
-    # left out, these take the defaults of calibrate_sigma and ModuleBudgets
+    # left out, it takes the default of calibrate_sigma
     p.add_argument("--mode", choices=["convergent", "linear"], default=argparse.SUPPRESS)
-    p.add_argument("--eps-dae", dest="eps_dae_at_alpha", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--eps-cm", dest="eps_cm_at_alpha", type=float, default=argparse.SUPPRESS)
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("noise-table", help="emit the K-sweep noise-scale CSV")

@@ -139,11 +139,6 @@ class MlpHead:
     cm_rdp_coeff: float = 0.0
     loss_history: list[float] = field(default_factory=list)
 
-    def eps_cm(self, alpha: float) -> float:
-        if alpha <= 1:
-            raise ValueError("alpha must exceed 1")
-        return self.cm_rdp_coeff * alpha
-
     def to_dict(self) -> dict:
         return {
             "sizes": self.sizes,
@@ -563,11 +558,6 @@ class LinearEncoder:
     weight: Array
     bias: Array
     dae_rdp_coeff: float = 0.0
-
-    def eps_dae(self, alpha: float) -> float:
-        if alpha <= 1:
-            raise ValueError("alpha must exceed 1")
-        return self.dae_rdp_coeff * alpha
 
     def encode(self, features: Array) -> Array:
         scores = np.asarray(features, dtype=float) @ self.weight + self.bias

@@ -20,7 +20,7 @@ on the calling thread.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
@@ -30,7 +30,6 @@ from scipy.sparse import csr_array
 from . import _pool
 from .accountant import (
     AccountantMode,
-    ModuleBudgets,
     NoisePlan,
     PrivacySpec,
     calibrate_sigma,
@@ -59,7 +58,6 @@ class PipelineConfig:
     k_hops: int
     seed: int
     mode: AccountantMode = "convergent"
-    budgets: ModuleBudgets = field(default_factory=ModuleBudgets)
     max_degree: int | None = None
 
     def __post_init__(self) -> None:
@@ -180,7 +178,7 @@ def run_pipeline(dataset: LabeledDataset, cfg: PipelineConfig) -> RunArtifacts:
             eps_achieved=0.0,
         )
     else:
-        plan = calibrate_sigma(cfg.spec, delta_mp, cfg.budgets, cfg.mode)
+        plan = calibrate_sigma(cfg.spec, delta_mp, cfg.mode)
 
     noise_std = plan.noise_std
     x = x0.copy()

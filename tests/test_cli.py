@@ -527,19 +527,18 @@ class TestOneErrorBoundary:
             ("train", ("train",), "epoch"),
             ("train", ("train", "dp"), "clip"),
             ("train", ("encoder",), "enable"),
-            ("train", ("budgets",), "eps_dae"),
             ("audit", ("audit",), "trails"),
             ("train", ("audit",), "trails"),
             ("audit", ("encoder",), "enable"),
         ],
         ids=["top-level", "dataset", "cgl", "privacy", "train", "train.dp", "encoder",
-             "budgets", "audit", "train-audit", "audit-encoder"],
+             "audit", "train-audit", "audit-encoder"],
     )
     def test_unknown_key_is_one_line_error(self, command, path, key, tmp_path, capsys):
         if command == "train":
             cfg = write_config(tmp_path / "cfg.json", output_dir=str(tmp_path / "out"),
                                train={"dp": {"clip_norm": 1.0, "noise_mult": 1.0}},
-                               encoder={"enabled": False}, budgets={})
+                               encoder={"enabled": False})
         else:
             cfg = make_audit_config(tmp_path)
         config = json.loads(cfg.read_text())
