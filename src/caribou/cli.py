@@ -10,15 +10,19 @@ fields.  The config keys are ``dataset`` (``preset``, or
 ``dp``: ``clip_norm``/``noise_mult``), ``encoder.enabled``, ``audit`` (the
 fields of ``AuditConfig``; its ``seed`` falls back to the config's),
 ``sweep`` (a list of objects, each patching the config of one run),
-``seed`` and ``output_dir``.  Any other key is an error.  ``train``,
-``audit`` and every run of a ``sweep`` read and check all of these, also
-the sections they do not use; ``audit`` runs no encoder and rejects ``encoder.enabled: true``.
+``seed`` and ``output_dir``.  Any other key is an error, and so is a
+boolean or a fraction for an integer key, a boolean for a number key, a
+non-boolean ``encoder.enabled`` and a ``max_degree`` that is neither
+``null`` nor an integer of at least 1.  ``train``, ``audit`` and every run
+of a ``sweep`` read and check all of these, also the sections they do not
+use; ``audit`` runs no encoder and rejects ``encoder.enabled: true``.
 ``privacy.level`` (or ``--level``) is required, and so is each key of a
 ``train.dp`` object.
 A missing key takes the default of the dataclass it feeds; only the values
 that no dataclass defaults are defaulted here: the ``cgl`` coefficients,
 ``epsilon`` 1.0, ``delta`` 1e-3 and ``seed`` 0.  The CARIBOU_OUT
-environment variable overrides the output directory.
+environment variable overrides the output directory, which a command
+creates only when it writes there, after every check has passed.
 
 Calibration composes the K-hop release alone.  A DP-SGD head or encoder
 states its cost once, as a Renyi coefficient (``cm_rdp_coeff`` in
@@ -102,29 +106,54 @@ def _as_is(value):
     return value
 
 
+def _int(value) -> int:
+    # bool is a subclass of int, and int() truncates a fraction
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError
+    return int(value)
+
+
+def _float(value) -> float:
+    if isinstance(value, bool):
+        raise ValueError
+    return float(value)
+
+
+def _bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError
+    return value
+
+
+def _max_degree(value) -> int | None:
+    if value is not None and (type(value) is not int or value < 1):
+        raise ValueError
+    return value
+
+
 # Each config object's keys, with the cast that reads each value.  The
 # sections of the top level are read by their own tables.
 _TOP_LEVEL = {
     **dict.fromkeys(
         ("dataset", "cgl", "privacy", "train", "encoder", "audit", "sweep"), _as_is
     ),
-    "seed": int,
+    "seed": _int,
     "output_dir": str,
 }
 _DATASET = {
     "preset": str, "edges": str, "features": str, "labels": str,
-    "train_count": int, "test_count": int,
+    "train_count": _int, "test_count": _int,
 }
 _PRIVACY = {
-    "level": str, "mode": str, "epsilon": float, "delta": float, "k_hops": int,
-    "max_degree": _as_is,
+    "level": str, "mode": str, "epsilon": _float, "delta": _float, "k_hops": _int,
+    "max_degree": _max_degree,
 }
-_TRAIN = {"epochs": int, "learning_rate": float, "hidden_units": int, "dp": _as_is}
-_DP = {"clip_norm": float, "noise_mult": float}
-_ENCODER = {"enabled": bool}
+_TRAIN = {"epochs": _int, "learning_rate": _float, "hidden_units": _int, "dp": _as_is}
+_DP = {"clip_norm": _float, "noise_mult": _float}
+_ENCODER = {"enabled": _bool}
 _AUDIT = {
-    "attack": str, "trials": int, "seed": int, "perturb_scale": float,
-    "edge_keep_fraction": float, "node_keep_fraction": float,
+    "attack": str, "trials": _int, "seed": _int, "perturb_scale": _float,
+    "edge_keep_fraction": _float, "node_keep_fraction": _float,
 }
 # The values that no dataclass defaults: ``LayerParams`` has no defaults,
 # and ``PrivacySpec`` none for its target.
@@ -164,11 +193,9 @@ def _given(args, *names: str) -> dict:
 
 
 def _out_dir(config: dict, flag_value: str | None) -> Path:
+    """The output directory; the command creates it when it writes there."""
     env = os.environ.get("CARIBOU_OUT")
-    chosen = env or flag_value or config.get("output_dir") or "."
-    path = Path(chosen)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    return Path(env or flag_value or config.get("output_dir") or ".")
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -220,7 +247,7 @@ def _read_run(config: dict) -> _Run:
     seed = _read(config, "config", _TOP_LEVEL).get("seed", 0)
     _sweep_patches(config)
     dataset = _dataset_spec(config.get("dataset"))
-    cgl = _read(config.get("cgl", {}), "cgl", dict.fromkeys(_CGL_DEFAULTS, float))
+    cgl = _read(config.get("cgl", {}), "cgl", dict.fromkeys(_CGL_DEFAULTS, _float))
     params = LayerParams(**{**_CGL_DEFAULTS, **cgl})
     privacy = _read(config.get("privacy", {}), "privacy", _PRIVACY, required=("level",))
     run_keys = {key: privacy.pop(key) for key in ("mode", "max_degree") if key in privacy}
@@ -287,6 +314,7 @@ def _run_train(config: dict, out_dir: Path) -> dict:
     acc_train = evaluate(head, features, artifacts.x_k_final, dataset.labels, dataset.train_mask)
     acc_test = evaluate(head, features, artifacts.x_k_final, dataset.labels, dataset.test_mask)
 
+    out_dir.mkdir(parents=True, exist_ok=True)
     save_artifacts(artifacts, out_dir / "embedding.csv", out_dir / "plan.json")
     head.save(out_dir / "head.json")
     results = {
@@ -314,6 +342,7 @@ def cmd_gen_chain(args) -> tuple[dict, None]:
         chains, length, classes, dim = args.chains, args.length, args.classes, args.features
     dataset = gen_chain_dataset(chains, length, classes, dim, seed=args.seed)
     out = _out_dir({}, args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     paths = [out / name for name in DATASET_FILES]
     write_dataset(dataset, *paths)
     return {
@@ -367,15 +396,14 @@ def cmd_audit(args) -> tuple[dict, Path]:
         raise CliError("encoder.enabled must be false for an audit, which does not run the encoder")
     dataset = _load(run.dataset, run.pipeline.seed)
     report = run_mia_game(dataset, run.pipeline, run.train, run.audit)
+    out_dir.mkdir(parents=True, exist_ok=True)
     report.save(out_dir / "audit.jsonl")
     return {"auc": report.auc, "trials": len(report.scores)}, out_dir
 
 
 def _sweep_one(payload: tuple[int, dict]) -> dict:
     index, config = payload
-    out_dir = Path(config["output_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    results = _run_train(config, out_dir)
+    results = _run_train(config, Path(config["output_dir"]))
     return {"run": index, "seed": config.get("seed"), **results}
 
 
@@ -411,6 +439,7 @@ def cmd_sweep(args) -> tuple[dict, None]:
             summaries = list(pool.map(_sweep_one, jobs))
     else:
         summaries = [_sweep_one(job) for job in jobs]
+    out_root.mkdir(parents=True, exist_ok=True)
     _write_json(out_root / "sweep_summary.json", {"runs": summaries})
     return {"runs": len(summaries), "output_dir": str(out_root)}, None
 

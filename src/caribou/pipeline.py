@@ -20,6 +20,7 @@ on the calling thread.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -50,7 +51,8 @@ class PipelineConfig:
     ``spec.gamma`` must equal the layer's contraction constant; the
     accountant's guarantee is stated in terms of that constant.
     ``max_degree`` optionally caps the maximum node degree admitted under
-    node-level privacy (graphs exceeding it are rejected).
+    node-level privacy (graphs exceeding it are rejected); it is an integer
+    of at least 1, or None.
     """
 
     cgl: LayerParams
@@ -63,6 +65,12 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.k_hops < 0:
             raise ValueError("k_hops must be non-negative")
+        if self.max_degree is not None and (
+            isinstance(self.max_degree, bool)
+            or not isinstance(self.max_degree, numbers.Integral)
+            or self.max_degree < 1
+        ):
+            raise ValueError(f"max_degree must be an integer >= 1 or None, got {self.max_degree!r}")
         if self.spec.level != "none" and self.k_hops != self.spec.k_hops:
             raise ValueError(
                 f"k_hops ({self.k_hops}) must match spec.k_hops ({self.spec.k_hops})"

@@ -513,7 +513,9 @@ def one_error(err: str) -> dict:
 
 
 def no_artifacts(out_dir) -> bool:
-    return not out_dir.exists() or not any(out_dir.rglob("*"))
+    """Whether a failed command left ``out_dir``, which did not exist before
+    it ran, uncreated."""
+    return not out_dir.exists()
 
 
 class TestOneErrorBoundary:
@@ -591,15 +593,86 @@ class TestOneErrorBoundary:
         code, out, _ = run_cli(["audit", "--config", str(cfg)], capsys)
         assert code == 0 and json.loads(out)
 
-    def test_sweep_checks_every_run_before_the_first(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "patch, key",
+        [({"audit": {"trails": 5}}, "'trails'"), ({"privacy": {"levle": "edge"}}, "'levle'")],
+        ids=["audit", "privacy"],
+    )
+    def test_sweep_checks_every_run_before_the_first(self, patch, key, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", output_dir=str(tmp_path / "sweep"),
-                           sweep=[{"seed": 1}, {"audit": {"trails": 5}}])
+                           sweep=[{"seed": 1}, patch])
         code, out, err = run_cli(["sweep", "--config", str(cfg), "--workers", "1"], capsys)
         assert code == 1 and out == ""
         record = one_error(err)
         assert record["stage"] == "sweep" and record["error"] == "CliError"
-        assert "sweep run 1" in record["message"] and "'trails'" in record["message"]
-        assert not (tmp_path / "sweep" / "run_000").exists()
+        assert "sweep run 1" in record["message"] and key in record["message"]
+        assert no_artifacts(tmp_path / "sweep")
+
+    @pytest.mark.parametrize(
+        "level, section, key, value",
+        [("edge", "encoder", "enabled", "false"),
+         ("edge", "encoder", "enabled", 0),
+         ("edge", "privacy", "k_hops", 2.7),
+         ("edge", "privacy", "k_hops", True),
+         ("edge", "privacy", "epsilon", True),
+         ("edge", "train", "epochs", 5.9),
+         ("edge", "privacy", "max_degree", "abc"),
+         ("edge", "privacy", "max_degree", True),
+         ("edge", "privacy", "max_degree", 2.5),
+         ("edge", "privacy", "max_degree", -3),
+         ("edge", "privacy", "max_degree", 0),
+         ("node", "privacy", "max_degree", 2.5)],
+        ids=["enabled-string", "enabled-int", "k_hops-fraction", "k_hops-bool", "epsilon-bool",
+             "epochs-fraction", "max_degree-string", "max_degree-bool",
+             "max_degree-fraction", "max_degree-negative", "max_degree-zero",
+             "node-max_degree-fraction"],
+    )
+    def test_misread_value_is_one_line_error(self, level, section, key, value, tmp_path,
+                                             capsys):
+        cfg = write_config(tmp_path / "cfg.json", privacy={"level": level, "epsilon": 4.0})
+        config = json.loads(cfg.read_text())
+        config.setdefault(section, {})[key] = value
+        cfg.write_text(json.dumps(config))
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(["train", "--config", str(cfg), "--out-dir", str(out_dir)],
+                                 capsys)
+        assert code == 1 and out == ""
+        record = one_error(err)
+        assert record["stage"] == "train" and record["error"] == "CliError"
+        assert f"{section}.{key}" in record["message"]
+        assert no_artifacts(out_dir)
+
+    @pytest.mark.parametrize("cap", [None, 30])
+    def test_max_degree_takes_null_or_a_positive_integer(self, cap, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", output_dir=str(tmp_path / "out"),
+                           privacy={"level": "node", "epsilon": 4.0, "max_degree": cap})
+        code, out, _ = run_cli(["train", "--config", str(cfg)], capsys)
+        assert code == 0 and json.loads(out)
+
+    @pytest.mark.parametrize("command", ["train", "audit"])
+    def test_budgets_section_is_unknown_key(self, command, tmp_path, capsys):
+        if command == "train":
+            cfg = write_config(tmp_path / "cfg.json", output_dir=str(tmp_path / "out"))
+        else:
+            cfg = make_audit_config(tmp_path)
+        config = json.loads(cfg.read_text())
+        config["budgets"] = {"eps_dae_at_alpha": 0.1, "eps_cm_at_alpha": 0.1}
+        cfg.write_text(json.dumps(config))
+        code, out, err = run_cli([command, "--config", str(cfg)], capsys)
+        assert code == 1 and out == ""
+        record = one_error(err)
+        assert record["stage"] == command and record["error"] == "CliError"
+        assert "'budgets'" in record["message"] and "'config'" in record["message"]
+        assert no_artifacts(tmp_path / "out")
+
+    @pytest.mark.parametrize("flag", ["--eps-dae", "--eps-cm"])
+    def test_module_budget_flags_are_usage_errors(self, flag, capsys):
+        argv = ["calibrate", "--eps", "4", "--delta", "1e-3", "--k", "2", "--gamma", "0.9",
+                "--delta-mp", "1", flag, "0.1"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        record = one_error(err)
+        assert record["stage"] == "usage" and flag in record["message"]
 
     @pytest.mark.parametrize(
         "labels, counts, message",

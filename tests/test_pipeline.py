@@ -241,6 +241,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="gamma"):
             PipelineConfig(cgl=params, spec=spec, k_hops=2, seed=0)
 
+    @pytest.mark.parametrize("cap", [0, -3, 2.5, 3.0, True, "3"])
+    def test_bad_max_degree_rejected(self, cap):
+        with pytest.raises(ValueError, match="max_degree"):
+            replace(chain_config(level="node"), max_degree=cap)
+
+    @pytest.mark.parametrize("cap", [None, 1, np.int64(7)])
+    def test_max_degree_accepts_none_or_a_positive_integer(self, cap):
+        assert replace(chain_config(level="node"), max_degree=cap).max_degree == cap
+
 
 class TestRunPipeline:
     def test_k0_no_noise_returns_input(self):
