@@ -251,9 +251,10 @@ def calibrate_sigma(
     leaves the evaluated epsilon above the target, room is lowered by that
     overshoot (at least one ulp of epsilon) and sigma recomputed, so
     ``eps_achieved <= epsilon`` holds exactly; this takes at most a few
-    passes, and an order whose room vanishes is skipped.  The smallest sigma over the grid wins.  Raises
-    CalibrationError when even infinite noise cannot meet the target (the
-    floor min_alpha log(1/delta)/(alpha-1) is reported).
+    passes, and an order whose room vanishes is skipped.  The smallest
+    sigma over the grid wins.  Raises CalibrationError when even infinite
+    noise cannot meet the target (the floor min_alpha log(1/delta)/(alpha-1)
+    is reported).
     """
     if not 0 <= delta_mp < math.inf:
         raise ValueError(f"delta_mp must be finite and non-negative, got {delta_mp!r}")

@@ -68,7 +68,7 @@ from .graphs import (
 )
 from .layers import LayerParams
 from .model import DpSgdConfig, TrainConfig, evaluate, train_head, train_linear_encoder
-from .pipeline import PipelineConfig, run_pipeline, save_artifacts
+from .pipeline import PipelineConfig, _max_degree, run_pipeline, save_artifacts
 from .prng import stream
 
 CHAIN_PRESETS = {
@@ -121,12 +121,6 @@ def _float(value) -> float:
 
 def _bool(value) -> bool:
     if not isinstance(value, bool):
-        raise ValueError
-    return value
-
-
-def _max_degree(value) -> int | None:
-    if value is not None and (type(value) is not int or value < 1):
         raise ValueError
     return value
 

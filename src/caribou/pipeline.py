@@ -44,6 +44,16 @@ from .prng import stream
 _ROW_NORM_TOL = 1e-9
 _HOP_STREAM = 0x40C4
 
+
+def _max_degree(cap):
+    """``cap`` if it is None or an integer of at least 1; a bool is not."""
+    if cap is not None and (
+        isinstance(cap, bool) or not isinstance(cap, numbers.Integral) or cap < 1
+    ):
+        raise ValueError(f"max_degree must be an integer >= 1 or None, got {cap!r}")
+    return cap
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Everything a run needs: layer coefficients, privacy target, seed.
@@ -65,12 +75,7 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.k_hops < 0:
             raise ValueError("k_hops must be non-negative")
-        if self.max_degree is not None and (
-            isinstance(self.max_degree, bool)
-            or not isinstance(self.max_degree, numbers.Integral)
-            or self.max_degree < 1
-        ):
-            raise ValueError(f"max_degree must be an integer >= 1 or None, got {self.max_degree!r}")
+        _max_degree(self.max_degree)
         if self.spec.level != "none" and self.k_hops != self.spec.k_hops:
             raise ValueError(
                 f"k_hops ({self.k_hops}) must match spec.k_hops ({self.spec.k_hops})"

@@ -523,6 +523,8 @@ class TestOneErrorBoundary:
         "command, path, key",
         [
             ("train", (), "sed"),
+            ("train", (), "budgets"),
+            ("audit", (), "budgets"),
             ("train", ("dataset",), "presett"),
             ("train", ("cgl",), "c_L"),
             ("train", ("privacy",), "levle"),
@@ -533,8 +535,8 @@ class TestOneErrorBoundary:
             ("train", ("audit",), "trails"),
             ("audit", ("encoder",), "enable"),
         ],
-        ids=["top-level", "dataset", "cgl", "privacy", "train", "train.dp", "encoder",
-             "audit", "train-audit", "audit-encoder"],
+        ids=["top-level", "budgets-section", "audit-budgets-section", "dataset", "cgl", "privacy", "train",
+             "train.dp", "encoder", "audit", "train-audit", "audit-encoder"],
     )
     def test_unknown_key_is_one_line_error(self, command, path, key, tmp_path, capsys):
         if command == "train":
@@ -547,6 +549,8 @@ class TestOneErrorBoundary:
         if path == ("privacy",):
             # a misspelt level left the release without noise
             config["privacy"] = {"levle": "edge", "epsilon": 1.0}
+        elif key == "budgets":  # the section of the removed module budgets
+            config["budgets"] = {"eps_dae_at_alpha": 0.1, "eps_cm_at_alpha": 0.1}
         else:
             section = config
             for name in path:
@@ -593,20 +597,17 @@ class TestOneErrorBoundary:
         code, out, _ = run_cli(["audit", "--config", str(cfg)], capsys)
         assert code == 0 and json.loads(out)
 
-    @pytest.mark.parametrize(
-        "patch, key",
-        [({"audit": {"trails": 5}}, "'trails'"), ({"privacy": {"levle": "edge"}}, "'levle'")],
-        ids=["audit", "privacy"],
-    )
-    def test_sweep_checks_every_run_before_the_first(self, patch, key, tmp_path, capsys):
-        cfg = write_config(tmp_path / "cfg.json", output_dir=str(tmp_path / "sweep"),
-                           sweep=[{"seed": 1}, patch])
-        code, out, err = run_cli(["sweep", "--config", str(cfg), "--workers", "1"], capsys)
-        assert code == 1 and out == ""
-        record = one_error(err)
-        assert record["stage"] == "sweep" and record["error"] == "CliError"
-        assert "sweep run 1" in record["message"] and key in record["message"]
-        assert no_artifacts(tmp_path / "sweep")
+    def test_sweep_checks_every_run_before_the_first(self, tmp_path, capsys):
+        for patch, key in (({"audit": {"trails": 5}}, "'trails'"),
+                           ({"privacy": {"levle": "edge"}}, "'levle'")):
+            cfg = write_config(tmp_path / "cfg.json", output_dir=str(tmp_path / "sweep"),
+                               sweep=[{"seed": 1}, patch])
+            code, out, err = run_cli(["sweep", "--config", str(cfg), "--workers", "1"], capsys)
+            assert code == 1 and out == ""
+            record = one_error(err)
+            assert record["stage"] == "sweep" and record["error"] == "CliError"
+            assert "sweep run 1" in record["message"] and key in record["message"]
+            assert no_artifacts(tmp_path / "sweep")
 
     @pytest.mark.parametrize(
         "level, section, key, value",
@@ -648,22 +649,6 @@ class TestOneErrorBoundary:
                            privacy={"level": "node", "epsilon": 4.0, "max_degree": cap})
         code, out, _ = run_cli(["train", "--config", str(cfg)], capsys)
         assert code == 0 and json.loads(out)
-
-    @pytest.mark.parametrize("command", ["train", "audit"])
-    def test_budgets_section_is_unknown_key(self, command, tmp_path, capsys):
-        if command == "train":
-            cfg = write_config(tmp_path / "cfg.json", output_dir=str(tmp_path / "out"))
-        else:
-            cfg = make_audit_config(tmp_path)
-        config = json.loads(cfg.read_text())
-        config["budgets"] = {"eps_dae_at_alpha": 0.1, "eps_cm_at_alpha": 0.1}
-        cfg.write_text(json.dumps(config))
-        code, out, err = run_cli([command, "--config", str(cfg)], capsys)
-        assert code == 1 and out == ""
-        record = one_error(err)
-        assert record["stage"] == command and record["error"] == "CliError"
-        assert "'budgets'" in record["message"] and "'config'" in record["message"]
-        assert no_artifacts(tmp_path / "out")
 
     @pytest.mark.parametrize("flag", ["--eps-dae", "--eps-cm"])
     def test_module_budget_flags_are_usage_errors(self, flag, capsys):
