@@ -535,8 +535,9 @@ class TestOneErrorBoundary:
             ("train", ("audit",), "trails"),
             ("audit", ("encoder",), "enable"),
         ],
-        ids=["top-level", "budgets-section", "audit-budgets-section", "dataset", "cgl", "privacy", "train",
-             "train.dp", "encoder", "audit", "train-audit", "audit-encoder"],
+        ids=["top-level", "budgets-section", "audit-budgets-section", "dataset", "cgl",
+             "privacy", "train", "train.dp", "encoder", "audit", "train-audit",
+             "audit-encoder"],
     )
     def test_unknown_key_is_one_line_error(self, command, path, key, tmp_path, capsys):
         if command == "train":
