@@ -2,7 +2,7 @@
 
 ``pipeline.run_pipeline`` and the head in ``model`` split large matrices
 into row blocks and run one task per block.  Both take the pool from
-``thread_pool`` and run each phase of tasks with ``run_all``, so the CPU
+``thread_pool`` and run each batch of tasks with ``run_all``, so the CPU
 count, the size from which a pool runs and the block size are stated here
 once.  Workers run only private helpers and numpy/scipy calls that release
 the GIL; every public function is called on the calling thread, so

@@ -69,9 +69,7 @@ def layer_forward(adj, x_k: Array, x_0: Array, params: LayerParams) -> Array:
         )
     if n < 1:
         raise ValueError("expected a non-empty 2-D feature matrix")
-    out = np.empty(x_k.shape)
-    _layer_rows(adj, x_k, x_0, _mean_term(x_k, params), params, out)
-    return out
+    return _layer_rows(adj, x_k, x_0, _mean_term(x_k, params), params)
 
 
 def _mean_term(x_k: Array, params: LayerParams) -> Array | None:
@@ -82,21 +80,24 @@ def _mean_term(x_k: Array, params: LayerParams) -> Array | None:
 
 
 def _layer_rows(adj_rows, x_k: Array, x0_rows: Array, mean_term: Array | None,
-                params: LayerParams, out: Array) -> None:
-    """Write rows of the layer output into ``out``:
+                params: LayerParams) -> Array:
+    """Rows of the layer output:
     ``c_l * (alpha1 * adj_rows @ x_k + mean_term) + beta * x0_rows``.
 
-    ``adj_rows`` holds the adjacency rows of ``out``'s rows and ``x0_rows``
-    the same rows of X0; ``mean_term`` comes from ``_mean_term`` on the
-    whole of ``x_k``.  The sum is formed in ``out``; the mean and residual
-    terms are skipped when their weight is 0.
+    ``adj_rows`` holds the adjacency rows wanted and ``x0_rows`` the same
+    rows of X0; ``mean_term`` comes from ``_mean_term`` on the whole of
+    ``x_k``.  The sum is formed in the fresh product ``adj_rows @ x_k``,
+    which is returned; the mean and residual terms are skipped when their
+    weight is 0.
     """
-    np.multiply(adj_rows @ x_k, params.alpha1, out=out)
+    out = adj_rows @ x_k
+    out *= params.alpha1
     if mean_term is not None:
         out += mean_term
     out *= params.c_l
     if params.beta != 0.0:
         out += params.beta * x0_rows
+    return out
 
 
 def project_rows(x: Array, radius: float = 1.0) -> Array:

@@ -2,25 +2,30 @@
 iterate layer forward + Gaussian perturbation + row projection for K hops,
 releasing only the final embedding.
 
-Each hop works on row blocks of the normalized adjacency, in two phases.
-In the first, the hop's Gaussian draw fills the noise buffer while one
-task per block writes that block's layer rows into a second buffer.  In
-the second, after all of them have ended, each block adds its noise rows
-and projects its rows in place; then the two iterate buffers swap.  On a
-large enough feature matrix the tasks run on the thread pool of
-``_pool``, one thread per CPU the process may use; otherwise the whole
-matrix is one block run on the calling thread.
+Each hop works on row blocks of the normalized adjacency, in one phase,
+with two full-size buffers: the iterate and the hop's output.  One task
+draws the hop's Gaussian noise straight into the output, block by block
+in row order, while one task per block forms that block's layer rows,
+waits until the draw has passed them, adds them into the output and
+projects them in place; then the two buffers swap.  On a large enough
+feature matrix the tasks run on the thread pool of ``_pool``, one thread
+per CPU the process may use; otherwise the whole matrix is one block,
+drawn and then run on the calling thread.
 
 Every product of a hop stays row-local: the sparse Â @ X computes each
 output row from that row of Â alone, so blocks of any height give the
 same bits.  Only the column mean reads every row; it is taken once per hop
-on the calling thread.
+on the calling thread.  Consecutive draws from one stream give the
+numbers of one whole draw, and noise + layer is the same float as
+layer + noise, so the release is the bits of drawing, adding and
+projecting the whole matrix at once.
 """
 
 from __future__ import annotations
 
 import json
 import numbers
+import threading
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -142,11 +147,63 @@ def _row_blocks(adj: csr_array, block_rows: int) -> list[tuple[int, int, csr_arr
     return blocks
 
 
-def _noise_and_project(rows: np.ndarray, noise_rows: np.ndarray | None) -> None:
-    """Add the noise rows, if any, to ``rows`` and project them in place."""
-    if noise_rows is not None:
-        rows += noise_rows
-    _project_rows_inplace(rows)
+class _Drawn:
+    """How many leading rows of a hop's output hold its noise; block tasks
+    wait on it.  Once the draw ends, by success or failure, no one waits."""
+
+    def __init__(self) -> None:
+        self._cond = threading.Condition()
+        self._rows = 0
+        self._ended = False
+
+    def advance(self, rows: int) -> None:
+        with self._cond:
+            self._rows = rows
+            self._cond.notify_all()
+
+    def end(self) -> None:
+        with self._cond:
+            self._ended = True
+            self._cond.notify_all()
+
+    def reached(self, rows: int) -> bool:
+        """Wait until the first ``rows`` rows are drawn or the draw has
+        ended; whether they were drawn."""
+        with self._cond:
+            self._cond.wait_for(lambda: self._rows >= rows or self._ended)
+            return self._rows >= rows
+
+
+def _draw_blocks(out: np.ndarray, blocks, std: float, rng: np.random.Generator,
+                 drawn: _Drawn) -> None:
+    """Fill ``out`` with the hop's noise one block of rows at a time, in
+    row order, advancing ``drawn`` after each; end ``drawn`` in any case,
+    so that a failed draw leaves no block task waiting."""
+    try:
+        for a, b, _ in blocks:
+            _draw_noise(out[a:b], std, rng)
+            drawn.advance(b)
+    finally:
+        drawn.end()
+
+
+def _hop_rows(adj_rows, x: np.ndarray, x0_rows: np.ndarray, mean_term, params: LayerParams,
+              out_rows: np.ndarray, noisy: bool, drawn: _Drawn | None = None,
+              stop: int = 0) -> None:
+    """Form one block's layer rows, put them into ``out_rows`` and project
+    them in place.  With ``noisy``, ``out_rows`` holds the hop's noise and
+    the layer rows are added to it; otherwise they are written there.
+    With ``drawn``, the block first waits until the draw has passed row
+    ``stop``, the end of its rows, and returns without writing when the
+    draw failed before that."""
+    rows = _layer_rows(adj_rows, x, x0_rows, mean_term, params)
+    if drawn is not None and not drawn.reached(stop):
+        return
+    if noisy:
+        out_rows += rows
+    else:
+        out_rows[...] = rows
+    _project_rows_inplace(out_rows)
 
 
 def run_pipeline(dataset: LabeledDataset, cfg: PipelineConfig) -> RunArtifacts:
@@ -154,19 +211,22 @@ def run_pipeline(dataset: LabeledDataset, cfg: PipelineConfig) -> RunArtifacts:
 
     Requires row-normalized input features.  The per-hop noise standard
     deviation is exactly sensitivity * plan.sigma; each hop draws from its
-    own counter-derived stream into one reused buffer, so runs are
-    reproducible regardless of evaluation order.
+    own counter-derived stream straight into its output buffer, so runs
+    are reproducible regardless of evaluation order, and a run holds two
+    full-size buffers besides the features.
 
-    Each hop runs in the two phases the module docstring describes.  When
+    Each hop runs in the one phase the module docstring describes.  When
     the feature matrix has at least ``_pool.MIN_CELLS`` entries and the
     process may run on two or more CPUs (``os.sched_getaffinity``), the
     tasks run on a pool with one thread per such CPU, over blocks of
-    ``_pool.BLOCK_ROWS`` rows; otherwise the whole matrix is one block run
-    on this thread.  The stream and every other public function are called
-    on this thread.  A row's arithmetic reads only that row's inputs, the
-    column mean (taken once per hop on this thread) and the hop's one
-    noise stream, so the release is the same bits for any block size and
-    thread count.
+    ``_pool.BLOCK_ROWS`` rows; the draw is submitted first and the pool
+    starts tasks in the order they were submitted, so a block task waiting
+    for its noise never holds the draw back.  Otherwise the whole
+    matrix is one block, drawn and then run on this thread.  The stream
+    and every other public function are called on this thread.  A row's
+    arithmetic reads only that row's inputs, the column mean (taken once
+    per hop on this thread) and the hop's one noise stream, so the release
+    is the same bits for any block size and thread count.
     """
     x0 = np.asarray(dataset.features, dtype=float)
     # a NaN or infinite entry makes its row's norm NaN or infinite; NaN
@@ -194,31 +254,37 @@ def run_pipeline(dataset: LabeledDataset, cfg: PipelineConfig) -> RunArtifacts:
         plan = calibrate_sigma(cfg.spec, delta_mp, cfg.mode)
 
     noise_std = plan.noise_std
-    x = x0.copy()
     if cfg.k_hops == 0:
-        return RunArtifacts(x_k_final=x, plan=plan, per_hop_noise_std=noise_std)
-    if x.shape[0] == 0:
+        return RunArtifacts(x_k_final=x0.copy(), plan=plan, per_hop_noise_std=noise_std)
+    if x0.shape[0] == 0:
         raise ValueError("expected a non-empty 2-D feature matrix")
+    # built before the iterate buffers: the build's own peak is several
+    # times the size of Â
     adj = normalized_adjacency(dataset.graph)
+    x = x0.copy()
     out = np.empty_like(x)
-    noise = np.empty_like(x) if noise_std > 0.0 else None
+    noisy = noise_std > 0.0
     with _pool.thread_pool(x.size) as pool:
-        blocks = _row_blocks(adj, _pool.BLOCK_ROWS if pool else x.shape[0])
+        blocks = _row_blocks(adj, _pool.BLOCK_ROWS) if pool else None
         for hop in range(cfg.k_hops):
-            tasks = []
-            if noise is not None:
-                rng = stream(cfg.seed, _HOP_STREAM, hop)
-                tasks.append(partial(_draw_noise, noise, noise_std, rng))
+            rng = stream(cfg.seed, _HOP_STREAM, hop) if noisy else None
             mean_term = _mean_term(x, cfg.cgl)
-            tasks += [
-                partial(_layer_rows, rows, x, x0[a:b], mean_term, cfg.cgl, out[a:b])
-                for a, b, rows in blocks
-            ]
-            _pool.run_all(pool, tasks)
-            _pool.run_all(pool, [
-                partial(_noise_and_project, out[a:b], None if noise is None else noise[a:b])
-                for a, b, _ in blocks
-            ])
+            if pool is None:
+                if noisy:
+                    _draw_noise(out, noise_std, rng)
+                _hop_rows(adj, x, x0, mean_term, cfg.cgl, out, noisy)
+            else:
+                tasks = []
+                drawn = None
+                if noisy:
+                    drawn = _Drawn()
+                    tasks.append(partial(_draw_blocks, out, blocks, noise_std, rng, drawn))
+                tasks += [
+                    partial(_hop_rows, rows, x, x0[a:b], mean_term, cfg.cgl, out[a:b], noisy,
+                            drawn, b)
+                    for a, b, rows in blocks
+                ]
+                _pool.run_all(pool, tasks)
             x, out = out, x
     return RunArtifacts(x_k_final=x, plan=plan, per_hop_noise_std=noise_std)
 

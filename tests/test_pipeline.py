@@ -1,10 +1,13 @@
 import math
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import caribou._pool
 import caribou.pipeline
@@ -81,6 +84,25 @@ class TestDrawNoise:
         with pytest.raises(ValueError):
             _draw_noise(np.empty((1, 1)), -0.1, stream(0, 0))
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        d=st.integers(1, 5),
+        std=st.floats(0.0, 10.0),
+        cuts=st.lists(st.integers(1, 39), max_size=40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=6, d=1, std=1.0, cuts=[1, 2, 3, 4, 5], seed=0)
+    def test_chunked_draws_equal_one_whole_draw(self, n, d, std, cuts, seed):
+        bounds = sorted({0, n, *(c for c in cuts if c < n)})
+        chunked = np.empty((n, d))
+        rng = stream(seed, 3)
+        for a, b in zip(bounds, bounds[1:]):
+            _draw_noise(chunked[a:b], std, rng)
+        whole = np.empty((n, d))
+        _draw_noise(whole, std, stream(seed, 3))
+        assert np.array_equal(chunked, whole)
+
 
 def random_dataset(n, d, seed):
     """A path through all nodes plus ~2n random edges, unit feature rows."""
@@ -122,8 +144,8 @@ BELOW_CUTOFF = (500, 8)
 
 def count_calls(monkeypatch, name, fail_at=None):
     """Replace ``caribou.pipeline.<name>`` by a wrapper that records, per
-    call, whether it ran on the main thread and how many threads were
-    alive, and raises on call number ``fail_at``."""
+    call, the thread it ran on and how many threads were alive, and raises
+    on call number ``fail_at``."""
     original = getattr(caribou.pipeline, name)
     calls = []
     lock = threading.Lock()
@@ -131,11 +153,10 @@ def count_calls(monkeypatch, name, fail_at=None):
     def wrapper(*args):
         with lock:
             number = len(calls)
-            calls.append((threading.current_thread() is threading.main_thread(),
-                          threading.active_count()))
+            calls.append((threading.current_thread(), threading.active_count()))
         if number == fail_at:
             raise ArithmeticError(f"call {number} failed")
-        original(*args)
+        return original(*args)
 
     monkeypatch.setattr(caribou.pipeline, name, wrapper)
     return calls
@@ -172,6 +193,13 @@ class TestNoiseOverlap:
             expected = reference_release(ds, cfg, artifacts.per_hop_noise_std)
             assert np.array_equal(artifacts.x_k_final, expected)
 
+    def test_column_major_features_give_the_same_release(self):
+        ds = random_dataset(*ABOVE_CUTOFF, seed=7)
+        cfg = mixed_config("edge", 2)
+        expected = run_pipeline(ds, cfg).x_k_final
+        column_major = replace(ds, features=np.asfortranarray(ds.features))
+        assert np.array_equal(run_pipeline(column_major, cfg).x_k_final, expected)
+
     def test_equals_reference_loop_under_frequent_thread_switches(self, monkeypatch):
         monkeypatch.setattr(caribou._pool, "BLOCK_ROWS", 1000)
         monkeypatch.setattr(caribou._pool, "usable_cpus", lambda: 4)
@@ -199,24 +227,74 @@ class TestNoiseOverlap:
         assert threading.active_count() == before
         if size == ABOVE_CUTOFF and cpus > 1:
             assert len(calls) == 3 * -(-size[0] // caribou._pool.BLOCK_ROWS)
-            assert all(not main and before < alive <= before + cpus for main, alive in calls)
+            assert all(thread is not threading.main_thread() and before < alive <= before + cpus
+                       for thread, alive in calls)
         else:
-            assert calls == [(True, before)] * 3
+            assert calls == [(threading.main_thread(), before)] * 3
 
-    def test_failing_hop_reaches_caller_and_ends_worker(self, monkeypatch):
+    # Three blocks of 3000 rows per hop, so hop 2 makes the calls numbered
+    # 6, 7 and 8 of each helper.  The draw fails before any of hop 2's rows
+    # are drawn, or after its first block's; or one block task fails.
+    @pytest.mark.parametrize(
+        "name, fail_at, calls_made, projected",
+        [("_draw_noise", 6, 7, 6), ("_draw_noise", 7, 8, 7), ("_layer_rows", 7, 9, 8)],
+        ids=["draw-before-hop-rows", "draw-mid-hop", "block"],
+    )
+    def test_failing_hop_reaches_caller_and_ends_worker(self, name, fail_at, calls_made,
+                                                        projected, monkeypatch):
         monkeypatch.setattr(caribou._pool, "BLOCK_ROWS", 3000)
         monkeypatch.setattr(caribou._pool, "usable_cpus", lambda: 2)
         ds = random_dataset(*ABOVE_CUTOFF, seed=4)
         before = threading.active_count()
-        for name, per_hop in (("_draw_noise", 1), ("_layer_rows", 3), ("_noise_and_project", 3)):
-            with monkeypatch.context() as patch:
-                # the first call of hop 2 fails; the rest of its phase still ends
-                calls = count_calls(patch, name, fail_at=2 * per_hop)
-                with pytest.raises(ArithmeticError, match=f"call {2 * per_hop} failed"):
-                    run_pipeline(ds, mixed_config("edge", 0, k=4))
-            assert len(calls) == 3 * per_hop, name
-            assert not any(main for main, _ in calls)
-            assert threading.active_count() == before
+        calls = count_calls(monkeypatch, name, fail_at=fail_at)
+        projections = count_calls(monkeypatch, "_project_rows_inplace")
+        waits = []
+
+        class Drawn(caribou.pipeline._Drawn):
+            def __init__(self):
+                super().__init__()
+                waits.append(self)
+
+        monkeypatch.setattr(caribou.pipeline, "_Drawn", Drawn)
+        raised = []
+
+        def call():
+            try:
+                run_pipeline(ds, mixed_config("edge", 0, k=4))
+            except ArithmeticError as exc:
+                raised.append(str(exc))
+
+        # a hang fails the test instead of stalling the suite: the waiting
+        # block tasks are woken, so that the pool's threads can end
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        caller.join(timeout=30)
+        hung = caller.is_alive()
+        if hung:
+            for drawn in waits:
+                drawn.end()
+            caller.join(timeout=30)
+        assert not hung
+        assert raised == [f"call {fail_at} failed"]
+        # no call of hop 3; a block whose noise was never drawn writes nothing
+        assert len(calls) == calls_made
+        assert len(projections) == projected
+        assert not any(thread is caller for thread, _ in calls + projections)
+        assert threading.active_count() == before
+
+    def test_peak_memory_holds_two_full_size_buffers(self, monkeypatch):
+        monkeypatch.setattr(caribou._pool, "BLOCK_ROWS", 512)
+        monkeypatch.setattr(caribou._pool, "usable_cpus", lambda: 2)
+        ds = random_dataset(*ABOVE_CUTOFF, seed=2)
+        cfg = mixed_config("edge", 0)
+        tracemalloc.start()
+        try:
+            run_pipeline(ds, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the iterate and the hop's output, plus Â and the blocks in flight
+        assert peak < 2.5 * ds.features.nbytes
 
     def test_row_blocks_are_views_of_the_adjacency(self):
         adj = normalized_adjacency(random_dataset(50, 2, seed=1).graph)
