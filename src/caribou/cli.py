@@ -12,8 +12,9 @@ fields of ``AuditConfig``; its ``seed`` falls back to the config's),
 ``sweep`` (a list of objects, each patching the config of one run),
 ``seed`` and ``output_dir``.  Any other key is an error, and so is a
 boolean or a fraction for an integer key, a boolean for a number key, a
-non-boolean ``encoder.enabled`` and a ``max_degree`` that is neither
-``null`` nor an integer of at least 1.  ``train``, ``audit`` and every run
+value other than a JSON string for a text key (``output_dir``, a path or
+name), a non-boolean ``encoder.enabled`` and a ``max_degree`` that is
+neither ``null`` nor an integer of at least 1.  ``train``, ``audit`` and every run
 of a ``sweep`` read and check all of these, also the sections they do not
 use; ``audit`` runs no encoder and rejects ``encoder.enabled: true``.
 ``privacy.level`` (or ``--level``) is required, and so is each key of a
@@ -125,6 +126,12 @@ def _bool(value) -> bool:
     return value
 
 
+def _str(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError
+    return value
+
+
 # Each config object's keys, with the cast that reads each value.  The
 # sections of the top level are read by their own tables.
 _TOP_LEVEL = {
@@ -132,21 +139,21 @@ _TOP_LEVEL = {
         ("dataset", "cgl", "privacy", "train", "encoder", "audit", "sweep"), _as_is
     ),
     "seed": _int,
-    "output_dir": str,
+    "output_dir": _str,
 }
 _DATASET = {
-    "preset": str, "edges": str, "features": str, "labels": str,
+    "preset": _str, "edges": _str, "features": _str, "labels": _str,
     "train_count": _int, "test_count": _int,
 }
 _PRIVACY = {
-    "level": str, "mode": str, "epsilon": _float, "delta": _float, "k_hops": _int,
+    "level": _str, "mode": _str, "epsilon": _float, "delta": _float, "k_hops": _int,
     "max_degree": _max_degree,
 }
 _TRAIN = {"epochs": _int, "learning_rate": _float, "hidden_units": _int, "dp": _as_is}
 _DP = {"clip_norm": _float, "noise_mult": _float}
 _ENCODER = {"enabled": _bool}
 _AUDIT = {
-    "attack": str, "trials": _int, "seed": _int, "perturb_scale": _float,
+    "attack": _str, "trials": _int, "seed": _int, "perturb_scale": _float,
     "edge_keep_fraction": _float, "node_keep_fraction": _float,
 }
 # The values that no dataclass defaults: ``LayerParams`` has no defaults,
@@ -187,9 +194,10 @@ def _given(args, *names: str) -> dict:
 
 
 def _out_dir(config: dict, flag_value: str | None) -> Path:
-    """The output directory; the command creates it when it writes there."""
-    env = os.environ.get("CARIBOU_OUT")
-    return Path(env or flag_value or config.get("output_dir") or ".")
+    """The output directory; the command creates it when it writes there.
+    The config's ``output_dir`` is checked even when it is overridden."""
+    configured = _read(config, "config", _TOP_LEVEL).get("output_dir")
+    return Path(os.environ.get("CARIBOU_OUT") or flag_value or configured or ".")
 
 
 def _write_json(path: Path, payload: dict) -> None:

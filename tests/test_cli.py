@@ -623,17 +623,29 @@ class TestOneErrorBoundary:
          ("edge", "privacy", "max_degree", 2.5),
          ("edge", "privacy", "max_degree", -3),
          ("edge", "privacy", "max_degree", 0),
-         ("node", "privacy", "max_degree", 2.5)],
+         ("node", "privacy", "max_degree", 2.5),
+         ("edge", "config", "output_dir", 5),
+         ("edge", "config", "output_dir", ["a"]),
+         ("edge", "privacy", "level", 5),
+         ("edge", "privacy", "mode", 5),
+         ("edge", "dataset", "preset", 5),
+         ("edge", "dataset", "edges", 5),
+         ("edge", "dataset", "features", ["f.csv"]),
+         ("edge", "dataset", "labels", None),
+         ("edge", "audit", "attack", 5)],
         ids=["enabled-string", "enabled-int", "k_hops-fraction", "k_hops-bool", "epsilon-bool",
              "epochs-fraction", "max_degree-string", "max_degree-bool",
              "max_degree-fraction", "max_degree-negative", "max_degree-zero",
-             "node-max_degree-fraction"],
+             "node-max_degree-fraction", "output_dir-int", "output_dir-list", "level-int",
+             "mode-int", "preset-int", "edges-int", "features-list", "labels-null",
+             "attack-int"],
     )
     def test_misread_value_is_one_line_error(self, level, section, key, value, tmp_path,
                                              capsys):
         cfg = write_config(tmp_path / "cfg.json", privacy={"level": level, "epsilon": 4.0})
         config = json.loads(cfg.read_text())
-        config.setdefault(section, {})[key] = value
+        # "config" names the top level
+        (config if section == "config" else config.setdefault(section, {}))[key] = value
         cfg.write_text(json.dumps(config))
         out_dir = tmp_path / "out"
         code, out, err = run_cli(["train", "--config", str(cfg), "--out-dir", str(out_dir)],
