@@ -232,55 +232,54 @@ class TestNoiseOverlap:
         else:
             assert calls == [(threading.main_thread(), before)] * 3
 
-    # Three blocks of 3000 rows per hop, so hop 2 makes the calls numbered
-    # 6, 7 and 8 of each helper.  The draw fails before any of hop 2's rows
-    # are drawn, or after its first block's; or one block task fails.
-    @pytest.mark.parametrize(
-        "name, fail_at, calls_made, projected",
-        [("_draw_noise", 6, 7, 6), ("_draw_noise", 7, 8, 7), ("_layer_rows", 7, 9, 8)],
-        ids=["draw-before-hop-rows", "draw-mid-hop", "block"],
-    )
-    def test_failing_hop_reaches_caller_and_ends_worker(self, name, fail_at, calls_made,
-                                                        projected, monkeypatch):
+    def test_failing_hop_reaches_caller_and_ends_worker(self, monkeypatch):
         monkeypatch.setattr(caribou._pool, "BLOCK_ROWS", 3000)
         monkeypatch.setattr(caribou._pool, "usable_cpus", lambda: 2)
         ds = random_dataset(*ABOVE_CUTOFF, seed=4)
         before = threading.active_count()
-        calls = count_calls(monkeypatch, name, fail_at=fail_at)
-        projections = count_calls(monkeypatch, "_project_rows_inplace")
-        waits = []
+        # Three blocks per hop, so hop 2 makes the calls numbered 6, 7 and 8
+        # of each helper.  The draw fails before any of hop 2's rows are
+        # drawn, or after its first block's; or one block task fails.
+        for name, fail_at, calls_made, projected in (
+            ("_draw_noise", 6, 7, 6), ("_draw_noise", 7, 8, 7), ("_layer_rows", 7, 9, 8),
+        ):
+            with monkeypatch.context() as patch:
+                calls = count_calls(patch, name, fail_at=fail_at)
+                projections = count_calls(patch, "_project_rows_inplace")
+                waits = []
 
-        class Drawn(caribou.pipeline._Drawn):
-            def __init__(self):
-                super().__init__()
-                waits.append(self)
+                class Drawn(caribou.pipeline._Drawn):
+                    def __init__(self):
+                        super().__init__()
+                        waits.append(self)
 
-        monkeypatch.setattr(caribou.pipeline, "_Drawn", Drawn)
-        raised = []
+                patch.setattr(caribou.pipeline, "_Drawn", Drawn)
+                raised = []
 
-        def call():
-            try:
-                run_pipeline(ds, mixed_config("edge", 0, k=4))
-            except ArithmeticError as exc:
-                raised.append(str(exc))
+                def call():
+                    try:
+                        run_pipeline(ds, mixed_config("edge", 0, k=4))
+                    except ArithmeticError as exc:
+                        raised.append(str(exc))
 
-        # a hang fails the test instead of stalling the suite: the waiting
-        # block tasks are woken, so that the pool's threads can end
-        caller = threading.Thread(target=call, daemon=True)
-        caller.start()
-        caller.join(timeout=30)
-        hung = caller.is_alive()
-        if hung:
-            for drawn in waits:
-                drawn.end()
-            caller.join(timeout=30)
-        assert not hung
-        assert raised == [f"call {fail_at} failed"]
-        # no call of hop 3; a block whose noise was never drawn writes nothing
-        assert len(calls) == calls_made
-        assert len(projections) == projected
-        assert not any(thread is caller for thread, _ in calls + projections)
-        assert threading.active_count() == before
+                # a hang fails the test instead of stalling the suite: the
+                # waiting block tasks are woken, so that the pool's threads end
+                caller = threading.Thread(target=call, daemon=True)
+                caller.start()
+                caller.join(timeout=30)
+                hung = caller.is_alive()
+                if hung:
+                    for drawn in waits:
+                        drawn.end()
+                    caller.join(timeout=30)
+            case = (name, fail_at)
+            assert not hung, case
+            assert raised == [f"call {fail_at} failed"], case
+            # no call of hop 3; a block whose noise was never drawn writes nothing
+            assert len(calls) == calls_made, case
+            assert len(projections) == projected, case
+            assert not any(thread is caller for thread, _ in calls + projections), case
+            assert threading.active_count() == before, case
 
     def test_peak_memory_holds_two_full_size_buffers(self, monkeypatch):
         monkeypatch.setattr(caribou._pool, "BLOCK_ROWS", 512)
