@@ -12,11 +12,11 @@ fields of ``AuditConfig``; its ``seed`` falls back to the config's),
 ``sweep`` (a list of objects, each patching the config of one run),
 ``seed`` and ``output_dir``.  Any other key is an error, and so is a
 boolean or a fraction for an integer key, a boolean for a number key, a
-value other than a JSON string for a text key (``output_dir``, a path or
-name), a non-boolean ``encoder.enabled`` and a ``max_degree`` that is
-neither ``null`` nor an integer of at least 1.  ``train``, ``audit`` and every run
-of a ``sweep`` read and check all of these, also the sections they do not
-use; ``audit`` runs no encoder and rejects ``encoder.enabled: true``.
+non-string for a key that holds a path or a name, a non-boolean
+``encoder.enabled`` and a ``max_degree`` that is neither ``null`` nor an
+integer of at least 1.  ``train``, ``audit`` and every run of a ``sweep``
+read and check all of these, also the sections they do not use;
+``audit`` runs no encoder and rejects ``encoder.enabled: true``.
 ``privacy.level`` (or ``--level``) is required, and so is each key of a
 ``train.dp`` object.
 A missing key takes the default of the dataclass it feeds; only the values
