@@ -286,6 +286,7 @@ class TestNoiseOverlap:
         monkeypatch.setattr(caribou._pool, "usable_cpus", lambda: 2)
         ds = random_dataset(*ABOVE_CUTOFF, seed=2)
         cfg = mixed_config("edge", 0)
+        run_pipeline(ds, cfg)  # so that no lazy import of a first call is traced
         tracemalloc.start()
         try:
             run_pipeline(ds, cfg)
