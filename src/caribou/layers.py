@@ -80,18 +80,18 @@ def _mean_term(x_k: Array, params: LayerParams) -> Array | None:
 
 
 def _layer_rows(adj_rows, x_k: Array, x0_rows: Array, mean_term: Array | None,
-                params: LayerParams) -> Array:
+                params: LayerParams, out: Array | None = None) -> Array:
     """Rows of the layer output:
     ``c_l * (alpha1 * adj_rows @ x_k + mean_term) + beta * x0_rows``.
 
     ``adj_rows`` holds the adjacency rows wanted and ``x0_rows`` the same
     rows of X0; ``mean_term`` comes from ``_mean_term`` on the whole of
-    ``x_k``.  The sum is formed in the fresh product ``adj_rows @ x_k``,
-    which is returned; the mean and residual terms are skipped when their
-    weight is 0.
+    ``x_k``.  The sum is formed in ``out`` if given, else in the fresh
+    product ``adj_rows @ x_k``, and returned; the mean and residual terms
+    are skipped when their weight is 0.
     """
-    out = adj_rows @ x_k
-    out *= params.alpha1
+    product = adj_rows @ x_k
+    out = np.multiply(product, params.alpha1, out=product if out is None else out)
     if mean_term is not None:
         out += mean_term
     out *= params.c_l
