@@ -188,18 +188,19 @@ def _draw_blocks(out: np.ndarray, blocks, std: float, rng: np.random.Generator,
 
 
 def _hop_rows(adj_rows, x: np.ndarray, x0_rows: np.ndarray, mean_term, params: LayerParams,
-              out_rows: np.ndarray, drawn: _Drawn | None, stop: int) -> None:
+              out_rows: np.ndarray, noisy: bool, drawn: _Drawn | None = None,
+              stop: int = 0) -> None:
     """Form one block's layer rows, put them into ``out_rows`` and project
-    them in place.  Without ``drawn``, the hop has no noise and the rows
-    are formed in ``out_rows``.  With it, ``out_rows`` receives the hop's
-    noise: the block waits until the draw has passed row ``stop``, the end
-    of its rows, then adds its rows to the noise, or returns without
+    them in place.  Without ``noisy``, the rows are formed in ``out_rows``.
+    With it, ``out_rows`` receives the hop's noise and the rows are added
+    to it; with ``drawn`` as well, the block first waits until the draw
+    has passed row ``stop``, the end of its rows, and returns without
     writing when the draw failed before that."""
-    if drawn is None:
+    if not noisy:
         _layer_rows(adj_rows, x, x0_rows, mean_term, params, out_rows)
     else:
         rows = _layer_rows(adj_rows, x, x0_rows, mean_term, params)
-        if not drawn.reached(stop):
+        if drawn is not None and not drawn.reached(stop):
             return
         out_rows += rows
     _project_rows_inplace(out_rows)
@@ -262,21 +263,28 @@ def run_pipeline(dataset: LabeledDataset, cfg: PipelineConfig) -> RunArtifacts:
     adj = normalized_adjacency(dataset.graph)
     x = x0.copy()
     out = np.empty_like(x)
+    noisy = noise_std > 0.0
     with _pool.thread_pool(x.size) as pool:
-        blocks = _row_blocks(adj, _pool.BLOCK_ROWS if pool else x.shape[0])
+        blocks = _row_blocks(adj, _pool.BLOCK_ROWS) if pool else None
         for hop in range(cfg.k_hops):
-            tasks = []
-            drawn = None
-            if noise_std > 0.0:
-                drawn = _Drawn()
-                rng = stream(cfg.seed, _HOP_STREAM, hop)
-                tasks.append(partial(_draw_blocks, out, blocks, noise_std, rng, drawn))
+            rng = stream(cfg.seed, _HOP_STREAM, hop) if noisy else None
             mean_term = _mean_term(x, cfg.cgl)
-            tasks += [
-                partial(_hop_rows, rows, x, x0[a:b], mean_term, cfg.cgl, out[a:b], drawn, b)
-                for a, b, rows in blocks
-            ]
-            _pool.run_all(pool, tasks)
+            if pool is None:
+                if noisy:
+                    _draw_noise(out, noise_std, rng)
+                _hop_rows(adj, x, x0, mean_term, cfg.cgl, out, noisy)
+            else:
+                tasks = []
+                drawn = None
+                if noisy:
+                    drawn = _Drawn()
+                    tasks.append(partial(_draw_blocks, out, blocks, noise_std, rng, drawn))
+                tasks += [
+                    partial(_hop_rows, rows, x, x0[a:b], mean_term, cfg.cgl, out[a:b], noisy,
+                            drawn, b)
+                    for a, b, rows in blocks
+                ]
+                _pool.run_all(pool, tasks)
             x, out = out, x
     return RunArtifacts(x_k_final=x, plan=plan, per_hop_noise_std=noise_std)
 
