@@ -193,6 +193,15 @@ class TestNoiseOverlap:
             expected = reference_release(ds, cfg, artifacts.per_hop_noise_std)
             assert np.array_equal(artifacts.x_k_final, expected)
 
+    @pytest.mark.parametrize("size", [ABOVE_CUTOFF, BELOW_CUTOFF], ids=["above", "below"])
+    def test_level_none_equals_noiseless_reference_loop(self, size, monkeypatch):
+        monkeypatch.setattr(caribou._pool, "usable_cpus", lambda: 2)
+        ds = random_dataset(*size, seed=8)
+        cfg = mixed_config("none", 3)
+        artifacts = run_pipeline(ds, cfg)
+        assert artifacts.per_hop_noise_std == 0.0
+        assert np.array_equal(artifacts.x_k_final, reference_release(ds, cfg, 0.0))
+
     def test_column_major_features_give_the_same_release(self):
         ds = random_dataset(*ABOVE_CUTOFF, seed=7)
         cfg = mixed_config("edge", 2)
