@@ -2,7 +2,8 @@
 convergent privacy accountant, a contractive aggregation layer, a small
 trainable classifier, and an empirical membership-inference audit harness.
 
-The verification oracles are not exported; import ``caribou.verify``.
+The brute-force verification oracles live with the tests, in
+``tests/verify.py``; the package neither holds nor exports them.
 """
 
 from .accountant import (

@@ -5,7 +5,7 @@ the edge- and node-level sensitivity formulas of the contractive layer,
 conversions between Gaussian DP, Renyi DP, and (epsilon, delta)-DP, and
 noise calibration in closed form over a finite Renyi-order grid.  The
 brute-force sensitivity oracles that check the formulas on small graphs
-live in ``caribou.verify``.
+live with the tests, in ``tests/verify.py``.
 
 Conventions: ``sigma`` in a ``NoisePlan`` is the noise multiplier, i.e. the
 per-layer Gaussian standard deviation *before* scaling by the sensitivity.
@@ -21,10 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Literal, Sequence
-
-import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .graphs import Graph, degree_stats
 from .layers import LayerParams
@@ -168,14 +166,19 @@ def gaussian_tradeoff(type_one: float, mu: float) -> float:
 
     Gives the least achievable type-II error at type-I level ``type_one``
     when distinguishing N(0,1) from N(mu,1).  mu = 0 is the identity
-    trade-off 1 - a.
+    trade-off 1 - a.  Phi^-1 is infinite at 0 and 1, so a = 0 with
+    mu = inf is NaN.
     """
     if not 0.0 <= type_one <= 1.0:
         raise ValueError("type_one must be in [0, 1]")
     if mu < 0:
         raise ValueError("mu must be non-negative")
-    with np.errstate(invalid="ignore"):
-        return float(ndtr(ndtri(1.0 - type_one) - mu))
+    p = 1.0 - type_one
+    if 0.0 < p < 1.0:
+        z = NormalDist().inv_cdf(p)
+    else:
+        z = math.inf if p else -math.inf
+    return 0.5 * math.erfc((mu - z) / math.sqrt(2.0))
 
 
 def _degree_piecewise(d_min: int) -> float:

@@ -36,7 +36,6 @@ from pathlib import Path
 from typing import Callable, Iterator, Literal, NamedTuple
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .graphs import Graph, LabeledDataset, degree_stats
 from .layers import project_rows
@@ -108,17 +107,26 @@ def auc(scores, bits) -> float:
     """Rank-based AUC with ties counted one half.
 
     Equals the probability that a random member outscores a random
-    non-member, with ties contributing 0.5.
+    non-member, with ties contributing 0.5.  Each score's rank is the mean
+    of the 1-based positions its tie group spans in sorted order, an exact
+    half-integer.
     """
     scores = np.asarray(scores, dtype=float)
     bits = np.asarray(bits, dtype=int)
     if scores.shape != bits.shape or scores.ndim != 1:
         raise ValueError("scores and bits must be equal-length vectors")
+    if not np.isfinite(scores).all():
+        raise ValueError("scores must be finite (found a NaN or infinite score)")
     n_pos = int(bits.sum())
     n_neg = int(bits.size - n_pos)
     if n_pos == 0 or n_neg == 0:
         raise ValueError("both membership classes must be present")
-    ranks = rankdata(scores)
+    order = np.argsort(scores)
+    ordered = scores[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], scores.size]
+    ranks = np.empty(scores.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
     u = ranks[bits == 1].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 

@@ -230,8 +230,9 @@ def run_pipeline(dataset: LabeledDataset, cfg: PipelineConfig) -> RunArtifacts:
     """
     x0 = np.asarray(dataset.features, dtype=float)
     # a NaN or infinite entry makes its row's norm NaN or infinite; NaN
-    # fails every comparison, so it is tested for before the bound
-    worst = float(np.linalg.norm(x0, axis=1).max()) if x0.size else 0.0
+    # fails every comparison, so it is tested for before the bound.  The
+    # squared row norms are summed in place of an n x d temporary.
+    worst = float(np.sqrt(np.einsum("ij,ij->i", x0, x0).max())) if x0.size else 0.0
     if not np.isfinite(worst):
         raise ValueError("input features must be finite (found a NaN or infinite row norm)")
     if worst > 1.0 + _ROW_NORM_TOL:

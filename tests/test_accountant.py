@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr, ndtri
 
 from caribou.accountant import (
     CalibrationError,
@@ -23,7 +24,7 @@ from caribou.accountant import (
 from caribou.graphs import build_graph, degree_stats
 from caribou.layers import LayerParams
 from caribou.prng import stream
-from caribou.verify import (
+from tests.verify import (
     brute_force_edge_sensitivity,
     brute_force_node_sensitivity,
     enumerate_edge_neighbors,
@@ -129,6 +130,22 @@ class TestGaussianTradeoff:
 
     def test_large_mu_vanishes(self):
         assert gaussian_tradeoff(0.5, 40.0) < 1e-12
+
+    def test_endpoints(self):
+        assert gaussian_tradeoff(0.0, 0.0) == 1.0
+        assert gaussian_tradeoff(0.0, 40.0) == 1.0
+        assert math.isnan(gaussian_tradeoff(0.0, math.inf))
+        assert gaussian_tradeoff(1.0, 0.0) == 0.0
+        assert gaussian_tradeoff(1.0, math.inf) == 0.0
+        assert gaussian_tradeoff(0.5, math.inf) == 0.0
+
+    def test_matches_scipy_oracle(self):
+        grid = np.concatenate([np.linspace(0.0, 1.0, 2001), [1e-300, 1e-17, 1e-9, 1 - 1e-16]])
+        mus = [0.0, 1e-3, 0.1, 0.5, 1.0, 2.0, 5.0, 40.0, math.inf]
+        got = np.array([[gaussian_tradeoff(float(a), mu) for mu in mus] for a in grid])
+        with np.errstate(invalid="ignore"):
+            want = ndtr(ndtri(1.0 - grid)[:, None] - np.array(mus))
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15, equal_nan=True)
 
     def test_convex_and_decreasing(self):
         mu = 0.8

@@ -4,6 +4,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 import caribou._pool
 import caribou.audit
@@ -40,6 +43,14 @@ def brute_force_auc(scores, bits):
         elif p == n:
             total += 0.5
     return total / (len(pos) * len(neg))
+
+
+def rankdata_auc(scores, bits):
+    """The AUC by ``scipy.stats.rankdata``'s average ranks, as ``auc`` states it."""
+    scores, bits = np.asarray(scores, dtype=float), np.asarray(bits)
+    n_pos = int(bits.sum())
+    u = rankdata(scores)[bits == 1].sum() - n_pos * (n_pos + 1) / 2.0
+    return float(u / (n_pos * (bits.size - n_pos)))
 
 
 def make_pipeline_cfg(level="none", eps=8.0, k=1, c_l=0.5, seed=0):
@@ -187,6 +198,30 @@ class TestAuc:
         with pytest.raises(ValueError):
             auc([0.1, 0.2], [1, 1])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_score_rejected(self, bad):
+        with pytest.raises(ValueError, match="scores must be finite"):
+            auc([0.1, bad, 0.3, 0.2], [0, 1, 1, 0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                # few distinct values, so most draws hold ties
+                st.one_of(
+                    st.sampled_from([-1.5, 0.0, 0.25, 0.25000000000000006, 3.0]),
+                    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+                ),
+                st.integers(0, 1),
+            ),
+            min_size=2,
+            max_size=60,
+        ).filter(lambda pairs: 0 < sum(b for _, b in pairs) < len(pairs))
+    )
+    def test_equals_rankdata_formula(self, pairs):
+        scores, bits = zip(*pairs)
+        assert auc(scores, bits) == rankdata_auc(scores, bits)
+
 
 class TestEdgeInfluenceScore:
     def test_no_message_path_scores_zero(self):
@@ -266,6 +301,22 @@ class TestRunMiaGame:
         report = run_mia_game(ds, cfg, FAST_TRAIN, audit_cfg, score_fn=flaky)
         assert report.discarded_trials > 0
         assert len(report.scores) + report.discarded_trials == 12
+
+    def test_infinite_scores_discarded_before_auc(self):
+        # auc rejects a non-finite score; the game drops them first
+        ds = dense_block_dataset(seed=5)
+        cfg = make_pipeline_cfg(level="none", k=1)
+        audit_cfg = AuditConfig(attack="edge_influence", trials=12, seed=3)
+        calls = itertools.count()
+
+        def unbounded(query, challenge):
+            i = next(calls)
+            return {0: math.inf, 1: -math.inf}.get(i % 4, float(i))
+
+        report = run_mia_game(ds, cfg, FAST_TRAIN, audit_cfg, score_fn=unbounded)
+        assert report.discarded_trials == 6
+        assert report.scores == [2.0, 3.0, 6.0, 7.0, 10.0, 11.0]
+        assert report.auc == rankdata_auc(report.scores, report.membership_bits)
 
     def test_non_private_edge_attack_beats_chance(self):
         ds = dense_block_dataset(seed=6)

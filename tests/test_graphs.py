@@ -25,7 +25,7 @@ from caribou.graphs import (
 from caribou.layers import project_rows
 from caribou.prng import stream
 from tests.helpers import per_value_csv
-from caribou.verify import (
+from tests.verify import (
     enumerate_edge_neighbors,
     enumerate_node_neighbors,
     spectral_norm,

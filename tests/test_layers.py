@@ -12,7 +12,7 @@ from caribou.layers import (
     project_rows,
 )
 from caribou.prng import stream
-from caribou.verify import empirical_lipschitz
+from tests.verify import empirical_lipschitz
 from tests.test_graphs import random_graph
 
 

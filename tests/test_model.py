@@ -19,7 +19,7 @@ from caribou.model import (
     train_linear_encoder,
 )
 from caribou.prng import stream
-from caribou.verify import grad_check
+from tests.verify import grad_check
 
 TOY_X0 = np.array(
     [[1.0, 0.0], [0.9, 0.1], [0.0, 1.0], [0.1, 0.9]]

@@ -5,9 +5,8 @@ Each oracle recomputes a quantity the program states analytically by
 direct enumeration or probing on small inputs: the layer sensitivities
 (over every adjacent graph), the normalized adjacency's spectral norm, the
 layer's Lipschitz constant, and the head's gradients.  They are slow by
-design and exist for the tests.  Production code never imports this
-module, and the ``caribou`` package does not export it; import it
-explicitly as ``caribou.verify``.
+design and exist for the tests, so they live with the tests rather than
+in the ``caribou`` package; import them as ``tests.verify``.
 """
 
 from __future__ import annotations
@@ -19,10 +18,10 @@ from typing import Iterator
 
 import numpy as np
 
-from . import model
-from .graphs import Graph, build_graph, degree_stats, normalized_adjacency
-from .layers import LayerParams, layer_forward
-from .prng import stream
+from caribou import model
+from caribou.graphs import Graph, build_graph, degree_stats, normalized_adjacency
+from caribou.layers import LayerParams, layer_forward
+from caribou.prng import stream
 
 
 def spectral_norm(mat, tol: float = 1e-6, max_iter: int = 10_000, seed: int = 0) -> float:
