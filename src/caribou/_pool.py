@@ -1,12 +1,15 @@
-"""Tasks on a thread pool with one thread per CPU the process may use.
+"""Tasks on a thread pool whose last worker is the calling thread.
 
 ``pipeline.run_pipeline`` and the head in ``model`` split large matrices
 into row blocks and run one task per block.  Both take the pool from
 ``thread_pool`` and run each batch of tasks with ``run_all``, so the CPU
 count, the size from which a pool runs and the block size are stated here
-once.  Workers run only private helpers and numpy/scipy calls that release
-the GIL; every public function is called on the calling thread, so
-wrappers a tracer installs around public functions never run on a worker.
+once.  A pool has one thread fewer than the CPUs the process may use: the
+calling thread submits each task as it is produced, and once the last is
+submitted it runs, last first, every task that no worker has started.
+Workers run only private helpers and numpy/scipy calls that release the
+GIL; every public function is called on the calling thread, so wrappers a
+tracer installs around public functions never run on a worker.
 
 The tasks assume one BLAS thread.  With OpenBLAS's own threads as well,
 the workers oversubscribe the CPUs: on a 1e5-node graph with 64 features
@@ -22,10 +25,10 @@ from __future__ import annotations
 import ctypes
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from functools import cache
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 #: Matrix entries (2**19 float64 fill 4 MiB) from which the tasks run on a
 #: thread pool.  The cutoff was first set for drawing the hop noise beside
@@ -98,27 +101,52 @@ def _one_blas_thread() -> Iterator[None]:
 
 @contextmanager
 def thread_pool(cells: int) -> Iterator[ThreadPoolExecutor | None]:
-    """A pool with one thread per usable CPU for work on a matrix of
-    ``cells`` entries, or ``None`` below ``MIN_CELLS`` or with one CPU.
-    While the pool is open numpy's bundled OpenBLAS runs on one thread;
-    leaving the block joins every thread and restores the BLAS count."""
-    workers = usable_cpus() if cells >= MIN_CELLS else 1
-    if workers < 2:
+    """A pool with one thread fewer than the usable CPUs, for work on a
+    matrix of ``cells`` entries, or ``None`` below ``MIN_CELLS`` or with
+    one CPU.  While the pool is open numpy's bundled OpenBLAS runs on one
+    thread; leaving the block joins every thread and restores the BLAS
+    count."""
+    workers = usable_cpus() - 1 if cells >= MIN_CELLS else 0
+    if workers < 1:
         yield None
         return
     with _one_blas_thread(), ThreadPoolExecutor(workers) as pool:
         yield pool
 
 
-def run_all(pool: ThreadPoolExecutor | None, tasks: list[Callable[[], object]]) -> None:
-    """Run every task, on ``pool`` if there is one, and return when all
-    have ended; then raise the first failure in task order, if any."""
+def _run_here(task: Callable[[], object]) -> Future:
+    """Run ``task`` on this thread; its outcome as a finished future."""
+    done = Future()
+    try:
+        done.set_result(task())
+    except Exception as exc:  # noqa: BLE001 - raised in task order by run_all
+        done.set_exception(exc)
+    return done
+
+
+def run_all(pool: ThreadPoolExecutor | None, tasks: Iterable[Callable[[], object]]) -> None:
+    """Run every task that ``tasks`` yields and return when all have ended;
+    then raise the first failure in task order, a failure of ``tasks``
+    itself counting after the tasks it yielded.
+
+    Without a pool each task runs as it is yielded.  With one, each is
+    submitted as it is yielded; once ``tasks`` ends or fails, this thread
+    runs, last first, every task that no worker has started (only those
+    can be cancelled), and then waits for the rest."""
     if pool is None:
         for task in tasks:
             task()
         return
-    futures = [pool.submit(task) for task in tasks]
-    wait(futures)
-    for future in futures:
-        future.result()
-
+    submitted = []
+    try:
+        for task in tasks:
+            submitted.append((task, pool.submit(task)))
+    finally:
+        futures = [future for _, future in submitted]
+        for i in reversed(range(len(submitted))):
+            task, future = submitted[i]
+            if future.cancel():
+                futures[i] = _run_here(task)
+        wait(futures)
+        for future in futures:
+            future.result()

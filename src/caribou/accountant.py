@@ -22,13 +22,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Literal, Sequence
+from typing import Literal, Sequence, get_args
 
 from .graphs import Graph, degree_stats
 from .layers import LayerParams
 
 PrivacyLevel = Literal["edge", "node", "none"]
 AccountantMode = Literal["convergent", "linear"]
+
+
+def _check_mode(mode) -> None:
+    """Raise unless ``mode`` is an ``AccountantMode``."""
+    if mode not in get_args(AccountantMode):
+        raise ValueError(f"unknown accountant mode {mode!r}")
+
 
 #: Renyi orders searched during calibration.
 DEFAULT_ALPHA_GRID: tuple[float, ...] = (1.25, 1.5, 2, 3, 4, 5, 6, 8, 16, 32, 64)
@@ -261,8 +268,7 @@ def calibrate_sigma(
     """
     if not 0 <= delta_mp < math.inf:
         raise ValueError(f"delta_mp must be finite and non-negative, got {delta_mp!r}")
-    if mode not in ("convergent", "linear"):
-        raise ValueError(f"unknown accountant mode {mode!r}")
+    _check_mode(mode)
     grid = tuple(alphas) if alphas is not None else DEFAULT_ALPHA_GRID
     if not grid or any(a <= 1 for a in grid):
         raise ValueError("alpha grid must be non-empty with orders > 1")

@@ -33,9 +33,10 @@ Exit codes: 0 for success, 1 for a failed run, 2 for a usage error.  Every
 error is reported as one JSON line on stderr; ``main`` turns each failure
 of a command into that line, with the command name as its ``stage``.
 
-Large hops and heads run in row-block tasks on one thread per usable CPU,
-with numpy's bundled OpenBLAS held to one thread meanwhile (``caribou._pool``
-says why and what to set when numpy bundles another BLAS).
+Large hops and heads run in row-block tasks on every usable CPU, the
+calling thread included, with numpy's bundled OpenBLAS held to one thread
+meanwhile (``caribou._pool`` says why and what to set when numpy bundles
+another BLAS).
 """
 
 from __future__ import annotations

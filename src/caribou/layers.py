@@ -106,8 +106,8 @@ def project_rows(x: Array, radius: float = 1.0) -> Array:
     Rows already inside the ball are returned unchanged, so the map is
     idempotent and non-expansive.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not 0 < radius < np.inf:
+        raise ValueError("radius must be positive and finite")
     x = np.array(x, dtype=float)
     _project_rows_inplace(x, radius)
     return x
@@ -115,9 +115,11 @@ def project_rows(x: Array, radius: float = 1.0) -> Array:
 
 def _project_rows_inplace(x: Array, radius: float = 1.0) -> None:
     """``project_rows`` on ``x`` itself: each row is scaled by a factor
-    computed from that row alone."""
-    norms = np.linalg.norm(x, axis=-1, keepdims=True)
-    x *= np.where(norms > radius, radius / np.where(norms > 0, norms, 1.0), 1.0)
+    computed from that row alone.  A row inside the ball is scaled by
+    ``radius / radius``, exactly 1; a row with a NaN norm is kept as it is,
+    since ``fmax`` passes over the NaN."""
+    norms = np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True))
+    x *= radius / np.fmax(norms, radius)
 
 
 def normalize_rows(x: Array) -> Array:

@@ -54,10 +54,11 @@ differ from a one-block run.
 
 The blocks depend only on the input's shape.  A lone head with at least
 ``_pool.MIN_CELLS`` input entries makes ``rows // BLOCK_ROWS`` blocks of
-even height, run on ``_pool``'s threads when the process may use two or
-more CPUs and one after another otherwise, so the CPU count never changes
-the bits.  Fewer entries, and every pass of two or more heads, make one
-block on the calling thread, with no thread started.
+even height.  When the process may use two or more CPUs they run on
+``_pool``'s workers and the calling thread, which takes the tasks no
+worker has started; otherwise they run one after another.  So the CPU
+count never changes the bits.  Fewer entries, and every pass of two or
+more heads, make one block on the calling thread, with no thread started.
 """
 
 from __future__ import annotations
@@ -427,20 +428,26 @@ def _rdp_coeff(cfg: TrainConfig) -> float:
     return cfg.epochs / (2.0 * cfg.dp.noise_mult**2)
 
 
-def _head_data(x0: Array, xk: Array, labels: Array, train_mask: Array) -> tuple[Array, Array]:
-    """A head's training inputs (m, d_in) and one-hot labels (m, C), with C
-    one more than the largest label in ``labels``."""
+def _training_labels(labels: Array, train_mask: Array) -> tuple[Array, Array]:
+    """The training nodes' indices and one-hot labels (m, C), with C one
+    more than the largest label in ``labels``; an unlabeled (negative)
+    training node is an error."""
     train_mask = np.asarray(train_mask, dtype=np.int64)
     if train_mask.size == 0:
         raise ValueError("no training nodes")
     labels = np.asarray(labels)
-    num_classes = int(labels[labels >= 0].max()) + 1
-    x0, xk = _row_pair(x0, xk)
     y = labels[train_mask]
     if np.any(y < 0):
         raise ValueError("training mask contains unlabeled nodes")
+    return train_mask, np.eye(int(labels[labels >= 0].max()) + 1)[y]
+
+
+def _head_data(x0: Array, xk: Array, labels: Array, train_mask: Array) -> tuple[Array, Array]:
+    """A head's training inputs (m, d_in) and ``_training_labels``' one-hot
+    labels (m, C)."""
+    train_mask, onehot = _training_labels(labels, train_mask)
     # rows are normalized one by one, so only the training rows are formed
-    return _input_rows(x0, xk, train_mask), np.eye(num_classes)[y]
+    return _input_rows(*_row_pair(x0, xk), train_mask), onehot
 
 
 def _joins_batch(first: tuple[Array, Array], size: int, problem: tuple[Array, Array],
@@ -576,15 +583,9 @@ def train_linear_encoder(
     Plain multinomial regression; with ``cfg.dp`` set, every epoch takes
     the same private step as ``train_head``, drawing noise for W, then b.
     """
-    train_mask = np.asarray(train_mask, dtype=np.int64)
-    if train_mask.size == 0:
-        raise ValueError("no training nodes")
-    labels = np.asarray(labels)
-    num_classes = int(labels[labels >= 0].max()) + 1
+    train_mask, onehot = _training_labels(labels, train_mask)
     x = np.asarray(features, dtype=float)[train_mask]
-    y = labels[train_mask]
-    onehot = np.eye(num_classes)[y]
-    m, d = x.shape
+    (m, d), num_classes = x.shape, onehot.shape[1]
 
     w = np.zeros((d, num_classes))
     b = np.zeros(num_classes)

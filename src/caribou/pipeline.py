@@ -3,14 +3,14 @@ iterate layer forward + Gaussian perturbation + row projection for K hops,
 releasing only the final embedding.
 
 Each hop works on row blocks of the normalized adjacency, in one phase,
-with two full-size buffers: the iterate and the hop's output.  One task
-draws the hop's Gaussian noise straight into the output, block by block
-in row order, while one task per block forms that block's layer rows,
-waits until the draw has passed them, adds them into the output and
-projects them in place; then the two buffers swap.  On a large enough
-feature matrix the tasks run on the thread pool of ``_pool``, one thread
-per CPU the process may use; otherwise the whole matrix is one block,
-drawn and then run on the calling thread.
+with two full-size buffers: the iterate and the hop's output.  The
+calling thread draws the hop's Gaussian noise straight into the output,
+block by block in row order, and hands each block on as soon as its noise
+is in: the block's task forms its layer rows, adds them into the output
+and projects them in place.  Then the two buffers swap.  On a large
+enough feature matrix the tasks run on the thread pool of ``_pool``,
+whose last worker is the calling thread once the draw is done; otherwise
+the whole matrix is one block, drawn and then run on the calling thread.
 
 Every product of a hop stays row-local: the sparse Â @ X computes each
 output row from that row of Â alone, so blocks of any height give the
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 import numbers
-import threading
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -38,6 +37,7 @@ from .accountant import (
     AccountantMode,
     NoisePlan,
     PrivacySpec,
+    _check_mode,
     calibrate_sigma,
     convergent_factor,
     sensitivity_for_level,
@@ -81,6 +81,7 @@ class PipelineConfig:
         if self.k_hops < 0:
             raise ValueError("k_hops must be non-negative")
         _max_degree(self.max_degree)
+        _check_mode(self.mode)
         if self.spec.level != "none" and self.k_hops != self.spec.k_hops:
             raise ValueError(
                 f"k_hops ({self.k_hops}) must match spec.k_hops ({self.spec.k_hops})"
@@ -147,63 +148,30 @@ def _row_blocks(adj: csr_array, block_rows: int) -> list[tuple[int, int, csr_arr
     return blocks
 
 
-class _Drawn:
-    """How many leading rows of a hop's output hold its noise; block tasks
-    wait on it.  Once the draw ends, by success or failure, no one waits."""
-
-    def __init__(self) -> None:
-        self._cond = threading.Condition()
-        self._rows = 0
-        self._ended = False
-
-    def advance(self, rows: int) -> None:
-        with self._cond:
-            self._rows = rows
-            self._cond.notify_all()
-
-    def end(self) -> None:
-        with self._cond:
-            self._ended = True
-            self._cond.notify_all()
-
-    def reached(self, rows: int) -> bool:
-        """Wait until the first ``rows`` rows are drawn or the draw has
-        ended; whether they were drawn."""
-        with self._cond:
-            self._cond.wait_for(lambda: self._rows >= rows or self._ended)
-            return self._rows >= rows
-
-
-def _draw_blocks(out: np.ndarray, blocks, std: float, rng: np.random.Generator,
-                 drawn: _Drawn) -> None:
-    """Fill ``out`` with the hop's noise one block of rows at a time, in
-    row order, advancing ``drawn`` after each; end ``drawn`` in any case,
-    so that a failed draw leaves no block task waiting."""
-    try:
-        for a, b, _ in blocks:
-            _draw_noise(out[a:b], std, rng)
-            drawn.advance(b)
-    finally:
-        drawn.end()
-
-
 def _hop_rows(adj_rows, x: np.ndarray, x0_rows: np.ndarray, mean_term, params: LayerParams,
-              out_rows: np.ndarray, noisy: bool, drawn: _Drawn | None = None,
-              stop: int = 0) -> None:
+              out_rows: np.ndarray, noisy: bool) -> None:
     """Form one block's layer rows, put them into ``out_rows`` and project
-    them in place.  Without ``noisy``, the rows are formed in ``out_rows``.
-    With it, ``out_rows`` receives the hop's noise and the rows are added
-    to it; with ``drawn`` as well, the block first waits until the draw
-    has passed row ``stop``, the end of its rows, and returns without
-    writing when the draw failed before that."""
+    them in place.  Without ``noisy``, the rows are formed in ``out_rows``;
+    with it, ``out_rows`` holds the block's noise and the rows are added
+    to it."""
     if not noisy:
         _layer_rows(adj_rows, x, x0_rows, mean_term, params, out_rows)
     else:
-        rows = _layer_rows(adj_rows, x, x0_rows, mean_term, params)
-        if drawn is not None and not drawn.reached(stop):
-            return
-        out_rows += rows
+        out_rows += _layer_rows(adj_rows, x, x0_rows, mean_term, params)
     _project_rows_inplace(out_rows)
+
+
+def _hop_tasks(blocks, x: np.ndarray, out: np.ndarray, mean_term, params: LayerParams,
+               std: float, rng: np.random.Generator | None):
+    """One hop's block tasks, in row order.  Before it yields a block's
+    task, this draws the block's noise from ``rng`` into its rows of
+    ``out``, on the thread that iterates; without ``rng`` nothing is
+    drawn.  ``blocks`` holds ``(start, stop, adj_rows, x0_rows)``."""
+    for a, b, rows, x0_rows in blocks:
+        out_rows = out[a:b]
+        if rng is not None:
+            _draw_noise(out_rows, std, rng)
+        yield partial(_hop_rows, rows, x, x0_rows, mean_term, params, out_rows, rng is not None)
 
 
 def run_pipeline(dataset: LabeledDataset, cfg: PipelineConfig) -> RunArtifacts:
@@ -218,15 +186,14 @@ def run_pipeline(dataset: LabeledDataset, cfg: PipelineConfig) -> RunArtifacts:
     Each hop runs in the one phase the module docstring describes.  When
     the feature matrix has at least ``_pool.MIN_CELLS`` entries and the
     process may run on two or more CPUs (``os.sched_getaffinity``), the
-    tasks run on a pool with one thread per such CPU, over blocks of
-    ``_pool.BLOCK_ROWS`` rows; the draw is submitted first and the pool
-    starts tasks in the order they were submitted, so a block task waiting
-    for its noise never holds the draw back.  Otherwise the whole
-    matrix is one block, drawn and then run on this thread.  The stream
-    and every other public function are called on this thread.  A row's
-    arithmetic reads only that row's inputs, the column mean (taken once
-    per hop on this thread) and the hop's one noise stream, so the release
-    is the same bits for any block size and thread count.
+    blocks have ``_pool.BLOCK_ROWS`` rows and their tasks run on a pool of
+    one thread fewer than those CPUs, plus this thread once it has drawn
+    the last block's noise.  Otherwise the whole matrix is one block,
+    drawn and then run on this thread.  The stream and every other public
+    function are called on this thread.  A row's arithmetic reads only that
+    row's inputs, the column mean (taken once per hop on this thread) and
+    the hop's one noise stream, so the release is the same bits for any
+    block size and thread count.
     """
     x0 = np.asarray(dataset.features, dtype=float)
     # a NaN or infinite entry makes its row's norm NaN or infinite; NaN
@@ -266,26 +233,12 @@ def run_pipeline(dataset: LabeledDataset, cfg: PipelineConfig) -> RunArtifacts:
     out = np.empty_like(x)
     noisy = noise_std > 0.0
     with _pool.thread_pool(x.size) as pool:
-        blocks = _row_blocks(adj, _pool.BLOCK_ROWS) if pool else None
+        blocks = [(a, b, rows, x0[a:b])
+                  for a, b, rows in _row_blocks(adj, _pool.BLOCK_ROWS if pool else len(x))]
         for hop in range(cfg.k_hops):
             rng = stream(cfg.seed, _HOP_STREAM, hop) if noisy else None
             mean_term = _mean_term(x, cfg.cgl)
-            if pool is None:
-                if noisy:
-                    _draw_noise(out, noise_std, rng)
-                _hop_rows(adj, x, x0, mean_term, cfg.cgl, out, noisy)
-            else:
-                tasks = []
-                drawn = None
-                if noisy:
-                    drawn = _Drawn()
-                    tasks.append(partial(_draw_blocks, out, blocks, noise_std, rng, drawn))
-                tasks += [
-                    partial(_hop_rows, rows, x, x0[a:b], mean_term, cfg.cgl, out[a:b], noisy,
-                            drawn, b)
-                    for a, b, rows in blocks
-                ]
-                _pool.run_all(pool, tasks)
+            _pool.run_all(pool, _hop_tasks(blocks, x, out, mean_term, cfg.cgl, noise_std, rng))
             x, out = out, x
     return RunArtifacts(x_k_final=x, plan=plan, per_hop_noise_std=noise_std)
 

@@ -610,6 +610,28 @@ class TestOneErrorBoundary:
             assert "sweep run 1" in record["message"] and key in record["message"]
             assert no_artifacts(tmp_path / "sweep")
 
+    def test_unknown_mode_rejected_without_noise(self, tmp_path, capsys):
+        # level none calibrates nothing, so the mode is checked on its own
+        cfg = write_config(tmp_path / "cfg.json", output_dir=str(tmp_path / "out"),
+                           privacy={"level": "none", "mode": "linaer"})
+        code, out, err = run_cli(["train", "--config", str(cfg)], capsys)
+        assert code == 1 and out == ""
+        record = one_error(err)
+        assert record["stage"] == "train" and record["error"] == "ValueError"
+        assert "unknown accountant mode 'linaer'" in record["message"]
+        assert no_artifacts(tmp_path / "out")
+
+    def test_sweep_checks_the_mode_before_the_first_run(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", output_dir=str(tmp_path / "sweep"),
+                           privacy={"level": "edge", "epsilon": 4.0},
+                           sweep=[{"seed": 1}, {"privacy": {"mode": "linaer"}}])
+        code, out, err = run_cli(["sweep", "--config", str(cfg), "--workers", "1"], capsys)
+        assert code == 1 and out == ""
+        record = one_error(err)
+        assert record["stage"] == "sweep" and record["error"] == "CliError"
+        assert "sweep run 1" in record["message"] and "'linaer'" in record["message"]
+        assert no_artifacts(tmp_path / "sweep")
+
     @pytest.mark.parametrize(
         "level, section, key, value",
         [("edge", "encoder", "enabled", "false"),

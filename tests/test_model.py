@@ -280,7 +280,8 @@ class TestHeadRowBlocks:
         blocks = max(size[0] // caribou._pool.BLOCK_ROWS, 1) if size == ABOVE_CUTOFF else 1
         assert len(calls) == 4 * blocks  # 3 epochs, then one prediction
         if size == ABOVE_CUTOFF and cpus > 1:
-            assert all(not main and before < alive <= before + cpus for main, alive in calls)
+            # the calling thread is the pool's last worker
+            assert all(before < alive <= before + cpus - 1 for _, alive in calls)
         else:
             assert calls == [(True, before)] * (4 * blocks)
 
@@ -331,7 +332,7 @@ class TestHeadRowBlocks:
         with pytest.raises(ArithmeticError, match=f"call {2 * per_epoch} failed"):
             train_head(x0, xk, labels, np.arange(labels.size), cfg, seed=0)
         assert len(calls) == 3 * per_epoch
-        assert not any(main for main, _ in calls)
+        assert all(before < alive <= before + 1 for _, alive in calls)
         assert threading.active_count() == before
 
 
@@ -506,6 +507,16 @@ class TestLinearEncoder:
         )
         enc = train_linear_encoder(TOY_X0, TOY_Y, TOY_MASK, cfg, seed=1)
         assert enc.dae_rdp_coeff == pytest.approx(20 / (2 * 2.25))
+
+    @pytest.mark.parametrize("fit", [
+        lambda x, *args: train_linear_encoder(x, *args),
+        lambda x, *args: train_head(x, x, *args),
+    ], ids=["encoder", "head"])
+    def test_unlabeled_training_node_rejected(self, fit):
+        # label -1 marks an unlabeled node; it must not train as the last class
+        cfg = TrainConfig(epochs=2, learning_rate=0.5, hidden_units=4)
+        with pytest.raises(ValueError, match="training mask contains unlabeled nodes"):
+            fit(np.eye(3), [0, 1, -1], [0, 1, 2], cfg, 0)
 
 
 def reference_dp_step(per_example_grads, clip, noise_mult, rng):
