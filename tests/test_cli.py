@@ -569,8 +569,11 @@ class TestOneErrorBoundary:
     @pytest.mark.parametrize(
         "section, error, message",
         [({"audit": {"trials": 3}}, "ValueError", "at least 10 trials"),
-         ({"sweep": 5}, "CliError", "'sweep' must be a list")],
-        ids=["audit", "sweep"],
+         ({"sweep": 5}, "CliError", "'sweep' must be a list"),
+         # level none calibrates nothing, so the mode is checked on its own
+         ({"privacy": {"level": "none", "mode": "linaer"}}, "ValueError",
+          "unknown accountant mode 'linaer'")],
+        ids=["audit", "sweep", "mode-without-noise"],
     )
     def test_train_checks_sections_it_does_not_use(self, section, error, message, tmp_path,
                                                    capsys):
@@ -600,7 +603,8 @@ class TestOneErrorBoundary:
 
     def test_sweep_checks_every_run_before_the_first(self, tmp_path, capsys):
         for patch, key in (({"audit": {"trails": 5}}, "'trails'"),
-                           ({"privacy": {"levle": "edge"}}, "'levle'")):
+                           ({"privacy": {"levle": "edge"}}, "'levle'"),
+                           ({"privacy": {"mode": "linaer"}}, "'linaer'")):
             cfg = write_config(tmp_path / "cfg.json", output_dir=str(tmp_path / "sweep"),
                                sweep=[{"seed": 1}, patch])
             code, out, err = run_cli(["sweep", "--config", str(cfg), "--workers", "1"], capsys)
@@ -609,28 +613,6 @@ class TestOneErrorBoundary:
             assert record["stage"] == "sweep" and record["error"] == "CliError"
             assert "sweep run 1" in record["message"] and key in record["message"]
             assert no_artifacts(tmp_path / "sweep")
-
-    def test_unknown_mode_rejected_without_noise(self, tmp_path, capsys):
-        # level none calibrates nothing, so the mode is checked on its own
-        cfg = write_config(tmp_path / "cfg.json", output_dir=str(tmp_path / "out"),
-                           privacy={"level": "none", "mode": "linaer"})
-        code, out, err = run_cli(["train", "--config", str(cfg)], capsys)
-        assert code == 1 and out == ""
-        record = one_error(err)
-        assert record["stage"] == "train" and record["error"] == "ValueError"
-        assert "unknown accountant mode 'linaer'" in record["message"]
-        assert no_artifacts(tmp_path / "out")
-
-    def test_sweep_checks_the_mode_before_the_first_run(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "cfg.json", output_dir=str(tmp_path / "sweep"),
-                           privacy={"level": "edge", "epsilon": 4.0},
-                           sweep=[{"seed": 1}, {"privacy": {"mode": "linaer"}}])
-        code, out, err = run_cli(["sweep", "--config", str(cfg), "--workers", "1"], capsys)
-        assert code == 1 and out == ""
-        record = one_error(err)
-        assert record["stage"] == "sweep" and record["error"] == "CliError"
-        assert "sweep run 1" in record["message"] and "'linaer'" in record["message"]
-        assert no_artifacts(tmp_path / "sweep")
 
     @pytest.mark.parametrize(
         "level, section, key, value",
