@@ -15,6 +15,27 @@ and calibration solves for the K-hop release alone with unit sensitivity.
 A trained module states its own cost once, as a Renyi coefficient c with
 (alpha, c * alpha)-RDP at every order (``MlpHead.cm_rdp_coeff``,
 ``LinearEncoder.dae_rdp_coeff``); calibration does not compose it.
+
+The release's ``delta_mp`` is Delta + 2e: the layer sensitivity Delta of
+``sensitivity_for_level`` plus a slack 2e for the float32 product of each
+hop (``NoisePlan.rounding_slack``).  The hop computes psi(X) + E, where psi
+is the exact layer map of ``layers.layer_forward``.  Three roundings make
+E: X to float32, the values of A-hat to float32, and the float32 sums of at
+most L terms (``graphs._SUM_TERMS``; a longer row of A-hat is summed in
+chunks of at most L whose sums are added in float64).  With u = 2^-24 and
+gamma_k = k u / (1 - k u), each entry of the product is off by at most
+gamma_{L+2} (A-hat |X|)_ic, and for X with rows in the unit ball
+||A-hat |X|||_F <= ||A-hat||_2 ||X||_F <= sqrt(n).  The mean term reads the
+float32 iterate too and is off by at most alpha2 u sqrt(n).  So
+||E||_F <= e = c_l (alpha1 gamma_{L+2} + alpha2 u) sqrt(n'), which reads
+only public values: n' = n at edge level, and n' = n + 1 at node level, so
+that e covers both graphs of a pair.  Then
+||psi~_G(X) - psi~_G'(X')|| <= c_l ||X - X'|| + Delta + 2e, and the shifted
+iteration of the convergent bound goes through with Delta + 2e in place of
+Delta (Feldman et al. 2018, contraction up to an additive error).  The
+noise draw, the add, the projection and X^(K) stay float64 (Mironov 2012),
+and float64 rounding is left out of the analysis, as is float32 underflow,
+which adds at most 2^-150 per rounding.
 """
 
 from __future__ import annotations
@@ -24,6 +45,7 @@ from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Literal, Sequence, get_args
 
+from . import graphs
 from .graphs import Graph, degree_stats
 from .layers import LayerParams
 
@@ -87,6 +109,9 @@ class NoisePlan:
     delta_mp: float
     factor: float
     eps_achieved: float
+    #: the part of ``delta_mp`` that pays for the float32 product of the
+    #: hops; ``delta_mp`` less this is the layer sensitivity
+    rounding_slack: float = 0.0
 
     def __post_init__(self) -> None:
         if self.sigma < 0:
@@ -104,6 +129,7 @@ class NoisePlan:
             "sigma": self.sigma,
             "alpha_star": self.alpha_star,
             "delta_mp": self.delta_mp,
+            "rounding_slack": self.rounding_slack,
             "factor": self.factor,
             "eps_achieved": self.eps_achieved,
             "noise_std": self.noise_std,
@@ -350,6 +376,22 @@ def sensitivity_for_level(
     return node_sensitivity(
         stats.d_min, d_max, g.num_nodes, params.c_l, params.alpha1, params.alpha2
     )
+
+
+#: Unit roundoff of float32: rounding to float32 errs by at most this
+#: fraction of the value.
+_U32 = 2.0**-24
+
+
+def _rounding_slack(level: PrivacyLevel, num_nodes: int, params: LayerParams) -> float:
+    """2e, the slack for the float32 product of the hops (module docstring);
+    0 at level "none"."""
+    if level == "none":
+        return 0.0
+    terms = graphs._SUM_TERMS + 2
+    gamma = terms * _U32 / (1.0 - terms * _U32)
+    n = num_nodes + 1 if level == "node" else num_nodes
+    return 2.0 * params.c_l * (params.alpha1 * gamma + params.alpha2 * _U32) * math.sqrt(n)
 
 
 def noise_table(

@@ -226,12 +226,22 @@ def stream_seed(seed: int, index: int) -> int:
     return int(stream(seed, 0x5EED, index % (1 << 32)).integers(0, 1 << 63))
 
 
-def _absent_pairs(g: Graph) -> np.ndarray:
-    """Node pairs (u < v) without an edge, as rows in lexicographic order."""
+def _absent_pair(g: Graph, rng: np.random.Generator) -> tuple[int, int] | None:
+    """A node pair (u, v), u < v, without an edge, uniform over all such
+    pairs; None when every pair is an edge.  Draws an ordered pair of
+    distinct nodes and rejects it while it is an edge, found by a binary
+    search of the sorted edge keys, so memory stays O(m)."""
     n = g.num_nodes
-    u, v = np.triu_indices(n, k=1)
-    absent = ~np.isin(u * n + v, g.edges[:, 0] * n + g.edges[:, 1])
-    return np.stack([u[absent], v[absent]], axis=1)
+    if g.num_edges == n * (n - 1) // 2:
+        return None
+    keys = g.edges[:, 0] * n + g.edges[:, 1]
+    while True:
+        a, b = int(rng.integers(0, n)), int(rng.integers(0, n - 1))
+        b += b >= a  # uniform over the other n - 1 nodes
+        u, v = min(a, b), max(a, b)
+        i = int(np.searchsorted(keys, u * n + v))
+        if i == keys.size or keys[i] != u * n + v:
+            return u, v
 
 
 #: A trial's challenge picker: draws the membership bit and the challenge
@@ -259,10 +269,8 @@ def _edge_trial(
         if bit == 1:
             members = training_graph.edges
             return tuple(members[int(rng.integers(0, len(members)))].tolist()), bit
-        absent = _absent_pairs(training_graph)
-        if not absent.size:
-            return None
-        return tuple(absent[int(rng.integers(0, len(absent)))].tolist()), bit
+        pair = _absent_pair(training_graph, rng)
+        return None if pair is None else (pair, bit)
 
     return train_set, train_set, challenge
 

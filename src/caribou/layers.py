@@ -10,6 +10,11 @@ and ``Mean`` broadcasts the column-wise mean to every row.  With
 ``alpha1 + alpha2 = 1`` and ``c_l < 1`` the map is a contraction in the
 Frobenius norm with constant ``c_l``; that constant is what the privacy
 accountant consumes.
+
+``layer_forward`` is this map in float64.  The release's hops form the same
+rows with ``A_hat @ X`` in float32, from a float32 copy of X, and every
+other term in float64; ``accountant`` charges the difference to the
+sensitivity.
 """
 
 from __future__ import annotations
@@ -76,22 +81,33 @@ def _mean_term(x_k: Array, params: LayerParams) -> Array | None:
     """``alpha2 * Mean(x_k)`` as one row, or None when alpha2 is 0."""
     if params.alpha2 == 0.0:
         return None
-    return params.alpha2 * x_k.mean(axis=0, keepdims=True)
+    # a float32 iterate is summed in float64
+    return params.alpha2 * x_k.mean(axis=0, keepdims=True, dtype=np.float64)
 
 
 def _layer_rows(adj_rows, x_k: Array, x0_rows: Array, mean_term: Array | None,
-                params: LayerParams, out: Array | None = None) -> Array:
-    """Rows of the layer output:
+                params: LayerParams, out: Array | None = None,
+                starts: Array | None = None) -> Array:
+    """Rows of the layer output, in float64:
     ``c_l * (alpha1 * adj_rows @ x_k + mean_term) + beta * x0_rows``.
 
     ``adj_rows`` holds the adjacency rows wanted and ``x0_rows`` the same
     rows of X0; ``mean_term`` comes from ``_mean_term`` on the whole of
-    ``x_k``.  The sum is formed in ``out`` if given, else in the fresh
-    product ``adj_rows @ x_k``, and returned; the mean and residual terms
-    are skipped when their weight is 0.
+    ``x_k``.  With ``starts``, ``adj_rows`` holds the rows cut into chunks,
+    and the product's chunk rows from ``starts[i]`` up to ``starts[i + 1]``
+    are added up, in float64 and in order, into row i.  The product is in
+    the dtype of ``adj_rows`` and ``x_k`` (the hops use float32); every
+    later term is float64.  The sum is formed in ``out`` if given, else in
+    the product when it is float64, else in a fresh array, and returned;
+    the mean and residual terms are skipped when their weight is 0.
     """
     product = adj_rows @ x_k
-    out = np.multiply(product, params.alpha1, out=product if out is None else out)
+    if starts is not None:
+        product = np.add.reduceat(product, starts, axis=0, dtype=np.float64)
+    if out is None and product.dtype == np.float64:
+        out = product
+    # the float64 loop, also for a float32 product
+    out = np.multiply(product, params.alpha1, out=out, dtype=np.float64)
     if mean_term is not None:
         out += mean_term
     out *= params.c_l

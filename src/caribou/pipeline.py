@@ -2,15 +2,24 @@
 iterate layer forward + Gaussian perturbation + row projection for K hops,
 releasing only the final embedding.
 
-Each hop works on row blocks of the normalized adjacency, in one phase,
-with two full-size buffers: the iterate and the hop's output.  The
-calling thread draws the hop's Gaussian noise straight into the output,
-block by block in row order, and hands each block on as soon as its noise
-is in: the block's task forms its layer rows, adds them into the output
-and projects them in place.  Then the two buffers swap.  On a large
-enough feature matrix the tasks run on the thread pool of ``_pool``,
-whose last worker is the calling thread once the draw is done; otherwise
-the whole matrix is one block, drawn and then run on the calling thread.
+Each hop multiplies in float32 and does everything else in float64.  A run
+holds two full-size buffers: the float32 iterate and the hop's float64
+output.  At the start of each hop the iterate is rounded from the last
+output (from X0 at hop 0), block by block.  The calling thread then draws
+the hop's Gaussian noise straight into the output, block by block in row
+order, and hands each block on as soon as its noise is in: the block's
+task forms its layer rows from the float32 product Â @ X, adds them into
+the output and projects them in place.  On a large enough feature matrix
+the tasks run on the thread pool of ``_pool``, whose last worker is the
+calling thread once the draw is done; otherwise the whole matrix is one
+block, drawn and then run on the calling thread.  The last output is the
+release, in float64.
+
+The product's rounding is charged to the sensitivity: ``delta_mp`` is the
+layer's Delta plus the slack of ``accountant._rounding_slack``, whose
+argument is in the ``accountant`` module docstring.  No float32 sum has
+more than ``graphs._SUM_TERMS`` terms: a longer row of Â is summed in
+chunks of at most that many, and the chunk sums are added in float64.
 
 Every product of a hop stays row-local: the sparse Â @ X computes each
 output row from that row of Â alone, so blocks of any height give the
@@ -25,7 +34,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 
@@ -38,11 +47,12 @@ from .accountant import (
     NoisePlan,
     PrivacySpec,
     _check_mode,
+    _rounding_slack,
     calibrate_sigma,
     convergent_factor,
     sensitivity_for_level,
 )
-from .graphs import LabeledDataset, normalized_adjacency, write_float_csv
+from .graphs import LabeledDataset, _float32_aggregation, write_float_csv
 from .layers import LayerParams, _layer_rows, _mean_term, _project_rows_inplace
 from .prng import stream
 
@@ -126,62 +136,78 @@ def sample_gaussian_matrix(
     return out
 
 
-def _row_blocks(adj: csr_array, block_rows: int) -> list[tuple[int, int, csr_array]]:
-    """Split ``adj`` into ``(start, stop, rows)`` blocks of ``block_rows``
-    rows.  Each block is a CSR view over ``adj``'s own ``data`` and
-    ``indices``; only its ``indptr`` is rebased to start at 0.  One block
-    is ``adj`` itself."""
-    n = adj.shape[0]
-    if block_rows >= n:
-        return [(0, n, adj)]
+def _row_blocks(agg: csr_array, first: np.ndarray | None,
+                block_rows: int) -> list[tuple[int, int, csr_array, np.ndarray | None]]:
+    """Split the rows of Â into ``(start, stop, rows, starts)`` blocks of
+    ``block_rows`` rows, from ``agg`` and ``first`` as
+    ``graphs._float32_aggregation`` gives them.  ``rows`` holds the chunks
+    of the block's rows; ``starts`` gives each row's first chunk within
+    ``rows``, or is None when the block cuts no row.  Each block is a CSR
+    view over ``agg``'s own ``data`` and ``indices``; only its ``indptr``
+    is rebased to start at 0.  One block is ``agg`` itself."""
+    n = agg.shape[1]
     blocks = []
     for a in range(0, n, block_rows):
         b = min(a + block_rows, n)
-        lo, hi = adj.indptr[a], adj.indptr[b]
-        rows = csr_array((b - a, adj.shape[1]), dtype=adj.dtype)
+        ca, cb = (a, b) if first is None else (int(first[a]), int(first[b]))
+        starts = None if cb - ca == b - a else first[a:b] - ca
+        if cb - ca == agg.shape[0]:
+            blocks.append((a, b, agg, starts))
+            continue
+        lo, hi = agg.indptr[ca], agg.indptr[cb]
+        rows = csr_array((cb - ca, n), dtype=agg.dtype)
         # set after construction: the constructor copies an array that is
         # a view of less than half of its base
-        rows.indptr = adj.indptr[a : b + 1] - lo
-        rows.indices = adj.indices[lo:hi]
-        rows.data = adj.data[lo:hi]
-        blocks.append((a, b, rows))
+        rows.indptr = agg.indptr[ca : cb + 1] - lo
+        rows.indices = agg.indices[lo:hi]
+        rows.data = agg.data[lo:hi]
+        blocks.append((a, b, rows, starts))
     return blocks
 
 
-def _hop_rows(adj_rows, x: np.ndarray, x0_rows: np.ndarray, mean_term, params: LayerParams,
-              out_rows: np.ndarray, noisy: bool) -> None:
-    """Form one block's layer rows, put them into ``out_rows`` and project
-    them in place.  Without ``noisy``, the rows are formed in ``out_rows``;
-    with it, ``out_rows`` holds the block's noise and the rows are added
-    to it."""
+def _hop_rows(adj_rows, starts, x32: np.ndarray, x0_rows: np.ndarray, mean_term,
+              params: LayerParams, out_rows: np.ndarray, noisy: bool) -> None:
+    """Form one block's layer rows from the float32 iterate, put them into
+    ``out_rows`` and project them in place.  Without ``noisy``, the rows
+    are formed in ``out_rows``; with it, ``out_rows`` holds the block's
+    noise and the rows are added to it."""
     if not noisy:
-        _layer_rows(adj_rows, x, x0_rows, mean_term, params, out_rows)
+        _layer_rows(adj_rows, x32, x0_rows, mean_term, params, out_rows, starts)
     else:
-        out_rows += _layer_rows(adj_rows, x, x0_rows, mean_term, params)
+        out_rows += _layer_rows(adj_rows, x32, x0_rows, mean_term, params, None, starts)
     _project_rows_inplace(out_rows)
 
 
-def _hop_tasks(blocks, x: np.ndarray, out: np.ndarray, mean_term, params: LayerParams,
+def _hop_tasks(blocks, x32: np.ndarray, out: np.ndarray, mean_term, params: LayerParams,
                std: float, rng: np.random.Generator | None):
     """One hop's block tasks, in row order.  Before it yields a block's
     task, this draws the block's noise from ``rng`` into its rows of
     ``out``, on the thread that iterates; without ``rng`` nothing is
-    drawn.  ``blocks`` holds ``(start, stop, adj_rows, x0_rows)``."""
-    for a, b, rows, x0_rows in blocks:
+    drawn.  ``blocks`` holds ``(start, stop, adj_rows, starts, x0_rows)``."""
+    for a, b, rows, starts, x0_rows in blocks:
         out_rows = out[a:b]
         if rng is not None:
             _draw_noise(out_rows, std, rng)
-        yield partial(_hop_rows, rows, x, x0_rows, mean_term, params, out_rows, rng is not None)
+        yield partial(_hop_rows, rows, starts, x32, x0_rows, mean_term, params, out_rows,
+                      rng is not None)
+
+
+def _cast_tasks(blocks, src: np.ndarray, x32: np.ndarray):
+    """Tasks that round ``src`` into the float32 iterate, one per block."""
+    for a, b, *_ in blocks:
+        yield partial(np.copyto, x32[a:b], src[a:b])
 
 
 def run_pipeline(dataset: LabeledDataset, cfg: PipelineConfig) -> RunArtifacts:
     """Run the perturbed contractive pipeline and release X^(K).
 
     Requires row-normalized input features.  The per-hop noise standard
-    deviation is exactly sensitivity * plan.sigma; each hop draws from its
-    own counter-derived stream straight into its output buffer, so runs
-    are reproducible regardless of evaluation order, and a run holds two
-    full-size buffers besides the features.
+    deviation is exactly plan.delta_mp * plan.sigma, where delta_mp is the
+    layer sensitivity plus ``plan.rounding_slack``, the charge for the
+    float32 product; each hop draws from its own counter-derived stream
+    straight into its output buffer, so runs are reproducible regardless
+    of evaluation order.  Besides the features, a run holds the float32
+    iterate and the float64 output, 1.5 times the features' size.
 
     Each hop runs in the one phase the module docstring describes.  When
     the feature matrix has at least ``_pool.MIN_CELLS`` entries and the
@@ -189,11 +215,12 @@ def run_pipeline(dataset: LabeledDataset, cfg: PipelineConfig) -> RunArtifacts:
     blocks have ``_pool.BLOCK_ROWS`` rows and their tasks run on a pool of
     one thread fewer than those CPUs, plus this thread once it has drawn
     the last block's noise.  Otherwise the whole matrix is one block,
-    drawn and then run on this thread.  The stream and every other public
-    function are called on this thread.  A row's arithmetic reads only that
-    row's inputs, the column mean (taken once per hop on this thread) and
-    the hop's one noise stream, so the release is the same bits for any
-    block size and thread count.
+    drawn and then run on this thread.  The rounding of the iterate to
+    float32 runs in the same blocks, on the same threads.  The stream and
+    every other public function are called on this thread.  A row's
+    arithmetic reads only that row's inputs, the column mean (taken once
+    per hop on this thread) and the hop's one noise stream, so the release
+    is the same bits for any block size and thread count.
     """
     x0 = np.asarray(dataset.features, dtype=float)
     # a NaN or infinite entry makes its row's norm NaN or infinite; NaN
@@ -219,7 +246,9 @@ def run_pipeline(dataset: LabeledDataset, cfg: PipelineConfig) -> RunArtifacts:
             eps_achieved=0.0,
         )
     else:
-        plan = calibrate_sigma(cfg.spec, delta_mp, cfg.mode)
+        slack = _rounding_slack(level, dataset.graph.num_nodes, cfg.cgl)
+        plan = replace(calibrate_sigma(cfg.spec, delta_mp + slack, cfg.mode),
+                       rounding_slack=slack)
 
     noise_std = plan.noise_std
     if cfg.k_hops == 0:
@@ -228,19 +257,19 @@ def run_pipeline(dataset: LabeledDataset, cfg: PipelineConfig) -> RunArtifacts:
         raise ValueError("expected a non-empty 2-D feature matrix")
     # built before the iterate buffers: the build's own peak is several
     # times the size of Â
-    adj = normalized_adjacency(dataset.graph)
-    x = x0.copy()
-    out = np.empty_like(x)
+    agg, first = _float32_aggregation(dataset.graph)
+    x32 = np.empty(x0.shape, dtype=np.float32)
+    out = np.empty(x0.shape)
     noisy = noise_std > 0.0
-    with _pool.thread_pool(x.size) as pool:
-        blocks = [(a, b, rows, x0[a:b])
-                  for a, b, rows in _row_blocks(adj, _pool.BLOCK_ROWS if pool else len(x))]
+    with _pool.thread_pool(out.size) as pool:
+        blocks = [(a, b, rows, starts, x0[a:b]) for a, b, rows, starts
+                  in _row_blocks(agg, first, _pool.BLOCK_ROWS if pool else len(out))]
         for hop in range(cfg.k_hops):
+            _pool.run_all(pool, _cast_tasks(blocks, out if hop else x0, x32))
             rng = stream(cfg.seed, _HOP_STREAM, hop) if noisy else None
-            mean_term = _mean_term(x, cfg.cgl)
-            _pool.run_all(pool, _hop_tasks(blocks, x, out, mean_term, cfg.cgl, noise_std, rng))
-            x, out = out, x
-    return RunArtifacts(x_k_final=x, plan=plan, per_hop_noise_std=noise_std)
+            mean_term = _mean_term(x32, cfg.cgl)
+            _pool.run_all(pool, _hop_tasks(blocks, x32, out, mean_term, cfg.cgl, noise_std, rng))
+    return RunArtifacts(x_k_final=out, plan=plan, per_hop_noise_std=noise_std)
 
 
 def save_artifacts(artifacts: RunArtifacts, embedding_path, plan_path) -> None:

@@ -9,8 +9,26 @@ word 0 carries the user seed, word 1 packs up to two 32-bit context ids.
 from __future__ import annotations
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 _MASK64 = (1 << 64) - 1
+
+
+class _Key(ISeedSequence):
+    """A seed sequence whose state is a given Philox key.
+
+    ``Philox(_Key(key))`` is the generator ``Philox(key=key)``, counter 0,
+    without the ``SeedSequence()`` that ``Philox`` builds, from fresh OS
+    entropy, for the seed it is not given and then throws away.
+    """
+
+    def __init__(self, key: np.ndarray) -> None:
+        self.key = key
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != self.key.size or np.dtype(dtype) != self.key.dtype:
+            raise ValueError(f"a Philox key is {self.key.size} words of {self.key.dtype}")
+        return self.key
 
 
 def stream(seed: int, *ids: int) -> np.random.Generator:
@@ -28,4 +46,4 @@ def stream(seed: int, *ids: int) -> np.random.Generator:
             raise ValueError(f"stream id {sid} outside [0, 2^32)")
         packed |= sid << (32 * i)
     key = np.array([seed & _MASK64, packed], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(_Key(key)))

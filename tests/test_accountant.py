@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr, ndtri
 
+import caribou.graphs
 from caribou.accountant import (
     CalibrationError,
     NoisePlan,
@@ -19,6 +20,7 @@ from caribou.accountant import (
     rdp_epsilon_convergent,
     rdp_epsilon_linear,
     rdp_to_dp,
+    _rounding_slack,
     sensitivity_for_level,
 )
 from caribou.graphs import build_graph, degree_stats
@@ -358,6 +360,32 @@ class TestSensitivityForLevel:
         params = LayerParams(c_l=0.5, alpha1=0.5, alpha2=0.5, beta=0.0)
         with pytest.raises(ValueError, match="cap"):
             sensitivity_for_level("node", g, params, d_max_cap=2)
+
+
+class TestRoundingSlack:
+    GAMMA_66 = 66 * 2.0**-24 / (1 - 66 * 2.0**-24)
+
+    def test_formula_at_each_level(self):
+        params = LayerParams(c_l=0.7, alpha1=0.8, alpha2=0.2, beta=0.1)
+        per_node = 2 * 0.7 * (0.8 * self.GAMMA_66 + 0.2 * 2.0**-24)
+        assert _rounding_slack("edge", 50, params) == pytest.approx(per_node * math.sqrt(50))
+        # node level covers the larger graph of a pair
+        assert _rounding_slack("node", 50, params) == pytest.approx(per_node * math.sqrt(51))
+        assert _rounding_slack("none", 50, params) == 0.0
+
+    def test_reads_the_chunk_length(self, monkeypatch):
+        params = LayerParams(c_l=0.5, alpha1=1.0, alpha2=0.0, beta=0.0)
+        monkeypatch.setattr(caribou.graphs, "_SUM_TERMS", 4)
+        gamma_6 = 6 * 2.0**-24 / (1 - 6 * 2.0**-24)
+        assert _rounding_slack("edge", 9, params) == pytest.approx(2 * 0.5 * gamma_6 * 3)
+
+    def test_release_scale_noise_rises_below_half_a_percent(self):
+        # n = 1e5, minimum degree 2, c_l = 0.9: Delta = 0.5899, 2e = 0.0022
+        params = LayerParams(c_l=0.9, alpha1=1.0, alpha2=0.0, beta=0.0)
+        delta = edge_sensitivity(2, 0.9, 1.0)
+        slack = _rounding_slack("edge", 100_000, params)
+        assert slack == pytest.approx(0.00224, abs=1e-5)
+        assert slack / delta < 0.005
 
 
 class TestNoiseTable:

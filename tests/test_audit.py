@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 from dataclasses import replace
@@ -15,7 +16,7 @@ from caribou.audit import (
     _TRIAL_STREAM,
     AuditConfig,
     AuditReport,
-    _absent_pairs,
+    _absent_pair,
     _induced_subgraph,
     _PipelineModel,
     _sample_edge_subset,
@@ -95,10 +96,18 @@ def reference_edge_trial(dataset, pipeline_cfg, train_cfg, audit_cfg, rng, trial
         members = training_graph.edges
         u, v = members[int(rng.integers(0, len(members)))].tolist()
     else:
-        absent = _absent_pairs(training_graph)
-        if not absent.size:
+        n = training_graph.num_nodes
+        present = set(edge_tuples(training_graph))
+        if len(present) == n * (n - 1) // 2:
             return math.nan, 0
-        u, v = absent[int(rng.integers(0, len(absent)))].tolist()
+        # an ordered pair of distinct nodes, redrawn while it is an edge
+        while True:
+            a = int(rng.integers(0, n))
+            b = int(rng.integers(0, n - 1))
+            b = b + 1 if b >= a else b
+            u, v = sorted((a, b))
+            if (u, v) not in present:
+                break
     if score_fn is not None:
         return float(score_fn(model.query, (u, v))), bit
     return edge_influence_score(model.query, u, v, audit_cfg.perturb_scale), bit
@@ -464,14 +473,26 @@ class TestChallengeSamplers:
     """Each sampler equals its tuple-based definition, order included: the
     trial RNG indexes these lists, so their order fixes the challenges."""
 
-    def test_absent_pairs_match_definition(self):
-        for seed, n, p in [(0, 0, 0.5), (1, 1, 0.5), (2, 9, 0.0), (3, 9, 1.0), (4, 23, 0.4)]:
-            g = random_graph(seed, n, p)
-            present = set(edge_tuples(g))
-            expected = [pair for pair in itertools.combinations(range(n), 2) if pair not in present]
-            got = _absent_pairs(g)
-            assert got.shape == (len(expected), 2)
-            assert [tuple(r) for r in got.tolist()] == expected
+    def test_absent_pair_draw_is_uniform_over_absent_pairs(self):
+        # 5 nodes, 4 edges: 6 absent pairs
+        g = build_graph(5, [(0, 1), (1, 2), (2, 3), (0, 4)])
+        present = set(edge_tuples(g))
+        absent = [p for p in itertools.combinations(range(5), 2) if p not in present]
+        rng = stream(8, 3)
+        draws = 6000
+        counts = collections.Counter(_absent_pair(g, rng) for _ in range(draws))
+        assert set(counts) == set(absent)
+        expected = draws / len(absent)
+        chi2 = sum((counts[p] - expected) ** 2 / expected for p in absent)
+        # the 0.999 quantile of chi-square with 5 degrees of freedom
+        assert chi2 < 20.52
+
+    def test_absent_pair_without_absent_pairs_is_none(self):
+        rng = stream(9, 3)
+        for n in (0, 1, 2, 6):
+            complete = build_graph(n, list(itertools.combinations(range(n), 2)))
+            assert _absent_pair(complete, rng) is None
+        assert _absent_pair(build_graph(2, []), rng) == (0, 1)
 
     def test_induced_subgraph_matches_definition(self):
         g = random_graph(5, 30, 0.3)

@@ -6,15 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from caribou.graphs import build_graph, normalized_adjacency
+import caribou.graphs
+from caribou.accountant import _rounding_slack
+from caribou.graphs import _float32_aggregation, build_graph, normalized_adjacency
 from caribou.layers import (
     LayerParams,
+    _layer_rows,
+    _mean_term,
     layer_forward,
     normalize_rows,
     project_rows,
 )
+from caribou.pipeline import _row_blocks
 from caribou.prng import stream
-from tests.verify import empirical_lipschitz
+from tests.verify import empirical_lipschitz, exact_product
 from tests.test_graphs import random_graph
 
 
@@ -132,6 +137,43 @@ class TestLayerForward:
                 layer_forward(adj, x, x0, params) - layer_forward(adj, y, x0, params)
             )
             assert gap_out <= params.c_l * np.linalg.norm(x - y) + 1e-9
+
+
+class TestFloat32Product:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        d=st.integers(1, 5),
+        star=st.booleans(),
+        terms=st.sampled_from([4, 64]),
+        c_l=st.floats(0.05, 0.99),
+        alpha1=st.floats(0.0, 1.0),
+        beta=st.floats(0.0, 2.0),
+        scale=st.floats(0.01, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_hop_rows_within_e_of_the_fsum_oracle(
+        self, n, d, star, terms, c_l, alpha1, beta, scale, seed
+    ):
+        rng = stream(seed, 0xF32)
+        graph = build_graph(n, [(0, v) for v in range(1, n)]) if star else random_graph(rng, n)
+        params = LayerParams(c_l=c_l, alpha1=alpha1, alpha2=1.0 - alpha1, beta=beta)
+        x = project_rows(scale * rng.normal(size=(n, d)))
+        x0 = project_rows(rng.normal(size=(n, d)))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(caribou.graphs, "_SUM_TERMS", terms)
+            agg, first = _float32_aggregation(graph)
+            e = _rounding_slack("edge", n, params) / 2
+        assert np.diff(agg.indptr).max() <= terms
+        [(_, _, rows, starts)] = _row_blocks(agg, first, n)
+        x32 = x.astype(np.float32)
+        got = _layer_rows(rows, x32, x0, _mean_term(x32, params), params, None, starts)
+        adj = normalized_adjacency(graph)
+        mean = [math.fsum(column) / n for column in x.T.tolist()]
+        oracle = c_l * (alpha1 * exact_product(adj, x) + params.alpha2 * np.array(mean))
+        oracle += beta * x0
+        # float64 rounding is outside the bound; 1e-12 covers it
+        assert np.linalg.norm(got - oracle) <= e + 1e-12
 
 
 class TestProjectRows:

@@ -8,11 +8,19 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_array
 
 import caribou._pool
+import caribou.graphs
 import caribou.pipeline
-from caribou.accountant import PrivacySpec
-from caribou.graphs import LabeledDataset, build_graph, gen_chain_dataset, normalized_adjacency
+from caribou.accountant import PrivacySpec, _rounding_slack, sensitivity_for_level
+from caribou.graphs import (
+    LabeledDataset,
+    _float32_aggregation,
+    build_graph,
+    gen_chain_dataset,
+    normalized_adjacency,
+)
 from caribou.layers import LayerParams, layer_forward, project_rows
 from caribou._pool import MIN_CELLS
 from caribou.pipeline import (
@@ -125,8 +133,43 @@ def mixed_config(level, seed, k=3):
     return PipelineConfig(cgl=params, spec=spec, k_hops=k, seed=seed)
 
 
+def float32_product(adj, x32):
+    """Â @ X as the hops form it: each row's stored entries, in order, are
+    summed in float32 in chunks of at most ``graphs._SUM_TERMS``, and the
+    chunk sums are added in float64.  Chunk k of every row at once is the
+    product of the float32 matrix of the entries k*L up to (k+1)*L of each
+    row; a row without such entries adds zero."""
+    terms = caribou.graphs._SUM_TERMS
+    lengths = np.diff(adj.indptr)
+    rows = np.repeat(np.arange(adj.shape[0]), lengths)
+    position = np.arange(adj.nnz) - np.repeat(adj.indptr[:-1], lengths)
+    total = np.zeros(x32.shape)
+    for k in range(-(-int(lengths.max()) // terms)):
+        keep = position // terms == k
+        chunk = csr_array((adj.data[keep].astype(np.float32), (rows[keep], adj.indices[keep])),
+                          shape=adj.shape)
+        total += chunk @ x32
+    return total
+
+
 def reference_release(ds, cfg, noise_std):
-    """The hop loop written out: layer, the hop's Gaussian, projection."""
+    """The hop loop written out: the float32 product of the float32
+    iterate, the layer's float64 terms, the hop's Gaussian, projection."""
+    adj = normalized_adjacency(ds.graph)
+    p = cfg.cgl
+    x = ds.features.copy()
+    for hop in range(cfg.k_hops):
+        x32 = x.astype(np.float32)
+        mean = x32.mean(axis=0, dtype=np.float64)
+        x = p.c_l * (p.alpha1 * float32_product(adj, x32) + p.alpha2 * mean) + p.beta * ds.features
+        x = x + stream(cfg.seed, 0x40C4, hop).normal(0.0, noise_std, size=x.shape)
+        x = project_rows(x)
+    return x
+
+
+def reference_release_float64(ds, cfg, noise_std):
+    """The same loop with the exact layer map in float64: the oracle the
+    release stays within the rounding bound of."""
     adj = normalized_adjacency(ds.graph)
     x = ds.features.copy()
     for hop in range(cfg.k_hops):
@@ -192,6 +235,40 @@ class TestNoiseOverlap:
             artifacts = run_pipeline(ds, cfg)
             expected = reference_release(ds, cfg, artifacts.per_hop_noise_std)
             assert np.array_equal(artifacts.x_k_final, expected)
+
+    @pytest.mark.parametrize(
+        "block_rows, cpus",
+        [(1000, 2), (ABOVE_CUTOFF[0], 2), (1000, 3), (1000, 1)],
+        ids=["ragged-blocks", "one-block", "three-cpus", "one-cpu"],
+    )
+    def test_equals_reference_loop_with_cut_rows(self, block_rows, cpus, monkeypatch):
+        monkeypatch.setattr(caribou.graphs, "_SUM_TERMS", 4)
+        monkeypatch.setattr(caribou._pool, "BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(caribou._pool, "usable_cpus", lambda: cpus)
+        ds = random_dataset(*ABOVE_CUTOFF, seed=10)
+        agg, first = _float32_aggregation(ds.graph)
+        assert first is not None and agg.shape[0] > ds.graph.num_nodes
+        for level in ("edge", "node"):
+            cfg = mixed_config(level, 2)
+            artifacts = run_pipeline(ds, cfg)
+            expected = reference_release(ds, cfg, artifacts.per_hop_noise_std)
+            assert np.array_equal(artifacts.x_k_final, expected)
+
+    @pytest.mark.parametrize("terms", [64, 4], ids=["whole-rows", "cut-rows"])
+    @pytest.mark.parametrize("level", ["edge", "node", "none"])
+    def test_within_the_rounding_bound_of_the_float64_loop(self, level, terms, monkeypatch):
+        # with the same noise, each hop adds at most e and the next contracts
+        # it by c_l: projection is non-expansive
+        monkeypatch.setattr(caribou.graphs, "_SUM_TERMS", terms)
+        ds = random_dataset(*BELOW_CUTOFF, seed=9)
+        k = 6
+        cfg = mixed_config(level, 4, k=k)
+        artifacts = run_pipeline(ds, cfg)
+        exact = reference_release_float64(ds, cfg, artifacts.per_hop_noise_std)
+        c = cfg.cgl.c_l
+        e = _rounding_slack("edge", ds.graph.num_nodes, cfg.cgl) / 2
+        gap = float(np.linalg.norm(artifacts.x_k_final - exact))
+        assert 0 < gap <= e * (1 - c**k) / (1 - c)
 
     @pytest.mark.parametrize("size", [ABOVE_CUTOFF, BELOW_CUTOFF], ids=["above", "below"])
     def test_level_none_equals_noiseless_reference_loop(self, size, monkeypatch):
@@ -275,7 +352,7 @@ class TestNoiseOverlap:
             assert len(projections) == projected, case
             assert threading.active_count() == before, case
 
-    def test_peak_memory_holds_two_full_size_buffers(self, monkeypatch):
+    def test_peak_memory_holds_one_float64_and_one_float32_buffer(self, monkeypatch):
         monkeypatch.setattr(caribou._pool, "BLOCK_ROWS", 512)
         monkeypatch.setattr(caribou._pool, "usable_cpus", lambda: 2)
         ds = random_dataset(*ABOVE_CUTOFF, seed=2)
@@ -287,18 +364,45 @@ class TestNoiseOverlap:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the iterate and the hop's output, plus Â and the blocks in flight
-        assert peak < 2.5 * ds.features.nbytes
+        # the hop's float64 output and the float32 iterate, 1.5 times the
+        # features, plus the blocks in flight
+        assert peak < 2.0 * ds.features.nbytes
 
     def test_row_blocks_are_views_of_the_adjacency(self):
-        adj = normalized_adjacency(random_dataset(50, 2, seed=1).graph)
-        blocks = _row_blocks(adj, 16)
-        assert [(a, b) for a, b, _ in blocks] == [(0, 16), (16, 32), (32, 48), (48, 50)]
-        for a, b, rows in blocks:
-            assert np.shares_memory(rows.data, adj.data)
-            assert np.shares_memory(rows.indices, adj.indices)
-            assert np.array_equal(rows.toarray(), adj.toarray()[a:b])
+        graph = random_dataset(50, 2, seed=1).graph
+        adj = normalized_adjacency(graph)
+        agg, first = _float32_aggregation(graph)
+        assert first is None and _float32_aggregation(graph)[0] is agg
+        assert np.array_equal(agg.indptr, adj.indptr)
+        assert np.array_equal(agg.indices, adj.indices)
+        assert np.array_equal(agg.data, adj.data.astype(np.float32))
+        blocks = _row_blocks(agg, first, 16)
+        assert [(a, b) for a, b, *_ in blocks] == [(0, 16), (16, 32), (32, 48), (48, 50)]
+        for a, b, rows, starts in blocks:
+            assert starts is None
+            assert np.shares_memory(rows.data, agg.data)
+            assert np.shares_memory(rows.indices, agg.indices)
+            assert np.array_equal(rows.toarray(), agg.toarray()[a:b])
 
+    def test_row_blocks_of_cut_rows(self, monkeypatch):
+        # a star: the hub's row of 30 entries is cut into chunks of 4
+        monkeypatch.setattr(caribou.graphs, "_SUM_TERMS", 4)
+        graph = build_graph(30, [(0, v) for v in range(1, 30)])
+        adj = normalized_adjacency(graph)
+        agg, first = _float32_aggregation(graph)
+        assert first.tolist() == [0, *range(8, 38)]
+        assert np.diff(agg.indptr).tolist() == [4] * 7 + [2] + [2] * 29
+        assert np.array_equal(agg.indices, adj.indices)
+        assert np.array_equal(agg.data, adj.data.astype(np.float32))
+        blocks = _row_blocks(agg, first, 16)
+        assert [(a, b) for a, b, *_ in blocks] == [(0, 16), (16, 30)]
+        (_, _, head, starts), (_, _, tail, none) = blocks
+        assert starts.tolist() == [0, *range(8, 23)] and none is None
+        assert np.shares_memory(head.data, agg.data) and np.shares_memory(tail.data, agg.data)
+        dense = adj.toarray().astype(np.float32)
+        assert np.array_equal(head.toarray()[:8].sum(axis=0), dense[0])
+        assert np.array_equal(head.toarray()[8:], dense[1:16])
+        assert np.array_equal(tail.toarray(), dense[16:])
 
 class TestConfigValidation:
     def test_hop_mismatch_rejected(self):
@@ -370,6 +474,17 @@ class TestRunPipeline:
         plan = artifacts.plan
         assert artifacts.per_hop_noise_std == plan.delta_mp * plan.sigma
         assert plan.delta_mp > 0 and plan.sigma > 0
+
+    @pytest.mark.parametrize("level", ["edge", "node", "none"])
+    def test_delta_is_the_sensitivity_plus_the_rounding_slack(self, level):
+        ds = gen_chain_dataset(4, 6, 2, 4, seed=3)
+        cfg = chain_config(level=level, eps=4.0, k=2)
+        plan = run_pipeline(ds, cfg).plan
+        slack = _rounding_slack(level, ds.graph.num_nodes, cfg.cgl)
+        assert plan.rounding_slack == slack
+        assert plan.delta_mp == sensitivity_for_level(level, ds.graph, cfg.cgl) + slack
+        assert plan.to_dict()["rounding_slack"] == slack
+        assert (slack > 0) == (level != "none")
 
     def test_unnormalized_features_rejected(self):
         ds = gen_chain_dataset(2, 3, 2, 3, seed=0)
@@ -450,6 +565,7 @@ class TestArtifactsIo:
 
         sidecar = json.loads(plan.read_text())
         assert sidecar["sigma"] == artifacts.plan.sigma
+        assert sidecar["rounding_slack"] == artifacts.plan.rounding_slack > 0
         assert sidecar["per_hop_noise_std"] == artifacts.per_hop_noise_std
         loaded = np.array([[float(v) for v in line.split(",")] for line in rows])
         assert np.array_equal(loaded, artifacts.x_k_final)

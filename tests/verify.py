@@ -4,7 +4,8 @@ forms the system relies on.
 Each oracle recomputes a quantity the program states analytically by
 direct enumeration or probing on small inputs: the layer sensitivities
 (over every adjacent graph), the normalized adjacency's spectral norm, the
-layer's Lipschitz constant, and the head's gradients.  They are slow by
+layer's Lipschitz constant, the hops' product without rounding error, and
+the head's gradients.  They are slow by
 design and exist for the tests, so they live with the tests rather than
 in the ``caribou`` package; import them as ``tests.verify``.
 """
@@ -199,6 +200,18 @@ def brute_force_node_sensitivity(
                 )
             worst = max(worst, math.sqrt(float(gap)))
     return worst
+
+
+def exact_product(adj, x: np.ndarray) -> np.ndarray:
+    """``adj @ x`` with each entry summed by ``math.fsum``: the correctly
+    rounded sum of the float64 products, the oracle for the float32 product
+    of the hops.  ``adj`` is a CSR matrix."""
+    out = np.zeros((adj.shape[0], x.shape[1]))
+    for i in range(adj.shape[0]):
+        lo, hi = adj.indptr[i], adj.indptr[i + 1]
+        terms = adj.data[lo:hi, None] * x[adj.indices[lo:hi]]
+        out[i] = [math.fsum(column) for column in terms.T.tolist()]
+    return out
 
 
 def grad_check(
