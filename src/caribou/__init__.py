@@ -14,11 +14,8 @@ from .accountant import (
     convergent_factor,
     edge_sensitivity,
     gaussian_tradeoff,
-    gdp_to_rdp,
     node_sensitivity,
     noise_table,
-    rdp_epsilon_convergent,
-    rdp_epsilon_linear,
     rdp_to_dp,
 )
 from .audit import (
@@ -89,7 +86,6 @@ __all__ = [
     "edge_sensitivity",
     "evaluate",
     "gaussian_tradeoff",
-    "gdp_to_rdp",
     "gen_chain_dataset",
     "layer_forward",
     "load_dataset",
@@ -100,8 +96,6 @@ __all__ = [
     "normalized_adjacency",
     "predict_proba",
     "project_rows",
-    "rdp_epsilon_convergent",
-    "rdp_epsilon_linear",
     "rdp_to_dp",
     "run_mia_game",
     "run_pipeline",

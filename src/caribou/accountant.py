@@ -2,10 +2,11 @@
 
 Covers the convergent and linear Renyi-DP factors for a K-hop pipeline,
 the edge- and node-level sensitivity formulas of the contractive layer,
-conversions between Gaussian DP, Renyi DP, and (epsilon, delta)-DP, and
-noise calibration in closed form over a finite Renyi-order grid.  The
-brute-force sensitivity oracles that check the formulas on small graphs
-live with the tests, in ``tests/verify.py``.
+the conversion from Renyi DP to (epsilon, delta)-DP, and noise calibration
+in closed form over a finite Renyi-order grid.  The brute-force
+sensitivity oracles that check the formulas on small graphs, and the
+per-order Renyi costs that calibration composes, live with the tests, in
+``tests/verify.py``.
 
 Conventions: ``sigma`` in a ``NoisePlan`` is the noise multiplier, i.e. the
 per-layer Gaussian standard deviation *before* scaling by the sensitivity.
@@ -153,29 +154,6 @@ def convergent_factor(k: int, gamma: float) -> float:
     return min(float(k), amplified)
 
 
-def rdp_epsilon_convergent(
-    k: int, gamma: float, delta_mp: float, sigma: float, alpha: float
-) -> float:
-    """Renyi cost of a K-hop contractive pipeline at order ``alpha``:
-    (alpha / 2) * (delta_mp / sigma)^2 * convergent_factor(k, gamma)."""
-    if delta_mp == 0.0:
-        return 0.0
-    if sigma == 0.0:
-        return math.inf
-    return 0.5 * alpha * (delta_mp / sigma) ** 2 * convergent_factor(k, gamma)
-
-
-def rdp_epsilon_linear(k: int, delta_mp: float, sigma: float, alpha: float) -> float:
-    """Plain K-fold composition baseline: K * alpha * delta_mp^2 / (2 sigma^2)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if delta_mp == 0.0:
-        return 0.0
-    if sigma == 0.0:
-        return math.inf
-    return 0.5 * alpha * (delta_mp / sigma) ** 2 * k
-
-
 def rdp_to_dp(eps_rdp: float, alpha: float, delta: float) -> float:
     """Convert an (alpha, eps)-RDP guarantee to epsilon at the given delta."""
     if alpha <= 1:
@@ -183,15 +161,6 @@ def rdp_to_dp(eps_rdp: float, alpha: float, delta: float) -> float:
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
     return eps_rdp + math.log(1.0 / delta) / (alpha - 1.0)
-
-
-def gdp_to_rdp(mu: float, alpha: float) -> float:
-    """A mu-GDP mechanism is (alpha, alpha * mu^2 / 2)-RDP."""
-    if mu < 0:
-        raise ValueError("mu must be non-negative")
-    if alpha <= 1:
-        raise ValueError("alpha must exceed 1")
-    return 0.5 * alpha * mu * mu
 
 
 def gaussian_tradeoff(type_one: float, mu: float) -> float:

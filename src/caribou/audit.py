@@ -10,20 +10,27 @@ probe (is the model unusually confident on this node?).
 A game runs its trials in batches, each in three steps:
 
 1. for each trial, in order: sample the training graph or subgraph, run
-   the training release and form the head's inputs;
+   the training release, form the head's inputs and make the release its
+   first query will read.  An edge trial serves on its own training graph
+   and makes the two releases in one ``run_pipeline`` call; the node
+   trials serve on the shared graph, and the first-query releases of a
+   batch's node trials are one call once the batch is complete;
 2. train the batch's heads in one pass (``model._fit_heads``);
 3. for each trial, in order: draw the bit and the challenge, then score.
+   An un-nudged first query reads the release made in step 1; every
+   other query runs its own release.
 
 A trial joins the current batch while its head's input shape and class
-count match the batch's and the stacked inputs, plus the normalized
-adjacency entries of the edge trials' own training graphs, stay below
-``_pool.MIN_CELLS`` (``model._joins_batch``); the node game serves every
-trial on the shared graph, and its subgraphs can lack a class, which ends
-a batch.  Reports do not depend on the batches: each trial draws from its
-own stream, keyed by its index, for the sample, the bit and the challenge,
-and from seeds keyed by its index for the release, the head and the
-queries; a head trained in a batch has the bits of the same head trained
-alone; and the attacker sees the trials in order.
+count match the batch's and the stacked inputs, plus what the batch holds
+until scoring, stay below ``_pool.MIN_CELLS`` (``model._joins_batch``):
+the first-query release of each trial, and the normalized adjacency of
+each edge trial's own training graph.  The node game's subgraphs can lack
+a class, which ends a batch.  Reports do not depend on the batches: each
+trial draws from its own stream, keyed by its index, for the sample, the
+bit and the challenge, and from seeds keyed by its index for the release,
+the head and the queries; a release made in a batch of seeds has the bits
+of the same release made alone, and so has a head trained in a batch; and
+the attacker sees the trials in order.
 """
 
 from __future__ import annotations
@@ -181,9 +188,12 @@ class _PipelineModel:
     interface.
 
     Queries run inference on ``serve_on`` and count against
-    ``_QUERY_LIMIT``.  Every query reruns inference end to end with a fresh
-    counter-derived noise stream, so a private pipeline answers queries
-    noisily while a non-private one is deterministic.
+    ``_QUERY_LIMIT``.  Query i is answered from a noisy release on
+    ``serve_on`` with seed ``stream_seed(query_seed, i)``, so a private
+    pipeline answers queries noisily while a non-private one is
+    deterministic.  ``first_release``, when given, is that release for
+    query 1 made ahead of time; it answers query 1 if that query is not
+    nudged.  Every other query reruns the pipeline.
     """
 
     def __init__(
@@ -192,11 +202,13 @@ class _PipelineModel:
         serve_on: LabeledDataset,
         pipeline_cfg: PipelineConfig,
         query_seed: int,
+        first_release: np.ndarray | None = None,
     ):
         self.head = head
         self._dataset = serve_on
         self._cfg = pipeline_cfg
         self._query_seed = query_seed
+        self._first = first_release
         self._queries = 0
 
     def query(self, node: int, nudge: tuple[int, float] | None = None) -> np.ndarray:
@@ -204,10 +216,13 @@ class _PipelineModel:
         if self._queries > _QUERY_LIMIT:
             raise RuntimeError("query budget exhausted")
         features = _nudged_features(self._dataset.features, nudge)
-        probe = replace(self._dataset, features=features)
-        cfg = replace(self._cfg, seed=stream_seed(self._query_seed, self._queries))
-        artifacts = run_pipeline(probe, cfg)
-        return predict_proba(self.head, features[node], artifacts.x_k_final[node])
+        if self._queries == 1 and nudge is None and self._first is not None:
+            x_k = self._first
+        else:
+            probe = replace(self._dataset, features=features)
+            cfg = replace(self._cfg, seed=stream_seed(self._query_seed, self._queries))
+            x_k = run_pipeline(probe, cfg).x_k_final
+        return predict_proba(self.head, features[node], x_k[node])
 
 
 def _nudged_features(features: np.ndarray, nudge: tuple[int, float] | None) -> np.ndarray:
@@ -315,41 +330,65 @@ def _node_trial(
 
 class _Released(NamedTuple):
     """A trial after step 1: its training release's head problem, the
-    pipeline config it ran with and what scoring it needs."""
+    pipeline config it ran with and what scoring it needs, among them the
+    release for its first query (``_PipelineModel``'s ``first_release``)."""
 
     trial: int
     cfg: PipelineConfig
+    query_seed: int
     serve_on: LabeledDataset
     challenge: _Challenge
     problem: tuple[np.ndarray, np.ndarray]
+    first_release: np.ndarray | None
+
+
+def _with_first_releases(batch: list[_Released], pipeline_cfg) -> list[_Released]:
+    """``batch`` once the first-query releases of its trials that serve on
+    the shared dataset are made, in one ``run_pipeline`` call."""
+    shared = [i for i, r in enumerate(batch) if r.first_release is None]
+    if not shared:
+        return batch
+    seeds = [stream_seed(batch[i].query_seed, 1) for i in shared]
+    releases = run_pipeline(batch[shared[0]].serve_on, pipeline_cfg, seeds).x_k_final
+    for i, release in zip(shared, releases):
+        batch[i] = batch[i]._replace(first_release=release)
+    return batch
 
 
 def _released_batches(dataset, pipeline_cfg, audit_cfg, sample) -> Iterator[list[_Released]]:
     """Step 1 for each trial in order: sample its training set with
-    ``sample`` and release it.  The trials come in batches whose heads
-    train in one pass; the next batch is released only once the caller
-    asks for it, so at most one batch of training sets is held.  The
-    normalized adjacency of each training graph a batch holds counts
-    toward its ``_pool.MIN_CELLS``."""
+    ``sample``, release it and make its first query's release, in the
+    calls the module docstring names.  The trials come in batches whose
+    heads train in one pass; the next batch is released only once the
+    caller asks for it, so at most one batch of training sets is held.
+    What a batch holds until scoring counts toward its
+    ``_pool.MIN_CELLS``."""
     batch: list[_Released] = []
-    graph_cells = 0
+    held_cells = 0
     for trial in range(audit_cfg.trials):
         rng = stream(audit_cfg.seed, _TRIAL_STREAM, trial)
         train_set, serve_on, challenge = sample(dataset, pipeline_cfg, audit_cfg, rng)
         cfg = replace(pipeline_cfg, seed=stream_seed(audit_cfg.seed, 2 * trial))
-        release = run_pipeline(train_set, cfg)
-        problem = _head_data(train_set.features, release.x_k_final, train_set.labels,
+        query_seed = stream_seed(audit_cfg.seed, 2 * trial + 1)
+        own = serve_on is train_set
+        seeds = [cfg.seed, stream_seed(query_seed, 1)] if own else [cfg.seed]
+        releases = run_pipeline(train_set, cfg, seeds).x_k_final
+        problem = _head_data(train_set.features, releases[0], train_set.labels,
                              train_set.train_mask)
-        # a trial that serves on its own training graph holds that graph's
-        # cached normalized adjacency: n diagonal entries and two per edge
+        # copied, so that the training release is not held with it
+        first_release = releases[1].copy() if own else None
+        # a trial that serves on its own training graph also holds that
+        # graph's cached normalized adjacency: n diagonal entries and two
+        # per edge
         held = serve_on.graph
-        cells = 0 if held is dataset.graph else held.num_nodes + 2 * held.num_edges
-        if batch and not _joins_batch(batch[0].problem, len(batch), problem, graph_cells + cells):
-            yield batch
-            batch, graph_cells = [], 0
-        batch.append(_Released(trial, cfg, serve_on, challenge, problem))
-        graph_cells += cells
-    yield batch
+        cells = serve_on.features.size + (held.num_nodes + 2 * held.num_edges if own else 0)
+        if batch and not _joins_batch(batch[0].problem, len(batch), problem, held_cells + cells):
+            yield _with_first_releases(batch, pipeline_cfg)
+            batch, held_cells = [], 0
+        batch.append(_Released(trial, cfg, query_seed, serve_on, challenge, problem,
+                               first_release))
+        held_cells += cells
+    yield _with_first_releases(batch, pipeline_cfg)
 
 
 def _edge_attack(perturb_scale: float, query: ModelQuery, pair: tuple[int, int]) -> float:
@@ -387,8 +426,8 @@ def run_mia_game(
     for batch in _released_batches(dataset, pipeline_cfg, audit_cfg, sample):
         heads = _fit_heads([r.problem for r in batch], train_cfg, [r.cfg.seed for r in batch])
         for released, head in zip(batch, heads):
-            query_seed = stream_seed(audit_cfg.seed, 2 * released.trial + 1)
-            model = _PipelineModel(head, released.serve_on, released.cfg, query_seed)
+            model = _PipelineModel(head, released.serve_on, released.cfg, released.query_seed,
+                                   released.first_release)
             picked = released.challenge()
             score = math.nan if picked is None else float(attack(model.query, picked[0]))
             if not math.isfinite(score):

@@ -92,10 +92,12 @@ def _layer_rows(adj_rows, x_k: Array, x0_rows: Array, mean_term: Array | None,
     ``c_l * (alpha1 * adj_rows @ x_k + mean_term) + beta * x0_rows``.
 
     ``adj_rows`` holds the adjacency rows wanted and ``x0_rows`` the same
-    rows of X0; ``mean_term`` comes from ``_mean_term`` on the whole of
-    ``x_k``.  With ``starts``, ``adj_rows`` holds the rows cut into chunks,
-    and the product's chunk rows from ``starts[i]`` up to ``starts[i + 1]``
-    are added up, in float64 and in order, into row i.  The product is in
+    rows of X0; ``x_k`` may hold T iterates side by side in its columns,
+    (n, T*d), and they share ``x0_rows`` (m, d).  ``mean_term`` comes from
+    ``_mean_term`` on the whole of ``x_k``.  With ``starts``, ``adj_rows``
+    holds the rows cut into chunks, and the product's chunk rows from
+    ``starts[i]`` up to ``starts[i + 1]`` are added up, in float64 and in
+    order, into row i.  The product is in
     the dtype of ``adj_rows`` and ``x_k`` (the hops use float32); every
     later term is float64.  The sum is formed in ``out`` if given, else in
     the product when it is float64, else in a fresh array, and returned;
@@ -112,7 +114,12 @@ def _layer_rows(adj_rows, x_k: Array, x0_rows: Array, mean_term: Array | None,
         out += mean_term
     out *= params.c_l
     if params.beta != 0.0:
-        out += params.beta * x0_rows
+        residual = params.beta * x0_rows
+        if out.shape == residual.shape:
+            out += residual
+        else:
+            # T releases side by side in the columns share the rows of X0
+            out.reshape(len(out), -1, residual.shape[1], copy=False)[...] += residual[:, None]
     return out
 
 

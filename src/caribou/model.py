@@ -451,15 +451,15 @@ def _head_data(x0: Array, xk: Array, labels: Array, train_mask: Array) -> tuple[
 
 
 def _joins_batch(first: tuple[Array, Array], size: int, problem: tuple[Array, Array],
-                 graph_cells: int = 0) -> bool:
+                 held_cells: int = 0) -> bool:
     """Whether the ``_head_data`` problem (inputs, onehot) may train in one
     pass with a batch of ``size`` problems shaped like ``first``: its
-    shapes match, and the stacked inputs plus the ``graph_cells`` matrix
+    shapes match, and the stacked inputs plus the ``held_cells`` matrix
     entries that the batch would hold besides stay below
     ``_pool.MIN_CELLS``.  So a problem that alone reaches the cutoff
     trains alone, on row blocks."""
     return (problem[0].shape == first[0].shape and problem[1].shape == first[1].shape
-            and (size + 1) * first[0].size + graph_cells < _pool.MIN_CELLS)
+            and (size + 1) * first[0].size + held_cells < _pool.MIN_CELLS)
 
 
 def _fit_heads(problems: list[tuple[Array, Array]], cfg: TrainConfig, seeds) -> list[MlpHead]:

@@ -15,6 +15,15 @@ calling thread once the draw is done; otherwise the whole matrix is one
 block, drawn and then run on the calling thread.  The last output is the
 release, in float64.
 
+A run can make T releases of one dataset, one per seed, in the same
+pass; both buffers are then T times as large.  The iterate holds the T
+iterates side by side, (n, T·d), so each hop reads the indices and values
+of Â once for all T·d columns; the mean term is per column, and X0 is
+broadcast across the T column groups.  The output is (T, n, d): release
+t draws its rows of each block from its own stream straight into slice
+t, and each row of each release is projected on its own.  With one seed
+these are the buffers, blocks and draws of a single release.
+
 The product's rounding is charged to the sensitivity: ``delta_mp`` is the
 layer's Delta plus the slack of ``accountant._rounding_slack``, whose
 argument is in the ``accountant`` module docstring.  No float32 sum has
@@ -27,7 +36,8 @@ same bits.  Only the column mean reads every row; it is taken once per hop
 on the calling thread.  Consecutive draws from one stream give the
 numbers of one whole draw, and noise + layer is the same float as
 layer + noise, so the release is the bits of drawing, adding and
-projecting the whole matrix at once.
+projecting the whole matrix at once, whether it is made alone or in a
+batch of seeds.
 """
 
 from __future__ import annotations
@@ -107,6 +117,7 @@ class PipelineConfig:
 class RunArtifacts:
     """Released output: the final embedding and the calibration record.
 
+    ``x_k_final`` is (n, d), or (T, n, d) for a batch of T seeds.
     Intermediate iterates are discarded; only the last hop's projected
     matrix leaves the pipeline.
     """
@@ -168,60 +179,85 @@ def _row_blocks(agg: csr_array, first: np.ndarray | None,
 def _hop_rows(adj_rows, starts, x32: np.ndarray, x0_rows: np.ndarray, mean_term,
               params: LayerParams, out_rows: np.ndarray, noisy: bool) -> None:
     """Form one block's layer rows from the float32 iterate, put them into
-    ``out_rows`` and project them in place.  Without ``noisy``, the rows
-    are formed in ``out_rows``; with it, ``out_rows`` holds the block's
-    noise and the rows are added to it."""
-    if not noisy:
-        _layer_rows(adj_rows, x32, x0_rows, mean_term, params, out_rows, starts)
+    ``out_rows``, the block's (T, rows, d) view of the output, and project
+    them in place.  Release t's rows are columns t*d up to (t+1)*d of the
+    layer rows.  Without ``noisy``, the rows are formed in ``out_rows``;
+    with it, ``out_rows`` holds the block's noise and the rows are added
+    to it."""
+    if not noisy and len(out_rows) == 1:
+        _layer_rows(adj_rows, x32, x0_rows, mean_term, params, out_rows[0], starts)
     else:
-        out_rows += _layer_rows(adj_rows, x32, x0_rows, mean_term, params, None, starts)
+        t, m, d = out_rows.shape
+        rows = _layer_rows(adj_rows, x32, x0_rows, mean_term, params, None, starts)
+        rows = rows.reshape(m, t, d).transpose(1, 0, 2)
+        if noisy:
+            out_rows += rows
+        else:
+            out_rows[...] = rows
+        # freed before the projection allocates its temporaries of the same
+        # size, which can then reuse this memory: a 10,000 x 8 release took
+        # 30% longer while the rows were still held
+        del rows
     _project_rows_inplace(out_rows)
 
 
 def _hop_tasks(blocks, x32: np.ndarray, out: np.ndarray, mean_term, params: LayerParams,
-               std: float, rng: np.random.Generator | None):
+               std: float, rngs: list[np.random.Generator] | None):
     """One hop's block tasks, in row order.  Before it yields a block's
-    task, this draws the block's noise from ``rng`` into its rows of
-    ``out``, on the thread that iterates; without ``rng`` nothing is
-    drawn.  ``blocks`` holds ``(start, stop, adj_rows, starts, x0_rows)``."""
+    task, this draws release t's noise for the block from ``rngs[t]`` into
+    its rows of ``out[t]``, on the thread that iterates; without ``rngs``
+    nothing is drawn.  ``blocks`` holds ``(start, stop, adj_rows, starts,
+    x0_rows)``."""
     for a, b, rows, starts, x0_rows in blocks:
-        out_rows = out[a:b]
-        if rng is not None:
-            _draw_noise(out_rows, std, rng)
+        out_rows = out[:, a:b]
+        if rngs is not None:
+            for release, rng in zip(out_rows, rngs):
+                _draw_noise(release, std, rng)
         yield partial(_hop_rows, rows, starts, x32, x0_rows, mean_term, params, out_rows,
-                      rng is not None)
+                      rngs is not None)
 
 
 def _cast_tasks(blocks, src: np.ndarray, x32: np.ndarray):
-    """Tasks that round ``src`` into the float32 iterate, one per block."""
+    """Tasks that round ``src`` into the float32 iterate, one per block;
+    both are (n, T, d), and ``src`` may broadcast."""
     for a, b, *_ in blocks:
         yield partial(np.copyto, x32[a:b], src[a:b])
 
 
-def run_pipeline(dataset: LabeledDataset, cfg: PipelineConfig) -> RunArtifacts:
+def run_pipeline(dataset: LabeledDataset, cfg: PipelineConfig, seeds=None) -> RunArtifacts:
     """Run the perturbed contractive pipeline and release X^(K).
+
+    With ``seeds``, make one release per seed, in place of ``cfg.seed``, in
+    one pass: ``x_k_final`` is then (T, n, d) for T seeds, and slice t has
+    the bits of the release with ``seeds[t]`` as its seed.  The call
+    without ``seeds`` makes the one release of ``cfg.seed``, (n, d).
 
     Requires row-normalized input features.  The per-hop noise standard
     deviation is exactly plan.delta_mp * plan.sigma, where delta_mp is the
     layer sensitivity plus ``plan.rounding_slack``, the charge for the
-    float32 product; each hop draws from its own counter-derived stream
-    straight into its output buffer, so runs are reproducible regardless
-    of evaluation order.  Besides the features, a run holds the float32
-    iterate and the float64 output, 1.5 times the features' size.
+    float32 product; each hop of each release draws from its own
+    counter-derived stream straight into its output buffer, so runs are
+    reproducible regardless of evaluation order.  Besides the features, a
+    run holds the float32 iterate and the float64 output, 1.5 T times the
+    features' size.
 
     Each hop runs in the one phase the module docstring describes.  When
-    the feature matrix has at least ``_pool.MIN_CELLS`` entries and the
-    process may run on two or more CPUs (``os.sched_getaffinity``), the
-    blocks have ``_pool.BLOCK_ROWS`` rows and their tasks run on a pool of
-    one thread fewer than those CPUs, plus this thread once it has drawn
-    the last block's noise.  Otherwise the whole matrix is one block,
-    drawn and then run on this thread.  The rounding of the iterate to
-    float32 runs in the same blocks, on the same threads.  The stream and
-    every other public function are called on this thread.  A row's
-    arithmetic reads only that row's inputs, the column mean (taken once
-    per hop on this thread) and the hop's one noise stream, so the release
-    is the same bits for any block size and thread count.
+    the output has at least ``_pool.MIN_CELLS`` entries and the process may
+    run on two or more CPUs (``os.sched_getaffinity``), the blocks have
+    ``_pool.BLOCK_ROWS`` rows and their tasks run on a pool of one thread
+    fewer than those CPUs, plus this thread once it has drawn the last
+    block's noise.  Otherwise the whole matrix is one block, drawn and then
+    run on this thread.  The rounding of the iterate to float32 runs in the
+    same blocks, on the same threads.  The streams and every other public
+    function are called on this thread.  A row's arithmetic reads only that
+    row's inputs, the column mean (taken once per hop on this thread) and
+    the hop's noise stream of its release, so the release is the same bits
+    for any block size, thread count and batch of seeds.
     """
+    batched = seeds is not None
+    seeds = [cfg.seed] if seeds is None else list(seeds)
+    if not seeds:
+        raise ValueError("seeds must name at least one release")
     x0 = np.asarray(dataset.features, dtype=float)
     # a NaN or infinite entry makes its row's norm NaN or infinite; NaN
     # fails every comparison, so it is tested for before the bound.  The
@@ -252,24 +288,32 @@ def run_pipeline(dataset: LabeledDataset, cfg: PipelineConfig) -> RunArtifacts:
 
     noise_std = plan.noise_std
     if cfg.k_hops == 0:
-        return RunArtifacts(x_k_final=x0.copy(), plan=plan, per_hop_noise_std=noise_std)
-    if x0.shape[0] == 0:
+        x_k = np.repeat(x0[None], len(seeds), axis=0) if batched else x0.copy()
+        return RunArtifacts(x_k_final=x_k, plan=plan, per_hop_noise_std=noise_std)
+    n, d = x0.shape
+    if n == 0:
         raise ValueError("expected a non-empty 2-D feature matrix")
     # built before the iterate buffers: the build's own peak is several
     # times the size of Â
     agg, first = _float32_aggregation(dataset.graph)
-    x32 = np.empty(x0.shape, dtype=np.float32)
-    out = np.empty(x0.shape)
+    # the T releases side by side: release t is columns t*d up to (t+1)*d
+    # of the iterate and slice t of the output
+    x32 = np.empty((n, len(seeds), d), dtype=np.float32)
+    columns = x32.reshape(n, len(seeds) * d)
+    out = np.empty((len(seeds), n, d))
     noisy = noise_std > 0.0
     with _pool.thread_pool(out.size) as pool:
         blocks = [(a, b, rows, starts, x0[a:b]) for a, b, rows, starts
-                  in _row_blocks(agg, first, _pool.BLOCK_ROWS if pool else len(out))]
+                  in _row_blocks(agg, first, _pool.BLOCK_ROWS if pool else n)]
         for hop in range(cfg.k_hops):
-            _pool.run_all(pool, _cast_tasks(blocks, out if hop else x0, x32))
-            rng = stream(cfg.seed, _HOP_STREAM, hop) if noisy else None
-            mean_term = _mean_term(x32, cfg.cgl)
-            _pool.run_all(pool, _hop_tasks(blocks, x32, out, mean_term, cfg.cgl, noise_std, rng))
-    return RunArtifacts(x_k_final=out, plan=plan, per_hop_noise_std=noise_std)
+            _pool.run_all(pool, _cast_tasks(blocks, out.transpose(1, 0, 2) if hop
+                                            else x0[:, None], x32))
+            rngs = [stream(seed, _HOP_STREAM, hop) for seed in seeds] if noisy else None
+            mean_term = _mean_term(columns, cfg.cgl)
+            _pool.run_all(pool, _hop_tasks(blocks, columns, out, mean_term, cfg.cgl,
+                                           noise_std, rngs))
+    return RunArtifacts(x_k_final=out if batched else out[0], plan=plan,
+                        per_hop_noise_std=noise_std)
 
 
 def save_artifacts(artifacts: RunArtifacts, embedding_path, plan_path) -> None:

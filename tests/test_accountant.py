@@ -14,11 +14,8 @@ from caribou.accountant import (
     edge_sensitivity,
     format_noise_table,
     gaussian_tradeoff,
-    gdp_to_rdp,
     node_sensitivity,
     noise_table,
-    rdp_epsilon_convergent,
-    rdp_epsilon_linear,
     rdp_to_dp,
     _rounding_slack,
     sensitivity_for_level,
@@ -30,6 +27,9 @@ from tests.verify import (
     brute_force_edge_sensitivity,
     brute_force_node_sensitivity,
     enumerate_edge_neighbors,
+    gdp_to_rdp,
+    rdp_epsilon_convergent,
+    rdp_epsilon_linear,
 )
 from tests.test_graphs import random_graph
 

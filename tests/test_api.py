@@ -12,7 +12,10 @@ ORACLES = (
     "empirical_lipschitz",
     "enumerate_edge_neighbors",
     "enumerate_node_neighbors",
+    "gdp_to_rdp",
     "grad_check",
+    "rdp_epsilon_convergent",
+    "rdp_epsilon_linear",
     "spectral_norm",
 )
 

@@ -28,7 +28,7 @@ from caribou.audit import (
 )
 from caribou.graphs import LabeledDataset, build_graph, degree_stats, gen_chain_dataset
 from caribou.layers import LayerParams
-from caribou.model import DpSgdConfig, TrainConfig, train_head
+from caribou.model import DpSgdConfig, TrainConfig, predict_proba, train_head
 from caribou.pipeline import PipelineConfig, run_pipeline
 from caribou.prng import stream
 from tests.helpers import dense_block_dataset
@@ -407,12 +407,14 @@ class TestGameEqualsSequentialReference:
 
     @pytest.mark.parametrize(
         "min_cells, sizes",
-        # each edge trial holds its head's 20 x 4 inputs and the 210
+        # each edge trial holds its head's 20 x 4 inputs, the 210
         # normalized adjacency entries of its training graph (20 nodes, 95
-        # of 136 edges), 290 cells: two fit below 600 cells, and one alone
-        # reaches 50 cells and trains alone.  Below 1000 cells the inputs
-        # of all ten trials (800 cells) fit, so only the adjacency splits.
-        [(600, [2] * 5), (50, [1] * 10), (1000, [3, 3, 3, 1])],
+        # of 136 edges) and its first query's 20 x 2 release, 330 cells:
+        # two fit below 700 cells, three do not, and one alone reaches 50
+        # cells and trains alone.  Below 1000 cells the inputs of all ten
+        # trials (800 cells) fit, so only the adjacency and the releases
+        # split.
+        [(700, [2] * 5), (50, [1] * 10), (1000, [3, 3, 3, 1])],
         ids=["batches-of-two", "each-alone", "adjacency-splits"],
     )
     def test_report_equals_reference_when_split(self, min_cells, sizes, monkeypatch):
@@ -427,17 +429,20 @@ class TestGameEqualsSequentialReference:
             assert report == expected
             assert [shape[0] for shape in batches] == sizes
 
-    def test_node_game_counts_only_head_inputs(self, monkeypatch):
+    @pytest.mark.parametrize("min_cells, sizes", [(961, [10]), (960, [9, 1])],
+                             ids=["all-fit", "one-over"])
+    def test_node_game_counts_held_releases(self, min_cells, sizes, monkeypatch):
         # node trials serve on the shared graph, so only their heads' 14 x 4
-        # inputs count: all ten fit below 561 cells
-        monkeypatch.setattr(caribou._pool, "MIN_CELLS", 10 * 14 * 4 + 1)
+        # inputs and their first queries' 20 x 2 releases count, 96 cells a
+        # trial: all ten fit below 961 cells
+        monkeypatch.setattr(caribou._pool, "MIN_CELLS", min_cells)
         ds = dense_block_dataset(seed=5)
         cfg = make_pipeline_cfg(level="node", k=2)
         audit_cfg = AuditConfig(attack="node_confidence", trials=10, seed=3)
         expected = reference_run_mia_game(ds, cfg, FAST_TRAIN, audit_cfg)
         batches = record_batches(monkeypatch)
         assert run_mia_game(ds, cfg, FAST_TRAIN, audit_cfg) == expected
-        assert batches == [(10, 14, 4, 2)]
+        assert batches == [(size, 14, 4, 2) for size in sizes]
 
     def test_node_game_with_differing_class_counts(self, monkeypatch):
         # class 2 has one node, so some training subgraphs lack it and
@@ -457,6 +462,79 @@ class TestGameEqualsSequentialReference:
             assert [(shape[0], shape[3]) for shape in batches] == [
                 (1, 2), (7, 3), (1, 2), (2, 3), (1, 2)
             ]
+
+
+def count_releases(monkeypatch):
+    """Record the number of releases of every ``run_pipeline`` call the
+    game makes, through the name the game calls it by."""
+    original = caribou.audit.run_pipeline
+    releases = []
+
+    def counting(dataset, cfg, seeds=None):
+        releases.append(1 if seeds is None else len(seeds))
+        return original(dataset, cfg, seeds)
+
+    monkeypatch.setattr(caribou.audit, "run_pipeline", counting)
+    return releases
+
+
+class TestReleasesAndQueries:
+    """Every release of a game runs inside ``run_pipeline``, some of them
+    in one call; the first query's release, made ahead of time, still
+    counts against the query budget."""
+
+    @pytest.mark.parametrize(
+        "game, per_trial, calls",
+        # edge: the training release and the first query in one call, the
+        # nudged query alone; node: the training release alone and the
+        # first queries of the one batch in one call
+        [("edge", 3, 20), ("node", 2, 11)],
+    )
+    def test_every_release_runs_in_run_pipeline(self, game, per_trial, calls, monkeypatch):
+        attack, level = GAMES[game]
+        ds = dense_block_dataset(seed=5)
+        cfg = make_pipeline_cfg(level=level, k=2)
+        audit_cfg = AuditConfig(attack=attack, trials=10, seed=3)
+        expected = reference_run_mia_game(ds, cfg, FAST_TRAIN, audit_cfg)
+        releases = count_releases(monkeypatch)
+        assert run_mia_game(ds, cfg, FAST_TRAIN, audit_cfg) == expected
+        assert sum(releases) == per_trial * audit_cfg.trials
+        assert len(releases) == calls
+
+    # the node game at a budget of 0 is test_node_attack_queries_count_against_budget
+    @pytest.mark.parametrize(
+        "game, limit, exhausted", [("edge", 1, True), ("node", 1, False), ("edge", 0, True)],
+    )
+    def test_query_budget_counts_the_first_query(self, game, limit, exhausted, monkeypatch):
+        monkeypatch.setattr(caribou.audit, "_QUERY_LIMIT", limit)
+        attack, level = GAMES[game]
+        ds = dense_block_dataset(seed=5)
+        cfg = make_pipeline_cfg(level=level, k=2)
+        audit_cfg = AuditConfig(attack=attack, trials=10, seed=3)
+        if exhausted:
+            with pytest.raises(RuntimeError, match="query budget exhausted"):
+                run_mia_game(ds, cfg, FAST_TRAIN, audit_cfg)
+        else:
+            expected = reference_run_mia_game(ds, cfg, FAST_TRAIN, audit_cfg)
+            assert run_mia_game(ds, cfg, FAST_TRAIN, audit_cfg) == expected
+
+    def test_first_release_answers_only_an_unnudged_first_query(self):
+        ds = dense_block_dataset(seed=5)
+        cfg = make_pipeline_cfg(level="edge", k=2)
+        head = trained_model(ds, cfg, FAST_TRAIN, query_seed=4).head
+        first = run_pipeline(ds, replace(cfg, seed=stream_seed(4, 1))).x_k_final
+        fresh, ready = (_PipelineModel(head, ds, cfg, 4, release) for release in (None, first))
+        for query in ((3,), (3, (1, 1e-3)), (3,)):
+            assert np.array_equal(ready.query(*query), fresh.query(*query))
+        # a stand-in release shows which queries read it: only an un-nudged
+        # first query
+        stand_in = np.zeros_like(first)
+        model = _PipelineModel(head, ds, cfg, 4, stand_in)
+        assert np.array_equal(model.query(3), predict_proba(head, ds.features[3], stand_in[3]))
+        fresh, nudged_first = (_PipelineModel(head, ds, cfg, 4, release)
+                               for release in (None, stand_in))
+        for query in ((3, (1, 1e-3)), (3,)):
+            assert np.array_equal(nudged_first.query(*query), fresh.query(*query))
 
 
 def random_graph(seed, n, p):

@@ -295,10 +295,14 @@ class TestNoiseOverlap:
         sys.setswitchinterval(1e-6)
         try:
             artifacts = run_pipeline(ds, cfg)
+            batched = run_pipeline(ds, cfg, [8, 7])
         finally:
             sys.setswitchinterval(interval)
         expected = reference_release(ds, cfg, artifacts.per_hop_noise_std)
         assert np.array_equal(artifacts.x_k_final, expected)
+        assert np.array_equal(batched.x_k_final[1], expected)
+        single = run_pipeline(ds, replace(cfg, seed=8)).x_k_final
+        assert np.array_equal(batched.x_k_final[0], single)
 
     @pytest.mark.parametrize(
         "size, cpus", [(ABOVE_CUTOFF, 2), (ABOVE_CUTOFF, 1), (BELOW_CUTOFF, 2)],
@@ -403,6 +407,70 @@ class TestNoiseOverlap:
         assert np.array_equal(head.toarray()[:8].sum(axis=0), dense[0])
         assert np.array_equal(head.toarray()[8:], dense[1:16])
         assert np.array_equal(tail.toarray(), dense[16:])
+
+SEEDS = (0, 7, 2**40 + 3, 11, 2**63 - 1)
+
+
+def assert_slices_equal_single_releases(ds, cfg, seeds):
+    batched = run_pipeline(ds, cfg, seeds)
+    assert batched.x_k_final.shape == (len(seeds), *ds.features.shape)
+    for release, seed in zip(batched.x_k_final, seeds):
+        single = run_pipeline(ds, replace(cfg, seed=seed))
+        assert np.array_equal(release, single.x_k_final)
+        assert batched.plan == single.plan
+        assert batched.per_hop_noise_std == single.per_hop_noise_std
+
+
+class TestBatchedReleases:
+    """T seeds make T releases in one pass; slice t has the bits of the
+    release with seed t."""
+
+    @pytest.mark.parametrize("t", [1, 2, 5])
+    @pytest.mark.parametrize("level", ["edge", "node", "none"])
+    def test_slices_equal_single_releases(self, level, t):
+        ds = random_dataset(*BELOW_CUTOFF, seed=12)
+        assert_slices_equal_single_releases(ds, mixed_config(level, 0), SEEDS[:t])
+
+    @pytest.mark.parametrize("terms", [64, 4], ids=["whole-rows", "cut-rows"])
+    @pytest.mark.parametrize(
+        "block_rows, cpus", [(64, 1), (64, 2), (100, 3), (300, 2)],
+        ids=["one-cpu", "two-cpus", "three-cpus", "one-block"],
+    )
+    def test_slices_equal_single_releases_on_row_blocks(self, block_rows, cpus, terms,
+                                                        monkeypatch):
+        # one release of 300 x 3 stays below the cutoff, so the single
+        # releases run as one block on this thread and the batches of two
+        # and five on row blocks
+        monkeypatch.setattr(caribou._pool, "MIN_CELLS", 1000)
+        monkeypatch.setattr(caribou._pool, "BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(caribou._pool, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(caribou.graphs, "_SUM_TERMS", terms)
+        ds = random_dataset(300, 3, seed=13)
+        assert (_float32_aggregation(ds.graph)[1] is not None) == (terms == 4)
+        for level in ("edge", "node"):
+            for t in (1, 2, 5):
+                assert_slices_equal_single_releases(ds, mixed_config(level, 1), SEEDS[:t])
+
+    def test_k0_releases_the_features_per_seed(self):
+        ds = gen_chain_dataset(2, 4, 2, 3, seed=0)
+        x_k = run_pipeline(ds, chain_config(k=0), [3, 4]).x_k_final
+        assert x_k.shape == (2, *ds.features.shape)
+        assert all(np.array_equal(release, ds.features) for release in x_k)
+
+    def test_batch_equals_reference_loop_per_seed(self):
+        ds = random_dataset(*BELOW_CUTOFF, seed=14)
+        cfg = mixed_config("edge", 0)
+        artifacts = run_pipeline(ds, cfg, SEEDS[:2])
+        for release, seed in zip(artifacts.x_k_final, SEEDS):
+            expected = reference_release(ds, replace(cfg, seed=seed), artifacts.per_hop_noise_std)
+            assert np.array_equal(release, expected)
+
+    def test_empty_seeds_rejected(self):
+        ds = gen_chain_dataset(2, 4, 2, 3, seed=0)
+        with pytest.raises(ValueError, match="seeds") as info:
+            run_pipeline(ds, chain_config(k=2), [])
+        assert "\n" not in str(info.value)
+
 
 class TestConfigValidation:
     def test_hop_mismatch_rejected(self):

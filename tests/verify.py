@@ -5,9 +5,11 @@ Each oracle recomputes a quantity the program states analytically by
 direct enumeration or probing on small inputs: the layer sensitivities
 (over every adjacent graph), the normalized adjacency's spectral norm, the
 layer's Lipschitz constant, the hops' product without rounding error, and
-the head's gradients.  They are slow by
-design and exist for the tests, so they live with the tests rather than
-in the ``caribou`` package; import them as ``tests.verify``.
+the head's gradients.  They are slow by design.  The per-order Renyi
+costs of a K-hop release under either accountant, and the GDP-to-RDP
+conversion, restate what ``accountant.calibrate_sigma`` composes in one
+closed form.  All of them exist for the tests, so they live with the tests
+rather than in the ``caribou`` package; import them as ``tests.verify``.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from typing import Iterator
 import numpy as np
 
 from caribou import model
+from caribou.accountant import convergent_factor
 from caribou.graphs import Graph, build_graph, degree_stats, normalized_adjacency
 from caribou.layers import LayerParams, layer_forward
 from caribou.prng import stream
@@ -249,3 +252,35 @@ def grad_check(
         if abs(a - numeric) > tol * max(1.0, abs(a), abs(numeric)):
             return False
     return True
+
+
+def rdp_epsilon_convergent(
+    k: int, gamma: float, delta_mp: float, sigma: float, alpha: float
+) -> float:
+    """Renyi cost of a K-hop contractive pipeline at order ``alpha``:
+    (alpha / 2) * (delta_mp / sigma)^2 * convergent_factor(k, gamma)."""
+    if delta_mp == 0.0:
+        return 0.0
+    if sigma == 0.0:
+        return math.inf
+    return 0.5 * alpha * (delta_mp / sigma) ** 2 * convergent_factor(k, gamma)
+
+
+def rdp_epsilon_linear(k: int, delta_mp: float, sigma: float, alpha: float) -> float:
+    """Plain K-fold composition baseline: K * alpha * delta_mp^2 / (2 sigma^2)."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if delta_mp == 0.0:
+        return 0.0
+    if sigma == 0.0:
+        return math.inf
+    return 0.5 * alpha * (delta_mp / sigma) ** 2 * k
+
+
+def gdp_to_rdp(mu: float, alpha: float) -> float:
+    """A mu-GDP mechanism is (alpha, alpha * mu^2 / 2)-RDP."""
+    if mu < 0:
+        raise ValueError("mu must be non-negative")
+    if alpha <= 1:
+        raise ValueError("alpha must exceed 1")
+    return 0.5 * alpha * mu * mu
