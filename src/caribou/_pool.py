@@ -18,6 +18,22 @@ default of two threads, against 0.76-0.83 s with one.  So while a pool is
 open, numpy's bundled OpenBLAS runs on one thread; numpy has no call for
 this, so ``thread_pool`` reaches the library's own through ``ctypes``.
 Without that library, set ``OPENBLAS_NUM_THREADS=1`` or its equivalent.
+
+A run on a pool frees blocks of up to the output's size, and glibc's
+dynamic mmap threshold keeps what it frees: once a block served by
+``mmap`` has been freed, glibc raises the threshold to that block's size
+and serves later blocks up to it from the heap, whose freed pages stay
+resident.  On the 1e5 x 64 release plus head of the benchmark, each
+round after the first peaked about 50 MB above it.  So
+``pipeline.run_pipeline``, once it has dropped its float32 iterate and
+its blocks, calls ``_trim_heap`` when it ran on a pool, and the freed
+pages go back to the OS before the head allocates over them.  That moved
+the second round's peak from 334-336 MB to 285-287 MB with the release's
+time unchanged.  Only there: trimming at the pool's exit, while the
+iterate is still held, left 302.5 MB; trimming after the head, 333-334
+MB; and without a pool (one CPU) the peak, 325 MB, is set inside the run,
+where a trim does not reach it.  Below ``MIN_CELLS`` a run frees too
+little to matter.
 """
 
 from __future__ import annotations
@@ -68,6 +84,24 @@ def _openblas() -> tuple[Callable[[], int], Callable[[int], None]] | None:
     get.argtypes, get.restype = [], ctypes.c_int
     set_.argtypes, set_.restype = [ctypes.c_int], None
     return get, set_
+
+
+@cache
+def _malloc_trim() -> Callable[[int], int] | None:
+    """glibc's ``malloc_trim``, or ``None`` where the C library has none."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (OSError, AttributeError, TypeError):
+        return None
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return trim
+
+
+def _trim_heap() -> None:
+    """Give the free pages of the C heap back to the OS, where glibc can."""
+    trim = _malloc_trim()
+    if trim is not None:
+        trim(0)
 
 
 # The BLAS thread count belongs to the process: the first open pool saves

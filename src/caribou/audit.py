@@ -10,21 +10,27 @@ probe (is the model unusually confident on this node?).
 A game runs its trials in batches, each in three steps:
 
 1. for each trial, in order: sample the training graph or subgraph, run
-   the training release, form the head's inputs and make the release its
-   first query will read.  An edge trial serves on its own training graph
-   and makes the two releases in one ``run_pipeline`` call; the node
-   trials serve on the shared graph, and the first-query releases of a
-   batch's node trials are one call once the batch is complete;
+   the training release, form the head's inputs and, for a built-in
+   attacker, make the release its first query will read.  An edge trial
+   serves on its own training graph and makes the two releases in one
+   ``run_pipeline`` call; the node trials serve on the shared graph, and
+   the first-query releases of a batch's node trials are one call once the
+   batch is complete;
 2. train the batch's heads in one pass (``model._fit_heads``);
 3. for each trial, in order: draw the bit and the challenge, then score.
    An un-nudged first query reads the release made in step 1; every
    other query runs its own release.
 
+Both built-in attackers ask an un-nudged first query, so the release made
+ahead of time is always read.  An attacker given as ``score_fn`` may
+nudge its first query or ask none, so for it no release is made ahead:
+each of its queries runs its own release, with the seed it would have had.
+
 A trial joins the current batch while its head's input shape and class
 count match the batch's and the stacked inputs, plus what the batch holds
 until scoring, stay below ``_pool.MIN_CELLS`` (``model._joins_batch``):
-the first-query release of each trial, and the normalized adjacency of
-each edge trial's own training graph.  The node game's subgraphs can lack
+the first-query release of each trial, where one is made, and the
+normalized adjacency of each edge trial's own training graph.  The node game's subgraphs can lack
 a class, which ends a batch.  Reports do not depend on the batches: each
 trial draws from its own stream, keyed by its index, for the sample, the
 bit and the challenge, and from seeds keyed by its index for the release,
@@ -331,7 +337,8 @@ def _node_trial(
 class _Released(NamedTuple):
     """A trial after step 1: its training release's head problem, the
     pipeline config it ran with and what scoring it needs, among them the
-    release for its first query (``_PipelineModel``'s ``first_release``)."""
+    release for its first query (``_PipelineModel``'s ``first_release``),
+    None where none is made ahead."""
 
     trial: int
     cfg: PipelineConfig
@@ -355,14 +362,19 @@ def _with_first_releases(batch: list[_Released], pipeline_cfg) -> list[_Released
     return batch
 
 
-def _released_batches(dataset, pipeline_cfg, audit_cfg, sample) -> Iterator[list[_Released]]:
+def _released_batches(dataset, pipeline_cfg, audit_cfg, sample,
+                      first_queries: bool) -> Iterator[list[_Released]]:
     """Step 1 for each trial in order: sample its training set with
-    ``sample``, release it and make its first query's release, in the
-    calls the module docstring names.  The trials come in batches whose
-    heads train in one pass; the next batch is released only once the
-    caller asks for it, so at most one batch of training sets is held.
-    What a batch holds until scoring counts toward its
-    ``_pool.MIN_CELLS``."""
+    ``sample``, release it and, with ``first_queries``, make its first
+    query's release, in the calls the module docstring names.  The trials
+    come in batches whose heads train in one pass; the next batch is
+    released only once the caller asks for it, so at most one batch of
+    training sets is held.  What a batch holds until scoring counts toward
+    its ``_pool.MIN_CELLS``."""
+
+    def complete(batch):
+        return _with_first_releases(batch, pipeline_cfg) if first_queries else batch
+
     batch: list[_Released] = []
     held_cells = 0
     for trial in range(audit_cfg.trials):
@@ -371,24 +383,25 @@ def _released_batches(dataset, pipeline_cfg, audit_cfg, sample) -> Iterator[list
         cfg = replace(pipeline_cfg, seed=stream_seed(audit_cfg.seed, 2 * trial))
         query_seed = stream_seed(audit_cfg.seed, 2 * trial + 1)
         own = serve_on is train_set
-        seeds = [cfg.seed, stream_seed(query_seed, 1)] if own else [cfg.seed]
+        seeds = [cfg.seed, stream_seed(query_seed, 1)] if own and first_queries else [cfg.seed]
         releases = run_pipeline(train_set, cfg, seeds).x_k_final
         problem = _head_data(train_set.features, releases[0], train_set.labels,
                              train_set.train_mask)
         # copied, so that the training release is not held with it
-        first_release = releases[1].copy() if own else None
+        first_release = releases[1].copy() if len(releases) > 1 else None
         # a trial that serves on its own training graph also holds that
         # graph's cached normalized adjacency: n diagonal entries and two
         # per edge
         held = serve_on.graph
-        cells = serve_on.features.size + (held.num_nodes + 2 * held.num_edges if own else 0)
+        cells = ((serve_on.features.size if first_queries else 0)
+                 + (held.num_nodes + 2 * held.num_edges if own else 0))
         if batch and not _joins_batch(batch[0].problem, len(batch), problem, held_cells + cells):
-            yield _with_first_releases(batch, pipeline_cfg)
+            yield complete(batch)
             batch, held_cells = [], 0
         batch.append(_Released(trial, cfg, query_seed, serve_on, challenge, problem,
                                first_release))
         held_cells += cells
-    yield _with_first_releases(batch, pipeline_cfg)
+    yield complete(batch)
 
 
 def _edge_attack(perturb_scale: float, query: ModelQuery, pair: tuple[int, int]) -> float:
@@ -413,7 +426,7 @@ def run_mia_game(
     ``score_fn(query, challenge)`` replaces the built-in attacker when
     given; the challenge is an (u, v) pair for the edge game and a node id
     for the node game.  It is called at most once per trial, in trial
-    order.
+    order, and each query it asks runs its own release.
     """
     if audit_cfg.attack == "edge_influence":
         sample, attack = _edge_trial, partial(_edge_attack, audit_cfg.perturb_scale)
@@ -423,7 +436,8 @@ def run_mia_game(
     scores: list[float] = []
     bits: list[int] = []
     discarded = 0
-    for batch in _released_batches(dataset, pipeline_cfg, audit_cfg, sample):
+    for batch in _released_batches(dataset, pipeline_cfg, audit_cfg, sample,
+                                   first_queries=score_fn is None):
         heads = _fit_heads([r.problem for r in batch], train_cfg, [r.cfg.seed for r in batch])
         for released, head in zip(batch, heads):
             model = _PipelineModel(head, released.serve_on, released.cfg, released.query_seed,

@@ -93,10 +93,13 @@ class Graph:
         u, v = self.edges[:, 0], self.edges[:, 1]
         w = 1.0 / np.sqrt(deg_plus_one[u] * deg_plus_one[v])
         diag = np.arange(n)
-        # COO order: the diagonal, then (u, v), (v, u) for each edge in turn
-        rows = np.concatenate([diag, np.stack([u, v], axis=1).ravel()])
-        cols = np.concatenate([diag, np.stack([v, u], axis=1).ravel()])
-        vals = np.concatenate([1.0 / deg_plus_one, np.repeat(w, 2)])
+        # COO order: (v, u) for every edge, the diagonal, then (u, v) for
+        # every edge.  The edges are sorted, so the conversion, which keeps
+        # each row's entries in this order, meets every row's columns in
+        # ascending order and has no indices to sort.
+        rows = np.concatenate([v, diag, u])
+        cols = np.concatenate([u, diag, v])
+        vals = np.concatenate([w, 1.0 / deg_plus_one, w])
         adj = csr_array((vals, (rows, cols)), shape=(n, n))
         # int32 indices, when they fit, shrink what each spmm reads; cast
         # after the build, which left less freed memory resident than

@@ -239,7 +239,8 @@ def run_pipeline(dataset: LabeledDataset, cfg: PipelineConfig, seeds=None) -> Ru
     counter-derived stream straight into its output buffer, so runs are
     reproducible regardless of evaluation order.  Besides the features, a
     run holds the float32 iterate and the float64 output, 1.5 T times the
-    features' size.
+    features' size; it returns holding only the output.  A run on a pool
+    then gives the C heap's free pages back to the OS (``_pool`` says why).
 
     Each hop runs in the one phase the module docstring describes.  When
     the output has at least ``_pool.MIN_CELLS`` entries and the process may
@@ -312,6 +313,10 @@ def run_pipeline(dataset: LabeledDataset, cfg: PipelineConfig, seeds=None) -> Ru
             mean_term = _mean_term(columns, cfg.cgl)
             _pool.run_all(pool, _hop_tasks(blocks, columns, out, mean_term, cfg.cgl,
                                            noise_std, rngs))
+    # dropped first, so that their pages are among those the trim gives back
+    del x32, columns, blocks
+    if pool is not None:
+        _pool._trim_heap()
     return RunArtifacts(x_k_final=out if batched else out[0], plan=plan,
                         per_hop_noise_std=noise_std)
 

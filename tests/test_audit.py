@@ -407,13 +407,13 @@ class TestGameEqualsSequentialReference:
 
     @pytest.mark.parametrize(
         "min_cells, sizes",
-        # each edge trial holds its head's 20 x 4 inputs, the 210
+        # each edge trial holds its head's 20 x 4 inputs and the 210
         # normalized adjacency entries of its training graph (20 nodes, 95
-        # of 136 edges) and its first query's 20 x 2 release, 330 cells:
-        # two fit below 700 cells, three do not, and one alone reaches 50
-        # cells and trains alone.  Below 1000 cells the inputs of all ten
-        # trials (800 cells) fit, so only the adjacency and the releases
-        # split.
+        # of 136 edges), 290 cells; a custom attacker gets no first-query
+        # release made ahead: two fit below 700 cells, three do not, and
+        # one alone reaches 50 cells and trains alone.  Below 1000 cells
+        # the inputs of all ten trials (800 cells) fit, so only the
+        # adjacency splits.
         [(700, [2] * 5), (50, [1] * 10), (1000, [3, 3, 3, 1])],
         ids=["batches-of-two", "each-alone", "adjacency-splits"],
     )
@@ -500,6 +500,33 @@ class TestReleasesAndQueries:
         assert run_mia_game(ds, cfg, FAST_TRAIN, audit_cfg) == expected
         assert sum(releases) == per_trial * audit_cfg.trials
         assert len(releases) == calls
+
+    @pytest.mark.parametrize(
+        "game, sizes",
+        # below 600 cells: an edge trial holds its head's 20 x 4 inputs and
+        # the 210 normalized adjacency entries of its training graph, so two
+        # fit; a node trial holds its 14 x 4 inputs, so all ten fit.  A held
+        # 20 x 2 first-query release per trial would split both further.
+        [("edge", [2] * 5), ("node", [10])],
+    )
+    def test_no_release_ahead_for_a_custom_attacker(self, game, sizes, monkeypatch):
+        monkeypatch.setattr(caribou._pool, "MIN_CELLS", 600)
+        attack, level = GAMES[game]
+        ds = dense_block_dataset(seed=5)
+        cfg = make_pipeline_cfg(level=level, k=2)
+        audit_cfg = AuditConfig(attack=attack, trials=10, seed=3)
+
+        def never_queries(query, challenge):
+            return float(np.sum(challenge))
+
+        expected = reference_run_mia_game(ds, cfg, FAST_TRAIN, audit_cfg, never_queries)
+        releases = count_releases(monkeypatch)
+        batches = record_batches(monkeypatch)
+        assert run_mia_game(ds, cfg, FAST_TRAIN, audit_cfg, never_queries) == expected
+        # each trial's training release, alone: no first-query release of an
+        # edge trial, no batched call for the node trials
+        assert releases == [1] * audit_cfg.trials
+        assert [shape[0] for shape in batches] == sizes
 
     # the node game at a budget of 0 is test_node_attack_queries_count_against_budget
     @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_array
 
 import caribou.graphs
 from caribou.graphs import (
@@ -179,6 +180,40 @@ class TestNormalizedAdjacency:
         scale = 1.0 / np.sqrt(a_tilde.sum(axis=1))
         reference = scale[:, None] * a_tilde * scale[None, :]
         assert np.abs(normalized_adjacency(g).toarray() - reference).max(initial=0.0) <= 1e-15
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 24),
+        pairs=st.lists(st.tuples(st.integers(0, 23), st.integers(0, 23)), max_size=80),
+    )
+    def test_built_in_row_order(self, n, pairs):
+        # nodes without a pair stay isolated; n = 1 has no edge
+        g = build_graph(n, [(u, v) for u, v in pairs if u < n and v < n])
+        adj = normalized_adjacency(g)
+        assert adj.has_sorted_indices
+        assert all((np.diff(row) > 0).all() for row in np.split(adj.indices, adj.indptr[1:-1]))
+        reference = interleaved_adjacency(g)
+        reference.sort_indices()
+        for got, want in ((adj.data, reference.data), (adj.indices, reference.indices),
+                          (adj.indptr, reference.indptr)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def interleaved_adjacency(g):
+    """Â from COO entries in interleaved order, the diagonal, then (u, v) and
+    (v, u) for each edge in turn, which meets most rows' columns out of
+    order, so the conversion sorts them."""
+    deg_plus_one = g.degrees + 1.0
+    u, v = g.edges[:, 0], g.edges[:, 1]
+    w = 1.0 / np.sqrt(deg_plus_one[u] * deg_plus_one[v])
+    diag = np.arange(g.num_nodes)
+    rows = np.concatenate([diag, np.stack([u, v], axis=1).ravel()])
+    cols = np.concatenate([diag, np.stack([v, u], axis=1).ravel()])
+    vals = np.concatenate([1.0 / deg_plus_one, np.repeat(w, 2)])
+    adj = csr_array((vals, (rows, cols)), shape=(g.num_nodes, g.num_nodes))
+    adj.indices = adj.indices.astype(np.int32)
+    adj.indptr = adj.indptr.astype(np.int32)
+    return adj
 
 
 class TestDegreeStats:

@@ -408,6 +408,75 @@ class TestNoiseOverlap:
         assert np.array_equal(head.toarray()[8:], dense[1:16])
         assert np.array_equal(tail.toarray(), dense[16:])
 
+def record_trims(monkeypatch):
+    """Replace ``_pool._trim_heap`` by a recorder of the memory that
+    tracemalloc traces at each call, None while it is not tracing."""
+    calls = []
+
+    def recorder():
+        calls.append(tracemalloc.get_traced_memory()[0] if tracemalloc.is_tracing() else None)
+
+    monkeypatch.setattr(caribou._pool, "_trim_heap", recorder)
+    return calls
+
+
+class TestHeapTrim:
+    """A run on a pool gives the C heap's free pages back once, after it
+    has let go of its float32 iterate and blocks; other runs never do."""
+
+    @pytest.mark.parametrize("seeds", [None, [3, 4]], ids=["single", "batched"])
+    def test_one_trim_per_pooled_run(self, seeds, monkeypatch):
+        monkeypatch.setattr(caribou._pool, "usable_cpus", lambda: 2)
+        trims = record_trims(monkeypatch)
+        ds = random_dataset(*ABOVE_CUTOFF, seed=11)
+        run_pipeline(ds, mixed_config("edge", 0), seeds)
+        assert trims == [None]
+        run_pipeline(ds, mixed_config("none", 0), seeds)
+        assert trims == [None, None]
+
+    @pytest.mark.parametrize("size, cpus", [(BELOW_CUTOFF, 2), (ABOVE_CUTOFF, 1)],
+                             ids=["below-cutoff", "one-cpu"])
+    def test_no_trim_without_a_pool(self, size, cpus, monkeypatch):
+        monkeypatch.setattr(caribou._pool, "usable_cpus", lambda: cpus)
+        trims = record_trims(monkeypatch)
+        ds = random_dataset(*size, seed=11)
+        for seeds in (None, [3, 4]):
+            run_pipeline(ds, mixed_config("edge", 0), seeds)
+        assert trims == []
+
+    def test_trim_comes_after_the_iterate_is_freed(self, monkeypatch):
+        block_rows = 512
+        monkeypatch.setattr(caribou._pool, "BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(caribou._pool, "usable_cpus", lambda: 2)
+        cfg = mixed_config("edge", 0)
+        # so that no lazy import of a first call is traced
+        run_pipeline(random_dataset(*ABOVE_CUTOFF, seed=2), cfg)
+        ds = random_dataset(*ABOVE_CUTOFF, seed=3)
+        trims = record_trims(monkeypatch)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = run_pipeline(ds, cfg).x_k_final
+        finally:
+            tracemalloc.stop()
+        agg, _ = _float32_aggregation(ds.graph)
+        kept = out.nbytes + agg.data.nbytes + agg.indices.nbytes + agg.indptr.nbytes
+        block = block_rows * out.shape[1] * out.itemsize
+        # with the float32 iterate still held the growth would be 1.5 times
+        # the output, above this bound
+        assert kept + block < 1.5 * out.nbytes
+        assert len(trims) == 1 and trims[0] - before < kept + block
+
+    def test_release_is_the_same_without_malloc_trim(self, monkeypatch):
+        monkeypatch.setattr(caribou._pool, "usable_cpus", lambda: 2)
+        ds = random_dataset(*ABOVE_CUTOFF, seed=5)
+        cfg = mixed_config("edge", 3)
+        trimmed = run_pipeline(ds, cfg).x_k_final
+        # the C library has no malloc_trim: the run goes on without it
+        monkeypatch.setattr(caribou._pool, "_malloc_trim", lambda: None)
+        assert np.array_equal(run_pipeline(ds, cfg).x_k_final, trimmed)
+
+
 SEEDS = (0, 7, 2**40 + 3, 11, 2**63 - 1)
 
 

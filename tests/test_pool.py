@@ -1,3 +1,4 @@
+import platform
 import threading
 import time
 
@@ -145,3 +146,11 @@ def test_without_pool_each_task_runs_as_it_is_yielded():
 
     run_all(None, produce())
     assert events == [(step, i) for i in range(3) for step in ("yield", "run")]
+
+
+def test_malloc_trim_is_found_once_and_runs():
+    trim = pool_module._malloc_trim()
+    assert pool_module._malloc_trim() is trim
+    if platform.libc_ver()[0] == "glibc":
+        assert trim is not None
+    pool_module._trim_heap()
