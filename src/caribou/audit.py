@@ -30,13 +30,13 @@ A trial joins the current batch while its head's input shape and class
 count match the batch's and the stacked inputs, plus what the batch holds
 until scoring, stay below ``_pool.MIN_CELLS`` (``model._joins_batch``):
 the first-query release of each trial, where one is made, and the
-normalized adjacency of each edge trial's own training graph.  The node game's subgraphs can lack
-a class, which ends a batch.  Reports do not depend on the batches: each
-trial draws from its own stream, keyed by its index, for the sample, the
-bit and the challenge, and from seeds keyed by its index for the release,
-the head and the queries; a release made in a batch of seeds has the bits
-of the same release made alone, and so has a head trained in a batch; and
-the attacker sees the trials in order.
+normalized adjacency of each edge trial's own training graph.  The node
+game's subgraphs can lack a class, which ends a batch.  Reports do not
+depend on the batches: each trial draws from its own stream, keyed by its
+index, for the sample, the bit and the challenge, and from seeds keyed by
+its index for the release, the head and the queries; a release made in a
+batch of seeds has the bits of the same release made alone, and so has a
+head trained in a batch; and the attacker sees the trials in order.
 """
 
 from __future__ import annotations
