@@ -19,23 +19,22 @@ open, numpy's bundled OpenBLAS runs on one thread; numpy has no call for
 this, so ``thread_pool`` reaches the library's own through ``ctypes``.
 Without that library, set ``OPENBLAS_NUM_THREADS=1`` or its equivalent.
 
-A run on a pool ends by giving the C heap's free pages back to the OS.
-glibc serves a large block by ``mmap`` and unmaps it when it is freed,
-but each such free raises glibc's dynamic mmap threshold to the block's
-size, so later blocks up to that size come from the heap, which keeps the
-pages they free resident.  The float32 iterate, the float64 Â its float32
-values are rounded from and the hops' temporaries are such blocks: on the
-benchmark's 1e5 x 64 release plus head, the second round peaked about
-50 MB above the first.  So ``pipeline.run_pipeline``, once it has let go
-of its float32 iterate and its blocks, calls ``_trim_heap``
-(``malloc_trim(0)``) when it ran on a pool, and the pages go back before
-the head allocates over them: in ten alternating bench pairs the peak
-fell from 334.9 to 285.5 MB (medians), and the release took no longer.
-Only there: trimming at the pool's exit, while the iterate is still
-held, left a 302.5 MB peak, and trimming after the head 333-334 MB; a run
-without a pool (one CPU) peaks at 325 MB inside the call, which a trim
-after it does not lower.  Runs below ``MIN_CELLS``, such as every query of
-an audit, open no pool and are not trimmed.
+A release on row blocks ends by giving the C heap's free pages back to
+the OS.  glibc serves a large block by ``mmap`` and unmaps it when it is
+freed, but each such free raises glibc's dynamic mmap threshold to the
+block's size, so later blocks up to that size come from the heap, which
+keeps the pages they free resident.  The float32 iterate, the float64 Â
+its float32 values are rounded from and the hops' temporaries are such
+blocks: on the benchmark's 1e5 x 64 release plus head, the second round
+peaked about 50 MB above the first.  So ``pipeline.run_pipeline``, once
+it has let go of its float32 iterate and its blocks, calls ``_trim_heap``
+(``malloc_trim(0)``) when its output reaches ``MIN_CELLS``, and the pages
+go back before the head allocates over them: in ten alternating bench
+pairs the peak fell from 334.9 to 285.5 MB (medians), and the release
+took no longer.  Only there: trimming at the pool's exit, while the
+iterate is still held, left a 302.5 MB peak, and trimming after the head
+333-334 MB.  Smaller runs, such as every query of an audit, are one block
+and are not trimmed.
 """
 
 from __future__ import annotations

@@ -48,7 +48,7 @@ from typing import Literal, Sequence, get_args
 
 from . import graphs
 from .graphs import Graph, degree_stats
-from .layers import LayerParams
+from .layers import LayerParams, _check_count
 
 PrivacyLevel = Literal["edge", "node", "none"]
 AccountantMode = Literal["convergent", "linear"]
@@ -94,9 +94,7 @@ class PrivacySpec:
             raise ValueError("delta must be in (0, 1)")
         if self.level not in ("edge", "node", "none"):
             raise ValueError(f"unknown privacy level {self.level!r}")
-        min_hops = 0 if self.level == "none" else 1
-        if self.k_hops < min_hops:
-            raise ValueError(f"k_hops must be >= {min_hops}")
+        _check_count("k_hops", self.k_hops, 0 if self.level == "none" else 1)
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError("gamma must be in [0, 1)")
 
@@ -143,8 +141,7 @@ def convergent_factor(k: int, gamma: float) -> float:
     Equals K at K = 1, is non-decreasing in K, and converges to
     (1 + g)/(1 - g) instead of growing linearly.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _check_count("k", k, 1)
     if not 0.0 <= gamma < 1.0:
         raise ValueError("gamma must be in [0, 1)")
     if gamma == 0.0:

@@ -51,7 +51,7 @@ from typing import Callable, Iterator, Literal, NamedTuple
 import numpy as np
 
 from .graphs import Graph, LabeledDataset, degree_stats
-from .layers import project_rows
+from .layers import _check_count, project_rows
 from .model import MlpHead, TrainConfig, _fit_heads, _head_data, _joins_batch, predict_proba
 from .pipeline import PipelineConfig, run_pipeline
 from .prng import stream
@@ -77,8 +77,7 @@ class AuditConfig:
     def __post_init__(self) -> None:
         if self.attack not in ("edge_influence", "node_confidence"):
             raise ValueError(f"unknown attack {self.attack!r}")
-        if self.trials < 10:
-            raise ValueError("at least 10 trials are required")
+        _check_count("trials", self.trials, 10)
         if not 0 < self.perturb_scale < math.inf:
             raise ValueError(
                 f"perturb_scale must be positive and finite, got {self.perturb_scale!r}"
@@ -218,6 +217,10 @@ class _PipelineModel:
         self._queries = 0
 
     def query(self, node: int, nudge: tuple[int, float] | None = None) -> np.ndarray:
+        n = len(self._dataset.features)
+        # numpy would read a negative id from the end
+        if not 0 <= node < n or nudge is not None and not 0 <= nudge[0] < n:
+            raise ValueError(f"query node {node!r} or nudge {nudge!r} is outside [0, {n})")
         self._queries += 1
         if self._queries > _QUERY_LIMIT:
             raise RuntimeError("query budget exhausted")

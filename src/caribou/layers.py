@@ -20,6 +20,7 @@ sensitivity.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,12 @@ import numpy as np
 _ALPHA_TOL = 1e-9
 
 Array = np.ndarray
+
+
+def _check_count(name: str, value, least: int) -> None:
+    """Raise ValueError unless ``value`` is an integer >= ``least``; a bool or float is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -86,8 +93,7 @@ def _mean_term(x_k: Array, params: LayerParams) -> Array | None:
 
 
 def _layer_rows(adj_rows, x_k: Array, x0_rows: Array, mean_term: Array | None,
-                params: LayerParams, out: Array | None = None,
-                starts: Array | None = None) -> Array:
+                params: LayerParams, starts: Array | None = None) -> Array:
     """Rows of the layer output, in float64:
     ``c_l * (alpha1 * adj_rows @ x_k + mean_term) + beta * x0_rows``.
 
@@ -97,19 +103,18 @@ def _layer_rows(adj_rows, x_k: Array, x0_rows: Array, mean_term: Array | None,
     ``_mean_term`` on the whole of ``x_k``.  With ``starts``, ``adj_rows``
     holds the rows cut into chunks, and the product's chunk rows from
     ``starts[i]`` up to ``starts[i + 1]`` are added up, in float64 and in
-    order, into row i.  The product is in
-    the dtype of ``adj_rows`` and ``x_k`` (the hops use float32); every
-    later term is float64.  The sum is formed in ``out`` if given, else in
-    the product when it is float64, else in a fresh array, and returned;
-    the mean and residual terms are skipped when their weight is 0.
+    order, into row i.  The product is in the dtype of ``adj_rows`` and
+    ``x_k`` (the hops use float32); every later term is float64.  The sum
+    is formed in the product when it is float64, else in a fresh array,
+    and returned; the mean and residual terms are skipped when their
+    weight is 0.
     """
     product = adj_rows @ x_k
     if starts is not None:
         product = np.add.reduceat(product, starts, axis=0, dtype=np.float64)
-    if out is None and product.dtype == np.float64:
-        out = product
     # the float64 loop, also for a float32 product
-    out = np.multiply(product, params.alpha1, out=out, dtype=np.float64)
+    out = np.multiply(product, params.alpha1, dtype=np.float64,
+                      out=product if product.dtype == np.float64 else None)
     if mean_term is not None:
         out += mean_term
     out *= params.c_l

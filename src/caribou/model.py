@@ -72,7 +72,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _pool
-from .layers import _normalize_rows, project_rows
+from .layers import _check_count, _normalize_rows, project_rows
 from .prng import stream
 
 Array = np.ndarray
@@ -115,14 +115,12 @@ class TrainConfig:
     dp: DpSgdConfig | None = None
 
     def __post_init__(self) -> None:
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        _check_count("epochs", self.epochs, 1)
         if not 0 < self.learning_rate < math.inf:
             raise ValueError(
                 f"learning_rate must be positive and finite, got {self.learning_rate!r}"
             )
-        if self.hidden_units < 1:
-            raise ValueError("hidden_units must be >= 1")
+        _check_count("hidden_units", self.hidden_units, 1)
 
 
 @dataclass

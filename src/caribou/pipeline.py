@@ -9,11 +9,12 @@ output (from X0 at hop 0), block by block.  The calling thread then draws
 the hop's Gaussian noise straight into the output, block by block in row
 order, and hands each block on as soon as its noise is in: the block's
 task forms its layer rows from the float32 product Â @ X, adds them into
-the output and projects them in place.  On a large enough feature matrix
-the tasks run on the thread pool of ``_pool``, whose last worker is the
-calling thread once the draw is done; otherwise the whole matrix is one
-block, drawn and then run on the calling thread.  The last output is the
-release, in float64.
+the output and projects them in place.  The blocks have
+``_pool.BLOCK_ROWS`` rows from ``_pool.MIN_CELLS`` output entries up,
+whatever the CPU count; a smaller output is one block.  The tasks run on
+the thread pool of ``_pool``, whose last worker is the calling thread
+once the draw is done, or on the calling thread alone where ``_pool``
+lends no workers.  The last output is the release, in float64.
 
 A run can make T releases of one dataset, one per seed, in the same
 pass; both buffers are then T times as large.  The iterate holds the T
@@ -43,7 +44,6 @@ batch of seeds.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -63,7 +63,7 @@ from .accountant import (
     sensitivity_for_level,
 )
 from .graphs import LabeledDataset, _float32_aggregation, write_float_csv
-from .layers import LayerParams, _layer_rows, _mean_term, _project_rows_inplace
+from .layers import LayerParams, _check_count, _layer_rows, _mean_term, _project_rows_inplace
 from .prng import stream
 
 _ROW_NORM_TOL = 1e-9
@@ -72,10 +72,8 @@ _HOP_STREAM = 0x40C4
 
 def _max_degree(cap):
     """``cap`` if it is None or an integer of at least 1; a bool is not."""
-    if cap is not None and (
-        isinstance(cap, bool) or not isinstance(cap, numbers.Integral) or cap < 1
-    ):
-        raise ValueError(f"max_degree must be an integer >= 1 or None, got {cap!r}")
+    if cap is not None:
+        _check_count("max_degree", cap, 1)
     return cap
 
 
@@ -98,8 +96,7 @@ class PipelineConfig:
     max_degree: int | None = None
 
     def __post_init__(self) -> None:
-        if self.k_hops < 0:
-            raise ValueError("k_hops must be non-negative")
+        _check_count("k_hops", self.k_hops, 0)
         _max_degree(self.max_degree)
         _check_mode(self.mode)
         if self.spec.level != "none" and self.k_hops != self.spec.k_hops:
@@ -124,7 +121,11 @@ class RunArtifacts:
 
     x_k_final: np.ndarray
     plan: NoisePlan
-    per_hop_noise_std: float
+
+    @property
+    def per_hop_noise_std(self) -> float:
+        """The Gaussian standard deviation of every hop, ``plan.noise_std``."""
+        return self.plan.noise_std
 
 
 def _draw_noise(out: np.ndarray, std: float, rng: np.random.Generator) -> None:
@@ -181,23 +182,19 @@ def _hop_rows(adj_rows, starts, x32: np.ndarray, x0_rows: np.ndarray, mean_term,
     """Form one block's layer rows from the float32 iterate, put them into
     ``out_rows``, the block's (T, rows, d) view of the output, and project
     them in place.  Release t's rows are columns t*d up to (t+1)*d of the
-    layer rows.  Without ``noisy``, the rows are formed in ``out_rows``;
-    with it, ``out_rows`` holds the block's noise and the rows are added
-    to it."""
-    if not noisy and len(out_rows) == 1:
-        _layer_rows(adj_rows, x32, x0_rows, mean_term, params, out_rows[0], starts)
+    layer rows.  With ``noisy``, ``out_rows`` holds the block's noise and
+    the rows are added to it."""
+    t, m, d = out_rows.shape
+    rows = _layer_rows(adj_rows, x32, x0_rows, mean_term, params, starts)
+    rows = rows.reshape(m, t, d).transpose(1, 0, 2)
+    if noisy:
+        out_rows += rows
     else:
-        t, m, d = out_rows.shape
-        rows = _layer_rows(adj_rows, x32, x0_rows, mean_term, params, None, starts)
-        rows = rows.reshape(m, t, d).transpose(1, 0, 2)
-        if noisy:
-            out_rows += rows
-        else:
-            out_rows[...] = rows
-        # freed before the projection allocates its temporaries of the same
-        # size, which can then reuse this memory: on a 2-CPU x86-64 host a
-        # 10,000 x 8 release took 30% longer while the rows were still held
-        del rows
+        out_rows[...] = rows
+    # freed before the projection allocates its temporaries of the same
+    # size, which can then reuse this memory: on a 2-CPU x86-64 host a
+    # 10,000 x 8 release took 30% longer while the rows were still held
+    del rows
     _project_rows_inplace(out_rows)
 
 
@@ -239,21 +236,17 @@ def run_pipeline(dataset: LabeledDataset, cfg: PipelineConfig, seeds=None) -> Ru
     counter-derived stream straight into its output buffer, so runs are
     reproducible regardless of evaluation order.  Besides the features, a
     run holds the float32 iterate and the float64 output, 1.5 T times the
-    features' size; it returns holding only the output.  A run on a pool
-    then gives the C heap's free pages back to the OS (``_pool`` says why).
+    features' size, plus the blocks in flight; it returns holding only the
+    output.  A run on row blocks then gives the C heap's free pages back
+    to the OS (``_pool`` says why).
 
-    Each hop runs in the one phase the module docstring describes.  When
-    the output has at least ``_pool.MIN_CELLS`` entries and the process may
-    run on two or more CPUs (``os.sched_getaffinity``), the blocks have
-    ``_pool.BLOCK_ROWS`` rows and their tasks run on a pool of one thread
-    fewer than those CPUs, plus this thread once it has drawn the last
-    block's noise.  Otherwise the whole matrix is one block, drawn and then
-    run on this thread.  The rounding of the iterate to float32 runs in the
-    same blocks, on the same threads.  The streams and every other public
-    function are called on this thread.  A row's arithmetic reads only that
-    row's inputs, the column mean (taken once per hop on this thread) and
-    the hop's noise stream of its release, so the release is the same bits
-    for any block size, thread count and batch of seeds.
+    Each hop runs in the one phase, on the blocks and threads, that the
+    module docstring describes; the rounding of the iterate to float32
+    runs in the same blocks, on the same threads.  The streams and every
+    other public function are called on this thread.  A row's arithmetic
+    reads only that row's inputs, the column mean (taken once per hop on
+    this thread) and the hop's noise stream of its release, so the release
+    is the same bits for any block size, thread count and batch of seeds.
     """
     batched = seeds is not None
     seeds = [cfg.seed] if seeds is None else list(seeds)
@@ -290,7 +283,7 @@ def run_pipeline(dataset: LabeledDataset, cfg: PipelineConfig, seeds=None) -> Ru
     noise_std = plan.noise_std
     if cfg.k_hops == 0:
         x_k = np.repeat(x0[None], len(seeds), axis=0) if batched else x0.copy()
-        return RunArtifacts(x_k_final=x_k, plan=plan, per_hop_noise_std=noise_std)
+        return RunArtifacts(x_k_final=x_k, plan=plan)
     n, d = x0.shape
     if n == 0:
         raise ValueError("expected a non-empty 2-D feature matrix")
@@ -303,9 +296,10 @@ def run_pipeline(dataset: LabeledDataset, cfg: PipelineConfig, seeds=None) -> Ru
     columns = x32.reshape(n, len(seeds) * d)
     out = np.empty((len(seeds), n, d))
     noisy = noise_std > 0.0
+    large = out.size >= _pool.MIN_CELLS
     with _pool.thread_pool(out.size) as pool:
         blocks = [(a, b, rows, starts, x0[a:b]) for a, b, rows, starts
-                  in _row_blocks(agg, first, _pool.BLOCK_ROWS if pool else n)]
+                  in _row_blocks(agg, first, _pool.BLOCK_ROWS if large else n)]
         for hop in range(cfg.k_hops):
             _pool.run_all(pool, _cast_tasks(blocks, out.transpose(1, 0, 2) if hop
                                             else x0[:, None], x32))
@@ -315,10 +309,9 @@ def run_pipeline(dataset: LabeledDataset, cfg: PipelineConfig, seeds=None) -> Ru
                                            noise_std, rngs))
     # dropped first, so that their pages are among those the trim gives back
     del x32, columns, blocks
-    if pool is not None:
+    if large:
         _pool._trim_heap()
-    return RunArtifacts(x_k_final=out if batched else out[0], plan=plan,
-                        per_hop_noise_std=noise_std)
+    return RunArtifacts(x_k_final=out if batched else out[0], plan=plan)
 
 
 def save_artifacts(artifacts: RunArtifacts, embedding_path, plan_path) -> None:

@@ -279,6 +279,11 @@ class TestPrivacySpec:
         with pytest.raises(ValueError, match="k_hops"):
             PrivacySpec(epsilon=1.0, delta=1e-3, level="none", k_hops=-1)
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, True, "2", 0])
+    def test_k_hops_must_be_an_integer(self, k):
+        with pytest.raises(ValueError, match="k_hops"):
+            PrivacySpec(epsilon=1.0, delta=1e-3, level="edge", k_hops=k, gamma=0.9)
+
     @pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0])
     def test_epsilon_must_be_positive_and_finite(self, eps):
         with pytest.raises(ValueError, match="epsilon"):

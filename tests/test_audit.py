@@ -356,6 +356,25 @@ class TestRunMiaGame:
         with pytest.raises(ValueError):
             AuditConfig(trials=5)
 
+    @pytest.mark.parametrize("trials", [10.0, 12.5, True])
+    def test_trials_must_be_an_integer(self, trials):
+        with pytest.raises(ValueError, match="trials"):
+            AuditConfig(trials=trials)
+
+    @pytest.mark.parametrize(
+        "node, nudge", [(-1, None), (20, None), (0, (-1, 1.0)), (0, (20, 1.0))],
+        ids=["negative-node", "node-n", "negative-nudge", "nudge-n"],
+    )
+    def test_query_outside_the_graph_rejected(self, node, nudge):
+        # numpy alone would answer query(-1) with node n - 1
+        ds = dense_block_dataset(seed=5)
+        assert ds.graph.num_nodes == 20
+        cfg = make_pipeline_cfg(level="none", k=1)
+        audit_cfg = AuditConfig(attack="node_confidence", trials=10, seed=2)
+        with pytest.raises(ValueError, match=r"outside \[0, 20\)"):
+            run_mia_game(ds, cfg, FAST_TRAIN, audit_cfg,
+                         score_fn=lambda query, c: query(node, nudge)[0])
+
     @pytest.mark.parametrize("scale", [math.nan, math.inf, 0.0, -1e-3])
     def test_bad_perturb_scale_rejected(self, scale):
         with pytest.raises(ValueError, match="perturb_scale"):

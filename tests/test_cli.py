@@ -568,7 +568,7 @@ class TestOneErrorBoundary:
 
     @pytest.mark.parametrize(
         "section, error, message",
-        [({"audit": {"trials": 3}}, "ValueError", "at least 10 trials"),
+        [({"audit": {"trials": 3}}, "ValueError", "trials must be an integer >= 10"),
          ({"sweep": 5}, "CliError", "'sweep' must be a list"),
          # level none calibrates nothing, so the mode is checked on its own
          ({"privacy": {"level": "none", "mode": "linaer"}}, "ValueError",

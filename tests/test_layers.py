@@ -167,7 +167,7 @@ class TestFloat32Product:
         assert np.diff(agg.indptr).max() <= terms
         [(_, _, rows, starts)] = _row_blocks(agg, first, n)
         x32 = x.astype(np.float32)
-        got = _layer_rows(rows, x32, x0, _mean_term(x32, params), params, None, starts)
+        got = _layer_rows(rows, x32, x0, _mean_term(x32, params), params, starts)
         adj = normalized_adjacency(graph)
         mean = [math.fsum(column) / n for column in x.T.tolist()]
         oracle = c_l * (alpha1 * exact_product(adj, x) + params.alpha2 * np.array(mean))

@@ -407,6 +407,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="learning_rate"):
             TrainConfig(learning_rate=lr)
 
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, 0])
+    @pytest.mark.parametrize("field", ["epochs", "hidden_units"])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
 
 class TestPredictProba:
     def test_zero_weight_head_is_uniform(self):

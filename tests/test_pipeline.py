@@ -315,12 +315,27 @@ class TestNoiseOverlap:
         calls = count_calls(monkeypatch, "_layer_rows")
         run_pipeline(ds, mixed_config("edge", 0))
         assert threading.active_count() == before
+        # row blocks above the cutoff, on any number of CPUs
+        blocks = -(-size[0] // caribou._pool.BLOCK_ROWS) if size == ABOVE_CUTOFF else 1
+        assert len(calls) == 3 * blocks
         if size == ABOVE_CUTOFF and cpus > 1:
-            assert len(calls) == 3 * -(-size[0] // caribou._pool.BLOCK_ROWS)
             # the calling thread is the pool's last worker
             assert all(before < alive <= before + cpus - 1 for _, alive in calls)
         else:
-            assert calls == [(threading.main_thread(), before)] * 3
+            assert calls == [(threading.main_thread(), before)] * 3 * blocks
+
+    def test_blocks_follow_the_size_not_the_cpus(self, monkeypatch):
+        monkeypatch.setattr(caribou._pool, "BLOCK_ROWS", 3000)
+        ds = random_dataset(*ABOVE_CUTOFF, seed=3)
+        counts = []
+        for cpus in (1, 2, 3):
+            with monkeypatch.context() as patch:
+                patch.setattr(caribou._pool, "usable_cpus", lambda: cpus)
+                calls = count_calls(patch, "_layer_rows")
+                run_pipeline(ds, mixed_config("edge", 0, k=2))
+            counts.append(len(calls))
+        # three blocks of 8192 rows per hop, two hops
+        assert counts == [6, 6, 6]
 
     def test_failing_hop_reaches_caller_and_ends_worker(self, monkeypatch):
         monkeypatch.setattr(caribou._pool, "BLOCK_ROWS", 3000)
@@ -356,9 +371,10 @@ class TestNoiseOverlap:
             assert len(projections) == projected, case
             assert threading.active_count() == before, case
 
-    def test_peak_memory_holds_one_float64_and_one_float32_buffer(self, monkeypatch):
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_peak_memory_holds_one_float64_and_one_float32_buffer(self, cpus, monkeypatch):
         monkeypatch.setattr(caribou._pool, "BLOCK_ROWS", 512)
-        monkeypatch.setattr(caribou._pool, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(caribou._pool, "usable_cpus", lambda: cpus)
         ds = random_dataset(*ABOVE_CUTOFF, seed=2)
         cfg = mixed_config("edge", 0)
         run_pipeline(ds, cfg)  # so that no lazy import of a first call is traced
@@ -421,8 +437,9 @@ def record_trims(monkeypatch):
 
 
 class TestHeapTrim:
-    """A run on a pool gives the C heap's free pages back once, after it
-    has let go of its float32 iterate and blocks; other runs never do."""
+    """A run on row blocks gives the C heap's free pages back once, after
+    it has let go of its float32 iterate and blocks; a run of one block
+    never does."""
 
     @pytest.mark.parametrize("seeds", [None, [3, 4]], ids=["single", "batched"])
     def test_one_trim_per_pooled_run(self, seeds, monkeypatch):
@@ -436,13 +453,14 @@ class TestHeapTrim:
 
     @pytest.mark.parametrize("size, cpus", [(BELOW_CUTOFF, 2), (ABOVE_CUTOFF, 1)],
                              ids=["below-cutoff", "one-cpu"])
-    def test_no_trim_without_a_pool(self, size, cpus, monkeypatch):
+    def test_trim_only_above_cutoff(self, size, cpus, monkeypatch):
         monkeypatch.setattr(caribou._pool, "usable_cpus", lambda: cpus)
         trims = record_trims(monkeypatch)
         ds = random_dataset(*size, seed=11)
         for seeds in (None, [3, 4]):
             run_pipeline(ds, mixed_config("edge", 0), seeds)
-        assert trims == []
+        # one trim per run on row blocks, whether or not it opened a pool
+        assert trims == ([None, None] if size == ABOVE_CUTOFF else [])
 
     def test_trim_comes_after_the_iterate_is_freed(self, monkeypatch):
         block_rows = 512
@@ -553,6 +571,11 @@ class TestConfigValidation:
         spec = PrivacySpec(epsilon=1.0, delta=1e-3, level="edge", k_hops=2, gamma=0.9)
         with pytest.raises(ValueError, match="gamma"):
             PipelineConfig(cgl=params, spec=spec, k_hops=2, seed=0)
+
+    @pytest.mark.parametrize("k", [2.0, 2.5, True, -1])
+    def test_k_hops_must_be_an_integer(self, k):
+        with pytest.raises(ValueError, match="k_hops"):
+            replace(chain_config(k=2), k_hops=k)
 
     @pytest.mark.parametrize("cap", [0, -3, 2.5, 3.0, True, "3"])
     def test_bad_max_degree_rejected(self, cap):
