@@ -374,9 +374,7 @@ def noise_table(
     for k in ks:
         plans = {}
         for mode in ("linear", "convergent"):
-            spec = PrivacySpec(
-                epsilon=epsilon, delta=delta, level="edge", k_hops=int(k), gamma=gamma
-            )
+            spec = PrivacySpec(epsilon=epsilon, delta=delta, level="edge", k_hops=k, gamma=gamma)
             plans[mode] = calibrate_sigma(spec, 1.0, mode=mode, alphas=[alpha])
         rows.append((int(k), plans["linear"].sigma, plans["convergent"].sigma))
     return rows

@@ -404,6 +404,12 @@ class TestNoiseTable:
         )
         assert rows[1][0] == pytest.approx(rows[1][1], rel=1e-9)
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, True])
+    def test_k_must_be_an_integer(self, k):
+        # a K of 2.5 would have been tabled as K = 2
+        with pytest.raises(ValueError, match="k_hops"):
+            noise_table(4.0, 1e-3, 6.0, 0.9, k_values=[k])
+
     def test_csv_format(self):
         rows = noise_table(4.0, 1e-3, 6.0, 0.9, k_values=[1, 2])
         text = format_noise_table(rows)
