@@ -9,34 +9,37 @@ probe (is the model unusually confident on this node?).
 
 A game runs its trials in batches, each in three steps:
 
-1. for each trial, in order: sample the training graph or subgraph, run
-   the training release, form the head's inputs and, for a built-in
-   attacker, make the release its first query will read.  An edge trial
-   serves on its own training graph and makes the two releases in one
-   ``run_pipeline`` call; the node trials serve on the shared graph, and
-   the first-query releases of a batch's node trials are one call once the
-   batch is complete;
+1. for each trial, in order: sample the training graph or subgraph, draw
+   the membership bit and the challenge, run the training release, form
+   the head's inputs and, for a built-in attacker, make the releases its
+   queries will read.  An edge trial serves on its own training graph and
+   makes three releases in one ``run_pipeline`` call: the training
+   release, the first query's and, on the features with the challenge's
+   node v nudged, the second query's.  The node trials serve on the
+   shared graph, and the first-query releases of a batch's node trials
+   are one call once the batch is complete.  A trial for which no
+   non-member exists has no challenge; it is discarded here, before any
+   release;
 2. train the batch's heads in one pass (``model._fit_heads``);
-3. for each trial, in order: draw the bit and the challenge, then score.
-   An un-nudged first query reads the release made in step 1; every
-   other query runs its own release.
+3. for each trial, in order: score the challenge.  A query whose release
+   was made in step 1 reads it; every other query runs its own release.
 
-Both built-in attackers ask an un-nudged first query, so the release made
-ahead of time is always read.  An attacker given as ``score_fn`` may
-nudge its first query or ask none, so for it no release is made ahead:
-each of its queries runs its own release, with the seed it would have had.
+The built-in attackers' queries follow from the challenge alone, so every
+release made ahead of time is read.  An attacker given as ``score_fn``
+may ask any queries or none, so for it no release is made ahead: each of
+its queries runs its own release, with the seed it would have had.
 
 A trial joins the current batch while its head's input shape and class
 count match the batch's and the stacked inputs, plus what the batch holds
 until scoring, stay below ``_pool.MIN_CELLS`` (``model._joins_batch``):
-the first-query release of each trial, where one is made, and the
-normalized adjacency of each edge trial's own training graph.  The node
-game's subgraphs can lack a class, which ends a batch.  Reports do not
-depend on the batches: each trial draws from its own stream, keyed by its
-index, for the sample, the bit and the challenge, and from seeds keyed by
-its index for the release, the head and the queries; a release made in a
-batch of seeds has the bits of the same release made alone, and so has a
-head trained in a batch; and the attacker sees the trials in order.
+the releases made ahead for each trial and the normalized adjacency of
+each edge trial's own training graph.  The node game's subgraphs can lack
+a class, which ends a batch.  Reports do not depend on the batches: each
+trial draws from its own stream, keyed by its index, for the sample, the
+bit and the challenge, and from seeds keyed by its index for the release,
+the head and the queries; a release made in a batch of seeds and features
+has the bits of the same release made alone, and so has a head trained in
+a batch; and the attacker sees the trials in order.
 """
 
 from __future__ import annotations
@@ -194,11 +197,12 @@ class _PipelineModel:
 
     Queries run inference on ``serve_on`` and count against
     ``_QUERY_LIMIT``.  Query i is answered from a noisy release on
-    ``serve_on`` with seed ``stream_seed(query_seed, i)``, so a private
-    pipeline answers queries noisily while a non-private one is
-    deterministic.  ``first_release``, when given, is that release for
-    query 1 made ahead of time; it answers query 1 if that query is not
-    nudged.  Every other query reruns the pipeline.
+    ``serve_on``, with query i's nudge applied, with seed
+    ``stream_seed(query_seed, i)``, so a private pipeline answers queries
+    noisily while a non-private one is deterministic.  ``releases``, when
+    given, holds such releases made ahead of time, keyed by (query number,
+    nudge): query i reads the one keyed by its number and nudge, if there
+    is one.  Every other query reruns the pipeline.
     """
 
     def __init__(
@@ -207,13 +211,13 @@ class _PipelineModel:
         serve_on: LabeledDataset,
         pipeline_cfg: PipelineConfig,
         query_seed: int,
-        first_release: np.ndarray | None = None,
+        releases: dict[tuple[int, tuple[int, float] | None], np.ndarray] | None = None,
     ):
         self.head = head
         self._dataset = serve_on
         self._cfg = pipeline_cfg
         self._query_seed = query_seed
-        self._first = first_release
+        self._releases = releases or {}
         self._queries = 0
 
     def query(self, node: int, nudge: tuple[int, float] | None = None) -> np.ndarray:
@@ -225,9 +229,10 @@ class _PipelineModel:
         if self._queries > _QUERY_LIMIT:
             raise RuntimeError("query budget exhausted")
         features = _nudged_features(self._dataset.features, nudge)
-        if self._queries == 1 and nudge is None and self._first is not None:
-            x_k = self._first
-        else:
+        # looked up only when releases were made ahead: a custom attacker's
+        # nudge need not be hashable
+        x_k = self._releases.get((self._queries, nudge)) if self._releases else None
+        if x_k is None:
             probe = replace(self._dataset, features=features)
             cfg = replace(self._cfg, seed=stream_seed(self._query_seed, self._queries))
             x_k = run_pipeline(probe, cfg).x_k_final
@@ -268,18 +273,19 @@ def _absent_pair(g: Graph, rng: np.random.Generator) -> tuple[int, int] | None:
             return u, v
 
 
-#: A trial's challenge picker: draws the membership bit and the challenge
-#: from the trial's generator; None when no non-member exists.
-_Challenge = Callable[[], "tuple[object, int] | None"]
+#: A trial's challenge and membership bit, drawn from the trial's
+#: generator; None when no non-member exists.
+_Picked = "tuple[object, int] | None"
 
 
 def _edge_trial(
     dataset: LabeledDataset, pipeline_cfg: PipelineConfig, audit_cfg: AuditConfig,
     rng: np.random.Generator,
-) -> tuple[LabeledDataset, LabeledDataset, _Challenge]:
-    """Sample an edge subset as the training graph; return the training
-    set, the set queries run on (the same) and the challenge picker:
-    members are present edges, non-members uniformly drawn absent pairs."""
+) -> tuple[LabeledDataset, LabeledDataset, _Picked]:
+    """Sample an edge subset as the training graph, then the bit and the
+    challenge; return the training set, the set queries run on (the same)
+    and the challenge with its bit: members are present edges, non-members
+    uniformly drawn absent pairs."""
     training_graph = _sample_edge_subset(
         dataset.graph,
         audit_cfg.edge_keep_fraction,
@@ -287,24 +293,22 @@ def _edge_trial(
         require_min_degree=pipeline_cfg.spec.level != "none",
     )
     train_set = replace(dataset, graph=training_graph)
-
-    def challenge():
-        bit = int(rng.integers(0, 2))
-        if bit == 1:
-            members = training_graph.edges
-            return tuple(members[int(rng.integers(0, len(members)))].tolist()), bit
+    bit = int(rng.integers(0, 2))
+    if bit == 1:
+        members = training_graph.edges
+        pair = tuple(members[int(rng.integers(0, len(members)))].tolist())
+    else:
         pair = _absent_pair(training_graph, rng)
-        return None if pair is None else (pair, bit)
-
-    return train_set, train_set, challenge
+    return train_set, train_set, None if pair is None else (pair, bit)
 
 
 def _node_trial(
     dataset: LabeledDataset, pipeline_cfg: PipelineConfig, audit_cfg: AuditConfig,
     rng: np.random.Generator,
-) -> tuple[LabeledDataset, LabeledDataset, _Challenge]:
-    """Sample an induced subgraph as the training set; queries run on the
-    full graph.  Members are the subgraph's nodes."""
+) -> tuple[LabeledDataset, LabeledDataset, _Picked]:
+    """Sample an induced subgraph as the training set, then the bit and the
+    challenge; queries run on the full graph.  Members are the subgraph's
+    nodes."""
     n = dataset.graph.num_nodes
     keep = max(2, round(audit_cfg.node_keep_fraction * n))
     need_degree = pipeline_cfg.spec.level != "none"
@@ -325,90 +329,113 @@ def _node_trial(
         test_mask=np.array([], dtype=np.int64),
     )
 
-    def challenge():
-        bit = int(rng.integers(0, 2))
-        if bit == 1:
-            return int(member_nodes[int(rng.integers(0, len(member_nodes)))]), bit
+    bit = int(rng.integers(0, 2))
+    if bit == 1:
+        node = int(member_nodes[int(rng.integers(0, len(member_nodes)))])
+    else:
         outside = np.setdiff1d(np.arange(n), member_nodes)
-        if not outside.size:
-            return None
-        return int(outside[int(rng.integers(0, len(outside)))]), bit
+        node = int(outside[int(rng.integers(0, len(outside)))]) if outside.size else None
+    return sub_set, dataset, None if node is None else (node, bit)
 
-    return sub_set, dataset, challenge
+
+#: The (query number, nudge) of each query an attacker will ask about a
+#: challenge, as ``_PipelineModel``'s ``releases`` keys them.
+_Queries = Callable[[object], "list[tuple[int, tuple[int, float] | None]]"]
 
 
 class _Released(NamedTuple):
     """A trial after step 1: its training release's head problem, the
     pipeline config it ran with and what scoring it needs, among them the
-    release for its first query (``_PipelineModel``'s ``first_release``),
-    None where none is made ahead."""
+    releases made ahead for its queries (``_PipelineModel``'s
+    ``releases``)."""
 
-    trial: int
     cfg: PipelineConfig
     query_seed: int
     serve_on: LabeledDataset
-    challenge: _Challenge
+    challenge: object
+    bit: int
     problem: tuple[np.ndarray, np.ndarray]
-    first_release: np.ndarray | None
+    releases: dict
 
 
-def _with_first_releases(batch: list[_Released], pipeline_cfg) -> list[_Released]:
-    """``batch`` once the first-query releases of its trials that serve on
-    the shared dataset are made, in one ``run_pipeline`` call."""
-    shared = [i for i, r in enumerate(batch) if r.first_release is None]
-    if not shared:
-        return batch
-    seeds = [stream_seed(batch[i].query_seed, 1) for i in shared]
-    releases = run_pipeline(batch[shared[0]].serve_on, pipeline_cfg, seeds).x_k_final
-    for i, release in zip(shared, releases):
-        batch[i] = batch[i]._replace(first_release=release)
-    return batch
+def _releases_of(dataset: LabeledDataset, cfg: PipelineConfig, seeds: list[int],
+                 features: list[np.ndarray]) -> np.ndarray:
+    """The releases of ``dataset`` with ``seeds[t]`` on ``features[t]``, in
+    one ``run_pipeline`` call; the features are stacked only when one of
+    them is not the dataset's own."""
+    shared = all(x0 is dataset.features for x0 in features)
+    return run_pipeline(dataset, cfg, seeds, None if shared else np.stack(features)).x_k_final
 
 
 def _released_batches(dataset, pipeline_cfg, audit_cfg, sample,
-                      first_queries: bool) -> Iterator[list[_Released]]:
-    """Step 1 for each trial in order: sample its training set with
-    ``sample``, release it and, with ``first_queries``, make its first
-    query's release, in the calls the module docstring names.  The trials
-    come in batches whose heads train in one pass; the next batch is
-    released only once the caller asks for it, so at most one batch of
-    training sets is held.  What a batch holds until scoring counts toward
-    its ``_pool.MIN_CELLS``."""
+                      queries: _Queries) -> Iterator[list[_Released]]:
+    """Step 1 for each trial in order: sample its training set, bit and
+    challenge with ``sample``, release the training set and make the
+    releases of the queries that ``queries`` names for the challenge, in
+    the calls the module docstring names; a trial without a challenge is
+    skipped.  The trials come in batches whose heads train in one pass;
+    the next batch is released only once the caller asks for it, so at
+    most one batch of training sets is held.  What a batch holds until
+    scoring counts toward its ``_pool.MIN_CELLS``."""
 
     def complete(batch):
-        return _with_first_releases(batch, pipeline_cfg) if first_queries else batch
+        # the releases of the trials that serve on the shared dataset
+        wanted = [(r, key) for r in batch if r.serve_on is dataset for key in queries(r.challenge)]
+        if wanted:
+            made = _releases_of(dataset, pipeline_cfg,
+                                [stream_seed(r.query_seed, i) for r, (i, _) in wanted],
+                                [_nudged_features(dataset.features, nudge)
+                                 for _, (_, nudge) in wanted])
+            for (r, key), release in zip(wanted, made):
+                r.releases[key] = release
+        return batch
 
     batch: list[_Released] = []
     held_cells = 0
     for trial in range(audit_cfg.trials):
         rng = stream(audit_cfg.seed, _TRIAL_STREAM, trial)
-        train_set, serve_on, challenge = sample(dataset, pipeline_cfg, audit_cfg, rng)
+        train_set, serve_on, picked = sample(dataset, pipeline_cfg, audit_cfg, rng)
+        if picked is None:
+            continue
         cfg = replace(pipeline_cfg, seed=stream_seed(audit_cfg.seed, 2 * trial))
         query_seed = stream_seed(audit_cfg.seed, 2 * trial + 1)
+        keys = queries(picked[0])
         own = serve_on is train_set
-        seeds = [cfg.seed, stream_seed(query_seed, 1)] if own and first_queries else [cfg.seed]
-        releases = run_pipeline(train_set, cfg, seeds).x_k_final
-        problem = _head_data(train_set.features, releases[0], train_set.labels,
+        # a trial that serves on its own training graph makes its queries'
+        # releases with its training release
+        ahead = keys if own else []
+        made = _releases_of(
+            train_set, cfg, [cfg.seed] + [stream_seed(query_seed, i) for i, _ in ahead],
+            [train_set.features] + [_nudged_features(serve_on.features, nudge)
+                                    for _, nudge in ahead],
+        )
+        problem = _head_data(train_set.features, made[0], train_set.labels,
                              train_set.train_mask)
-        # copied, so that the training release is not held with it
-        first_release = releases[1].copy() if len(releases) > 1 else None
+        # copied, so that the training release is not held with them
+        releases = {key: release.copy() for key, release in zip(ahead, made[1:])}
         # a trial that serves on its own training graph also holds that
         # graph's cached normalized adjacency: n diagonal entries and two
         # per edge
         held = serve_on.graph
-        cells = ((serve_on.features.size if first_queries else 0)
+        cells = (len(keys) * serve_on.features.size
                  + (held.num_nodes + 2 * held.num_edges if own else 0))
         if batch and not _joins_batch(batch[0].problem, len(batch), problem, held_cells + cells):
             yield complete(batch)
             batch, held_cells = [], 0
-        batch.append(_Released(trial, cfg, query_seed, serve_on, challenge, problem,
-                               first_release))
+        batch.append(_Released(cfg, query_seed, serve_on, *picked, problem, releases))
         held_cells += cells
-    yield complete(batch)
+    if batch:
+        yield complete(batch)
 
 
 def _edge_attack(perturb_scale: float, query: ModelQuery, pair: tuple[int, int]) -> float:
     return edge_influence_score(query, *pair, perturb_scale)
+
+
+def _edge_queries(perturb_scale: float, pair: tuple[int, int]):
+    """The queries ``_edge_attack`` asks: node u, then node u with row v
+    nudged."""
+    return [(1, None), (2, (pair[1], perturb_scale))]
 
 
 def run_mia_game(
@@ -431,30 +458,28 @@ def run_mia_game(
     for the node game.  It is called at most once per trial, in trial
     order, and each query it asks runs its own release.
     """
+    scale = audit_cfg.perturb_scale
     if audit_cfg.attack == "edge_influence":
-        sample, attack = _edge_trial, partial(_edge_attack, audit_cfg.perturb_scale)
+        sample, attack, queries = (_edge_trial, partial(_edge_attack, scale),
+                                   partial(_edge_queries, scale))
     else:
-        sample, attack = _node_trial, node_confidence_score
-    attack = score_fn or attack
+        sample, attack, queries = _node_trial, node_confidence_score, lambda node: [(1, None)]
+    if score_fn is not None:
+        attack, queries = score_fn, lambda challenge: []
     scores: list[float] = []
     bits: list[int] = []
-    discarded = 0
-    for batch in _released_batches(dataset, pipeline_cfg, audit_cfg, sample,
-                                   first_queries=score_fn is None):
+    for batch in _released_batches(dataset, pipeline_cfg, audit_cfg, sample, queries):
         heads = _fit_heads([r.problem for r in batch], train_cfg, [r.cfg.seed for r in batch])
         for released, head in zip(batch, heads):
             model = _PipelineModel(head, released.serve_on, released.cfg, released.query_seed,
-                                   released.first_release)
-            picked = released.challenge()
-            score = math.nan if picked is None else float(attack(model.query, picked[0]))
-            if not math.isfinite(score):
-                discarded += 1
-                continue
-            scores.append(score)
-            bits.append(picked[1])
+                                   released.releases)
+            score = float(attack(model.query, released.challenge))
+            if math.isfinite(score):
+                scores.append(score)
+                bits.append(released.bit)
     return AuditReport(
         scores=scores,
         membership_bits=bits,
         auc=auc(scores, bits),
-        discarded_trials=discarded,
+        discarded_trials=audit_cfg.trials - len(scores),
     )

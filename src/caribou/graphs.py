@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.sparse import csr_array
 
-from .layers import project_rows
+from .layers import _check_count, project_rows
 from .prng import stream
 
 
@@ -55,8 +55,7 @@ class Graph:
 
     def __post_init__(self) -> None:
         n = self.num_nodes
-        if n < 0:
-            raise ValueError("num_nodes must be non-negative")
+        _check_count("num_nodes", n, 0)
         edges = np.asarray(self.edges, dtype=np.int64)
         if edges.ndim != 2 or edges.shape[1] != 2:
             raise ValueError(f"edges must be an (m, 2) array, got shape {edges.shape}")
@@ -268,8 +267,8 @@ def stratified_split(
     labeled = np.flatnonzero(labels >= 0)
     if not labeled.size:
         raise ValueError("no labeled nodes to split")
-    if n_train < 0 or n_test < 0:
-        raise ValueError(f"split counts must be non-negative, got {n_train} and {n_test}")
+    _check_count("n_train", n_train, 0)
+    _check_count("n_test", n_test, 0)
     if n_train + n_test > labeled.size:
         raise ValueError("split larger than the number of labeled nodes")
     classes = np.unique(labels[labeled])
@@ -308,9 +307,10 @@ def gen_chain_dataset(
     seeded, stratified by class, with 1/6 of nodes for training and 2/3
     for testing.
     """
-    if num_chains < 1 or chain_len < 1:
-        raise ValueError("num_chains and chain_len must be positive")
-    if num_classes < 1 or num_chains % num_classes != 0:
+    for name, count in (("num_chains", num_chains), ("chain_len", chain_len),
+                        ("num_classes", num_classes), ("feat_dim", feat_dim)):
+        _check_count(name, count, 1)
+    if num_chains % num_classes != 0:
         raise ValueError("num_chains must be divisible by num_classes")
     if feat_dim < num_classes:
         raise ValueError("feat_dim must be at least num_classes")

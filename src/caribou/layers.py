@@ -33,7 +33,8 @@ Array = np.ndarray
 def _check_count(name: str, value, least: int) -> None:
     """Raise ValueError unless ``value`` is an integer >= ``least``; a bool or float is not."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        bound = "a non-negative integer" if least == 0 else f"an integer >= {least}"
+        raise ValueError(f"{name} must be {bound}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -99,7 +100,8 @@ def _layer_rows(adj_rows, x_k: Array, x0_rows: Array, mean_term: Array | None,
 
     ``adj_rows`` holds the adjacency rows wanted and ``x0_rows`` the same
     rows of X0; ``x_k`` may hold T iterates side by side in its columns,
-    (n, T*d), and they share ``x0_rows`` (m, d).  ``mean_term`` comes from
+    (n, T*d), and ``x0_rows`` is then (m, T, d), one X0 per iterate, or
+    (m, d) or (m, 1, d), one X0 that they share.  ``mean_term`` comes from
     ``_mean_term`` on the whole of ``x_k``.  With ``starts``, ``adj_rows``
     holds the rows cut into chunks, and the product's chunk rows from
     ``starts[i]`` up to ``starts[i + 1]`` are added up, in float64 and in
@@ -120,11 +122,9 @@ def _layer_rows(adj_rows, x_k: Array, x0_rows: Array, mean_term: Array | None,
     out *= params.c_l
     if params.beta != 0.0:
         residual = params.beta * x0_rows
-        if out.shape == residual.shape:
-            out += residual
-        else:
-            # T releases side by side in the columns share the rows of X0
-            out.reshape(len(out), -1, residual.shape[1], copy=False)[...] += residual[:, None]
+        # iterate t's columns take X0 number t, or the one X0 they share
+        d = residual.shape[-1]
+        out.reshape(len(out), -1, d, copy=False)[...] += residual.reshape(len(out), -1, d)
     return out
 
 

@@ -16,14 +16,18 @@ the thread pool of ``_pool``, whose last worker is the calling thread
 once the draw is done, or on the calling thread alone where ``_pool``
 lends no workers.  The last output is the release, in float64.
 
-A run can make T releases of one dataset, one per seed, in the same
-pass; both buffers are then T times as large.  The iterate holds the T
+A run can make T releases of one graph, one per seed, in the same pass;
+both buffers are then T times as large.  The iterate holds the T
 iterates side by side, (n, T·d), so each hop reads the indices and values
-of Â once for all T·d columns; the mean term is per column, and X0 is
-broadcast across the T column groups.  The output is (T, n, d): release
-t draws its rows of each block from its own stream straight into slice
-t, and each row of each release is projected on its own.  With one seed
-these are the buffers, blocks and draws of a single release.
+of Â once for all T·d columns; the mean term is per column.  The
+releases share the dataset's features, and X0 is then broadcast across
+the T column groups, or each has its own, given as a (T, n, d) array.
+Only the row-norm check, the rounding of X0 at hop 0, the β·X0 residual
+and the K = 0 release read X0, and each reads release t's columns from
+release t's features.  The output is (T, n, d): release t draws its rows
+of each block from its own stream straight into slice t, and each row of
+each release is projected on its own.  With one seed these are the
+buffers, blocks and draws of a single release.
 
 The product's rounding is charged to the sensitivity: ``delta_mp`` is the
 layer's Delta plus the slack of ``accountant._rounding_slack``, whose
@@ -38,7 +42,7 @@ on the calling thread.  Consecutive draws from one stream give the
 numbers of one whole draw, and noise + layer is the same float as
 layer + noise, so the release is the bits of drawing, adding and
 projecting the whole matrix at once, whether it is made alone or in a
-batch of seeds.
+batch of seeds and features.
 """
 
 from __future__ import annotations
@@ -221,13 +225,18 @@ def _cast_tasks(blocks, src: np.ndarray, x32: np.ndarray):
         yield partial(np.copyto, x32[a:b], src[a:b])
 
 
-def run_pipeline(dataset: LabeledDataset, cfg: PipelineConfig, seeds=None) -> RunArtifacts:
+def run_pipeline(dataset: LabeledDataset, cfg: PipelineConfig, seeds=None,
+                 features=None) -> RunArtifacts:
     """Run the perturbed contractive pipeline and release X^(K).
 
     With ``seeds``, make one release per seed, in place of ``cfg.seed``, in
     one pass: ``x_k_final`` is then (T, n, d) for T seeds, and slice t has
-    the bits of the release with ``seeds[t]`` as its seed.  The call
-    without ``seeds`` makes the one release of ``cfg.seed``, (n, d).
+    the bits of the release with ``seeds[t]`` as its seed.  ``features``,
+    given beside ``seeds``, holds each release's own public features in
+    place of the dataset's, a (T, n, d) array: slice t then has the bits
+    of the release of ``replace(dataset, features=features[t])`` with
+    ``seeds[t]``.  The call without ``seeds`` makes the one release of
+    ``cfg.seed``, (n, d).
 
     Requires row-normalized input features.  The per-hop noise standard
     deviation is exactly plan.delta_mp * plan.sigma, where delta_mp is the
@@ -246,17 +255,24 @@ def run_pipeline(dataset: LabeledDataset, cfg: PipelineConfig, seeds=None) -> Ru
     other public function are called on this thread.  A row's arithmetic
     reads only that row's inputs, the column mean (taken once per hop on
     this thread) and the hop's noise stream of its release, so the release
-    is the same bits for any block size, thread count and batch of seeds.
+    is the same bits for any block size, thread count, batch of seeds and
+    batch of features.
     """
     batched = seeds is not None
     seeds = [cfg.seed] if seeds is None else list(seeds)
     if not seeds:
         raise ValueError("seeds must name at least one release")
-    x0 = np.asarray(dataset.features, dtype=float)
+    x0 = np.asarray(dataset.features if features is None else features, dtype=float)
+    if features is not None and (not batched
+                                 or x0.shape != (len(seeds), *dataset.features.shape)):
+        raise ValueError(
+            f"features must hold one {dataset.features.shape} matrix per seed of "
+            f"seeds, got shape {x0.shape}"
+        )
     # a NaN or infinite entry makes its row's norm NaN or infinite; NaN
     # fails every comparison, so it is tested for before the bound.  The
     # squared row norms are summed in place of an n x d temporary.
-    worst = float(np.sqrt(np.einsum("ij,ij->i", x0, x0).max())) if x0.size else 0.0
+    worst = float(np.sqrt(np.einsum("...j,...j->...", x0, x0).max())) if x0.size else 0.0
     if not np.isfinite(worst):
         raise ValueError("input features must be finite (found a NaN or infinite row norm)")
     if worst > 1.0 + _ROW_NORM_TOL:
@@ -281,18 +297,21 @@ def run_pipeline(dataset: LabeledDataset, cfg: PipelineConfig, seeds=None) -> Ru
                        rounding_slack=slack)
 
     noise_std = plan.noise_std
+    # the releases' features, (T, n, d), or (1, n, d) when they share them
+    x0 = x0 if features is not None else x0[None]
     if cfg.k_hops == 0:
-        x_k = np.repeat(x0[None], len(seeds), axis=0) if batched else x0.copy()
-        return RunArtifacts(x_k_final=x_k, plan=plan)
-    n, d = x0.shape
+        x_k = np.broadcast_to(x0, (len(seeds), *x0.shape[1:])).copy()
+        return RunArtifacts(x_k_final=x_k if batched else x_k[0], plan=plan)
+    n, d = x0.shape[1:]
     if n == 0:
         raise ValueError("expected a non-empty 2-D feature matrix")
     # built before the iterate buffers: the build's own peak is several
     # times the size of Â
     agg, first = _float32_aggregation(dataset.graph)
     # the T releases side by side: release t is columns t*d up to (t+1)*d
-    # of the iterate and slice t of the output
+    # of the iterate and slice t of the output; X0 likewise, (n, T or 1, d)
     x32 = np.empty((n, len(seeds), d), dtype=np.float32)
+    x0 = x0.transpose(1, 0, 2)
     columns = x32.reshape(n, len(seeds) * d)
     out = np.empty((len(seeds), n, d))
     noisy = noise_std > 0.0
@@ -301,8 +320,8 @@ def run_pipeline(dataset: LabeledDataset, cfg: PipelineConfig, seeds=None) -> Ru
         blocks = [(a, b, rows, starts, x0[a:b]) for a, b, rows, starts
                   in _row_blocks(agg, first, _pool.BLOCK_ROWS if large else n)]
         for hop in range(cfg.k_hops):
-            _pool.run_all(pool, _cast_tasks(blocks, out.transpose(1, 0, 2) if hop
-                                            else x0[:, None], x32))
+            _pool.run_all(pool, _cast_tasks(blocks, out.transpose(1, 0, 2) if hop else x0,
+                                            x32))
             rngs = [stream(seed, _HOP_STREAM, hop) for seed in seeds] if noisy else None
             mean_term = _mean_term(columns, cfg.cgl)
             _pool.run_all(pool, _hop_tasks(blocks, columns, out, mean_term, cfg.cgl,

@@ -18,6 +18,7 @@ from caribou.audit import (
     AuditReport,
     _absent_pair,
     _induced_subgraph,
+    _nudged_features,
     _PipelineModel,
     _sample_edge_subset,
     auc,
@@ -463,6 +464,23 @@ class TestGameEqualsSequentialReference:
         assert run_mia_game(ds, cfg, FAST_TRAIN, audit_cfg) == expected
         assert batches == [(size, 14, 4, 2) for size in sizes]
 
+    @pytest.mark.parametrize("min_cells, sizes", [(3701, [10]), (3700, [9, 1])],
+                             ids=["all-fit", "one-over"])
+    def test_edge_game_counts_held_releases(self, min_cells, sizes, monkeypatch):
+        # an edge trial of the built-in attacker holds its head's 20 x 4
+        # inputs, the 210 normalized adjacency entries of its training
+        # graph and the 20 x 2 releases of its first and its nudged query,
+        # 370 cells a trial: all ten fit below 3701 cells.  Without the
+        # nudged release, 330 cells a trial, all ten would fit below 3700.
+        monkeypatch.setattr(caribou._pool, "MIN_CELLS", min_cells)
+        ds = dense_block_dataset(seed=5)
+        cfg = make_pipeline_cfg(level="edge", k=2)
+        audit_cfg = AuditConfig(attack="edge_influence", trials=10, seed=3)
+        expected = reference_run_mia_game(ds, cfg, FAST_TRAIN, audit_cfg)
+        batches = record_batches(monkeypatch)
+        assert run_mia_game(ds, cfg, FAST_TRAIN, audit_cfg) == expected
+        assert batches == [(size, 20, 4, 2) for size in sizes]
+
     def test_node_game_with_differing_class_counts(self, monkeypatch):
         # class 2 has one node, so some training subgraphs lack it and
         # their heads have two classes, not three
@@ -489,9 +507,9 @@ def count_releases(monkeypatch):
     original = caribou.audit.run_pipeline
     releases = []
 
-    def counting(dataset, cfg, seeds=None):
+    def counting(dataset, cfg, seeds=None, features=None):
         releases.append(1 if seeds is None else len(seeds))
-        return original(dataset, cfg, seeds)
+        return original(dataset, cfg, seeds, features)
 
     monkeypatch.setattr(caribou.audit, "run_pipeline", counting)
     return releases
@@ -499,15 +517,15 @@ def count_releases(monkeypatch):
 
 class TestReleasesAndQueries:
     """Every release of a game runs inside ``run_pipeline``, some of them
-    in one call; the first query's release, made ahead of time, still
-    counts against the query budget."""
+    in one call; the queries' releases made ahead of time still count
+    against the query budget."""
 
     @pytest.mark.parametrize(
         "game, per_trial, calls",
-        # edge: the training release and the first query in one call, the
-        # nudged query alone; node: the training release alone and the
-        # first queries of the one batch in one call
-        [("edge", 3, 20), ("node", 2, 11)],
+        # edge: the training release, the first query and the nudged query
+        # in one call; node: the training release alone and the first
+        # queries of the one batch in one call
+        [("edge", 3, 10), ("node", 2, 11)],
     )
     def test_every_release_runs_in_run_pipeline(self, game, per_trial, calls, monkeypatch):
         attack, level = GAMES[game]
@@ -547,6 +565,37 @@ class TestReleasesAndQueries:
         assert releases == [1] * audit_cfg.trials
         assert [shape[0] for shape in batches] == sizes
 
+    @pytest.mark.parametrize("game", sorted(GAMES))
+    def test_trial_without_a_non_member_makes_no_release(self, game, monkeypatch):
+        # every training graph is the whole triangle (3 of 3 edges kept, or
+        # all 3 nodes), so a trial whose bit is 0 has no non-member to draw
+        attack, _ = GAMES[game]
+        ds = LabeledDataset(graph=build_graph(3, [(0, 1), (0, 2), (1, 2)]),
+                            features=np.eye(3)[:, :2], labels=np.array([0, 1, 0]),
+                            train_mask=np.arange(3))
+        cfg = make_pipeline_cfg(level="none", k=1)
+        audit_cfg = AuditConfig(attack=attack, trials=10, seed=3, edge_keep_fraction=0.9,
+                                node_keep_fraction=0.9)
+        # only members are left, so the AUC is undefined, as in the reference
+        with pytest.raises(ValueError, match="both membership classes"):
+            reference_run_mia_game(ds, cfg, FAST_TRAIN, audit_cfg)
+        challenges = []
+
+        def counting(query, challenge):
+            challenges.append(challenge)
+            return 1.0
+
+        for score_fn in (counting, None):
+            releases = count_releases(monkeypatch)
+            with pytest.raises(ValueError, match="both membership classes"):
+                run_mia_game(ds, cfg, FAST_TRAIN, audit_cfg, score_fn)
+            scored = len(challenges)
+            assert 0 < scored < audit_cfg.trials
+            # a trial with a challenge makes its releases as in any game;
+            # one without makes none
+            assert releases == ([1] * scored if score_fn else
+                                [3] * scored if game == "edge" else [1] * scored + [scored])
+
     # the node game at a budget of 0 is test_node_attack_queries_count_against_budget
     @pytest.mark.parametrize(
         "game, limit, exhausted", [("edge", 1, True), ("node", 1, False), ("edge", 0, True)],
@@ -569,18 +618,45 @@ class TestReleasesAndQueries:
         cfg = make_pipeline_cfg(level="edge", k=2)
         head = trained_model(ds, cfg, FAST_TRAIN, query_seed=4).head
         first = run_pipeline(ds, replace(cfg, seed=stream_seed(4, 1))).x_k_final
-        fresh, ready = (_PipelineModel(head, ds, cfg, 4, release) for release in (None, first))
+        fresh, ready = (_PipelineModel(head, ds, cfg, 4, releases)
+                        for releases in (None, {(1, None): first}))
         for query in ((3,), (3, (1, 1e-3)), (3,)):
             assert np.array_equal(ready.query(*query), fresh.query(*query))
         # a stand-in release shows which queries read it: only an un-nudged
         # first query
         stand_in = np.zeros_like(first)
-        model = _PipelineModel(head, ds, cfg, 4, stand_in)
+        model = _PipelineModel(head, ds, cfg, 4, {(1, None): stand_in})
         assert np.array_equal(model.query(3), predict_proba(head, ds.features[3], stand_in[3]))
-        fresh, nudged_first = (_PipelineModel(head, ds, cfg, 4, release)
-                               for release in (None, stand_in))
+        fresh, nudged_first = (_PipelineModel(head, ds, cfg, 4, releases)
+                               for releases in (None, {(1, None): stand_in}))
         for query in ((3, (1, 1e-3)), (3,)):
             assert np.array_equal(nudged_first.query(*query), fresh.query(*query))
+
+    def test_nudged_release_answers_only_its_query_and_nudge(self):
+        ds = dense_block_dataset(seed=5)
+        cfg = make_pipeline_cfg(level="edge", k=2)
+        head = trained_model(ds, cfg, FAST_TRAIN, query_seed=4).head
+        nudge = (1, 1e-3)
+        probe = replace(ds, features=_nudged_features(ds.features, nudge))
+        made = run_pipeline(probe, replace(cfg, seed=stream_seed(4, 2))).x_k_final
+        fresh, ready = (_PipelineModel(head, ds, cfg, 4, releases)
+                        for releases in (None, {(2, nudge): made}))
+        for query in ((3,), (3, nudge), (3, nudge)):
+            assert np.array_equal(ready.query(*query), fresh.query(*query))
+
+        def answers(queries, releases):
+            model = _PipelineModel(head, ds, cfg, 4, releases)
+            return [model.query(*query) for query in queries]
+
+        # a stand-in release shows which queries read it: query 2 with that
+        # nudge, not another nudge, nor the same nudge as another query
+        stand_in = np.zeros_like(made)
+        assert np.array_equal(answers(((3,), (3, nudge)), {(2, nudge): stand_in})[1],
+                              predict_proba(head, probe.features[3], stand_in[3]))
+        for queries in (((3,), (3, (2, 1e-3))), ((3, nudge), (3,))):
+            for got, want in zip(answers(queries, {(2, nudge): stand_in}),
+                                 answers(queries, None)):
+                assert np.array_equal(got, want)
 
 
 def random_graph(seed, n, p):

@@ -364,6 +364,47 @@ class TestStratifiedSplit:
             assert got[0].dtype == got[1].dtype == np.int64
 
 
+SPLIT_LABELS = np.array([0, 1, 0, 1])
+
+
+class TestCounts:
+    """Every integer count of ``graphs`` goes through ``layers._check_count``:
+    a float, a bool or a count below its least is one ValueError."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: build_graph(3.5, [(0, 1)]), "num_nodes must be a non-negative integer, got 3.5"),
+        (lambda: build_graph(True, []), "num_nodes must be a non-negative integer, got True"),
+        (lambda: Graph(num_nodes=-1, edges=np.zeros((0, 2))),
+         "num_nodes must be a non-negative integer, got -1"),
+        (lambda: stratified_split(SPLIT_LABELS, True, 1, stream(0, 1)),
+         "n_train must be a non-negative integer, got True"),
+        (lambda: stratified_split(SPLIT_LABELS, 1.0, 1, stream(0, 1)),
+         "n_train must be a non-negative integer, got 1.0"),
+        (lambda: stratified_split(SPLIT_LABELS, 1, 2.5, stream(0, 1)),
+         "n_test must be a non-negative integer, got 2.5"),
+        (lambda: gen_chain_dataset(2.0, 4, 1, 3, seed=0),
+         "num_chains must be an integer >= 1, got 2.0"),
+        (lambda: gen_chain_dataset(True, 4, 1, 3, seed=0),
+         "num_chains must be an integer >= 1, got True"),
+        (lambda: gen_chain_dataset(2.5, 4, 2, 3, seed=0),
+         "num_chains must be an integer >= 1, got 2.5"),
+        (lambda: gen_chain_dataset(0, 4, 1, 3, seed=0),
+         "num_chains must be an integer >= 1, got 0"),
+        (lambda: gen_chain_dataset(2, 4.5, 1, 3, seed=0),
+         "chain_len must be an integer >= 1, got 4.5"),
+        (lambda: gen_chain_dataset(2, 4, 1.0, 3, seed=0),
+         "num_classes must be an integer >= 1, got 1.0"),
+        (lambda: gen_chain_dataset(2, 4, 1, 3.0, seed=0),
+         "feat_dim must be an integer >= 1, got 3.0"),
+    ], ids=["graph-float", "graph-bool", "graph-negative", "split-bool", "split-float",
+            "split-test-float", "chains-float", "chains-bool", "chains-fraction", "chains-zero",
+            "length-float", "classes-float", "dim-float"])
+    def test_count_rejected_with_one_message(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+
+
 class TestLabeledDataset:
     def make(self, train, test):
         labels = np.array([0, 1, -1, 1])

@@ -498,14 +498,23 @@ class TestHeapTrim:
 SEEDS = (0, 7, 2**40 + 3, 11, 2**63 - 1)
 
 
-def assert_slices_equal_single_releases(ds, cfg, seeds):
-    batched = run_pipeline(ds, cfg, seeds)
+def assert_slices_equal_single_releases(ds, cfg, seeds, features=None):
+    batched = run_pipeline(ds, cfg, seeds, features)
     assert batched.x_k_final.shape == (len(seeds), *ds.features.shape)
-    for release, seed in zip(batched.x_k_final, seeds):
-        single = run_pipeline(ds, replace(cfg, seed=seed))
+    for t, (release, seed) in enumerate(zip(batched.x_k_final, seeds)):
+        alone = ds if features is None else replace(ds, features=features[t])
+        single = run_pipeline(alone, replace(cfg, seed=seed))
         assert np.array_equal(release, single.x_k_final)
         assert batched.plan == single.plan
         assert batched.per_hop_noise_std == single.per_hop_noise_std
+
+
+def release_features(ds, t, seed):
+    """t feature matrices of ``ds``'s shape, each its features plus noise,
+    projected back onto the unit ball."""
+    rng = np.random.default_rng(seed)
+    return np.stack([project_rows(ds.features + rng.normal(0.0, 0.3, ds.features.shape))
+                     for _ in range(t)])
 
 
 class TestBatchedReleases:
@@ -551,6 +560,58 @@ class TestBatchedReleases:
         for release, seed in zip(artifacts.x_k_final, SEEDS):
             expected = reference_release(ds, replace(cfg, seed=seed), artifacts.per_hop_noise_std)
             assert np.array_equal(release, expected)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [mixed_config("edge", 0), mixed_config("none", 0), chain_config("edge")],
+        ids=["mixed-edge", "mixed-none", "plain-edge"],
+    )
+    @pytest.mark.parametrize("size", [BELOW_CUTOFF, ABOVE_CUTOFF],
+                             ids=["below-cutoff", "above-cutoff"])
+    def test_release_features_equal_single_releases(self, size, cfg, monkeypatch):
+        # above the cutoff each release alone already runs on row blocks
+        monkeypatch.setattr(caribou._pool, "usable_cpus", lambda: 2)
+        ds = random_dataset(*size, seed=15)
+        assert_slices_equal_single_releases(ds, cfg, SEEDS[:3], release_features(ds, 3, 1))
+
+    @pytest.mark.parametrize("terms", [64, 4], ids=["whole-rows", "cut-rows"])
+    def test_release_features_on_row_blocks(self, terms, monkeypatch):
+        monkeypatch.setattr(caribou._pool, "MIN_CELLS", 1000)
+        monkeypatch.setattr(caribou._pool, "BLOCK_ROWS", 64)
+        monkeypatch.setattr(caribou._pool, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(caribou.graphs, "_SUM_TERMS", terms)
+        ds = random_dataset(300, 3, seed=13)
+        assert (_float32_aggregation(ds.graph)[1] is not None) == (terms == 4)
+        for level in ("edge", "node"):
+            for t in (1, 2, 5):
+                assert_slices_equal_single_releases(ds, mixed_config(level, 1), SEEDS[:t],
+                                                    release_features(ds, t, t))
+
+    def test_k0_releases_each_release_features(self):
+        ds = gen_chain_dataset(2, 4, 2, 3, seed=0)
+        features = release_features(ds, 2, 3)
+        x_k = run_pipeline(ds, chain_config(k=0), [3, 4], features).x_k_final
+        assert np.array_equal(x_k, features) and not np.shares_memory(x_k, features)
+        assert_slices_equal_single_releases(ds, chain_config(k=0), [3, 4], features)
+
+    @pytest.mark.parametrize("seeds, shape", [
+        ([3, 4], (3, 8, 3)), ([3, 4], (2, 7, 3)), ([3, 4], (2, 8, 4)), ([3, 4], (8, 3)),
+        (None, (1, 8, 3)),
+    ], ids=["releases", "rows", "columns", "one-matrix", "no-seeds"])
+    def test_features_of_a_wrong_shape_rejected(self, seeds, shape):
+        ds = gen_chain_dataset(2, 4, 2, 3, seed=0)
+        features = np.zeros(shape)
+        with pytest.raises(ValueError, match="one \\(8, 3\\) matrix per seed") as info:
+            run_pipeline(ds, chain_config(k=2), seeds, features)
+        assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_release_features_above_unit_norm_rejected(self, k):
+        ds = gen_chain_dataset(2, 4, 2, 3, seed=0)
+        features = release_features(ds, 3, 4)
+        features[1, 5] = [1.0, 1.0, 0.0]
+        with pytest.raises(ValueError, match="row norm <= 1"):
+            run_pipeline(ds, chain_config(k=k), [3, 4, 5], features)
 
     def test_empty_seeds_rejected(self):
         ds = gen_chain_dataset(2, 4, 2, 3, seed=0)
