@@ -338,11 +338,6 @@ def _node_trial(
     return sub_set, dataset, None if node is None else (node, bit)
 
 
-#: The (query number, nudge) of each query an attacker will ask about a
-#: challenge, as ``_PipelineModel``'s ``releases`` keys them.
-_Queries = Callable[[object], "list[tuple[int, tuple[int, float] | None]]"]
-
-
 class _Released(NamedTuple):
     """A trial after step 1: its training release's head problem, the
     pipeline config it ran with and what scoring it needs, among them the
@@ -368,12 +363,12 @@ def _releases_of(dataset: LabeledDataset, cfg: PipelineConfig, seeds: list[int],
 
 
 def _released_batches(dataset, pipeline_cfg, audit_cfg, sample,
-                      queries: _Queries) -> Iterator[list[_Released]]:
+                      queries: Callable) -> Iterator[list[_Released]]:
     """Step 1 for each trial in order: sample its training set, bit and
     challenge with ``sample``, release the training set and make the
-    releases of the queries that ``queries`` names for the challenge, in
-    the calls the module docstring names; a trial without a challenge is
-    skipped.  The trials come in batches whose heads train in one pass;
+    releases of the queries that ``queries`` names for the challenge, as
+    ``_PipelineModel``'s ``releases`` keys them, in the calls the module
+    docstring names; a trial without a challenge is skipped.  The trials come in batches whose heads train in one pass;
     the next batch is released only once the caller asks for it, so at
     most one batch of training sets is held.  What a batch holds until
     scoring counts toward its ``_pool.MIN_CELLS``."""
@@ -432,12 +427,6 @@ def _edge_attack(perturb_scale: float, query: ModelQuery, pair: tuple[int, int])
     return edge_influence_score(query, *pair, perturb_scale)
 
 
-def _edge_queries(perturb_scale: float, pair: tuple[int, int]):
-    """The queries ``_edge_attack`` asks: node u, then node u with row v
-    nudged."""
-    return [(1, None), (2, (pair[1], perturb_scale))]
-
-
 def run_mia_game(
     dataset: LabeledDataset,
     pipeline_cfg: PipelineConfig,
@@ -450,8 +439,9 @@ def run_mia_game(
     Edge attack: the challenger keeps a random edge subset as the training
     graph; members are present edges, non-members uniformly drawn absent
     pairs.  Node attack: the challenger trains on a random induced
-    subgraph and the attacker queries the full graph.  Non-finite attacker
-    scores discard the trial (counted in the report).
+    subgraph and the attacker queries the full graph.  A non-finite
+    attacker score discards the trial, and so does the lack of a
+    non-member to draw (both counted in the report).
 
     ``score_fn(query, challenge)`` replaces the built-in attacker when
     given; the challenge is an (u, v) pair for the edge game and a node id
@@ -460,8 +450,9 @@ def run_mia_game(
     """
     scale = audit_cfg.perturb_scale
     if audit_cfg.attack == "edge_influence":
+        # node u, then node u with row v nudged
         sample, attack, queries = (_edge_trial, partial(_edge_attack, scale),
-                                   partial(_edge_queries, scale))
+                                   lambda pair: [(1, None), (2, (pair[1], scale))])
     else:
         sample, attack, queries = _node_trial, node_confidence_score, lambda node: [(1, None)]
     if score_fn is not None:

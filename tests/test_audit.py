@@ -429,7 +429,7 @@ class TestGameEqualsSequentialReference:
         "min_cells, sizes",
         # each edge trial holds its head's 20 x 4 inputs and the 210
         # normalized adjacency entries of its training graph (20 nodes, 95
-        # of 136 edges), 290 cells; a custom attacker gets no first-query
+        # of 136 edges), 290 cells; a custom attacker gets no query's
         # release made ahead: two fit below 700 cells, three do not, and
         # one alone reaches 50 cells and trains alone.  Below 1000 cells
         # the inputs of all ten trials (800 cells) fit, so only the
@@ -543,7 +543,7 @@ class TestReleasesAndQueries:
         # below 600 cells: an edge trial holds its head's 20 x 4 inputs and
         # the 210 normalized adjacency entries of its training graph, so two
         # fit; a node trial holds its 14 x 4 inputs, so all ten fit.  A held
-        # 20 x 2 first-query release per trial would split both further.
+        # 20 x 2 release per query made ahead would split both further.
         [("edge", [2] * 5), ("node", [10])],
     )
     def test_no_release_ahead_for_a_custom_attacker(self, game, sizes, monkeypatch):
@@ -560,8 +560,8 @@ class TestReleasesAndQueries:
         releases = count_releases(monkeypatch)
         batches = record_batches(monkeypatch)
         assert run_mia_game(ds, cfg, FAST_TRAIN, audit_cfg, never_queries) == expected
-        # each trial's training release, alone: no first-query release of an
-        # edge trial, no batched call for the node trials
+        # each trial's training release, alone: no query's release with an
+        # edge trial's, no batched call for the node trials
         assert releases == [1] * audit_cfg.trials
         assert [shape[0] for shape in batches] == sizes
 
