@@ -368,10 +368,11 @@ def _released_batches(dataset, pipeline_cfg, audit_cfg, sample,
     challenge with ``sample``, release the training set and make the
     releases of the queries that ``queries`` names for the challenge, as
     ``_PipelineModel``'s ``releases`` keys them, in the calls the module
-    docstring names; a trial without a challenge is skipped.  The trials come in batches whose heads train in one pass;
-    the next batch is released only once the caller asks for it, so at
-    most one batch of training sets is held.  What a batch holds until
-    scoring counts toward its ``_pool.MIN_CELLS``."""
+    docstring names; a trial without a challenge is skipped.  The trials
+    come in batches whose heads train in one pass; the next batch is
+    released only once the caller asks for it, so at most one batch of
+    training sets is held.  What a batch holds until scoring counts toward
+    its ``_pool.MIN_CELLS``."""
 
     def complete(batch):
         # the releases of the trials that serve on the shared dataset

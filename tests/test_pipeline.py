@@ -601,7 +601,7 @@ class TestBatchedReleases:
     def test_features_of_a_wrong_shape_rejected(self, seeds, shape):
         ds = gen_chain_dataset(2, 4, 2, 3, seed=0)
         features = np.zeros(shape)
-        with pytest.raises(ValueError, match="one \\(8, 3\\) matrix per seed") as info:
+        with pytest.raises(ValueError, match=r"one \(8, 3\) matrix per seed") as info:
             run_pipeline(ds, chain_config(k=2), seeds, features)
         assert "\n" not in str(info.value)
 
