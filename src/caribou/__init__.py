@@ -19,6 +19,7 @@ from .accountant import (
     rdp_to_dp,
 )
 from .audit import (
+    Attacker,
     AuditConfig,
     AuditReport,
     auc,
@@ -61,6 +62,7 @@ from .prng import stream
 __version__ = "0.1.0"
 
 __all__ = [
+    "Attacker",
     "AuditConfig",
     "AuditReport",
     "CalibrationError",

@@ -1,45 +1,43 @@
 """Empirical privacy auditing via a challenger/attacker membership game.
 
 Each trial trains the full pipeline on a challenger-sampled training graph,
-flips a membership bit, and asks a black-box attacker to score the
-challenge item.  Scores over all trials are summarized by rank-based AUC
-(0.5 = chance).  Two attacks are provided: an edge-influence probe (does
-nudging node v's features move node u's prediction?) and a node-confidence
-probe (is the model unusually confident on this node?).
+flips a membership bit, and asks a black-box attacker (``Attacker``) to
+score the challenge item from the answers to the queries it states up
+front.  Scores over all trials are summarized by rank-based AUC (0.5 =
+chance).  Two attacks are provided: an edge-influence probe (does nudging
+node v's features move node u's prediction?) and a node-confidence probe
+(is the model unusually confident on this node?).
 
 A game runs its trials in batches, each in three steps:
 
 1. for each trial, in order: sample the training graph or subgraph, draw
-   the membership bit and the challenge, run the training release, form
-   the head's inputs and, for a built-in attacker, make the releases its
-   queries will read.  An edge trial serves on its own training graph and
-   makes three releases in one ``run_pipeline`` call: the training
-   release, the first query's and, on the features with the challenge's
-   node v nudged, the second query's.  The node trials serve on the
-   shared graph, and the first-query releases of a batch's node trials
-   are one call once the batch is complete.  A trial for which no
-   non-member exists has no challenge; it is discarded here, before any
-   release;
+   the membership bit and the challenge, take the attacker's queries for
+   it, run the training release, form the head's inputs and make the
+   release each query reads.  An edge trial serves on its own training
+   graph and makes its training release and its queries' releases in one
+   ``run_pipeline`` call.  The node trials serve on the shared graph, and
+   the query releases of a batch's node trials are one call once the
+   batch is complete.  A trial for which no non-member exists has no
+   challenge; it is discarded here, before any release;
 2. train the batch's heads in one pass (``model._fit_heads``);
-3. for each trial, in order: score the challenge.  A query whose release
-   was made in step 1 reads it; every other query runs its own release.
+3. for each trial, in order: answer each query from its release with the
+   trial's head, and score the challenge.
 
-The built-in attackers' queries follow from the challenge alone, so every
-release made ahead of time is read.  An attacker given as ``score_fn``
-may ask any queries or none, so for it no release is made ahead: each of
-its queries runs its own release, with the seed it would have had.
+Query i of a trial (counted from 1) reads a release on the graph the trial
+serves on, with its nudge applied to the public features and seed
+``stream_seed(query_seed, i)``: a private pipeline answers noisily.
 
 A trial joins the current batch while its head's input shape and class
 count match the batch's and the stacked inputs, plus what the batch holds
 until scoring, stay below ``_pool.MIN_CELLS`` (``model._joins_batch``):
-the releases made ahead for each trial and the normalized adjacency of
-each edge trial's own training graph.  The node game's subgraphs can lack
-a class, which ends a batch.  Reports do not depend on the batches: each
-trial draws from its own stream, keyed by its index, for the sample, the
-bit and the challenge, and from seeds keyed by its index for the release,
-the head and the queries; a release made in a batch of seeds and features
-has the bits of the same release made alone, and so has a head trained in
-a batch; and the attacker sees the trials in order.
+the queries' releases and the normalized adjacency of each edge trial's
+own training graph.  The node game's subgraphs can lack a class, which
+ends a batch.  Reports do not depend on the batches: each trial draws
+from its own stream, keyed by its index, for the sample, the bit and the
+challenge, and from seeds keyed by its index for the release, the head
+and the queries; a release made in a batch of seeds and features has the
+bits of the same release made alone, and so has a head trained in a
+batch; and the attacker scores the trials in order.
 """
 
 from __future__ import annotations
@@ -47,7 +45,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 from pathlib import Path
 from typing import Callable, Iterator, Literal, NamedTuple
 
@@ -55,17 +52,13 @@ import numpy as np
 
 from .graphs import Graph, LabeledDataset, degree_stats
 from .layers import _check_count, project_rows
-from .model import MlpHead, TrainConfig, _fit_heads, _head_data, _joins_batch, predict_proba
+from .model import TrainConfig, _fit_heads, _head_data, _joins_batch, predict_proba
 from .pipeline import PipelineConfig, run_pipeline
 from .prng import stream
 
 AttackName = Literal["edge_influence", "node_confidence"]
 
-#: query callable: (node, optional (row, additive nudge)) -> probability vector
-ModelQuery = Callable[..., np.ndarray]
-
 _TRIAL_STREAM = 0xA0D1
-_QUERY_LIMIT = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -146,24 +139,46 @@ def auc(scores, bits) -> float:
     return float(u / (n_pos * n_neg))
 
 
-def edge_influence_score(
-    model_query: ModelQuery, u: int, v: int, perturb_scale: float
-) -> float:
+class Attacker(NamedTuple):
+    """A black-box attacker whose queries are fixed before any answer.
+
+    ``queries(challenge)`` lists a trial's queries in order, each a (node,
+    nudge) pair asking for the node's class probabilities from a release
+    whose features have row ``nudge[0]`` moved by ``nudge[1]`` in every
+    coordinate (None: no row moved).  ``score(challenge, answers)`` scores
+    the challenge from those probability vectors, in the same order.  The
+    challenge is a (u, v) pair in the edge game, a node id in the node
+    game."""
+
+    queries: Callable[[object], list[tuple[int, tuple[int, float] | None]]]
+    score: Callable[[object, list[np.ndarray]], float]
+
+
+def edge_influence_score(base: np.ndarray, nudged: np.ndarray, perturb_scale: float) -> float:
     """Influence of node v's features on node u's prediction.
 
-    Queries the model twice (plain, and with row v nudged by
-    ``perturb_scale`` in every coordinate) and returns the L1 change in
-    u's probability vector per unit nudge.  Higher values suggest the
-    edge {u, v} was present in the training graph.
+    ``base`` is u's probability vector and ``nudged`` the same with row v
+    nudged by ``perturb_scale`` in every coordinate; returns the L1 change
+    per unit nudge.  Higher values suggest the edge {u, v} was present in
+    the training graph.
     """
-    base = np.asarray(model_query(u))
-    nudged = np.asarray(model_query(u, (v, perturb_scale)))
-    return float(np.abs(nudged - base).sum() / perturb_scale)
+    return float(np.abs(np.asarray(nudged) - np.asarray(base)).sum() / perturb_scale)
 
 
-def node_confidence_score(model_query: ModelQuery, node: int) -> float:
+def node_confidence_score(probs: np.ndarray) -> float:
     """Maximum class probability of the node; members tend to score higher."""
-    return float(np.asarray(model_query(node)).max())
+    return float(np.asarray(probs).max())
+
+
+def _builtin_attacker(audit_cfg: AuditConfig) -> Attacker:
+    """The attacker ``audit_cfg.attack`` names."""
+    scale = audit_cfg.perturb_scale
+    if audit_cfg.attack == "edge_influence":
+        # node u, then node u with row v nudged
+        return Attacker(lambda pair: [(pair[0], None), (pair[0], (pair[1], scale))],
+                        lambda pair, answers: edge_influence_score(*answers, scale))
+    return Attacker(lambda node: [(node, None)],
+                    lambda node, answers: node_confidence_score(*answers))
 
 
 def _sample_edge_subset(g: Graph, keep_fraction: float, rng, require_min_degree: bool,
@@ -189,54 +204,6 @@ def _induced_subgraph(g: Graph, nodes: np.ndarray) -> tuple[Graph, np.ndarray]:
     # the relabelling is monotone, so the kept rows stay sorted
     kept = relabelled[(relabelled >= 0).all(axis=1)]
     return Graph(num_nodes=nodes.size, edges=kept), nodes
-
-
-class _PipelineModel:
-    """A trained head over the pipeline, exposed as a black-box query
-    interface.
-
-    Queries run inference on ``serve_on`` and count against
-    ``_QUERY_LIMIT``.  Query i is answered from a noisy release on
-    ``serve_on``, with query i's nudge applied, with seed
-    ``stream_seed(query_seed, i)``, so a private pipeline answers queries
-    noisily while a non-private one is deterministic.  ``releases``, when
-    given, holds such releases made ahead of time, keyed by (query number,
-    nudge): query i reads the one keyed by its number and nudge, if there
-    is one.  Every other query reruns the pipeline.
-    """
-
-    def __init__(
-        self,
-        head: MlpHead,
-        serve_on: LabeledDataset,
-        pipeline_cfg: PipelineConfig,
-        query_seed: int,
-        releases: dict[tuple[int, tuple[int, float] | None], np.ndarray] | None = None,
-    ):
-        self.head = head
-        self._dataset = serve_on
-        self._cfg = pipeline_cfg
-        self._query_seed = query_seed
-        self._releases = releases or {}
-        self._queries = 0
-
-    def query(self, node: int, nudge: tuple[int, float] | None = None) -> np.ndarray:
-        n = len(self._dataset.features)
-        # numpy would read a negative id from the end
-        if not 0 <= node < n or nudge is not None and not 0 <= nudge[0] < n:
-            raise ValueError(f"query node {node!r} or nudge {nudge!r} is outside [0, {n})")
-        self._queries += 1
-        if self._queries > _QUERY_LIMIT:
-            raise RuntimeError("query budget exhausted")
-        features = _nudged_features(self._dataset.features, nudge)
-        # looked up only when releases were made ahead: a custom attacker's
-        # nudge need not be hashable
-        x_k = self._releases.get((self._queries, nudge)) if self._releases else None
-        if x_k is None:
-            probe = replace(self._dataset, features=features)
-            cfg = replace(self._cfg, seed=stream_seed(self._query_seed, self._queries))
-            x_k = run_pipeline(probe, cfg).x_k_final
-        return predict_proba(self.head, features[node], x_k[node])
 
 
 def _nudged_features(features: np.ndarray, nudge: tuple[int, float] | None) -> np.ndarray:
@@ -326,7 +293,6 @@ def _node_trial(
         features=dataset.features[id_map],
         labels=dataset.labels[id_map],
         train_mask=np.arange(len(id_map)),
-        test_mask=np.array([], dtype=np.int64),
     )
 
     bit = int(rng.integers(0, 2))
@@ -340,9 +306,9 @@ def _node_trial(
 
 class _Released(NamedTuple):
     """A trial after step 1: its training release's head problem, the
-    pipeline config it ran with and what scoring it needs, among them the
-    releases made ahead for its queries (``_PipelineModel``'s
-    ``releases``)."""
+    pipeline config it ran with and what scoring it needs: the attacker's
+    queries and, in the same order, the releases they read (filled in when
+    the batch completes for a trial that serves on the shared dataset)."""
 
     cfg: PipelineConfig
     query_seed: int
@@ -350,7 +316,8 @@ class _Released(NamedTuple):
     challenge: object
     bit: int
     problem: tuple[np.ndarray, np.ndarray]
-    releases: dict
+    queries: list
+    releases: list
 
 
 def _releases_of(dataset: LabeledDataset, cfg: PipelineConfig, seeds: list[int],
@@ -363,27 +330,24 @@ def _releases_of(dataset: LabeledDataset, cfg: PipelineConfig, seeds: list[int],
 
 
 def _released_batches(dataset, pipeline_cfg, audit_cfg, sample,
-                      queries: Callable) -> Iterator[list[_Released]]:
-    """Step 1 for each trial in order: sample its training set, bit and
-    challenge with ``sample``, release the training set and make the
-    releases of the queries that ``queries`` names for the challenge, as
-    ``_PipelineModel``'s ``releases`` keys them, in the calls the module
-    docstring names; a trial without a challenge is skipped.  The trials
+                      attacker: Attacker) -> Iterator[list[_Released]]:
+    """Step 1 of the module docstring for each trial in order, with
+    ``sample`` drawing the training set, bit and challenge.  The trials
     come in batches whose heads train in one pass; the next batch is
     released only once the caller asks for it, so at most one batch of
-    training sets is held.  What a batch holds until scoring counts toward
-    its ``_pool.MIN_CELLS``."""
+    training sets is held."""
 
     def complete(batch):
         # the releases of the trials that serve on the shared dataset
-        wanted = [(r, key) for r in batch if r.serve_on is dataset for key in queries(r.challenge)]
+        wanted = [(r, i, nudge) for r in batch if r.serve_on is dataset
+                  for i, (_, nudge) in enumerate(r.queries, 1)]
         if wanted:
             made = _releases_of(dataset, pipeline_cfg,
-                                [stream_seed(r.query_seed, i) for r, (i, _) in wanted],
+                                [stream_seed(r.query_seed, i) for r, i, _ in wanted],
                                 [_nudged_features(dataset.features, nudge)
-                                 for _, (_, nudge) in wanted])
-            for (r, key), release in zip(wanted, made):
-                r.releases[key] = release
+                                 for _, _, nudge in wanted])
+            for (r, _, _), release in zip(wanted, made):
+                r.releases.append(release)
         return batch
 
     batch: list[_Released] = []
@@ -393,39 +357,40 @@ def _released_batches(dataset, pipeline_cfg, audit_cfg, sample,
         train_set, serve_on, picked = sample(dataset, pipeline_cfg, audit_cfg, rng)
         if picked is None:
             continue
+        queries, n = list(attacker.queries(picked[0])), len(serve_on.features)
+        for node, nudge in queries:
+            # numpy would read a negative id from the end
+            if not 0 <= node < n or nudge is not None and not 0 <= nudge[0] < n:
+                raise ValueError(f"query node {node!r} or nudge {nudge!r} is outside [0, {n})")
         cfg = replace(pipeline_cfg, seed=stream_seed(audit_cfg.seed, 2 * trial))
         query_seed = stream_seed(audit_cfg.seed, 2 * trial + 1)
-        keys = queries(picked[0])
         own = serve_on is train_set
         # a trial that serves on its own training graph makes its queries'
         # releases with its training release
-        ahead = keys if own else []
+        ahead = queries if own else []
         made = _releases_of(
-            train_set, cfg, [cfg.seed] + [stream_seed(query_seed, i) for i, _ in ahead],
+            train_set, cfg,
+            [cfg.seed] + [stream_seed(query_seed, i) for i in range(1, len(ahead) + 1)],
             [train_set.features] + [_nudged_features(serve_on.features, nudge)
                                     for _, nudge in ahead],
         )
         problem = _head_data(train_set.features, made[0], train_set.labels,
                              train_set.train_mask)
         # copied, so that the training release is not held with them
-        releases = {key: release.copy() for key, release in zip(ahead, made[1:])}
+        releases = [release.copy() for release in made[1:]]
         # a trial that serves on its own training graph also holds that
         # graph's cached normalized adjacency: n diagonal entries and two
         # per edge
         held = serve_on.graph
-        cells = (len(keys) * serve_on.features.size
+        cells = (len(queries) * serve_on.features.size
                  + (held.num_nodes + 2 * held.num_edges if own else 0))
         if batch and not _joins_batch(batch[0].problem, len(batch), problem, held_cells + cells):
             yield complete(batch)
             batch, held_cells = [], 0
-        batch.append(_Released(cfg, query_seed, serve_on, *picked, problem, releases))
+        batch.append(_Released(cfg, query_seed, serve_on, *picked, problem, queries, releases))
         held_cells += cells
     if batch:
         yield complete(batch)
-
-
-def _edge_attack(perturb_scale: float, query: ModelQuery, pair: tuple[int, int]) -> float:
-    return edge_influence_score(query, *pair, perturb_scale)
 
 
 def run_mia_game(
@@ -433,7 +398,7 @@ def run_mia_game(
     pipeline_cfg: PipelineConfig,
     train_cfg: TrainConfig,
     audit_cfg: AuditConfig,
-    score_fn: Callable[[ModelQuery, object], float] | None = None,
+    attacker: Attacker | None = None,
 ) -> AuditReport:
     """Play the challenger/attacker game for ``audit_cfg.trials`` rounds.
 
@@ -444,31 +409,39 @@ def run_mia_game(
     attacker score discards the trial, and so does the lack of a
     non-member to draw (both counted in the report).
 
-    ``score_fn(query, challenge)`` replaces the built-in attacker when
-    given; the challenge is an (u, v) pair for the edge game and a node id
-    for the node game.  It is called at most once per trial, in trial
-    order, and each query it asks runs its own release.
+    ``attacker`` replaces the attacker that ``audit_cfg.attack`` names when
+    given; ``audit_cfg.attack`` still picks the game.  Its queries for a
+    challenge are taken, and checked against the graph, before any release
+    of the trial, and query i is answered from its own release (see the
+    module docstring).  Its ``score`` is called at most once per trial, in
+    trial order.
     """
-    scale = audit_cfg.perturb_scale
-    if audit_cfg.attack == "edge_influence":
-        # node u, then node u with row v nudged
-        sample, attack, queries = (_edge_trial, partial(_edge_attack, scale),
-                                   lambda pair: [(1, None), (2, (pair[1], scale))])
-    else:
-        sample, attack, queries = _node_trial, node_confidence_score, lambda node: [(1, None)]
-    if score_fn is not None:
-        attack, queries = score_fn, lambda challenge: []
+    sample = _edge_trial if audit_cfg.attack == "edge_influence" else _node_trial
+    if attacker is None:
+        attacker = _builtin_attacker(audit_cfg)
     scores: list[float] = []
     bits: list[int] = []
-    for batch in _released_batches(dataset, pipeline_cfg, audit_cfg, sample, queries):
+    scored = 0
+    for batch in _released_batches(dataset, pipeline_cfg, audit_cfg, sample, attacker):
         heads = _fit_heads([r.problem for r in batch], train_cfg, [r.cfg.seed for r in batch])
         for released, head in zip(batch, heads):
-            model = _PipelineModel(head, released.serve_on, released.cfg, released.query_seed,
-                                   released.releases)
-            score = float(attack(model.query, released.challenge))
+            answers = [
+                predict_proba(head, _nudged_features(released.serve_on.features, nudge)[node],
+                              x_k[node])
+                for (node, nudge), x_k in zip(released.queries, released.releases)
+            ]
+            score = float(attacker.score(released.challenge, answers))
+            scored += 1
             if math.isfinite(score):
                 scores.append(score)
                 bits.append(released.bit)
+    if len(set(bits)) < 2:
+        keep = "edge_keep_fraction" if sample is _edge_trial else "node_keep_fraction"
+        raise ValueError(
+            f"both membership classes must be present: {audit_cfg.trials - scored} trials were "
+            f"discarded for lack of a non-member and {scored - len(scores)} for a non-finite "
+            f"score; a smaller {keep} or a larger graph leaves non-members to draw"
+        )
     return AuditReport(
         scores=scores,
         membership_bits=bits,

@@ -226,9 +226,9 @@ class LabeledDataset:
 
     def __post_init__(self) -> None:
         n = self.graph.num_nodes
-        if self.features.shape[0] != n:
+        if self.features.ndim != 2 or self.features.shape[0] != n:
             raise ValueError(
-                f"feature rows ({self.features.shape[0]}) != num_nodes ({n})"
+                f"features must have shape (nodes, dims) = ({n}, d), got {self.features.shape}"
             )
         if self.labels.shape != (n,):
             raise ValueError("labels must be one entry per node")

@@ -337,12 +337,6 @@ def _param_views(flat: Array, d_in: int, hidden: int, classes: int) -> list[Arra
     return views
 
 
-def _param_row(head: MlpHead) -> Array:
-    """``head``'s parameters as a one-row buffer of ``_param_views``."""
-    parts = (head.weights[0], head.biases[0], head.weights[1], head.biases[1])
-    return np.concatenate([np.ravel(p) for p in parts])[None]
-
-
 def _pass_cells(inputs: Array) -> int:
     """The entries that set a pass's row blocks and pool: those of a lone
     head's inputs.  A batch of heads always runs as one block on the

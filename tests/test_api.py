@@ -1,4 +1,5 @@
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -20,6 +21,7 @@ ORACLES = (
 )
 
 PACKAGE_DIR = Path(caribou.__file__).parent
+BENCH_SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
 
 class TestPublicApi:
@@ -61,3 +63,19 @@ class TestPublicApi:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in ORACLES
         ]
         assert offenders == []
+
+    def test_every_bench_target_exists(self):
+        # the bench times caribou.<module>.<function> for each of these; a
+        # missing one leaves its per-layer metrics empty
+        tree = ast.parse(BENCH_SPANS.read_text())
+        targets = next(
+            ast.literal_eval(node.value) for node in tree.body
+            if isinstance(node, ast.AnnAssign) and node.target.id == "TARGETS"
+        )
+        missing = [
+            f"{module}.{name}"
+            for module, names in targets.items()
+            for name in names
+            if not callable(getattr(importlib.import_module(f"caribou.{module}"), name, None))
+        ]
+        assert targets and missing == []

@@ -14,12 +14,12 @@ import caribou.audit
 from caribou.accountant import PrivacySpec
 from caribou.audit import (
     _TRIAL_STREAM,
+    Attacker,
     AuditConfig,
     AuditReport,
     _absent_pair,
     _induced_subgraph,
     _nudged_features,
-    _PipelineModel,
     _sample_edge_subset,
     auc,
     edge_influence_score,
@@ -72,26 +72,44 @@ DP_TRAIN = TrainConfig(epochs=30, learning_rate=0.5, hidden_units=4,
                        dp=DpSgdConfig(clip_norm=1.0, noise_mult=1.1))
 
 
-def trained_model(dataset, pipeline_cfg, train_cfg, query_seed, serve_on=None):
-    """The query interface over a pipeline run and a head trained on
-    ``dataset`` by their public functions, one model at a time."""
+def trained_head(dataset, pipeline_cfg, train_cfg):
+    """A head trained on a pipeline run over ``dataset`` by their public
+    functions, one head at a time."""
     artifacts = run_pipeline(dataset, pipeline_cfg)
-    head = train_head(dataset.features, artifacts.x_k_final, dataset.labels,
+    return train_head(dataset.features, artifacts.x_k_final, dataset.labels,
                       dataset.train_mask, train_cfg, seed=pipeline_cfg.seed)
-    return _PipelineModel(head, dataset if serve_on is None else serve_on, pipeline_cfg,
-                          query_seed)
 
 
-def reference_edge_trial(dataset, pipeline_cfg, train_cfg, audit_cfg, rng, trial, score_fn):
+def reference_answers(head, serve_on, pipeline_cfg, query_seed, queries):
+    """Answer each (node, nudge) query from its own release: query i
+    (counted from 1) on ``serve_on`` with its nudge applied, with seed
+    ``stream_seed(query_seed, i)``."""
+    answers = []
+    for i, (node, nudge) in enumerate(queries, 1):
+        features = _nudged_features(serve_on.features, nudge)
+        cfg = replace(pipeline_cfg, seed=stream_seed(query_seed, i))
+        x_k = run_pipeline(replace(serve_on, features=features), cfg).x_k_final
+        answers.append(predict_proba(head, features[node], x_k[node]))
+    return answers
+
+
+def reference_influence(head, serve_on, pipeline_cfg, query_seed, u, v, scale):
+    """The edge-influence attack: u's answer, then u's answer with row v
+    nudged by ``scale``."""
+    answers = reference_answers(head, serve_on, pipeline_cfg, query_seed,
+                                [(u, None), (u, (v, scale))])
+    return edge_influence_score(*answers, scale)
+
+
+def reference_edge_trial(dataset, pipeline_cfg, train_cfg, audit_cfg, rng, trial, attacker):
     training_graph = _sample_edge_subset(
         dataset.graph, audit_cfg.edge_keep_fraction, rng,
         require_min_degree=pipeline_cfg.spec.level != "none",
     )
     train_set = replace(dataset, graph=training_graph)
-    model = trained_model(
-        train_set, replace(pipeline_cfg, seed=stream_seed(audit_cfg.seed, 2 * trial)),
-        train_cfg, query_seed=stream_seed(audit_cfg.seed, 2 * trial + 1),
-    )
+    cfg = replace(pipeline_cfg, seed=stream_seed(audit_cfg.seed, 2 * trial))
+    query_seed = stream_seed(audit_cfg.seed, 2 * trial + 1)
+    head = trained_head(train_set, cfg, train_cfg)
     bit = int(rng.integers(0, 2))
     if bit == 1:
         members = training_graph.edges
@@ -109,12 +127,13 @@ def reference_edge_trial(dataset, pipeline_cfg, train_cfg, audit_cfg, rng, trial
             u, v = sorted((a, b))
             if (u, v) not in present:
                 break
-    if score_fn is not None:
-        return float(score_fn(model.query, (u, v))), bit
-    return edge_influence_score(model.query, u, v, audit_cfg.perturb_scale), bit
+    if attacker is not None:
+        answers = reference_answers(head, train_set, cfg, query_seed, attacker.queries((u, v)))
+        return float(attacker.score((u, v), answers)), bit
+    return reference_influence(head, train_set, cfg, query_seed, u, v, audit_cfg.perturb_scale), bit
 
 
-def reference_node_trial(dataset, pipeline_cfg, train_cfg, audit_cfg, rng, trial, score_fn):
+def reference_node_trial(dataset, pipeline_cfg, train_cfg, audit_cfg, rng, trial, attacker):
     n = dataset.graph.num_nodes
     keep = max(2, round(audit_cfg.node_keep_fraction * n))
     for _ in range(200):
@@ -128,10 +147,9 @@ def reference_node_trial(dataset, pipeline_cfg, train_cfg, audit_cfg, rng, trial
         graph=sub_graph, features=dataset.features[id_map], labels=dataset.labels[id_map],
         train_mask=np.arange(len(id_map)), test_mask=np.array([], dtype=np.int64),
     )
-    model = trained_model(
-        sub_set, replace(pipeline_cfg, seed=stream_seed(audit_cfg.seed, 2 * trial)),
-        train_cfg, query_seed=stream_seed(audit_cfg.seed, 2 * trial + 1), serve_on=dataset,
-    )
+    cfg = replace(pipeline_cfg, seed=stream_seed(audit_cfg.seed, 2 * trial))
+    query_seed = stream_seed(audit_cfg.seed, 2 * trial + 1)
+    head = trained_head(sub_set, cfg, train_cfg)
     bit = int(rng.integers(0, 2))
     if bit == 1:
         node = int(member_nodes[int(rng.integers(0, len(member_nodes)))])
@@ -140,19 +158,23 @@ def reference_node_trial(dataset, pipeline_cfg, train_cfg, audit_cfg, rng, trial
         if not outside.size:
             return math.nan, 0
         node = int(outside[int(rng.integers(0, len(outside)))])
-    if score_fn is not None:
-        return float(score_fn(model.query, node)), bit
-    return node_confidence_score(model.query, node), bit
+    # the queries run on the full graph
+    if attacker is not None:
+        answers = reference_answers(head, dataset, cfg, query_seed, attacker.queries(node))
+        return float(attacker.score(node, answers)), bit
+    (probs,) = reference_answers(head, dataset, cfg, query_seed, [(node, None)])
+    return node_confidence_score(probs), bit
 
 
-def reference_run_mia_game(dataset, pipeline_cfg, train_cfg, audit_cfg, score_fn=None):
+def reference_run_mia_game(dataset, pipeline_cfg, train_cfg, audit_cfg, attacker=None):
     """The game as a sequential loop: each trial trains its own head with
-    ``train_head``, then draws its bit and challenge and is scored."""
+    ``train_head``, then draws its bit and challenge, and each query of
+    its attacker reruns ``run_pipeline``."""
     play = reference_edge_trial if audit_cfg.attack == "edge_influence" else reference_node_trial
     scores, bits, discarded = [], [], 0
     for trial in range(audit_cfg.trials):
         rng = stream(audit_cfg.seed, _TRIAL_STREAM, trial)
-        score, bit = play(dataset, pipeline_cfg, train_cfg, audit_cfg, rng, trial, score_fn)
+        score, bit = play(dataset, pipeline_cfg, train_cfg, audit_cfg, rng, trial, attacker)
         if not math.isfinite(score):
             discarded += 1
             continue
@@ -162,15 +184,21 @@ def reference_run_mia_game(dataset, pipeline_cfg, train_cfg, audit_cfg, score_fn
                        discarded_trials=discarded)
 
 
-def flaky_score_fn():
-    """A stateful attacker: every third call scores NaN, the others count
-    calls, so the report depends on the order of the calls."""
+def flaky_attacker():
+    """A stateful attacker with one query: the challenge's last node, with
+    the row of its first node nudged.  Every third score is NaN; the
+    others count calls and add the answer's first probability, so the
+    report depends on the order of the calls and on the answers."""
     calls = itertools.count()
 
-    def flaky(query, challenge):
-        return math.nan if next(calls) % 3 == 0 else float(next(calls))
+    def queries(challenge):
+        nodes = np.atleast_1d(challenge).tolist()
+        return [(nodes[-1], (nodes[0], 0.5))]
 
-    return flaky
+    def score(challenge, answers):
+        return math.nan if next(calls) % 3 == 0 else next(calls) + float(answers[0][0])
+
+    return Attacker(queries, score)
 
 
 class TestAuc:
@@ -238,9 +266,10 @@ class TestEdgeInfluenceScore:
         # K = 0: predictions never see other rows
         ds = dense_block_dataset(num_nodes=8, seed=1)
         cfg = make_pipeline_cfg(level="none", k=0)
-        model = trained_model(ds, cfg, FAST_TRAIN, query_seed=5)
+        head = trained_head(ds, cfg, FAST_TRAIN)
         for u, v in [(0, 3), (2, 7), (5, 1)]:
-            assert edge_influence_score(model.query, u, v, 1e-3) == pytest.approx(0.0, abs=1e-9)
+            score = reference_influence(head, ds, cfg, 5, u, v, 1e-3)
+            assert score == pytest.approx(0.0, abs=1e-9)
 
     def test_connected_pair_outscores_disconnected(self):
         from caribou.graphs import LabeledDataset, build_graph
@@ -254,30 +283,31 @@ class TestEdgeInfluenceScore:
             train_mask=np.arange(3),
             test_mask=np.array([], dtype=np.int64),
         )
-        model = trained_model(ds, make_pipeline_cfg(level="none", k=1), FAST_TRAIN, query_seed=2)
-        connected = edge_influence_score(model.query, 0, 1, 1e-3)
-        disconnected = edge_influence_score(model.query, 0, 2, 1e-3)
+        cfg = make_pipeline_cfg(level="none", k=1)
+        head = trained_head(ds, cfg, FAST_TRAIN)
+        connected = reference_influence(head, ds, cfg, 2, 0, 1, 1e-3)
+        disconnected = reference_influence(head, ds, cfg, 2, 0, 2, 1e-3)
         assert connected > disconnected
 
     def test_score_stable_under_scale_halving(self):
         ds = dense_block_dataset(num_nodes=10, seed=3)
-        model = trained_model(ds, make_pipeline_cfg(level="none", k=1), FAST_TRAIN, query_seed=4)
-        full = edge_influence_score(model.query, 0, 1, 1e-3)
-        half = edge_influence_score(model.query, 0, 1, 5e-4)
+        cfg = make_pipeline_cfg(level="none", k=1)
+        head = trained_head(ds, cfg, FAST_TRAIN)
+        full = reference_influence(head, ds, cfg, 4, 0, 1, 1e-3)
+        half = reference_influence(head, ds, cfg, 4, 0, 1, 5e-4)
         assert half == pytest.approx(full, rel=0.10)
 
 
 class TestNodeConfidenceScore:
     def test_uniform_model(self):
-        query = lambda node, nudge=None: np.array([0.25, 0.25, 0.25, 0.25])
-        assert node_confidence_score(query, 0) == pytest.approx(0.25)
+        assert node_confidence_score(np.array([0.25, 0.25, 0.25, 0.25])) == pytest.approx(0.25)
 
     def test_bounds(self):
         rng = stream(63, 0)
         for _ in range(100):
             logits = rng.normal(size=4)
             probs = np.exp(logits) / np.exp(logits).sum()
-            score = node_confidence_score(lambda n, _=None, p=probs: p, 0)
+            score = node_confidence_score(probs)
             assert 0.25 - 1e-12 <= score <= 1.0
 
 
@@ -296,7 +326,8 @@ class TestRunMiaGame:
         ds = dense_block_dataset(seed=5)
         cfg = make_pipeline_cfg(level="none", k=1)
         audit_cfg = AuditConfig(attack="edge_influence", trials=12, seed=3)
-        report = run_mia_game(ds, cfg, FAST_TRAIN, audit_cfg, score_fn=lambda q, c: 1.0)
+        constant = Attacker(lambda challenge: [], lambda challenge, answers: 1.0)
+        report = run_mia_game(ds, cfg, FAST_TRAIN, audit_cfg, constant)
         assert report.auc == 0.5
 
     def test_nonfinite_scores_discarded_and_counted(self):
@@ -305,10 +336,10 @@ class TestRunMiaGame:
         audit_cfg = AuditConfig(attack="edge_influence", trials=12, seed=3)
         calls = itertools.count()
 
-        def flaky(query, challenge):
+        def flaky(challenge, answers):
             return math.nan if next(calls) % 3 == 0 else float(next(calls))
 
-        report = run_mia_game(ds, cfg, FAST_TRAIN, audit_cfg, score_fn=flaky)
+        report = run_mia_game(ds, cfg, FAST_TRAIN, audit_cfg, Attacker(lambda c: [], flaky))
         assert report.discarded_trials > 0
         assert len(report.scores) + report.discarded_trials == 12
 
@@ -319,11 +350,11 @@ class TestRunMiaGame:
         audit_cfg = AuditConfig(attack="edge_influence", trials=12, seed=3)
         calls = itertools.count()
 
-        def unbounded(query, challenge):
+        def unbounded(challenge, answers):
             i = next(calls)
             return {0: math.inf, 1: -math.inf}.get(i % 4, float(i))
 
-        report = run_mia_game(ds, cfg, FAST_TRAIN, audit_cfg, score_fn=unbounded)
+        report = run_mia_game(ds, cfg, FAST_TRAIN, audit_cfg, Attacker(lambda c: [], unbounded))
         assert report.discarded_trials == 6
         assert report.scores == [2.0, 3.0, 6.0, 7.0, 10.0, 11.0]
         assert report.auc == rankdata_auc(report.scores, report.membership_bits)
@@ -343,16 +374,6 @@ class TestRunMiaGame:
         assert len(report.scores) + report.discarded_trials == 10
         assert all(0.0 <= s <= 1.0 for s in report.scores)
 
-    def test_node_attack_queries_count_against_budget(self, monkeypatch):
-        import caribou.audit
-
-        monkeypatch.setattr(caribou.audit, "_QUERY_LIMIT", 0)
-        ds = dense_block_dataset(seed=8)
-        cfg = make_pipeline_cfg(level="none", k=1)
-        audit_cfg = AuditConfig(attack="node_confidence", trials=10, seed=2)
-        with pytest.raises(RuntimeError, match="query budget exhausted"):
-            run_mia_game(ds, cfg, FAST_TRAIN, audit_cfg)
-
     def test_trials_minimum_enforced(self):
         with pytest.raises(ValueError):
             AuditConfig(trials=5)
@@ -366,15 +387,18 @@ class TestRunMiaGame:
         "node, nudge", [(-1, None), (20, None), (0, (-1, 1.0)), (0, (20, 1.0))],
         ids=["negative-node", "node-n", "negative-nudge", "nudge-n"],
     )
-    def test_query_outside_the_graph_rejected(self, node, nudge):
-        # numpy alone would answer query(-1) with node n - 1
+    def test_query_outside_the_graph_rejected(self, node, nudge, monkeypatch):
+        # numpy alone would answer a query of node -1 with node n - 1
         ds = dense_block_dataset(seed=5)
         assert ds.graph.num_nodes == 20
         cfg = make_pipeline_cfg(level="none", k=1)
         audit_cfg = AuditConfig(attack="node_confidence", trials=10, seed=2)
+        attacker = Attacker(lambda c: [(0, None), (node, nudge)], lambda c, answers: 1.0)
+        releases = count_releases(monkeypatch)
         with pytest.raises(ValueError, match=r"outside \[0, 20\)"):
-            run_mia_game(ds, cfg, FAST_TRAIN, audit_cfg,
-                         score_fn=lambda query, c: query(node, nudge)[0])
+            run_mia_game(ds, cfg, FAST_TRAIN, audit_cfg, attacker)
+        # every declared query is checked before the first trial's release
+        assert releases == []
 
     @pytest.mark.parametrize("scale", [math.nan, math.inf, 0.0, -1e-3])
     def test_bad_perturb_scale_rejected(self, scale):
@@ -415,11 +439,11 @@ class TestGameEqualsSequentialReference:
         cfg = make_pipeline_cfg(level=level, k=2)
         audit_cfg = AuditConfig(attack=attack, trials=10, seed=3)
         expected = reference_run_mia_game(
-            ds, cfg, train_cfg, audit_cfg, flaky_score_fn() if scorer == "stateful" else None
+            ds, cfg, train_cfg, audit_cfg, flaky_attacker() if scorer == "stateful" else None
         )
         batches = record_batches(monkeypatch)
         report = run_mia_game(
-            ds, cfg, train_cfg, audit_cfg, flaky_score_fn() if scorer == "stateful" else None
+            ds, cfg, train_cfg, audit_cfg, flaky_attacker() if scorer == "stateful" else None
         )
         assert report == expected
         # every trial's head has the same shape, so one pass trains them all
@@ -427,13 +451,13 @@ class TestGameEqualsSequentialReference:
 
     @pytest.mark.parametrize(
         "min_cells, sizes",
-        # each edge trial holds its head's 20 x 4 inputs and the 210
+        # each edge trial holds its head's 20 x 4 inputs, the 210
         # normalized adjacency entries of its training graph (20 nodes, 95
-        # of 136 edges), 290 cells; a custom attacker gets no query's
-        # release made ahead: two fit below 700 cells, three do not, and
+        # of 136 edges) and the 20 x 2 release of the stateful attacker's
+        # one query, 330 cells: two fit below 700 cells, three do not, and
         # one alone reaches 50 cells and trains alone.  Below 1000 cells
-        # the inputs of all ten trials (800 cells) fit, so only the
-        # adjacency splits.
+        # the inputs of all ten trials (800 cells) fit, so only the held
+        # adjacency and releases split.
         [(700, [2] * 5), (50, [1] * 10), (1000, [3, 3, 3, 1])],
         ids=["batches-of-two", "each-alone", "adjacency-splits"],
     )
@@ -443,9 +467,9 @@ class TestGameEqualsSequentialReference:
         cfg = make_pipeline_cfg(level="edge", k=2)
         audit_cfg = AuditConfig(attack="edge_influence", trials=10, seed=3)
         for train_cfg in (FAST_TRAIN, DP_TRAIN):
-            expected = reference_run_mia_game(ds, cfg, train_cfg, audit_cfg, flaky_score_fn())
+            expected = reference_run_mia_game(ds, cfg, train_cfg, audit_cfg, flaky_attacker())
             batches = record_batches(monkeypatch)
-            report = run_mia_game(ds, cfg, train_cfg, audit_cfg, flaky_score_fn())
+            report = run_mia_game(ds, cfg, train_cfg, audit_cfg, flaky_attacker())
             assert report == expected
             assert [shape[0] for shape in batches] == sizes
 
@@ -517,8 +541,7 @@ def count_releases(monkeypatch):
 
 class TestReleasesAndQueries:
     """Every release of a game runs inside ``run_pipeline``, some of them
-    in one call; the queries' releases made ahead of time still count
-    against the query budget."""
+    in one call, and each is one the attacker declared."""
 
     @pytest.mark.parametrize(
         "game, per_trial, calls",
@@ -538,12 +561,25 @@ class TestReleasesAndQueries:
         assert sum(releases) == per_trial * audit_cfg.trials
         assert len(releases) == calls
 
+    @pytest.mark.parametrize("game", sorted(GAMES))
+    def test_custom_attacker_releases_in_the_same_calls(self, game, monkeypatch):
+        # one query a trial: released with an edge trial's training release,
+        # and with the other node trials' queries in the batch's one call
+        attack, level = GAMES[game]
+        ds = dense_block_dataset(seed=5)
+        cfg = make_pipeline_cfg(level=level, k=2)
+        audit_cfg = AuditConfig(attack=attack, trials=10, seed=3)
+        expected = reference_run_mia_game(ds, cfg, FAST_TRAIN, audit_cfg, flaky_attacker())
+        releases = count_releases(monkeypatch)
+        assert run_mia_game(ds, cfg, FAST_TRAIN, audit_cfg, flaky_attacker()) == expected
+        assert releases == ([2] * 10 if game == "edge" else [1] * 10 + [10])
+
     @pytest.mark.parametrize(
         "game, sizes",
         # below 600 cells: an edge trial holds its head's 20 x 4 inputs and
         # the 210 normalized adjacency entries of its training graph, so two
         # fit; a node trial holds its 14 x 4 inputs, so all ten fit.  A held
-        # 20 x 2 release per query made ahead would split both further.
+        # 20 x 2 release per declared query would split both further.
         [("edge", [2] * 5), ("node", [10])],
     )
     def test_no_release_ahead_for_a_custom_attacker(self, game, sizes, monkeypatch):
@@ -553,8 +589,7 @@ class TestReleasesAndQueries:
         cfg = make_pipeline_cfg(level=level, k=2)
         audit_cfg = AuditConfig(attack=attack, trials=10, seed=3)
 
-        def never_queries(query, challenge):
-            return float(np.sum(challenge))
+        never_queries = Attacker(lambda c: [], lambda challenge, answers: float(np.sum(challenge)))
 
         expected = reference_run_mia_game(ds, cfg, FAST_TRAIN, audit_cfg, never_queries)
         releases = count_releases(monkeypatch)
@@ -581,82 +616,25 @@ class TestReleasesAndQueries:
             reference_run_mia_game(ds, cfg, FAST_TRAIN, audit_cfg)
         challenges = []
 
-        def counting(query, challenge):
+        def counting(challenge, answers):
             challenges.append(challenge)
             return 1.0
 
-        for score_fn in (counting, None):
+        for attacker in (Attacker(lambda c: [], counting), None):
             releases = count_releases(monkeypatch)
-            with pytest.raises(ValueError, match="both membership classes"):
-                run_mia_game(ds, cfg, FAST_TRAIN, audit_cfg, score_fn)
+            with pytest.raises(ValueError, match="both membership classes") as info:
+                run_mia_game(ds, cfg, FAST_TRAIN, audit_cfg, attacker)
             scored = len(challenges)
             assert 0 < scored < audit_cfg.trials
+            # the error names the cause and the fix
+            assert (f"{audit_cfg.trials - scored} trials were discarded for lack of a "
+                    "non-member") in str(info.value)
+            assert f"smaller {game}_keep_fraction" in str(info.value)
+            assert "and 0 for a non-finite score" in str(info.value)
             # a trial with a challenge makes its releases as in any game;
             # one without makes none
-            assert releases == ([1] * scored if score_fn else
+            assert releases == ([1] * scored if attacker else
                                 [3] * scored if game == "edge" else [1] * scored + [scored])
-
-    # the node game at a budget of 0 is test_node_attack_queries_count_against_budget
-    @pytest.mark.parametrize(
-        "game, limit, exhausted", [("edge", 1, True), ("node", 1, False), ("edge", 0, True)],
-    )
-    def test_query_budget_counts_the_first_query(self, game, limit, exhausted, monkeypatch):
-        monkeypatch.setattr(caribou.audit, "_QUERY_LIMIT", limit)
-        attack, level = GAMES[game]
-        ds = dense_block_dataset(seed=5)
-        cfg = make_pipeline_cfg(level=level, k=2)
-        audit_cfg = AuditConfig(attack=attack, trials=10, seed=3)
-        if exhausted:
-            with pytest.raises(RuntimeError, match="query budget exhausted"):
-                run_mia_game(ds, cfg, FAST_TRAIN, audit_cfg)
-        else:
-            expected = reference_run_mia_game(ds, cfg, FAST_TRAIN, audit_cfg)
-            assert run_mia_game(ds, cfg, FAST_TRAIN, audit_cfg) == expected
-
-    def test_first_release_answers_only_an_unnudged_first_query(self):
-        ds = dense_block_dataset(seed=5)
-        cfg = make_pipeline_cfg(level="edge", k=2)
-        head = trained_model(ds, cfg, FAST_TRAIN, query_seed=4).head
-        first = run_pipeline(ds, replace(cfg, seed=stream_seed(4, 1))).x_k_final
-        fresh, ready = (_PipelineModel(head, ds, cfg, 4, releases)
-                        for releases in (None, {(1, None): first}))
-        for query in ((3,), (3, (1, 1e-3)), (3,)):
-            assert np.array_equal(ready.query(*query), fresh.query(*query))
-        # a stand-in release shows which queries read it: only an un-nudged
-        # first query
-        stand_in = np.zeros_like(first)
-        model = _PipelineModel(head, ds, cfg, 4, {(1, None): stand_in})
-        assert np.array_equal(model.query(3), predict_proba(head, ds.features[3], stand_in[3]))
-        fresh, nudged_first = (_PipelineModel(head, ds, cfg, 4, releases)
-                               for releases in (None, {(1, None): stand_in}))
-        for query in ((3, (1, 1e-3)), (3,)):
-            assert np.array_equal(nudged_first.query(*query), fresh.query(*query))
-
-    def test_nudged_release_answers_only_its_query_and_nudge(self):
-        ds = dense_block_dataset(seed=5)
-        cfg = make_pipeline_cfg(level="edge", k=2)
-        head = trained_model(ds, cfg, FAST_TRAIN, query_seed=4).head
-        nudge = (1, 1e-3)
-        probe = replace(ds, features=_nudged_features(ds.features, nudge))
-        made = run_pipeline(probe, replace(cfg, seed=stream_seed(4, 2))).x_k_final
-        fresh, ready = (_PipelineModel(head, ds, cfg, 4, releases)
-                        for releases in (None, {(2, nudge): made}))
-        for query in ((3,), (3, nudge), (3, nudge)):
-            assert np.array_equal(ready.query(*query), fresh.query(*query))
-
-        def answers(queries, releases):
-            model = _PipelineModel(head, ds, cfg, 4, releases)
-            return [model.query(*query) for query in queries]
-
-        # a stand-in release shows which queries read it: query 2 with that
-        # nudge, not another nudge, nor the same nudge as another query
-        stand_in = np.zeros_like(made)
-        assert np.array_equal(answers(((3,), (3, nudge)), {(2, nudge): stand_in})[1],
-                              predict_proba(head, probe.features[3], stand_in[3]))
-        for queries in (((3,), (3, (2, 1e-3))), ((3, nudge), (3,))):
-            for got, want in zip(answers(queries, {(2, nudge): stand_in}),
-                                 answers(queries, None)):
-                assert np.array_equal(got, want)
 
 
 def random_graph(seed, n, p):

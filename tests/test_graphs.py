@@ -1,4 +1,5 @@
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -431,6 +432,13 @@ class TestLabeledDataset:
     def test_empty_masks_of_any_dtype_accepted(self):
         ds = self.make([], [])
         LabeledDataset(ds.graph, ds.features, ds.labels, np.array([]), np.array([]))
+
+    @pytest.mark.parametrize("shape", [(4,), (3, 2), (4, 2, 1)])
+    def test_features_not_one_row_per_node_rejected(self, shape):
+        ds = self.make([], [])
+        message = f"features must have shape (nodes, dims) = (4, d), got {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            LabeledDataset(ds.graph, np.zeros(shape), ds.labels)
 
 
 def write_files(tmp_path, edges="0 1\n", features="1,0\n0,1\n", labels="0,0\n1,1\n"):

@@ -19,7 +19,7 @@ from caribou.model import (
     train_linear_encoder,
 )
 from caribou.prng import stream
-from tests.verify import grad_check
+from tests.verify import grad_check, param_row
 
 TOY_X0 = np.array(
     [[1.0, 0.0], [0.9, 0.1], [0.0, 1.0], [0.1, 0.9]]
@@ -607,9 +607,7 @@ class TestDpStepMatchesPerExampleReference:
                 biases=[rng.normal(size=hidden), rng.normal(size=classes)],
             )
             onehot = np.eye(classes)[labels]
-            step = model_module._HeadPass(
-                model_module._param_row(head), hidden, x[None], onehot[None], dp
-            )
+            step = model_module._HeadPass(param_row(head), hidden, x[None], onehot[None], dp)
             losses, flat = step.loss_and_grads([stream(case, 7)])
             g_w1, g_b1, g_w2, g_b2 = model_module._param_views(flat, x.shape[1], hidden, classes)
             ref_loss, ref_grads = reference_head_step(head, x, onehot, dp, stream(case, 7))

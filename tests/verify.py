@@ -217,6 +217,13 @@ def exact_product(adj, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def param_row(head: model.MlpHead) -> np.ndarray:
+    """``head``'s parameters as a one-row buffer laid out as
+    ``model._param_views`` describes."""
+    parts = (head.weights[0], head.biases[0], head.weights[1], head.biases[1])
+    return np.concatenate([np.ravel(p) for p in parts])[None]
+
+
 def grad_check(
     head: model.MlpHead,
     x0: np.ndarray,
@@ -235,7 +242,7 @@ def grad_check(
     labels = np.asarray(labels)
     num_classes = head.sizes[-1]
     onehot = np.eye(num_classes)[labels]
-    params = model._param_row(head)
+    params = param_row(head)
     passes = model._HeadPass(params, head.sizes[1], inputs[None], onehot[None])
     # the pass reuses its gradient buffer on the next call
     analytic = passes.loss_and_grads()[1][0].copy()
