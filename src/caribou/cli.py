@@ -13,8 +13,8 @@ fields of ``AuditConfig``; its ``seed`` falls back to the config's),
 ``seed`` and ``output_dir``.  Any other key is an error, and so is a
 boolean or a fraction for an integer key, a boolean for a number key, a
 non-string for a key that holds a path or a name, a non-boolean
-``encoder.enabled`` and a ``max_degree`` that is neither ``null`` nor an
-integer of at least 1.  ``train``, ``audit`` and every run of a ``sweep``
+``encoder.enabled``, a ``train_count`` or ``test_count`` below 1 and a
+``max_degree`` that is neither ``null`` nor an integer of at least 1.  ``train``, ``audit`` and every run of a ``sweep``
 read and check all of these, also the sections they do not use;
 ``audit`` runs no encoder and rejects ``encoder.enabled: true``.
 ``privacy.level`` (or ``--level``) is required, and so is each key of a
@@ -68,7 +68,7 @@ from .graphs import (
     stratified_split,
     write_dataset,
 )
-from .layers import LayerParams
+from .layers import LayerParams, _check_count
 from .model import DpSgdConfig, TrainConfig, evaluate, train_head, train_linear_encoder
 from .pipeline import PipelineConfig, _max_degree, run_pipeline, save_artifacts
 from .prng import stream
@@ -241,6 +241,10 @@ def _dataset_spec(raw) -> dict:
         for key in ("edges", "features", "labels"):
             if key not in spec:
                 raise CliError(f"dataset files need '{key}'")
+    # with no node to train or to test on, a run would fail after its release
+    for key in ("train_count", "test_count"):
+        if key in spec:
+            _check_count(f"dataset.{key}", spec[key], 1)
     return spec
 
 

@@ -17,13 +17,13 @@ count C and hidden width h; ``train_head`` is the case T = 1.  Inputs are
 stacked (T, m, d_in), and each head's parameters (W1, b1, W2, b2) fill one
 row of a (T, n) buffer, so one update is ``P -= lr * G``.  Every product
 is a stacked ``np.matmul``, which runs head t's slice through the same
-BLAS call as a lone head's matrix, and every sum over examples is an
-``np.add.reduce`` over the example axis, which adds head t's rows in the
-order a lone head's are added.  DP clip factors stay per example, and
-head t draws its noise from its own stream, for W1, b1, W2, b2 in turn.
-So head t of a pass has the bits of the head ``train_head`` fits alone.
-The audit game uses this to train its trials' heads together
-(``_joins_batch`` is the rule).
+BLAS call as a lone head's matrix, and every sum over examples adds head
+t's rows in the order a lone head's are added (``_sum_examples``).  DP
+clip factors stay per example, and head t draws its noise from its own
+stream, for W1, b1, W2, b2 in turn.  So head t of a pass has the bits of
+the head ``train_head`` fits alone, whichever heads share its pass.  The
+audit game uses this to train its trials' heads together (``_joins_batch``
+is the rule).
 
 One epoch runs in four phases over buffers allocated once per call:
 
@@ -56,9 +56,16 @@ The blocks depend only on the input's shape.  A lone head with at least
 ``_pool.MIN_CELLS`` input entries makes ``rows // BLOCK_ROWS`` blocks of
 even height.  When the process may use two or more CPUs they run on
 ``_pool``'s workers and the calling thread, which takes the tasks no
-worker has started; otherwise they run one after another.  So the CPU
-count never changes the bits.  Fewer entries, and every pass of two or
-more heads, make one block on the calling thread, with no thread started.
+worker has started; otherwise they run one after another.  A lone head
+with fewer entries is one block on the calling thread, with no thread
+started.
+
+A batch of T >= 2 heads is split instead (``_pool.run_groups``): into
+min(T, usable CPUs) contiguous groups of heads, each trained, every epoch,
+by its own pass of one block as one task, so the groups meet no barrier
+until the last ends.  The calling thread takes the last group.  Each head
+keeps its bits in any group, so neither the CPU count nor the grouping
+changes them.
 """
 
 from __future__ import annotations
@@ -222,6 +229,19 @@ def _w1_chunks(d_in: int, blocks: int) -> list[tuple[int, int]]:
             for i in range(parts)]
 
 
+def _row_sums(a: Array) -> Array:
+    """``np.add.reduce(a, axis=-1)``, with its bits.  On rows shorter than 8
+    entries numpy adds them one after another, starting from 0, so the
+    rows are summed a column at a time, in loops along the other axes;
+    from 8 entries on numpy adds in pairs, and the reduce is kept."""
+    if a.shape[-1] >= 8:
+        return np.add.reduce(a, axis=-1)
+    total = a[..., 0] + 0.0
+    for j in range(1, a.shape[-1]):
+        total += a[..., j]
+    return total
+
+
 def _softmax_inplace(z: Array) -> Array:
     """Overwrite each row of ``z`` (the last axis) with its softmax; return
     ``z``."""
@@ -233,12 +253,32 @@ def _softmax_inplace(z: Array) -> Array:
         np.maximum(row_max, z[..., j], out=row_max)
     np.subtract(z, row_max[..., None], out=z)
     np.exp(z, out=z)
-    z /= np.add.reduce(z, axis=-1, keepdims=True)
+    z /= _row_sums(z)[..., None]
     return z
 
 
 def _sq_rows(a: Array) -> Array:
-    return np.add.reduce(a * a, axis=-1)
+    return _row_sums(a * a)
+
+
+def _sum_examples(rows: Array, out: Array, major: Array, sums: Array) -> None:
+    """Sum T >= 2 heads' (T, m, w >= 2) ``rows`` over examples into ``out``
+    (T, 1, w) through an example-major copy ``major`` (m, T, w) and
+    ``sums`` (T * w).  Each column is added in example order, as
+    ``np.add.reduce(rows, axis=1)`` adds it, but in loops T * w entries
+    long instead of w; that reduce adds a column of width 1 in pairs."""
+    np.copyto(major, rows.transpose(1, 0, 2))
+    np.add.reduce(major.reshape(len(major), -1), axis=0, out=sums)
+    out[:, 0] = sums.reshape(len(out), -1)
+
+
+def _example_sum_task(rows: Array, out: Array):
+    """The task that sums the (T, m, w) ``rows`` over examples into ``out``
+    (T, 1, w), by ``_sum_examples`` where it may."""
+    t, m, w = rows.shape
+    if t == 1 or w == 1:
+        return partial(np.add.reduce, rows, axis=1, keepdims=True, out=out)
+    return partial(_sum_examples, rows, out, np.empty((m, t, w)), np.empty(t * w))
 
 
 def _hidden_rows(inputs: Array, w1: Array, b1: Array, out: Array) -> None:
@@ -337,13 +377,6 @@ def _param_views(flat: Array, d_in: int, hidden: int, classes: int) -> list[Arra
     return views
 
 
-def _pass_cells(inputs: Array) -> int:
-    """The entries that set a pass's row blocks and pool: those of a lone
-    head's inputs.  A batch of heads always runs as one block on the
-    calling thread."""
-    return inputs.size if len(inputs) == 1 else 0
-
-
 class _HeadPass:
     """Full-batch passes of T heads of one shape over fixed inputs.
 
@@ -373,7 +406,8 @@ class _HeadPass:
         x_sq = _sq_rows(inputs) + 1.0 if dp is not None else None
         clip = dp.clip_norm if dp is not None else None
         w2_t = w2.transpose(0, 2, 1)
-        blocks = _row_blocks(m, _pass_cells(inputs))
+        # a pass of two or more heads is one block
+        blocks = _row_blocks(m, inputs.size if t == 1 else 0)
         self._forward_tasks = [
             partial(_hidden_rows, inputs[:, a:b], w1, b1, hidden[:, a:b]) for a, b in blocks
         ]
@@ -388,9 +422,9 @@ class _HeadPass:
             partial(np.matmul, inputs_t[:, lo:hi], g_hidden, out=g_w1[:, lo:hi])
             for lo, hi in _w1_chunks(d_in, len(blocks))
         ] + [
-            partial(np.add.reduce, g_hidden, axis=1, keepdims=True, out=g_b1),
+            _example_sum_task(g_hidden, g_b1),
             partial(np.matmul, hidden.transpose(0, 2, 1), logits, out=g_w2),
-            partial(np.add.reduce, logits, axis=1, keepdims=True, out=g_b2),
+            _example_sum_task(logits, g_b2),
             partial(np.add.reduce, log_lik.reshape(t, -1), axis=1, out=self._loss_sums),
         ]
 
@@ -420,17 +454,29 @@ def _rdp_coeff(cfg: TrainConfig) -> float:
     return cfg.epochs / (2.0 * cfg.dp.noise_mult**2)
 
 
+def _mask_labels(labels: Array, mask: Array, name: str) -> tuple[Array, Array]:
+    """The node ids of ``mask`` and their labels.  An id outside [0, n),
+    for the n entries of ``labels``, or an unlabeled (negative) node raises
+    one ValueError that names the first, in mask order; ``name`` names the
+    mask."""
+    ids, labels = np.asarray(mask, dtype=np.int64), np.asarray(labels)
+    # numpy would read a negative id from the end
+    bad = (ids < 0) | (ids >= len(labels))
+    bad[~bad] = labels[ids[~bad]] < 0
+    if bad.any():
+        raise ValueError(f"{name} contains unlabeled nodes or ids outside "
+                         f"[0, {len(labels)}); the first is {ids[bad.argmax()]}")
+    return ids, labels[ids]
+
+
 def _training_labels(labels: Array, train_mask: Array) -> tuple[Array, Array]:
     """The training nodes' indices and one-hot labels (m, C), with C one
-    more than the largest label in ``labels``; an unlabeled (negative)
-    training node is an error."""
-    train_mask = np.asarray(train_mask, dtype=np.int64)
-    if train_mask.size == 0:
+    more than the largest label in ``labels``; ``_mask_labels`` checks the
+    mask."""
+    if np.size(train_mask) == 0:
         raise ValueError("no training nodes")
+    train_mask, y = _mask_labels(labels, train_mask, "training mask")
     labels = np.asarray(labels)
-    y = labels[train_mask]
-    if np.any(y < 0):
-        raise ValueError("training mask contains unlabeled nodes")
     return train_mask, np.eye(int(labels[labels >= 0].max()) + 1)[y]
 
 
@@ -457,7 +503,9 @@ def _joins_batch(first: tuple[Array, Array], size: int, problem: tuple[Array, Ar
 def _fit_heads(problems: list[tuple[Array, Array]], cfg: TrainConfig, seeds) -> list[MlpHead]:
     """Train one head per ``_head_data`` problem (inputs, onehot) and seed,
     all in one pass; the problems share their shapes.  Head t is the head
-    ``train_head`` fits on problem t with ``seeds[t]``."""
+    ``train_head`` fits on problem t with ``seeds[t]``.  Every ``stream``
+    call is made here, on the calling thread; a batch's groups (see the
+    module docstring) only draw from the generators made here."""
     if len(problems) == 1:
         inputs, onehot = (a[None] for a in problems[0])
     else:
@@ -471,11 +519,20 @@ def _fit_heads(problems: list[tuple[Array, Array]], cfg: TrainConfig, seeds) -> 
                                                      size=(d_in, hidden))
     noise_rngs = [stream(seed, _DP_STREAM) for seed in seeds] if cfg.dp is not None else None
     losses = np.empty((cfg.epochs, t))
-    with _pool.thread_pool(_pass_cells(inputs)) as pool:
-        step = _HeadPass(params, hidden, inputs, onehot, cfg.dp, pool)
+
+    def train(a: int, b: int, pool=None) -> None:
+        # heads a to b - 1, every epoch: their own pass, parameters and losses
+        group, rngs = params[a:b], noise_rngs and noise_rngs[a:b]
+        step = _HeadPass(group, hidden, inputs[a:b], onehot[a:b], cfg.dp, pool)
         for epoch in range(cfg.epochs):
-            losses[epoch], grads = step.loss_and_grads(noise_rngs)
-            params -= cfg.learning_rate * grads
+            losses[epoch, a:b], grads = step.loss_and_grads(rngs)
+            group -= cfg.learning_rate * grads
+
+    if t == 1:
+        with _pool.thread_pool(inputs.size) as pool:
+            train(0, 1, pool)
+    else:
+        _pool.run_groups(t, train)
 
     w1, b1, w2, b2 = _param_views(params, d_in, hidden, classes)
     return [
@@ -536,13 +593,13 @@ def predict_proba(head: MlpHead, x0_row: Array, xk_row: Array) -> Array:
 
 
 def evaluate(head: MlpHead, x0: Array, xk: Array, labels: Array, mask: Array) -> float:
-    """Fraction of mask nodes whose argmax class matches the label."""
-    mask = np.asarray(mask, dtype=np.int64)
-    if mask.size == 0:
+    """Fraction of mask nodes whose argmax class matches the label;
+    ``_mask_labels`` checks the mask."""
+    if np.size(mask) == 0:
         raise ValueError("empty evaluation mask")
+    mask, y = _mask_labels(labels, mask, "evaluation mask")
     probs = _predict_rows(head, *_row_pair(x0, xk), mask)
-    predicted = probs.argmax(axis=1)
-    return float(np.mean(predicted == np.asarray(labels)[mask]))
+    return float(np.mean(probs.argmax(axis=1) == y))
 
 
 @dataclass

@@ -1,4 +1,8 @@
-"""Shared fixtures for synthetic audit/acceptance datasets."""
+"""Shared fixtures for synthetic audit/acceptance datasets, and the bench's
+list of traced functions."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 
@@ -43,3 +47,16 @@ def per_value_csv(matrix) -> str:
     """The float CSV text as the per-value writer made it: the reference
     that the bulk row writer must match byte for byte."""
     return "".join(",".join(repr(float(v)) for v in row) + "\n" for row in matrix)
+
+
+BENCH_SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+
+
+def bench_targets() -> dict[str, tuple[str, ...]]:
+    """``TARGETS`` of ``bench/spans.py``, read by ``ast`` without importing
+    the bench: the functions ``caribou.<module>.<function>`` it times."""
+    tree = ast.parse(BENCH_SPANS.read_text())
+    return next(
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.AnnAssign) and node.target.id == "TARGETS"
+    )

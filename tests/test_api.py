@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import caribou
+from tests.helpers import bench_targets
 
 ORACLES = (
     "brute_force_edge_sensitivity",
@@ -21,7 +22,6 @@ ORACLES = (
 )
 
 PACKAGE_DIR = Path(caribou.__file__).parent
-BENCH_SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
 
 class TestPublicApi:
@@ -67,11 +67,7 @@ class TestPublicApi:
     def test_every_bench_target_exists(self):
         # the bench times caribou.<module>.<function> for each of these; a
         # missing one leaves its per-layer metrics empty
-        tree = ast.parse(BENCH_SPANS.read_text())
-        targets = next(
-            ast.literal_eval(node.value) for node in tree.body
-            if isinstance(node, ast.AnnAssign) and node.target.id == "TARGETS"
-        )
+        targets = bench_targets()
         missing = [
             f"{module}.{name}"
             for module, names in targets.items()

@@ -1,6 +1,9 @@
 import collections
+import importlib
 import itertools
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +14,7 @@ from scipy.stats import rankdata
 
 import caribou._pool
 import caribou.audit
+import caribou.model
 from caribou.accountant import PrivacySpec
 from caribou.audit import (
     _TRIAL_STREAM,
@@ -32,7 +36,7 @@ from caribou.layers import LayerParams
 from caribou.model import DpSgdConfig, TrainConfig, predict_proba, train_head
 from caribou.pipeline import PipelineConfig, run_pipeline
 from caribou.prng import stream
-from tests.helpers import dense_block_dataset
+from tests.helpers import bench_targets, dense_block_dataset
 
 
 def brute_force_auc(scores, bits):
@@ -424,6 +428,58 @@ GAMES = {
     "edge": ("edge_influence", "edge"),
     "node": ("node_confidence", "node"),
 }
+
+
+class TestTracedFunctionsRunOnTheCallingThread:
+    """Workers run only private helpers and numpy, so the bench's tracer,
+    which wraps public functions and keeps one span stack, sees every call
+    on the calling thread."""
+
+    @pytest.mark.parametrize("train_cfg", [FAST_TRAIN, DP_TRAIN], ids=["plain", "dp"])
+    @pytest.mark.parametrize("game", sorted(GAMES))
+    def test_every_bench_target_runs_on_the_calling_thread(self, game, train_cfg, monkeypatch):
+        monkeypatch.setattr(caribou._pool, "usable_cpus", lambda: 2)
+        calls = []
+        lock = threading.Lock()
+
+        def wrap(name, fn):
+            def wrapper(*args, **kwargs):
+                with lock:
+                    calls.append((name, threading.current_thread() is threading.main_thread(),
+                                  threading.active_count()))
+                return fn(*args, **kwargs)
+            return wrapper
+
+        targets = {
+            f"{module}.{name}": getattr(importlib.import_module(f"caribou.{module}"), name)
+            for module, names in bench_targets().items()
+            for name in names
+        }
+        wrappers = {id(fn): (fn, wrap(name, fn)) for name, fn in targets.items()}
+        # every binding of a target in the package, as the bench installs them
+        for key, module in list(sys.modules.items()):
+            if key == "caribou" or key.startswith("caribou."):
+                for attr, value in list(vars(module).items()):
+                    if id(value) in wrappers and wrappers[id(value)][0] is value:
+                        monkeypatch.setattr(module, attr, wrappers[id(value)][1])
+        monkeypatch.setattr(caribou.model, "_HeadPass",
+                            wrap("_HeadPass", caribou.model._HeadPass))
+        attack, level = GAMES[game]
+        before = threading.active_count()
+        report = caribou.audit.run_mia_game(
+            dense_block_dataset(seed=5), make_pipeline_cfg(level=level, k=2), train_cfg,
+            AuditConfig(attack=attack, trials=10, seed=3),
+        )
+        assert len(report.scores) + report.discarded_trials == 10
+        passes = [alive for name, _, alive in calls if name == "_HeadPass"]
+        # one batch of ten heads in two groups: each pass ran while the
+        # group pool's one worker was alive
+        assert passes == [before + 1] * 2
+        traced = collections.Counter(name for name, _, _ in calls if name != "_HeadPass")
+        assert {"audit.run_mia_game", "pipeline.run_pipeline", "prng.stream",
+                "model.predict_proba"} <= set(traced)
+        # of the calls recorded, only a group's private pass ran elsewhere
+        assert {name for name, on_main, _ in calls if not on_main} <= {"_HeadPass"}
 
 
 class TestGameEqualsSequentialReference:

@@ -678,8 +678,8 @@ class TestOneErrorBoundary:
 
     @pytest.mark.parametrize(
         "labels, counts, message",
-        [("0,0\n1,0\n2,1\n3,1\n", {"train_count": -1}, "non-negative"),
-         ("0,0\n1,0\n2,1\n3,1\n", {"test_count": -2}, "non-negative"),
+        [("0,0\n1,0\n2,1\n3,1\n", {"train_count": -1}, "dataset.train_count must be"),
+         ("0,0\n1,0\n2,1\n3,1\n", {"test_count": -2}, "dataset.test_count must be"),
          ("# no node is labeled\n", {}, "no labeled nodes")],
         ids=["train-count", "test-count", "unlabeled"],
     )
@@ -695,6 +695,23 @@ class TestOneErrorBoundary:
         record = one_error(err)
         assert record["stage"] == "train" and record["error"] == "ValueError"
         assert message in record["message"]
+        assert no_artifacts(tmp_path / "out")
+
+    @pytest.mark.parametrize("key", ["train_count", "test_count"])
+    def test_count_below_one_rejected_before_files_are_read(self, key, tmp_path, capsys):
+        # a count of 0 used to fail only after the release, with a message
+        # that named no key
+        cfg = write_path_config(tmp_path)
+        config = json.loads(cfg.read_text())
+        config["dataset"][key] = 0
+        cfg.write_text(json.dumps(config))
+        for path in (tmp_path / "data").iterdir():
+            path.unlink()
+        code, out, err = run_cli(["train", "--config", str(cfg)], capsys)
+        assert code == 1 and out == ""
+        record = one_error(err)
+        assert record["stage"] == "train" and record["error"] == "ValueError"
+        assert record["message"] == f"dataset.{key} must be an integer >= 1, got 0"
         assert no_artifacts(tmp_path / "out")
 
     @pytest.mark.parametrize("command", ["train", "audit"])

@@ -4,6 +4,9 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import caribou._pool
 from caribou import model as model_module
@@ -85,6 +88,19 @@ class TestTrainHead:
         assert head.loss_history == rows.loss_history
         for a, b in zip(head.weights + head.biases, rows.weights + rows.biases):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("mask, first", [([-1, -2, 3], -1), ([3, 20, 4], 20)],
+                             ids=["negative", "past-the-end"])
+    @pytest.mark.parametrize("fit", [
+        lambda x, *args: train_linear_encoder(x, *args),
+        lambda x, *args: train_head(x, x, *args),
+    ], ids=["encoder", "head"])
+    def test_mask_id_outside_the_nodes_rejected(self, fit, mask, first):
+        # numpy would train a negative id on a node counted from the end
+        x, _, labels = head_case((20, 3))
+        cfg = TrainConfig(epochs=2, learning_rate=0.5, hidden_units=4)
+        with pytest.raises(ValueError, match=rf"outside \[0, 20\); the first is {first}$"):
+            fit(x, labels, np.array(mask), cfg, 0)
 
     def test_row_count_mismatch_rejected(self):
         cfg = TrainConfig(epochs=1, learning_rate=0.1)
@@ -389,6 +405,110 @@ class TestBatchedHeads:
         assert not model_module._joins_batch(first, 1, second)
 
 
+class TestHeadGroups:
+    """A batch of heads trains in one group per usable CPU, each group's
+    whole training one task, and keeps every head's bits."""
+
+    @pytest.mark.parametrize("dp", [None, DP], ids=["plain", "dp"])
+    @pytest.mark.parametrize("hidden", [1, 2, 4, 16])
+    @pytest.mark.parametrize("count", [1, 2, 7])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_groups_equal_separate_calls(self, cpus, count, hidden, dp, monkeypatch):
+        cfg = TrainConfig(epochs=12, learning_rate=0.5, hidden_units=hidden, dp=dp)
+        cases = batch_case(count, seed=1)
+        seeds = [5 + 2 * t for t in range(count)]
+        singles = [train_head(*case, cfg, seed=seed) for case, seed in zip(cases, seeds)]
+        monkeypatch.setattr(caribou._pool, "usable_cpus", lambda: cpus)
+        before = threading.active_count()
+        passes = count_calls(monkeypatch, "_HeadPass")
+        heads = model_module._fit_heads(
+            [model_module._head_data(*case) for case in cases], cfg, seeds)
+        assert threading.active_count() == before
+        groups = min(count, cpus)
+        assert len(passes) == groups
+        # the pool has one thread fewer than there are groups
+        assert all(alive <= before + groups - 1 for _, alive in passes)
+        for head, single in zip(heads, singles, strict=True):
+            assert head.loss_history == single.loss_history
+            for a, b in zip(head.weights + head.biases, single.weights + single.biases):
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("failing", ["worker", "caller"])
+    def test_failing_group_reaches_caller_after_the_others_end(self, failing, monkeypatch):
+        # 5 heads on 2 CPUs: a worker trains heads 0-1, the caller heads 2-4
+        monkeypatch.setattr(caribou._pool, "usable_cpus", lambda: 2)
+        cfg = TrainConfig(epochs=6, learning_rate=0.5, hidden_units=4, dp=DP)
+        cases = batch_case(5)
+        problems = [model_module._head_data(*case) for case in cases]
+        fail_heads = 2 if failing == "worker" else 3
+        original = model_module._hidden_rows
+        epochs = {2: 0, 3: 0}
+        lock = threading.Lock()
+
+        def hidden_rows(inputs, *args):
+            with lock:
+                epochs[len(inputs)] += 1
+                number = epochs[len(inputs)]
+            if len(inputs) == fail_heads and number == 3:
+                raise ArithmeticError(f"group of {fail_heads} failed")
+            return original(inputs, *args)
+
+        monkeypatch.setattr(model_module, "_hidden_rows", hidden_rows)
+        before = threading.active_count()
+        with pytest.raises(ArithmeticError, match=f"group of {fail_heads} failed"):
+            model_module._fit_heads(problems, cfg, list(range(5)))
+        # the other group ran all its epochs before the failure was raised
+        assert epochs == {fail_heads: 3, 5 - fail_heads: cfg.epochs}
+        assert threading.active_count() == before
+
+
+SUM_TERMS = st.floats(-1e6, 1e6, allow_subnormal=False)
+
+
+class TestLongAxisSums:
+    """The epoch's sums along long axes have the bits of ``np.add.reduce``
+    along the short ones."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        classes=st.integers(1, 12),
+        heads=st.sampled_from([1, 2, 7]),
+        rows=st.integers(1, 30),
+        strided=st.booleans(),
+        data=st.data(),
+    )
+    def test_column_sums_and_softmax(self, classes, heads, rows, strided, data):
+        shape = (heads, 2 * rows, 2 * classes) if strided else (heads, rows, classes)
+        z = data.draw(arrays(np.float64, shape, elements=SUM_TERMS))
+        if strided:
+            z = z[:, ::2, 1::2]
+        assert np.array_equal(model_module._row_sums(z), np.add.reduce(z, axis=-1))
+        expected = np.exp(z - z.max(axis=-1, keepdims=True))
+        expected /= np.add.reduce(expected, axis=-1, keepdims=True)
+        assert np.array_equal(model_module._softmax_inplace(z.copy()), expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        width=st.sampled_from([1, 2, 3, 16]),
+        heads=st.sampled_from([1, 2, 7]),
+        rows=st.integers(1, 40),
+        strided=st.booleans(),
+        data=st.data(),
+    )
+    def test_example_sums(self, width, heads, rows, strided, data):
+        shape = (heads, 2 * rows, 2 * width) if strided else (heads, rows, width)
+        g = data.draw(arrays(np.float64, shape, elements=SUM_TERMS))
+        # the sums land in a view of a (T, n) buffer, as the bias
+        # gradients do
+        buffer = np.full((heads, 3 * width), np.nan)
+        out = buffer[:, width : 2 * width].reshape(heads, 1, width)
+        if strided:
+            g = g[:, 1::2, ::2]
+        model_module._example_sum_task(g, out)()
+        assert np.array_equal(out, np.add.reduce(g, axis=1, keepdims=True))
+        assert np.isnan(buffer[:, :width]).all() and np.isnan(buffer[:, 2 * width :]).all()
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize(
         "clip, noise",
@@ -455,6 +575,19 @@ class TestEvaluate:
         head = toy_head(epochs=1)
         with pytest.raises(ValueError, match="empty"):
             evaluate(head, TOY_X0, TOY_XK, TOY_Y, np.array([], dtype=int))
+
+    @pytest.mark.parametrize(
+        "labels, mask, first",
+        [(TOY_Y, [0, -1, 2], -1), (TOY_Y, [0, 4], 4), (np.array([0, -1, -1, 1]), [0, 2, 1], 2),
+         (np.full(4, -1), [0, 1, 2, 3, 1], 0)],
+        ids=["negative", "past-the-end", "unlabeled", "all-unlabeled"],
+    )
+    def test_bad_mask_id_rejected(self, labels, mask, first):
+        # an unlabeled node would score as a miss, and a negative id would
+        # score a node counted from the end
+        head = toy_head(epochs=1)
+        with pytest.raises(ValueError, match=rf"^evaluation mask .* the first is {first}$"):
+            evaluate(head, TOY_X0, TOY_XK, labels, np.array(mask))
 
 
 class TestGradCheck:
