@@ -14,8 +14,9 @@ fields of ``AuditConfig``; its ``seed`` falls back to the config's),
 boolean or a fraction for an integer key, a boolean for a number key, a
 non-string for a key that holds a path or a name, a non-boolean
 ``encoder.enabled``, a ``train_count`` or ``test_count`` below 1 and a
-``max_degree`` that is neither ``null`` nor an integer of at least 1.  ``train``, ``audit`` and every run of a ``sweep``
-read and check all of these, also the sections they do not use;
+``max_degree`` that is neither ``null`` nor an integer of at least 1.
+``train``, ``audit`` and every run of a ``sweep`` read and check all of
+these, also the sections they do not use;
 ``audit`` runs no encoder and rejects ``encoder.enabled: true``.
 ``privacy.level`` (or ``--level``) is required, and so is each key of a
 ``train.dp`` object.

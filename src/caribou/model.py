@@ -455,11 +455,15 @@ def _rdp_coeff(cfg: TrainConfig) -> float:
 
 
 def _mask_labels(labels: Array, mask: Array, name: str) -> tuple[Array, Array]:
-    """The node ids of ``mask`` and their labels.  An id outside [0, n),
-    for the n entries of ``labels``, or an unlabeled (negative) node raises
-    one ValueError that names the first, in mask order; ``name`` names the
-    mask."""
-    ids, labels = np.asarray(mask, dtype=np.int64), np.asarray(labels)
+    """The node ids of ``mask`` and their labels.  A mask that does not
+    hold integers, an id outside [0, n), for the n entries of ``labels``,
+    or an unlabeled (negative) node raises one ValueError, which names the
+    first bad id in mask order; ``name`` names the mask."""
+    ids, labels = np.asarray(mask), np.asarray(labels)
+    # a boolean mask would be read as ids 0 and 1, a fraction truncated
+    if ids.dtype.kind not in "iu":
+        raise ValueError(f"{name} must hold integer node ids, got dtype {ids.dtype}")
+    ids = ids.astype(np.int64, copy=False)
     # numpy would read a negative id from the end
     bad = (ids < 0) | (ids >= len(labels))
     bad[~bad] = labels[ids[~bad]] < 0

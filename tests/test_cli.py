@@ -699,8 +699,8 @@ class TestOneErrorBoundary:
 
     @pytest.mark.parametrize("key", ["train_count", "test_count"])
     def test_count_below_one_rejected_before_files_are_read(self, key, tmp_path, capsys):
-        # a count of 0 used to fail only after the release, with a message
-        # that named no key
+        # the data files are gone: the count is checked when the config is
+        # read, before the release, which would run without a node to score
         cfg = write_path_config(tmp_path)
         config = json.loads(cfg.read_text())
         config["dataset"][key] = 0

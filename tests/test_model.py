@@ -589,6 +589,16 @@ class TestEvaluate:
         with pytest.raises(ValueError, match=rf"^evaluation mask .* the first is {first}$"):
             evaluate(head, TOY_X0, TOY_XK, labels, np.array(mask))
 
+    @pytest.mark.parametrize("mask", [[True, False, True, True], [0.0, 2.5]],
+                             ids=["boolean", "float"])
+    def test_mask_of_non_integers_rejected(self, mask):
+        # numpy would read a boolean mask as ids 0 and 1, and truncate 2.5
+        head = toy_head(epochs=1)
+        with pytest.raises(ValueError, match="evaluation mask must hold integer node ids"):
+            evaluate(head, TOY_X0, TOY_XK, TOY_Y, np.array(mask))
+        with pytest.raises(ValueError, match="training mask must hold integer node ids"):
+            train_head(TOY_X0, TOY_XK, TOY_Y, np.array(mask), TrainConfig(epochs=1), 0)
+
 
 class TestGradCheck:
     def test_random_head_passes(self):
