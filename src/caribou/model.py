@@ -272,13 +272,16 @@ def _sum_examples(rows: Array, out: Array, major: Array, sums: Array) -> None:
     out[:, 0] = sums.reshape(len(out), -1)
 
 
-def _example_sum_task(rows: Array, out: Array):
+def _example_sum_task(rows: Array, out: Array, scratch: Array | None = None):
     """The task that sums the (T, m, w) ``rows`` over examples into ``out``
-    (T, 1, w), by ``_sum_examples`` where it may."""
+    (T, 1, w), by ``_sum_examples`` where it may.  ``scratch``, a
+    contiguous buffer of ``rows``' size that nothing reads while the task
+    runs, holds the example-major copy; without it one is allocated."""
     t, m, w = rows.shape
     if t == 1 or w == 1:
         return partial(np.add.reduce, rows, axis=1, keepdims=True, out=out)
-    return partial(_sum_examples, rows, out, np.empty((m, t, w)), np.empty(t * w))
+    major = np.empty((m, t, w)) if scratch is None else scratch.reshape(m, t, w)
+    return partial(_sum_examples, rows, out, major, np.empty(t * w))
 
 
 def _hidden_rows(inputs: Array, w1: Array, b1: Array, out: Array) -> None:
@@ -422,7 +425,8 @@ class _HeadPass:
             partial(np.matmul, inputs_t[:, lo:hi], g_hidden, out=g_w1[:, lo:hi])
             for lo, hi in _w1_chunks(d_in, len(blocks))
         ] + [
-            _example_sum_task(g_hidden, g_b1),
+            # 1 - hidden^2 is spent once the row tasks have formed g_hidden
+            _example_sum_task(g_hidden, g_b1, d_tanh),
             partial(np.matmul, hidden.transpose(0, 2, 1), logits, out=g_w2),
             _example_sum_task(logits, g_b2),
             partial(np.add.reduce, log_lik.reshape(t, -1), axis=1, out=self._loss_sums),
