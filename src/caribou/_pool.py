@@ -1,19 +1,12 @@
 """Tasks on a thread pool whose last worker is the calling thread.
 
-``pipeline.run_pipeline`` and a lone head in ``model`` split large
-matrices into row blocks and run one task per block.  Both take the pool
-from ``thread_pool`` and run each batch of tasks with ``run_all``, so the
-CPU count, the size from which a pool runs and the block size are stated
-here once.  A pool has one thread fewer than the CPUs the process may use:
-the calling thread submits each task as it is produced, and once the last
-is submitted it runs, last first, every task that no worker has started.
-
-A batch of small jobs, such as the heads that ``model`` trains in one
-pass, is split by ``run_groups`` into one contiguous group per usable CPU
-(fewer when there are fewer jobs).  Each group is one task that runs to
-its end, with no barrier between the groups; the pool has one thread
-fewer than there are groups, and the calling thread takes the last.
-
+``pipeline.run_pipeline`` and the head in ``model`` split large matrices
+into row blocks and run one task per block.  Both take the pool from
+``thread_pool`` and run each batch of tasks with ``run_all``, so the CPU
+count, the size from which a pool runs and the block size are stated here
+once.  A pool has one thread fewer than the CPUs the process may use: the
+calling thread submits each task as it is produced, and once the last is
+submitted it runs, last first, every task that no worker has started.
 Workers run only private helpers and numpy/scipy calls that release the
 GIL; every public function is called on the calling thread, so wrappers a
 tracer installs around public functions never run on a worker.
@@ -51,7 +44,7 @@ import os
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from contextlib import contextmanager
-from functools import cache, partial
+from functools import cache
 from typing import Callable, Iterable, Iterator
 
 #: Matrix entries (2**19 float64 fill 4 MiB) from which the tasks run on a
@@ -154,23 +147,6 @@ def thread_pool(cells: int) -> Iterator[ThreadPoolExecutor | None]:
         return
     with _one_blas_thread(), ThreadPoolExecutor(workers) as pool:
         yield pool
-
-
-def run_groups(count: int, task: Callable[[int, int], object]) -> None:
-    """Run ``task(a, b)`` for each of min(``count``, ``usable_cpus()``)
-    contiguous groups [a, b) that split range(``count``) evenly, in order;
-    return when all have ended, then raise the first failure in group order.
-    The groups run on a pool of one thread fewer than there are groups, and
-    the calling thread takes the last; one group runs on the calling thread
-    alone.  While the pool is open numpy's bundled OpenBLAS runs on one
-    thread."""
-    parts = min(count, usable_cpus())
-    tasks = [partial(task, count * i // parts, count * (i + 1) // parts) for i in range(parts)]
-    if parts < 2:
-        run_all(None, tasks)
-        return
-    with _one_blas_thread(), ThreadPoolExecutor(parts - 1) as pool:
-        run_all(pool, tasks)
 
 
 def _run_here(task: Callable[[], object]) -> Future:

@@ -56,16 +56,9 @@ The blocks depend only on the input's shape.  A lone head with at least
 ``_pool.MIN_CELLS`` input entries makes ``rows // BLOCK_ROWS`` blocks of
 even height.  When the process may use two or more CPUs they run on
 ``_pool``'s workers and the calling thread, which takes the tasks no
-worker has started; otherwise they run one after another.  A lone head
-with fewer entries is one block on the calling thread, with no thread
-started.
-
-A batch of T >= 2 heads is split instead (``_pool.run_groups``): into
-min(T, usable CPUs) contiguous groups of heads, each trained, every epoch,
-by its own pass of one block as one task, so the groups meet no barrier
-until the last ends.  The calling thread takes the last group.  Each head
-keeps its bits in any group, so neither the CPU count nor the grouping
-changes them.
+worker has started; otherwise they run one after another.  So the CPU
+count never changes the bits.  Fewer entries, and every pass of two or
+more heads, make one block on the calling thread, with no thread started.
 """
 
 from __future__ import annotations
@@ -272,16 +265,13 @@ def _sum_examples(rows: Array, out: Array, major: Array, sums: Array) -> None:
     out[:, 0] = sums.reshape(len(out), -1)
 
 
-def _example_sum_task(rows: Array, out: Array, scratch: Array | None = None):
+def _example_sum_task(rows: Array, out: Array):
     """The task that sums the (T, m, w) ``rows`` over examples into ``out``
-    (T, 1, w), by ``_sum_examples`` where it may.  ``scratch``, a
-    contiguous buffer of ``rows``' size that nothing reads while the task
-    runs, holds the example-major copy; without it one is allocated."""
+    (T, 1, w), by ``_sum_examples``, with buffers of its own, where it may."""
     t, m, w = rows.shape
     if t == 1 or w == 1:
         return partial(np.add.reduce, rows, axis=1, keepdims=True, out=out)
-    major = np.empty((m, t, w)) if scratch is None else scratch.reshape(m, t, w)
-    return partial(_sum_examples, rows, out, major, np.empty(t * w))
+    return partial(_sum_examples, rows, out, np.empty((m, t, w)), np.empty(t * w))
 
 
 def _hidden_rows(inputs: Array, w1: Array, b1: Array, out: Array) -> None:
@@ -380,6 +370,13 @@ def _param_views(flat: Array, d_in: int, hidden: int, classes: int) -> list[Arra
     return views
 
 
+def _pass_cells(inputs: Array) -> int:
+    """The entries that set a pass's row blocks and pool: those of a lone
+    head's inputs.  A batch of heads always runs as one block on the
+    calling thread."""
+    return inputs.size if len(inputs) == 1 else 0
+
+
 class _HeadPass:
     """Full-batch passes of T heads of one shape over fixed inputs.
 
@@ -409,8 +406,7 @@ class _HeadPass:
         x_sq = _sq_rows(inputs) + 1.0 if dp is not None else None
         clip = dp.clip_norm if dp is not None else None
         w2_t = w2.transpose(0, 2, 1)
-        # a pass of two or more heads is one block
-        blocks = _row_blocks(m, inputs.size if t == 1 else 0)
+        blocks = _row_blocks(m, _pass_cells(inputs))
         self._forward_tasks = [
             partial(_hidden_rows, inputs[:, a:b], w1, b1, hidden[:, a:b]) for a, b in blocks
         ]
@@ -425,8 +421,7 @@ class _HeadPass:
             partial(np.matmul, inputs_t[:, lo:hi], g_hidden, out=g_w1[:, lo:hi])
             for lo, hi in _w1_chunks(d_in, len(blocks))
         ] + [
-            # 1 - hidden^2 is spent once the row tasks have formed g_hidden
-            _example_sum_task(g_hidden, g_b1, d_tanh),
+            _example_sum_task(g_hidden, g_b1),
             partial(np.matmul, hidden.transpose(0, 2, 1), logits, out=g_w2),
             _example_sum_task(logits, g_b2),
             partial(np.add.reduce, log_lik.reshape(t, -1), axis=1, out=self._loss_sums),
@@ -458,32 +453,35 @@ def _rdp_coeff(cfg: TrainConfig) -> float:
     return cfg.epochs / (2.0 * cfg.dp.noise_mult**2)
 
 
-def _mask_labels(labels: Array, mask: Array, name: str) -> tuple[Array, Array]:
-    """The node ids of ``mask`` and their labels.  A mask that does not
-    hold integers, an id outside [0, n), for the n entries of ``labels``,
-    or an unlabeled (negative) node raises one ValueError, which names the
-    first bad id in mask order; ``name`` names the mask."""
+def _mask_labels(labels: Array, mask: Array, name: str, nodes: int) -> tuple[Array, Array]:
+    """The node ids of ``mask`` and their labels, for ``nodes`` feature
+    rows with one entry of ``labels`` each.  Labels of another length
+    raise a ValueError.  So do a mask that does not hold integers, an id
+    outside [0, nodes) and an unlabeled (negative) node, in one ValueError
+    that names the first bad id in mask order; ``name`` names the mask."""
     ids, labels = np.asarray(mask), np.asarray(labels)
+    if len(labels) != nodes:
+        raise ValueError(f"labels hold {len(labels)} entries for {nodes} feature rows")
     # a boolean mask would be read as ids 0 and 1, a fraction truncated
     if ids.dtype.kind not in "iu":
         raise ValueError(f"{name} must hold integer node ids, got dtype {ids.dtype}")
     ids = ids.astype(np.int64, copy=False)
     # numpy would read a negative id from the end
-    bad = (ids < 0) | (ids >= len(labels))
+    bad = (ids < 0) | (ids >= nodes)
     bad[~bad] = labels[ids[~bad]] < 0
     if bad.any():
         raise ValueError(f"{name} contains unlabeled nodes or ids outside "
-                         f"[0, {len(labels)}); the first is {ids[bad.argmax()]}")
+                         f"[0, {nodes}); the first is {ids[bad.argmax()]}")
     return ids, labels[ids]
 
 
-def _training_labels(labels: Array, train_mask: Array) -> tuple[Array, Array]:
+def _training_labels(labels: Array, train_mask: Array, nodes: int) -> tuple[Array, Array]:
     """The training nodes' indices and one-hot labels (m, C), with C one
     more than the largest label in ``labels``; ``_mask_labels`` checks the
-    mask."""
+    mask against ``nodes`` feature rows."""
     if np.size(train_mask) == 0:
         raise ValueError("no training nodes")
-    train_mask, y = _mask_labels(labels, train_mask, "training mask")
+    train_mask, y = _mask_labels(labels, train_mask, "training mask", nodes)
     labels = np.asarray(labels)
     return train_mask, np.eye(int(labels[labels >= 0].max()) + 1)[y]
 
@@ -491,9 +489,10 @@ def _training_labels(labels: Array, train_mask: Array) -> tuple[Array, Array]:
 def _head_data(x0: Array, xk: Array, labels: Array, train_mask: Array) -> tuple[Array, Array]:
     """A head's training inputs (m, d_in) and ``_training_labels``' one-hot
     labels (m, C)."""
-    train_mask, onehot = _training_labels(labels, train_mask)
+    x0, xk = _row_pair(x0, xk)
+    train_mask, onehot = _training_labels(labels, train_mask, len(x0))
     # rows are normalized one by one, so only the training rows are formed
-    return _input_rows(*_row_pair(x0, xk), train_mask), onehot
+    return _input_rows(x0, xk, train_mask), onehot
 
 
 def _joins_batch(first: tuple[Array, Array], size: int, problem: tuple[Array, Array],
@@ -511,9 +510,7 @@ def _joins_batch(first: tuple[Array, Array], size: int, problem: tuple[Array, Ar
 def _fit_heads(problems: list[tuple[Array, Array]], cfg: TrainConfig, seeds) -> list[MlpHead]:
     """Train one head per ``_head_data`` problem (inputs, onehot) and seed,
     all in one pass; the problems share their shapes.  Head t is the head
-    ``train_head`` fits on problem t with ``seeds[t]``.  Every ``stream``
-    call is made here, on the calling thread; a batch's groups (see the
-    module docstring) only draw from the generators made here."""
+    ``train_head`` fits on problem t with ``seeds[t]``."""
     if len(problems) == 1:
         inputs, onehot = (a[None] for a in problems[0])
     else:
@@ -527,20 +524,11 @@ def _fit_heads(problems: list[tuple[Array, Array]], cfg: TrainConfig, seeds) -> 
                                                      size=(d_in, hidden))
     noise_rngs = [stream(seed, _DP_STREAM) for seed in seeds] if cfg.dp is not None else None
     losses = np.empty((cfg.epochs, t))
-
-    def train(a: int, b: int, pool=None) -> None:
-        # heads a to b - 1, every epoch: their own pass, parameters and losses
-        group, rngs = params[a:b], noise_rngs and noise_rngs[a:b]
-        step = _HeadPass(group, hidden, inputs[a:b], onehot[a:b], cfg.dp, pool)
+    with _pool.thread_pool(_pass_cells(inputs)) as pool:
+        step = _HeadPass(params, hidden, inputs, onehot, cfg.dp, pool)
         for epoch in range(cfg.epochs):
-            losses[epoch, a:b], grads = step.loss_and_grads(rngs)
-            group -= cfg.learning_rate * grads
-
-    if t == 1:
-        with _pool.thread_pool(inputs.size) as pool:
-            train(0, 1, pool)
-    else:
-        _pool.run_groups(t, train)
+            losses[epoch], grads = step.loss_and_grads(noise_rngs)
+            params -= cfg.learning_rate * grads
 
     w1, b1, w2, b2 = _param_views(params, d_in, hidden, classes)
     return [
@@ -605,8 +593,9 @@ def evaluate(head: MlpHead, x0: Array, xk: Array, labels: Array, mask: Array) ->
     ``_mask_labels`` checks the mask."""
     if np.size(mask) == 0:
         raise ValueError("empty evaluation mask")
-    mask, y = _mask_labels(labels, mask, "evaluation mask")
-    probs = _predict_rows(head, *_row_pair(x0, xk), mask)
+    x0, xk = _row_pair(x0, xk)
+    mask, y = _mask_labels(labels, mask, "evaluation mask", len(x0))
+    probs = _predict_rows(head, x0, xk, mask)
     return float(np.mean(probs.argmax(axis=1) == y))
 
 
@@ -640,8 +629,9 @@ def train_linear_encoder(
     Plain multinomial regression; with ``cfg.dp`` set, every epoch takes
     the same private step as ``train_head``, drawing noise for W, then b.
     """
-    train_mask, onehot = _training_labels(labels, train_mask)
-    x = np.asarray(features, dtype=float)[train_mask]
+    x = np.asarray(features, dtype=float)
+    train_mask, onehot = _training_labels(labels, train_mask, len(x))
+    x = x[train_mask]
     (m, d), num_classes = x.shape, onehot.shape[1]
 
     w = np.zeros((d, num_classes))

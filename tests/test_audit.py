@@ -1,4 +1,5 @@
 import collections
+import contextlib
 import importlib
 import itertools
 import math
@@ -14,7 +15,6 @@ from scipy.stats import rankdata
 
 import caribou._pool
 import caribou.audit
-import caribou.model
 from caribou.accountant import PrivacySpec
 from caribou.audit import (
     _TRIAL_STREAM,
@@ -438,15 +438,28 @@ class TestTracedFunctionsRunOnTheCallingThread:
     @pytest.mark.parametrize("train_cfg", [FAST_TRAIN, DP_TRAIN], ids=["plain", "dp"])
     @pytest.mark.parametrize("game", sorted(GAMES))
     def test_every_bench_target_runs_on_the_calling_thread(self, game, train_cfg, monkeypatch):
+        # 2 CPUs, and pools from one cell on with blocks of 4 rows, so the
+        # releases and every head, each trained alone, lend tasks to a worker
         monkeypatch.setattr(caribou._pool, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(caribou._pool, "MIN_CELLS", 1)
+        monkeypatch.setattr(caribou._pool, "BLOCK_ROWS", 4)
+        pools = []
+        thread_pool = caribou._pool.thread_pool
+
+        @contextlib.contextmanager
+        def recorded_pool(cells):
+            with thread_pool(cells) as pool:
+                pools.append(pool is not None)
+                yield pool
+
+        monkeypatch.setattr(caribou._pool, "thread_pool", recorded_pool)
         calls = []
         lock = threading.Lock()
 
         def wrap(name, fn):
             def wrapper(*args, **kwargs):
                 with lock:
-                    calls.append((name, threading.current_thread() is threading.main_thread(),
-                                  threading.active_count()))
+                    calls.append((name, threading.current_thread() is threading.main_thread()))
                 return fn(*args, **kwargs)
             return wrapper
 
@@ -462,23 +475,16 @@ class TestTracedFunctionsRunOnTheCallingThread:
                 for attr, value in list(vars(module).items()):
                     if id(value) in wrappers:
                         monkeypatch.setattr(module, attr, wrappers[id(value)])
-        monkeypatch.setattr(caribou.model, "_HeadPass",
-                            wrap("_HeadPass", caribou.model._HeadPass))
         attack, level = GAMES[game]
-        before = threading.active_count()
         report = caribou.audit.run_mia_game(
             dense_block_dataset(seed=5), make_pipeline_cfg(level=level, k=2), train_cfg,
             AuditConfig(attack=attack, trials=10, seed=3),
         )
         assert len(report.scores) + report.discarded_trials == 10
-        passes = [alive for name, _, alive in calls if name == "_HeadPass"]
-        # one batch of ten heads in two groups: each pass ran while the
-        # group pool's one worker was alive
-        assert passes == [before + 1] * 2
         assert {"audit.run_mia_game", "pipeline.run_pipeline", "prng.stream",
-                "model.predict_proba"} <= {name for name, _, _ in calls}
-        # of the calls recorded, only a group's private pass ran elsewhere
-        assert {name for name, on_main, _ in calls if not on_main} <= {"_HeadPass"}
+                "model.predict_proba"} <= {name for name, _ in calls}
+        assert pools and all(pools)
+        assert [name for name, on_main in calls if not on_main] == []
 
 
 class TestGameEqualsSequentialReference:

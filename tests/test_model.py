@@ -39,6 +39,12 @@ def toy_head(epochs=200, lr=1.0, dp=None, seed=0):
     return train_head(TOY_X0, TOY_XK, TOY_Y, TOY_MASK, cfg, seed=seed)
 
 
+FITS = [
+    lambda x, *args: train_linear_encoder(x, *args),
+    lambda x, *args: train_head(x, x, *args),
+]
+
+
 class TestTrainHead:
     def test_separable_toy_reaches_full_accuracy(self):
         head = toy_head()
@@ -91,16 +97,22 @@ class TestTrainHead:
 
     @pytest.mark.parametrize("mask, first", [([-1, -2, 3], -1), ([3, 20, 4], 20)],
                              ids=["negative", "past-the-end"])
-    @pytest.mark.parametrize("fit", [
-        lambda x, *args: train_linear_encoder(x, *args),
-        lambda x, *args: train_head(x, x, *args),
-    ], ids=["encoder", "head"])
+    @pytest.mark.parametrize("fit", FITS, ids=["encoder", "head"])
     def test_mask_id_outside_the_nodes_rejected(self, fit, mask, first):
         # numpy would train a negative id on a node counted from the end
         x, _, labels = head_case((20, 3))
         cfg = TrainConfig(epochs=2, learning_rate=0.5, hidden_units=4)
         with pytest.raises(ValueError, match=rf"outside \[0, 20\); the first is {first}$"):
             fit(x, labels, np.array(mask), cfg, 0)
+
+    @pytest.mark.parametrize("fit", FITS, ids=["encoder", "head"])
+    def test_labels_of_another_length_rejected(self, fit):
+        # with more labels than rows, id 5 would pass a check against the
+        # labels and fail on the features
+        x, _, labels = head_case((4, 3))
+        cfg = TrainConfig(epochs=2, learning_rate=0.5, hidden_units=4)
+        with pytest.raises(ValueError, match=r"^labels hold 6 entries for 4 feature rows$"):
+            fit(x, np.append(labels, [0, 1]), np.array([0, 5]), cfg, 0)
 
     def test_row_count_mismatch_rejected(self):
         cfg = TrainConfig(epochs=1, learning_rate=0.1)
@@ -405,63 +417,6 @@ class TestBatchedHeads:
         assert not model_module._joins_batch(first, 1, second)
 
 
-class TestHeadGroups:
-    """A batch of heads trains in one group per usable CPU, each group's
-    whole training one task, and keeps every head's bits."""
-
-    @pytest.mark.parametrize("dp", [None, DP], ids=["plain", "dp"])
-    @pytest.mark.parametrize("hidden", [1, 2, 4, 16])
-    @pytest.mark.parametrize("count", [1, 2, 7])
-    @pytest.mark.parametrize("cpus", [1, 2, 3])
-    def test_groups_equal_separate_calls(self, cpus, count, hidden, dp, monkeypatch):
-        cfg = TrainConfig(epochs=12, learning_rate=0.5, hidden_units=hidden, dp=dp)
-        cases = batch_case(count, seed=1)
-        seeds = [5 + 2 * t for t in range(count)]
-        singles = [train_head(*case, cfg, seed=seed) for case, seed in zip(cases, seeds)]
-        monkeypatch.setattr(caribou._pool, "usable_cpus", lambda: cpus)
-        before = threading.active_count()
-        passes = count_calls(monkeypatch, "_HeadPass")
-        heads = model_module._fit_heads(
-            [model_module._head_data(*case) for case in cases], cfg, seeds)
-        assert threading.active_count() == before
-        groups = min(count, cpus)
-        assert len(passes) == groups
-        # the pool has one thread fewer than there are groups
-        assert all(alive <= before + groups - 1 for _, alive in passes)
-        for head, single in zip(heads, singles, strict=True):
-            assert head.loss_history == single.loss_history
-            for a, b in zip(head.weights + head.biases, single.weights + single.biases):
-                assert np.array_equal(a, b)
-
-    @pytest.mark.parametrize("failing", ["worker", "caller"])
-    def test_failing_group_reaches_caller_after_the_others_end(self, failing, monkeypatch):
-        # 5 heads on 2 CPUs: a worker trains heads 0-1, the caller heads 2-4
-        monkeypatch.setattr(caribou._pool, "usable_cpus", lambda: 2)
-        cfg = TrainConfig(epochs=6, learning_rate=0.5, hidden_units=4, dp=DP)
-        cases = batch_case(5)
-        problems = [model_module._head_data(*case) for case in cases]
-        fail_heads = 2 if failing == "worker" else 3
-        original = model_module._hidden_rows
-        epochs = {2: 0, 3: 0}
-        lock = threading.Lock()
-
-        def hidden_rows(inputs, *args):
-            with lock:
-                epochs[len(inputs)] += 1
-                number = epochs[len(inputs)]
-            if len(inputs) == fail_heads and number == 3:
-                raise ArithmeticError(f"group of {fail_heads} failed")
-            return original(inputs, *args)
-
-        monkeypatch.setattr(model_module, "_hidden_rows", hidden_rows)
-        before = threading.active_count()
-        with pytest.raises(ArithmeticError, match=f"group of {fail_heads} failed"):
-            model_module._fit_heads(problems, cfg, list(range(5)))
-        # the other group ran all its epochs before the failure was raised
-        assert epochs == {fail_heads: 3, 5 - fail_heads: cfg.epochs}
-        assert threading.active_count() == before
-
-
 SUM_TERMS = st.floats(-1e6, 1e6, allow_subnormal=False)
 
 
@@ -588,6 +543,12 @@ class TestEvaluate:
         head = toy_head(epochs=1)
         with pytest.raises(ValueError, match=rf"^evaluation mask .* the first is {first}$"):
             evaluate(head, TOY_X0, TOY_XK, labels, np.array(mask))
+
+    def test_labels_of_another_length_rejected(self):
+        head = toy_head(epochs=1)
+        labels = np.array([0, 0, 1, 1, 0, 1])
+        with pytest.raises(ValueError, match=r"^labels hold 6 entries for 4 feature rows$"):
+            evaluate(head, TOY_X0, TOY_XK, labels, np.array([5]))
 
     @pytest.mark.parametrize("mask", [[True, False, True, True], [0.0, 2.5]],
                              ids=["boolean", "float"])
