@@ -39,12 +39,6 @@ def toy_head(epochs=200, lr=1.0, dp=None, seed=0):
     return train_head(TOY_X0, TOY_XK, TOY_Y, TOY_MASK, cfg, seed=seed)
 
 
-FITS = [
-    lambda x, *args: train_linear_encoder(x, *args),
-    lambda x, *args: train_head(x, x, *args),
-]
-
-
 class TestTrainHead:
     def test_separable_toy_reaches_full_accuracy(self):
         head = toy_head()
@@ -95,24 +89,22 @@ class TestTrainHead:
         for a, b in zip(head.weights + head.biases, rows.weights + rows.biases):
             assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("mask, first", [([-1, -2, 3], -1), ([3, 20, 4], 20)],
-                             ids=["negative", "past-the-end"])
-    @pytest.mark.parametrize("fit", FITS, ids=["encoder", "head"])
-    def test_mask_id_outside_the_nodes_rejected(self, fit, mask, first):
+    @pytest.mark.parametrize("extra_labels, mask, message", [
+        (0, [-1, -2, 3], r"outside \[0, 20\); the first is -1$"),
+        (0, [3, 20, 4], r"outside \[0, 20\); the first is 20$"),
+        # id 21 would pass a check against the labels, then fail on the rows
+        (2, [0, 21], r"^labels hold 22 entries for 20 feature rows$"),
+    ], ids=["negative", "past-the-end", "more-labels"])
+    @pytest.mark.parametrize("fit", [
+        lambda x, *args: train_linear_encoder(x, *args),
+        lambda x, *args: train_head(x, x, *args),
+    ], ids=["encoder", "head"])
+    def test_mask_id_outside_the_nodes_rejected(self, fit, extra_labels, mask, message):
         # numpy would train a negative id on a node counted from the end
         x, _, labels = head_case((20, 3))
         cfg = TrainConfig(epochs=2, learning_rate=0.5, hidden_units=4)
-        with pytest.raises(ValueError, match=rf"outside \[0, 20\); the first is {first}$"):
-            fit(x, labels, np.array(mask), cfg, 0)
-
-    @pytest.mark.parametrize("fit", FITS, ids=["encoder", "head"])
-    def test_labels_of_another_length_rejected(self, fit):
-        # with more labels than rows, id 5 would pass a check against the
-        # labels and fail on the features
-        x, _, labels = head_case((4, 3))
-        cfg = TrainConfig(epochs=2, learning_rate=0.5, hidden_units=4)
-        with pytest.raises(ValueError, match=r"^labels hold 6 entries for 4 feature rows$"):
-            fit(x, np.append(labels, [0, 1]), np.array([0, 5]), cfg, 0)
+        with pytest.raises(ValueError, match=message):
+            fit(x, np.append(labels, labels[:extra_labels]), np.array(mask), cfg, 0)
 
     def test_row_count_mismatch_rejected(self):
         cfg = TrainConfig(epochs=1, learning_rate=0.1)
@@ -515,6 +507,9 @@ class TestPredictProba:
         assert acc == evaluate(head, TOY_X0, TOY_XK, TOY_Y, TOY_MASK)
 
 
+BAD_EVAL_ID = "^evaluation mask .* the first is"
+
+
 class TestEvaluate:
     def test_all_correct(self):
         head = toy_head()
@@ -532,23 +527,20 @@ class TestEvaluate:
             evaluate(head, TOY_X0, TOY_XK, TOY_Y, np.array([], dtype=int))
 
     @pytest.mark.parametrize(
-        "labels, mask, first",
-        [(TOY_Y, [0, -1, 2], -1), (TOY_Y, [0, 4], 4), (np.array([0, -1, -1, 1]), [0, 2, 1], 2),
-         (np.full(4, -1), [0, 1, 2, 3, 1], 0)],
-        ids=["negative", "past-the-end", "unlabeled", "all-unlabeled"],
+        "labels, mask, message",
+        [(TOY_Y, [0, -1, 2], f"{BAD_EVAL_ID} -1$"), (TOY_Y, [0, 4], f"{BAD_EVAL_ID} 4$"),
+         (np.array([0, -1, -1, 1]), [0, 2, 1], f"{BAD_EVAL_ID} 2$"),
+         (np.full(4, -1), [0, 1, 2, 3, 1], f"{BAD_EVAL_ID} 0$"),
+         # id 5 would pass a check against the labels, then fail on the rows
+         (np.array([0, 0, 1, 1, 0, 1]), [5], "^labels hold 6 entries for 4 feature rows$")],
+        ids=["negative", "past-the-end", "unlabeled", "all-unlabeled", "more-labels"],
     )
-    def test_bad_mask_id_rejected(self, labels, mask, first):
+    def test_bad_mask_id_rejected(self, labels, mask, message):
         # an unlabeled node would score as a miss, and a negative id would
         # score a node counted from the end
         head = toy_head(epochs=1)
-        with pytest.raises(ValueError, match=rf"^evaluation mask .* the first is {first}$"):
+        with pytest.raises(ValueError, match=message):
             evaluate(head, TOY_X0, TOY_XK, labels, np.array(mask))
-
-    def test_labels_of_another_length_rejected(self):
-        head = toy_head(epochs=1)
-        labels = np.array([0, 0, 1, 1, 0, 1])
-        with pytest.raises(ValueError, match=r"^labels hold 6 entries for 4 feature rows$"):
-            evaluate(head, TOY_X0, TOY_XK, labels, np.array([5]))
 
     @pytest.mark.parametrize("mask", [[True, False, True, True], [0.0, 2.5]],
                              ids=["boolean", "float"])
