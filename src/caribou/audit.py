@@ -13,14 +13,14 @@ A game runs its trials in batches, each in three steps:
 1. for each trial, in order: sample the training graph or subgraph, draw
    the membership bit and the challenge, take the attacker's queries for
    it, run the training release, form the head's inputs and make the
-   release each query reads.  An edge trial serves on its own training
-   graph and makes its training release and its queries' releases in one
-   ``run_pipeline`` call.  The node trials serve on the shared graph, and
+   release each query reads, of which it keeps the two rows the answer
+   reads.  An edge trial serves on its own training graph and makes its
+   training release and its queries' releases in one ``run_pipeline`` call.  The node trials serve on the shared graph, and
    the query releases of a batch's node trials are one call once the
    batch is complete.  A trial for which no non-member exists has no
    challenge; it is discarded here, before any release;
 2. train the batch's heads in one pass (``model._fit_heads``);
-3. for each trial, in order: answer each query from its release with the
+3. for each trial, in order: answer each query from its rows with the
    trial's head, and score the challenge.
 
 Query i of a trial (counted from 1) reads a release on the graph the trial
@@ -28,22 +28,22 @@ serves on, with its nudge applied to the public features and seed
 ``stream_seed(query_seed, i)``: a private pipeline answers noisily.
 
 A trial joins the current batch while its head's input shape and class
-count match the batch's and the stacked inputs, plus what the batch holds
-until scoring, stay below ``_pool.MIN_CELLS`` (``model._joins_batch``):
-the queries' releases and the normalized adjacency of each edge trial's
-own training graph.  The node game's subgraphs can lack a class, which
-ends a batch.  Reports do not depend on the batches: each trial draws
-from its own stream, keyed by its index, for the sample, the bit and the
-challenge, and from seeds keyed by its index for the release, the head
-and the queries; a release made in a batch of seeds and features has the
-bits of the same release made alone, and so has a head trained in a
-batch; and the attacker scores the trials in order.
+count match the batch's and the stacked inputs stay below
+``_pool.MIN_CELLS`` (``model._joins_batch``); the node game's subgraphs
+can lack a class, which ends a batch.  Reports do not depend on the
+batches: each trial draws from its own stream, keyed by its index, for
+the sample, the bit and the challenge, and from seeds keyed by its index
+for the release, the head and the queries; a release made in a batch of
+seeds and features has the bits of the same release made alone, and so
+has a head trained in a batch; and the attacker scores the trials in
+order.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterator, Literal, NamedTuple
@@ -305,90 +305,96 @@ def _node_trial(
 
 
 class _Released(NamedTuple):
-    """A trial after step 1: its training release's head problem, the
-    pipeline config it ran with and what scoring it needs: the attacker's
-    queries and, in the same order, the releases they read (filled in when
-    the batch completes for a trial that serves on the shared dataset)."""
+    """A trial after step 1: its training release's seed, whether it serves
+    on the shared dataset, its challenge, bit and head problem, and its
+    queries as (node, nudge, release seed) with, in the same order, the
+    rows each answer reads (filled in when the batch completes if shared)."""
 
-    cfg: PipelineConfig
-    query_seed: int
-    serve_on: LabeledDataset
+    seed: int
+    shared: bool
     challenge: object
     bit: int
     problem: tuple[np.ndarray, np.ndarray]
     queries: list
-    releases: list
+    rows: list
 
 
-def _releases_of(dataset: LabeledDataset, cfg: PipelineConfig, seeds: list[int],
-                 features: list[np.ndarray]) -> np.ndarray:
-    """The releases of ``dataset`` with ``seeds[t]`` on ``features[t]``, in
-    one ``run_pipeline`` call; the features are stacked only when one of
-    them is not the dataset's own."""
-    shared = all(x0 is dataset.features for x0 in features)
-    return run_pipeline(dataset, cfg, seeds, None if shared else np.stack(features)).x_k_final
+def _release_rows(dataset: LabeledDataset, cfg: PipelineConfig, seeds: list[int],
+                  queries: list) -> tuple[np.ndarray, list]:
+    """``dataset``'s releases in one ``run_pipeline`` call: one on its own
+    features per seed in ``seeds``, then one per (node, nudge, seed) query
+    with its nudge applied (the features are stacked only when a query has
+    a nudge).  Returns the former and, per query, the copied (feature row,
+    release row) pair its answer reads."""
+    lead = len(seeds)
+    features = [dataset.features] * lead + [_nudged_features(dataset.features, nudge)
+                                            for _, nudge, _ in queries]
+    unnudged = all(nudge is None for _, nudge, _ in queries)
+    made = run_pipeline(dataset, cfg, [*seeds, *(seed for _, _, seed in queries)],
+                        None if unnudged else np.stack(features)).x_k_final
+    rows = [(x0[node].copy(), x_k[node].copy())
+            for (node, _, _), x0, x_k in zip(queries, features[lead:], made[lead:])]
+    return made[:lead], rows
+
+
+def _check_queries(queries: list, n: int) -> None:
+    """Raise ValueError unless each (node, nudge, seed) query's node and
+    nudge row are integers in [0, n) (no bool, no float, and no negative
+    id, which numpy reads from the end) and its nudge scale is finite."""
+    for node, nudge, _ in queries:
+        row, scale = (node, 0.0) if nudge is None else nudge
+        if not (all(isinstance(i, numbers.Integral) and not isinstance(i, bool) and 0 <= i < n
+                    for i in (node, row))
+                and isinstance(scale, numbers.Real) and math.isfinite(scale)):
+            raise ValueError(f"query node {node!r} or nudge {nudge!r} is outside [0, {n}), "
+                             "not an integer id or has a non-finite scale")
+
+
+def _release_trial(dataset, pipeline_cfg, audit_cfg, sample, attacker: Attacker,
+                   trial: int) -> _Released | None:
+    """Step 1 of the module docstring for trial ``trial``, with ``sample``
+    drawing the training set, bit and challenge; None for a trial without
+    a challenge.  Its training graph is not held past the call."""
+    rng = stream(audit_cfg.seed, _TRIAL_STREAM, trial)
+    train_set, serve_on, picked = sample(dataset, pipeline_cfg, audit_cfg, rng)
+    if picked is None:
+        return None
+    query_seed = stream_seed(audit_cfg.seed, 2 * trial + 1)
+    queries = [(node, nudge, stream_seed(query_seed, i))
+               for i, (node, nudge) in enumerate(attacker.queries(picked[0]), 1)]
+    _check_queries(queries, len(serve_on.features))
+    seed = stream_seed(audit_cfg.seed, 2 * trial)
+    shared = serve_on is not train_set
+    (training,), rows = _release_rows(train_set, replace(pipeline_cfg, seed=seed), [seed],
+                                      [] if shared else queries)
+    problem = _head_data(train_set.features, training, train_set.labels, train_set.train_mask)
+    return _Released(seed, shared, *picked, problem, queries, rows)
 
 
 def _released_batches(dataset, pipeline_cfg, audit_cfg, sample,
                       attacker: Attacker) -> Iterator[list[_Released]]:
-    """Step 1 of the module docstring for each trial in order, with
-    ``sample`` drawing the training set, bit and challenge.  The trials
-    come in batches whose heads train in one pass; the next batch is
-    released only once the caller asks for it, so at most one batch of
-    training sets is held."""
+    """``_release_trial`` for each trial in order.  The trials come in
+    batches whose heads train in one pass; the next batch is released only
+    once the caller asks for it."""
 
     def complete(batch):
-        # the releases of the trials that serve on the shared dataset
-        wanted = [(r, i, nudge) for r in batch if r.serve_on is dataset
-                  for i, (_, nudge) in enumerate(r.queries, 1)]
+        # the rows of the trials that serve on the shared dataset
+        wanted = [(r, query) for r in batch if r.shared for query in r.queries]
         if wanted:
-            made = _releases_of(dataset, pipeline_cfg,
-                                [stream_seed(r.query_seed, i) for r, i, _ in wanted],
-                                [_nudged_features(dataset.features, nudge)
-                                 for _, _, nudge in wanted])
-            for (r, _, _), release in zip(wanted, made):
-                r.releases.append(release)
+            _, rows = _release_rows(dataset, pipeline_cfg, [], [query for _, query in wanted])
+            for (r, _), pair in zip(wanted, rows):
+                r.rows.append(pair)
         return batch
 
     batch: list[_Released] = []
-    held_cells = 0
     for trial in range(audit_cfg.trials):
-        rng = stream(audit_cfg.seed, _TRIAL_STREAM, trial)
-        train_set, serve_on, picked = sample(dataset, pipeline_cfg, audit_cfg, rng)
-        if picked is None:
+        released = _release_trial(dataset, pipeline_cfg, audit_cfg, sample, attacker, trial)
+        if released is None:
             continue
-        queries, n = list(attacker.queries(picked[0])), len(serve_on.features)
-        for node, nudge in queries:
-            # numpy would read a negative id from the end
-            if not 0 <= node < n or nudge is not None and not 0 <= nudge[0] < n:
-                raise ValueError(f"query node {node!r} or nudge {nudge!r} is outside [0, {n})")
-        cfg = replace(pipeline_cfg, seed=stream_seed(audit_cfg.seed, 2 * trial))
-        query_seed = stream_seed(audit_cfg.seed, 2 * trial + 1)
-        own = serve_on is train_set
-        # a trial that serves on its own training graph makes its queries'
-        # releases with its training release
-        ahead = queries if own else []
-        made = _releases_of(
-            train_set, cfg,
-            [cfg.seed] + [stream_seed(query_seed, i) for i in range(1, len(ahead) + 1)],
-            [train_set.features] + [_nudged_features(serve_on.features, nudge)
-                                    for _, nudge in ahead],
-        )
-        problem = _head_data(train_set.features, made[0], train_set.labels,
-                             train_set.train_mask)
-        # copied, so that the training release is not held with them
-        releases = [release.copy() for release in made[1:]]
-        # a trial that serves on its own training graph also holds that
-        # graph's cached normalized adjacency: n diagonal entries and two
-        # per edge
-        held = serve_on.graph
-        cells = (len(queries) * serve_on.features.size
-                 + (held.num_nodes + 2 * held.num_edges if own else 0))
-        if batch and not _joins_batch(batch[0].problem, len(batch), problem, held_cells + cells):
+        if batch and not _joins_batch(batch[0].problem, len(batch), released.problem):
             yield complete(batch)
-            batch, held_cells = [], 0
-        batch.append(_Released(cfg, query_seed, serve_on, *picked, problem, queries, releases))
-        held_cells += cells
+            batch = []
+        batch.append(released)
     if batch:
         yield complete(batch)
 
@@ -423,13 +429,9 @@ def run_mia_game(
     bits: list[int] = []
     scored = 0
     for batch in _released_batches(dataset, pipeline_cfg, audit_cfg, sample, attacker):
-        heads = _fit_heads([r.problem for r in batch], train_cfg, [r.cfg.seed for r in batch])
+        heads = _fit_heads([r.problem for r in batch], train_cfg, [r.seed for r in batch])
         for released, head in zip(batch, heads):
-            answers = [
-                predict_proba(head, _nudged_features(released.serve_on.features, nudge)[node],
-                              x_k[node])
-                for (node, nudge), x_k in zip(released.queries, released.releases)
-            ]
+            answers = [predict_proba(head, *pair) for pair in released.rows]
             score = float(attacker.score(released.challenge, answers))
             scored += 1
             if math.isfinite(score):

@@ -336,7 +336,6 @@ def run_pipeline(dataset: LabeledDataset, cfg: PipelineConfig, seeds=None,
 def save_artifacts(artifacts: RunArtifacts, embedding_path, plan_path) -> None:
     """Persist the embedding as CSV and the noise plan as a JSON sidecar."""
     write_float_csv(embedding_path, artifacts.x_k_final)
-    sidecar = dict(artifacts.plan.to_dict(), per_hop_noise_std=artifacts.per_hop_noise_std)
     with Path(plan_path).open("w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
+        json.dump(artifacts.plan.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")

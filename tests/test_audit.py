@@ -1,10 +1,12 @@
 import collections
 import contextlib
+import gc
 import importlib
 import itertools
 import math
 import sys
 import threading
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -404,6 +406,24 @@ class TestRunMiaGame:
         # every declared query is checked before the first trial's release
         assert releases == []
 
+    @pytest.mark.parametrize(
+        "node, nudge",
+        [(1.0, None), (True, None), (0, (1.0, 1.0)), (0, (1, math.nan)), (0, (1, math.inf))],
+        ids=["float-node", "bool-node", "float-nudge-row", "nan-scale", "infinite-scale"],
+    )
+    def test_malformed_query_rejected(self, node, nudge, monkeypatch):
+        # each got past a range check alone: a float id fails in numpy's
+        # indexing, True reads row 1 as a (1, d) block, a NaN scale fails in
+        # the release and an infinite one warns in the projection first
+        ds = dense_block_dataset(seed=5)
+        cfg = make_pipeline_cfg(level="none", k=1)
+        audit_cfg = AuditConfig(attack="node_confidence", trials=10, seed=2)
+        attacker = Attacker(lambda c: [(0, None), (node, nudge)], lambda c, answers: 1.0)
+        releases = count_releases(monkeypatch)
+        with pytest.raises(ValueError, match="not an integer id or has a non-finite scale"):
+            run_mia_game(ds, cfg, FAST_TRAIN, audit_cfg, attacker)
+        assert releases == []
+
     @pytest.mark.parametrize("scale", [math.nan, math.inf, 0.0, -1e-3])
     def test_bad_perturb_scale_rejected(self, scale):
         with pytest.raises(ValueError, match="perturb_scale"):
@@ -512,15 +532,13 @@ class TestGameEqualsSequentialReference:
 
     @pytest.mark.parametrize(
         "min_cells, sizes",
-        # each edge trial holds its head's 20 x 4 inputs, the 210
-        # normalized adjacency entries of its training graph (20 nodes, 95
-        # of 136 edges) and the 20 x 2 release of the stateful attacker's
-        # one query, 330 cells: two fit below 700 cells, three do not, and
-        # one alone reaches 50 cells and trains alone.  Below 1000 cells
-        # the inputs of all ten trials (800 cells) fit, so only the held
-        # adjacency and releases split.
-        [(700, [2] * 5), (50, [1] * 10), (1000, [3, 3, 3, 1])],
-        ids=["batches-of-two", "each-alone", "adjacency-splits"],
+        # only the stacked inputs count, 20 x 4 = 80 cells an edge trial:
+        # two fit below 170 cells (160), three do not (240), and one alone
+        # reaches 50 cells and trains alone.  Below 1000 cells all ten fit
+        # (800): a training graph's normalized adjacency and the rows a
+        # trial holds for its answers do not count.
+        [(170, [2] * 5), (50, [1] * 10), (1000, [10])],
+        ids=["batches-of-two", "each-alone", "adjacency-ignored"],
     )
     def test_report_equals_reference_when_split(self, min_cells, sizes, monkeypatch):
         monkeypatch.setattr(caribou._pool, "MIN_CELLS", min_cells)
@@ -534,12 +552,12 @@ class TestGameEqualsSequentialReference:
             assert report == expected
             assert [shape[0] for shape in batches] == sizes
 
-    @pytest.mark.parametrize("min_cells, sizes", [(961, [10]), (960, [9, 1])],
+    @pytest.mark.parametrize("min_cells, sizes", [(561, [10]), (560, [9, 1])],
                              ids=["all-fit", "one-over"])
     def test_node_game_counts_held_releases(self, min_cells, sizes, monkeypatch):
-        # node trials serve on the shared graph, so only their heads' 14 x 4
-        # inputs and their first queries' 20 x 2 releases count, 96 cells a
-        # trial: all ten fit below 961 cells
+        # held releases do not count: a node trial holds only its head's
+        # 14 x 4 inputs, 56 cells, and the rows its one answer reads, so
+        # all ten fit below 561 cells and nine below 560
         monkeypatch.setattr(caribou._pool, "MIN_CELLS", min_cells)
         ds = dense_block_dataset(seed=5)
         cfg = make_pipeline_cfg(level="node", k=2)
@@ -549,14 +567,13 @@ class TestGameEqualsSequentialReference:
         assert run_mia_game(ds, cfg, FAST_TRAIN, audit_cfg) == expected
         assert batches == [(size, 14, 4, 2) for size in sizes]
 
-    @pytest.mark.parametrize("min_cells, sizes", [(3701, [10]), (3700, [9, 1])],
+    @pytest.mark.parametrize("min_cells, sizes", [(801, [10]), (800, [9, 1])],
                              ids=["all-fit", "one-over"])
     def test_edge_game_counts_held_releases(self, min_cells, sizes, monkeypatch):
-        # an edge trial of the built-in attacker holds its head's 20 x 4
-        # inputs, the 210 normalized adjacency entries of its training
-        # graph and the 20 x 2 releases of its first and its nudged query,
-        # 370 cells a trial: all ten fit below 3701 cells.  Without the
-        # nudged release, 330 cells a trial, all ten would fit below 3700.
+        # neither held releases nor training graphs count: an edge trial of
+        # the built-in attacker holds its head's 20 x 4 inputs, 80 cells,
+        # and the rows of its first and its nudged answer, but not its
+        # training graph, so all ten fit below 801 cells and nine below 800
         monkeypatch.setattr(caribou._pool, "MIN_CELLS", min_cells)
         ds = dense_block_dataset(seed=5)
         cfg = make_pipeline_cfg(level="edge", k=2)
@@ -584,6 +601,47 @@ class TestGameEqualsSequentialReference:
             assert [(shape[0], shape[3]) for shape in batches] == [
                 (1, 2), (7, 3), (1, 2), (2, 3), (1, 2)
             ]
+
+
+class TestTrialsHoldOnlyTheirRows:
+    """Between its release and its scoring a trial holds, for each query,
+    the feature row and the release row its answer reads, and no graph."""
+
+    @pytest.mark.parametrize("game", sorted(GAMES))
+    def test_no_trial_holds_its_training_graph(self, game, monkeypatch):
+        # below 170 cells, batches of two edge trials (20 x 4 inputs) or of
+        # three node trials (14 x 4), so batches are yielded inside the loop
+        monkeypatch.setattr(caribou._pool, "MIN_CELLS", 170)
+        graphs = []
+        for name in ("_sample_edge_subset", "_induced_subgraph"):
+            def recording(*args, _original=getattr(caribou.audit, name), **kwargs):
+                out = _original(*args, **kwargs)
+                graphs.append(weakref.ref(out[0] if isinstance(out, tuple) else out))
+                return out
+
+            monkeypatch.setattr(caribou.audit, name, recording)
+        batches = caribou.audit._released_batches
+        sizes = []
+
+        def checked(*args):
+            for batch in batches(*args):
+                gc.collect()
+                assert graphs and [ref for ref in graphs if ref() is not None] == []
+                for released in batch:
+                    assert len(released.rows) == len(released.queries) > 0
+                    for row in (a for pair in released.rows for a in pair):
+                        # a copy of one row, not a view of an (n, d) release
+                        assert row.shape == (ds.features.shape[1],) and row.base is None
+                sizes.append(len(batch))
+                yield batch
+
+        monkeypatch.setattr(caribou.audit, "_released_batches", checked)
+        attack, level = GAMES[game]
+        ds = dense_block_dataset(seed=5)
+        report = run_mia_game(ds, make_pipeline_cfg(level=level, k=2), FAST_TRAIN,
+                              AuditConfig(attack=attack, trials=10, seed=3))
+        assert sizes == ([2] * 5 if game == "edge" else [3, 3, 3, 1])
+        assert len(report.scores) + report.discarded_trials == 10
 
 
 def count_releases(monkeypatch):
@@ -637,11 +695,10 @@ class TestReleasesAndQueries:
 
     @pytest.mark.parametrize(
         "game, sizes",
-        # below 600 cells: an edge trial holds its head's 20 x 4 inputs and
-        # the 210 normalized adjacency entries of its training graph, so two
-        # fit; a node trial holds its 14 x 4 inputs, so all ten fit.  A held
-        # 20 x 2 release per declared query would split both further.
-        [("edge", [2] * 5), ("node", [10])],
+        # below 600 cells: the 20 x 4 inputs of seven edge trials fit (560
+        # cells), of eight do not (640); the 14 x 4 inputs of all ten node
+        # trials fit (560 cells)
+        [("edge", [7, 3]), ("node", [10])],
     )
     def test_no_release_ahead_for_a_custom_attacker(self, game, sizes, monkeypatch):
         monkeypatch.setattr(caribou._pool, "MIN_CELLS", 600)

@@ -787,7 +787,9 @@ class TestArtifactsIo:
         sidecar = json.loads(plan.read_text())
         assert sidecar["sigma"] == artifacts.plan.sigma
         assert sidecar["rounding_slack"] == artifacts.plan.rounding_slack > 0
-        assert sidecar["per_hop_noise_std"] == artifacts.per_hop_noise_std
+        # the per-hop std is the plan's noise_std, written once
+        assert sidecar["noise_std"] == artifacts.per_hop_noise_std
+        assert "per_hop_noise_std" not in sidecar
         loaded = np.array([[float(v) for v in line.split(",")] for line in rows])
         assert np.array_equal(loaded, artifacts.x_k_final)
         assert emb.read_text() == per_value_csv(artifacts.x_k_final)
