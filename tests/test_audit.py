@@ -612,6 +612,7 @@ class TestTrialsHoldOnlyTheirRows:
         # below 170 cells, batches of two edge trials (20 x 4 inputs) or of
         # three node trials (14 x 4), so batches are yielded inside the loop
         monkeypatch.setattr(caribou._pool, "MIN_CELLS", 170)
+        ds = dense_block_dataset(seed=5)
         graphs = []
         for name in ("_sample_edge_subset", "_induced_subgraph"):
             def recording(*args, _original=getattr(caribou.audit, name), **kwargs):
@@ -637,7 +638,6 @@ class TestTrialsHoldOnlyTheirRows:
 
         monkeypatch.setattr(caribou.audit, "_released_batches", checked)
         attack, level = GAMES[game]
-        ds = dense_block_dataset(seed=5)
         report = run_mia_game(ds, make_pipeline_cfg(level=level, k=2), FAST_TRAIN,
                               AuditConfig(attack=attack, trials=10, seed=3))
         assert sizes == ([2] * 5 if game == "edge" else [3, 3, 3, 1])
