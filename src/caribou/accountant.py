@@ -170,8 +170,8 @@ def gaussian_tradeoff(type_one: float, mu: float) -> float:
     """
     if not 0.0 <= type_one <= 1.0:
         raise ValueError("type_one must be in [0, 1]")
-    if mu < 0:
-        raise ValueError("mu must be non-negative")
+    if not mu >= 0:  # NaN too
+        raise ValueError(f"mu must be non-negative, got {mu!r}")
     p = 1.0 - type_one
     if 0.0 < p < 1.0:
         z = NormalDist().inv_cdf(p)

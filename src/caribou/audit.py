@@ -338,16 +338,22 @@ def _release_rows(dataset: LabeledDataset, cfg: PipelineConfig, seeds: list[int]
 
 
 def _check_queries(queries: list, n: int) -> None:
-    """Raise ValueError unless each (node, nudge, seed) query's node and
-    nudge row are integers in [0, n) (no bool, no float, and no negative
-    id, which numpy reads from the end) and its nudge scale is finite."""
-    for node, nudge, _ in queries:
-        row, scale = (node, 0.0) if nudge is None else nudge
+    """Raise ValueError unless each query is a (node, nudge) pair whose
+    nudge is None or (row, scale), shape tested first, with node and row
+    integers in [0, n) (no bool, no float, and no negative id, which numpy
+    reads from the end) and a finite scale."""
+    for query in queries:
+        match query:
+            case (node, None) | (node, (_, _)):
+                row, scale = (node, 0.0) if query[1] is None else query[1]
+            case _:
+                node = row = scale = None
         if not (all(isinstance(i, numbers.Integral) and not isinstance(i, bool) and 0 <= i < n
                     for i in (node, row))
                 and isinstance(scale, numbers.Real) and math.isfinite(scale)):
-            raise ValueError(f"query node {node!r} or nudge {nudge!r} is outside [0, {n}), "
-                             "not an integer id or has a non-finite scale")
+            raise ValueError(f"query {query!r} is not a (node, None) or (node, (row, scale)) "
+                             f"pair, or is outside [0, {n}), not an integer id or has a "
+                             "non-finite scale")
 
 
 def _release_trial(dataset, pipeline_cfg, audit_cfg, sample, attacker: Attacker,
@@ -359,10 +365,11 @@ def _release_trial(dataset, pipeline_cfg, audit_cfg, sample, attacker: Attacker,
     train_set, serve_on, picked = sample(dataset, pipeline_cfg, audit_cfg, rng)
     if picked is None:
         return None
+    declared = list(attacker.queries(picked[0]))
+    _check_queries(declared, len(serve_on.features))
     query_seed = stream_seed(audit_cfg.seed, 2 * trial + 1)
     queries = [(node, nudge, stream_seed(query_seed, i))
-               for i, (node, nudge) in enumerate(attacker.queries(picked[0]), 1)]
-    _check_queries(queries, len(serve_on.features))
+               for i, (node, nudge) in enumerate(declared, 1)]
     seed = stream_seed(audit_cfg.seed, 2 * trial)
     shared = serve_on is not train_set
     (training,), rows = _release_rows(train_set, replace(pipeline_cfg, seed=seed), [seed],

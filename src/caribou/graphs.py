@@ -5,14 +5,18 @@ A graph's edges are one read-only (m, 2) int64 array of (u, v) rows with
 u < v, sorted and unique, so every operation on the edge set is a
 vectorized array operation.  The normalized adjacency is built at most
 once per ``Graph`` object and cached with it, and so is the float32 copy
-that the release's hops multiply by.
+that the release's hops multiply by, whose format only this module knows:
+Â's values rounded to float32, with each row of more than ``_SUM_TERMS``
+entries cut, in order, into chunks of at most that many, one matrix row
+each, so that no float32 sum of the product holds more; the chunk sums are
+added in float64.  ``_aggregation_blocks`` gives each row block's product.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -191,31 +195,80 @@ def normalized_adjacency(g: Graph) -> csr_array:
 
 #: The most terms one float32 sum of the hop's product holds: L in the
 #: rounding bound of ``accountant``.  A row of Â with more stored entries
-#: is summed in chunks of at most L (``_float32_aggregation``).  The
+#: is summed in chunks of at most L (module docstring).  The
 #: largest row of a 1e5-node graph with mean degree 13 holds about 32.
 _SUM_TERMS = 64
 
 
-def _float32_aggregation(g: Graph) -> tuple[csr_array, np.ndarray | None]:
-    """Â with its values rounded to float32, for the hops' float32
-    product, and where its rows are cut.
+def _block_product(rows: csr_array, starts: np.ndarray | None, x32: np.ndarray) -> np.ndarray:
+    """``rows @ x32``, with chunk rows ``starts[i]`` up to ``starts[i + 1]``
+    added up in float64, in order, into row i, if ``starts`` is given."""
+    product = rows @ x32
+    if starts is not None:
+        product = np.add.reduceat(product, starts, axis=0, dtype=np.float64)
+    return product
 
-    Each row of Â with more than ``_SUM_TERMS`` stored entries is cut into
-    chunks of at most that many, in order; the matrix has one row per
-    chunk, and ``agg @ x`` sums each chunk in float32.  ``first[i]`` is the
-    first chunk of row i and ``first[-1]`` the chunk count; ``first`` is
-    None when no row is cut, and the matrix is then Â itself.  It is built
-    once per ``Graph`` object, apart from the float64 Â of
-    ``normalized_adjacency``, and cached with it; its arrays are read-only.
-    """
-    return g._aggregation
+
+def _aggregation_blocks(g: Graph, block_rows: int) -> list[tuple[int, int, partial]]:
+    """The rows of the float32 Â (module docstring) as ``(start, stop,
+    product)`` blocks of ``block_rows`` rows: ``product(x32)`` is rows
+    ``start`` up to ``stop`` of Â @ ``x32``, in float32, or in float64 if
+    the block cuts a row.  A block's matrix is the cached read-only one,
+    or a CSR view of its ``data`` and ``indices`` with its own ``indptr``."""
+    # first[i] is row i's first chunk, first[-1] the chunk count; None: no cut
+    agg, first = g._aggregation
+    n = g.num_nodes
+    blocks = []
+    for a in range(0, n, block_rows):
+        b = min(a + block_rows, n)
+        ca, cb = (a, b) if first is None else (int(first[a]), int(first[b]))
+        starts = None if cb - ca == b - a else first[a:b] - ca
+        if cb - ca == agg.shape[0]:
+            rows = agg
+        else:
+            lo, hi = agg.indptr[ca], agg.indptr[cb]
+            rows = csr_array((cb - ca, n), dtype=agg.dtype)
+            # set after construction: the constructor copies an array that
+            # is a view of less than half of its base
+            rows.indptr = agg.indptr[ca : cb + 1] - lo
+            rows.indices = agg.indices[lo:hi]
+            rows.data = agg.data[lo:hi]
+        blocks.append((a, b, partial(_block_product, rows, starts)))
+    return blocks
+
+
+def _mask_labels(labels: np.ndarray, mask: np.ndarray, name: str,
+                 nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The node ids of ``mask`` and their labels, for ``nodes`` rows with
+    one entry of ``labels`` each.  ValueError for labels of another
+    length, a mask that is not 1-D, a non-empty mask of non-integers, and,
+    naming the first in mask order, an id outside [0, nodes) or of an
+    unlabeled (negative) node; ``name`` names the mask."""
+    ids, labels = np.asarray(mask), np.asarray(labels)
+    if len(labels) != nodes:
+        raise ValueError(f"labels hold {len(labels)} entries for {nodes} feature rows")
+    if ids.ndim != 1:
+        raise ValueError(f"{name} must be a 1-D array of node ids, got shape {ids.shape}")
+    # a boolean mask would be read as ids 0 and 1, a fraction truncated
+    if ids.size and ids.dtype.kind not in "iu":
+        raise ValueError(f"{name} must hold integer node ids, got dtype {ids.dtype}")
+    ids = ids.astype(np.int64, copy=False)
+    # numpy would read a negative id from the end
+    bad = (ids < 0) | (ids >= nodes)
+    bad[~bad] = labels[ids[~bad]] < 0
+    if bad.any():
+        raise ValueError(f"{name} contains unlabeled nodes or ids outside "
+                         f"[0, {nodes}); the first is {ids[bad.argmax()]}")
+    return ids, labels[ids]
 
 
 @dataclass(frozen=True)
 class LabeledDataset:
     """Graph plus node features, labels, and disjoint train/test id sets.
 
-    ``labels`` holds -1 for unlabeled nodes.
+    ``labels`` holds one integer class per node, -1 for an unlabeled node.
+    Each mask is a 1-D array of integer ids of labeled nodes, checked by
+    ``_mask_labels``; an empty mask may have any dtype.
     """
 
     graph: Graph
@@ -232,17 +285,12 @@ class LabeledDataset:
             )
         if self.labels.shape != (n,):
             raise ValueError("labels must be one entry per node")
+        if self.labels.dtype.kind not in "iu":
+            raise ValueError(f"labels must hold integer classes, got dtype {self.labels.dtype}")
+        _mask_labels(self.labels, self.train_mask, "training mask", n)
+        _mask_labels(self.labels, self.test_mask, "test mask", n)
         if np.isin(self.train_mask, self.test_mask).any():
             raise ValueError("train and test masks overlap")
-        ids = np.concatenate([self.train_mask, self.test_mask])
-        if not ids.size:
-            return
-        bad = (ids < 0) | (ids >= n)
-        if bad.any():
-            raise ValueError(f"mask id {ids[bad.argmax()]} out of range")
-        bad = self.labels[ids] < 0
-        if bad.any():
-            raise ValueError(f"mask id {ids[bad.argmax()]} is unlabeled")
 
     @property
     def num_classes(self) -> int:

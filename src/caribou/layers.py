@@ -12,9 +12,9 @@ Frobenius norm with constant ``c_l``; that constant is what the privacy
 accountant consumes.
 
 ``layer_forward`` is this map in float64.  The release's hops form the same
-rows with ``A_hat @ X`` in float32, from a float32 copy of X, and every
-other term in float64; ``accountant`` charges the difference to the
-sensitivity.
+rows from the float32 product that ``graphs`` gives for a float32 copy of
+X, and every other term in float64; ``accountant`` charges the difference
+to the sensitivity.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ def layer_forward(adj, x_k: Array, x_0: Array, params: LayerParams) -> Array:
         )
     if n < 1:
         raise ValueError("expected a non-empty 2-D feature matrix")
-    return _layer_rows(adj, x_k, x_0, _mean_term(x_k, params), params)
+    return _layer_rows(adj @ x_k, x_0, _mean_term(x_k, params), params)
 
 
 def _mean_term(x_k: Array, params: LayerParams) -> Array | None:
@@ -93,27 +93,21 @@ def _mean_term(x_k: Array, params: LayerParams) -> Array | None:
     return params.alpha2 * x_k.mean(axis=0, keepdims=True, dtype=np.float64)
 
 
-def _layer_rows(adj_rows, x_k: Array, x0_rows: Array, mean_term: Array | None,
-                params: LayerParams, starts: Array | None = None) -> Array:
+def _layer_rows(product: Array, x0_rows: Array, mean_term: Array | None,
+                params: LayerParams) -> Array:
     """Rows of the layer output, in float64:
-    ``c_l * (alpha1 * adj_rows @ x_k + mean_term) + beta * x0_rows``.
+    ``c_l * (alpha1 * product + mean_term) + beta * x0_rows``.
 
-    ``adj_rows`` holds the adjacency rows wanted and ``x0_rows`` the same
-    rows of X0; ``x_k`` may hold T iterates side by side in its columns,
-    (n, T*d), and ``x0_rows`` is then (m, T, d), one X0 per iterate, or
-    (m, d) or (m, 1, d), one X0 that they share.  ``mean_term`` comes from
-    ``_mean_term`` on the whole of ``x_k``.  With ``starts``, ``adj_rows``
-    holds the rows cut into chunks, and the product's chunk rows from
-    ``starts[i]`` up to ``starts[i + 1]`` are added up, in float64 and in
-    order, into row i.  The product is in the dtype of ``adj_rows`` and
-    ``x_k`` (the hops use float32); every later term is float64.  The sum
-    is formed in the product when it is float64, else in a fresh array,
-    and returned; the mean and residual terms are skipped when their
-    weight is 0.
+    ``product`` holds the wanted rows of ``A_hat @ x_k`` and ``x0_rows``
+    the same rows of X0; ``x_k`` may hold T iterates side by side in its
+    columns, (n, T*d), and ``x0_rows`` is then (m, T, d), one X0 per
+    iterate, or (m, d) or (m, 1, d), one X0 that they share.
+    ``mean_term`` comes from ``_mean_term`` on the whole of ``x_k``.  The
+    product may be float32 (the hops'); every later term is float64.  The
+    sum is formed in the product when it is float64, else in a fresh
+    array, and returned; the mean and residual terms are skipped when
+    their weight is 0.
     """
-    product = adj_rows @ x_k
-    if starts is not None:
-        product = np.add.reduceat(product, starts, axis=0, dtype=np.float64)
     # the float64 loop, also for a float32 product
     out = np.multiply(product, params.alpha1, dtype=np.float64,
                       out=product if product.dtype == np.float64 else None)

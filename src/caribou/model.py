@@ -72,6 +72,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _pool
+from .graphs import _mask_labels
 from .layers import _check_count, _normalize_rows, project_rows
 from .prng import stream
 
@@ -451,28 +452,6 @@ def _rdp_coeff(cfg: TrainConfig) -> float:
     if cfg.dp.noise_mult == 0:
         return math.inf
     return cfg.epochs / (2.0 * cfg.dp.noise_mult**2)
-
-
-def _mask_labels(labels: Array, mask: Array, name: str, nodes: int) -> tuple[Array, Array]:
-    """The node ids of ``mask`` and their labels, for ``nodes`` feature
-    rows with one entry of ``labels`` each.  Labels of another length
-    raise a ValueError.  So do a mask that does not hold integers, an id
-    outside [0, nodes) and an unlabeled (negative) node, in one ValueError
-    that names the first bad id in mask order; ``name`` names the mask."""
-    ids, labels = np.asarray(mask), np.asarray(labels)
-    if len(labels) != nodes:
-        raise ValueError(f"labels hold {len(labels)} entries for {nodes} feature rows")
-    # a boolean mask would be read as ids 0 and 1, a fraction truncated
-    if ids.dtype.kind not in "iu":
-        raise ValueError(f"{name} must hold integer node ids, got dtype {ids.dtype}")
-    ids = ids.astype(np.int64, copy=False)
-    # numpy would read a negative id from the end
-    bad = (ids < 0) | (ids >= nodes)
-    bad[~bad] = labels[ids[~bad]] < 0
-    if bad.any():
-        raise ValueError(f"{name} contains unlabeled nodes or ids outside "
-                         f"[0, {nodes}); the first is {ids[bad.argmax()]}")
-    return ids, labels[ids]
 
 
 def _training_labels(labels: Array, train_mask: Array, nodes: int) -> tuple[Array, Array]:

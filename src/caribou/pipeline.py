@@ -31,9 +31,9 @@ buffers, blocks and draws of a single release.
 
 The product's rounding is charged to the sensitivity: ``delta_mp`` is the
 layer's Delta plus the slack of ``accountant._rounding_slack``, whose
-argument is in the ``accountant`` module docstring.  No float32 sum has
-more than ``graphs._SUM_TERMS`` terms: a longer row of Â is summed in
-chunks of at most that many, and the chunk sums are added in float64.
+argument is in the ``accountant`` module docstring.  Each block's product
+comes from ``graphs._aggregation_blocks``, and how Â is stored for it is
+stated in the ``graphs`` module docstring.
 
 Every product of a hop stays row-local: the sparse Â @ X computes each
 output row from that row of Â alone, so blocks of any height give the
@@ -53,7 +53,6 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from . import _pool
 from .accountant import (
@@ -66,7 +65,7 @@ from .accountant import (
     convergent_factor,
     sensitivity_for_level,
 )
-from .graphs import LabeledDataset, _float32_aggregation, write_float_csv
+from .graphs import LabeledDataset, _aggregation_blocks, write_float_csv
 from .layers import LayerParams, _check_count, _layer_rows, _mean_term, _project_rows_inplace
 from .prng import stream
 
@@ -152,44 +151,15 @@ def sample_gaussian_matrix(
     return out
 
 
-def _row_blocks(agg: csr_array, first: np.ndarray | None,
-                block_rows: int) -> list[tuple[int, int, csr_array, np.ndarray | None]]:
-    """Split the rows of Â into ``(start, stop, rows, starts)`` blocks of
-    ``block_rows`` rows, from ``agg`` and ``first`` as
-    ``graphs._float32_aggregation`` gives them.  ``rows`` holds the chunks
-    of the block's rows; ``starts`` gives each row's first chunk within
-    ``rows``, or is None when the block cuts no row.  Each block is a CSR
-    view over ``agg``'s own ``data`` and ``indices``; only its ``indptr``
-    is rebased to start at 0.  One block is ``agg`` itself."""
-    n = agg.shape[1]
-    blocks = []
-    for a in range(0, n, block_rows):
-        b = min(a + block_rows, n)
-        ca, cb = (a, b) if first is None else (int(first[a]), int(first[b]))
-        starts = None if cb - ca == b - a else first[a:b] - ca
-        if cb - ca == agg.shape[0]:
-            blocks.append((a, b, agg, starts))
-            continue
-        lo, hi = agg.indptr[ca], agg.indptr[cb]
-        rows = csr_array((cb - ca, n), dtype=agg.dtype)
-        # set after construction: the constructor copies an array that is
-        # a view of less than half of its base
-        rows.indptr = agg.indptr[ca : cb + 1] - lo
-        rows.indices = agg.indices[lo:hi]
-        rows.data = agg.data[lo:hi]
-        blocks.append((a, b, rows, starts))
-    return blocks
-
-
-def _hop_rows(adj_rows, starts, x32: np.ndarray, x0_rows: np.ndarray, mean_term,
+def _hop_rows(product, x32: np.ndarray, x0_rows: np.ndarray, mean_term,
               params: LayerParams, out_rows: np.ndarray, noisy: bool) -> None:
-    """Form one block's layer rows from the float32 iterate, put them into
-    ``out_rows``, the block's (T, rows, d) view of the output, and project
-    them in place.  Release t's rows are columns t*d up to (t+1)*d of the
-    layer rows.  With ``noisy``, ``out_rows`` holds the block's noise and
-    the rows are added to it."""
+    """Form one block's layer rows from its ``product`` of the float32
+    iterate, put them into ``out_rows``, the block's (T, rows, d) view of
+    the output, and project them in place.  Release t's rows are columns
+    t*d up to (t+1)*d of the layer rows.  With ``noisy``, ``out_rows``
+    holds the block's noise and the rows are added to it."""
     t, m, d = out_rows.shape
-    rows = _layer_rows(adj_rows, x32, x0_rows, mean_term, params, starts)
+    rows = _layer_rows(product(x32), x0_rows, mean_term, params)
     rows = rows.reshape(m, t, d).transpose(1, 0, 2)
     if noisy:
         out_rows += rows
@@ -202,26 +172,26 @@ def _hop_rows(adj_rows, starts, x32: np.ndarray, x0_rows: np.ndarray, mean_term,
     _project_rows_inplace(out_rows)
 
 
-def _hop_tasks(blocks, x32: np.ndarray, out: np.ndarray, mean_term, params: LayerParams,
-               std: float, rngs: list[np.random.Generator] | None):
+def _hop_tasks(blocks, x32: np.ndarray, x0: np.ndarray, out: np.ndarray, mean_term,
+               params: LayerParams, std: float, rngs: list[np.random.Generator] | None):
     """One hop's block tasks, in row order.  Before it yields a block's
     task, this draws release t's noise for the block from ``rngs[t]`` into
     its rows of ``out[t]``, on the thread that iterates; without ``rngs``
-    nothing is drawn.  ``blocks`` holds ``(start, stop, adj_rows, starts,
-    x0_rows)``."""
-    for a, b, rows, starts, x0_rows in blocks:
+    nothing is drawn.  ``blocks`` holds ``graphs._aggregation_blocks``'
+    ``(start, stop, product)``."""
+    for a, b, product in blocks:
         out_rows = out[:, a:b]
         if rngs is not None:
             for release, rng in zip(out_rows, rngs):
                 _draw_noise(release, std, rng)
-        yield partial(_hop_rows, rows, starts, x32, x0_rows, mean_term, params, out_rows,
+        yield partial(_hop_rows, product, x32, x0[a:b], mean_term, params, out_rows,
                       rngs is not None)
 
 
 def _cast_tasks(blocks, src: np.ndarray, x32: np.ndarray):
     """Tasks that round ``src`` into the float32 iterate, one per block;
     both are (n, T, d), and ``src`` may broadcast."""
-    for a, b, *_ in blocks:
+    for a, b, _ in blocks:
         yield partial(np.copyto, x32[a:b], src[a:b])
 
 
@@ -249,14 +219,10 @@ def run_pipeline(dataset: LabeledDataset, cfg: PipelineConfig, seeds=None,
     output.  A run on row blocks then gives the C heap's free pages back
     to the OS (``_pool`` says why).
 
-    Each hop runs in the one phase, on the blocks and threads, that the
-    module docstring describes; the rounding of the iterate to float32
-    runs in the same blocks, on the same threads.  The streams and every
-    other public function are called on this thread.  A row's arithmetic
-    reads only that row's inputs, the column mean (taken once per hop on
-    this thread) and the hop's noise stream of its release, so the release
-    is the same bits for any block size, thread count, batch of seeds and
-    batch of features.
+    Each hop, and the rounding of its iterate to float32, runs on the
+    blocks and threads that the module docstring describes, with the same
+    bits for any block size, thread count and batch.  The streams and
+    every other public function are called on this thread.
     """
     batched = seeds is not None
     seeds = [cfg.seed] if seeds is None else list(seeds)
@@ -305,9 +271,10 @@ def run_pipeline(dataset: LabeledDataset, cfg: PipelineConfig, seeds=None,
     n, d = x0.shape[1:]
     if n == 0:
         raise ValueError("expected a non-empty 2-D feature matrix")
-    # built before the iterate buffers: the build's own peak is several
-    # times the size of Â
-    agg, first = _float32_aggregation(dataset.graph)
+    large = len(seeds) * n * d >= _pool.MIN_CELLS
+    # built before the iterate buffers: the build of Â's float32 copy has
+    # its own peak of several times its size
+    blocks = _aggregation_blocks(dataset.graph, _pool.BLOCK_ROWS if large else n)
     # the T releases side by side: release t is columns t*d up to (t+1)*d
     # of the iterate and slice t of the output; X0 likewise, (n, T or 1, d)
     x32 = np.empty((n, len(seeds), d), dtype=np.float32)
@@ -315,16 +282,13 @@ def run_pipeline(dataset: LabeledDataset, cfg: PipelineConfig, seeds=None,
     columns = x32.reshape(n, len(seeds) * d)
     out = np.empty((len(seeds), n, d))
     noisy = noise_std > 0.0
-    large = out.size >= _pool.MIN_CELLS
     with _pool.thread_pool(out.size) as pool:
-        blocks = [(a, b, rows, starts, x0[a:b]) for a, b, rows, starts
-                  in _row_blocks(agg, first, _pool.BLOCK_ROWS if large else n)]
         for hop in range(cfg.k_hops):
             _pool.run_all(pool, _cast_tasks(blocks, out.transpose(1, 0, 2) if hop else x0,
                                             x32))
             rngs = [stream(seed, _HOP_STREAM, hop) for seed in seeds] if noisy else None
             mean_term = _mean_term(columns, cfg.cgl)
-            _pool.run_all(pool, _hop_tasks(blocks, columns, out, mean_term, cfg.cgl,
+            _pool.run_all(pool, _hop_tasks(blocks, columns, x0, out, mean_term, cfg.cgl,
                                            noise_std, rngs))
     # dropped first, so that their pages are among those the trim gives back
     del x32, columns, blocks

@@ -8,6 +8,8 @@ word 0 carries the user seed, word 1 packs up to two 32-bit context ids.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
@@ -34,10 +36,14 @@ class _Key(ISeedSequence):
 def stream(seed: int, *ids: int) -> np.random.Generator:
     """Return an independent Generator for the given seed and context ids.
 
-    At most two context ids are supported; each must fit in 32 bits.
-    Normal variates drawn from the returned generator use NumPy's
-    ziggurat sampler.
+    ``seed`` is an integer in [-2^63, 2^64), not a bool; a negative seed
+    is read modulo 2^64, so -1 keys the stream of 2^64 - 1.  At most two
+    context ids are supported; each must fit in 32 bits.  Normal variates
+    drawn from the returned generator use NumPy's ziggurat sampler.
     """
+    if (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
+            or not -(1 << 63) <= int(seed) <= _MASK64):
+        raise ValueError(f"seed must be an integer in [-2^63, 2^64), got {seed!r}")
     if len(ids) > 2:
         raise ValueError("at most two stream ids are supported")
     packed = 0
@@ -45,5 +51,5 @@ def stream(seed: int, *ids: int) -> np.random.Generator:
         if not 0 <= sid < (1 << 32):
             raise ValueError(f"stream id {sid} outside [0, 2^32)")
         packed |= sid << (32 * i)
-    key = np.array([seed & _MASK64, packed], dtype=np.uint64)
+    key = np.array([int(seed) & _MASK64, packed], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(_Key(key)))

@@ -133,6 +133,12 @@ class TestGaussianTradeoff:
     def test_large_mu_vanishes(self):
         assert gaussian_tradeoff(0.5, 40.0) < 1e-12
 
+    @pytest.mark.parametrize("mu", [-1e-9, math.nan, -math.inf])
+    def test_negative_or_nan_mu_rejected(self, mu):
+        # NaN fails ``mu < 0`` as it fails every comparison
+        with pytest.raises(ValueError, match="^mu must be non-negative, got"):
+            gaussian_tradeoff(0.1, mu)
+
     def test_matches_scipy_oracle(self):
         grid = np.concatenate([np.linspace(0.0, 1.0, 2001), [1e-300, 1e-17, 1e-9, 1 - 1e-16]])
         mus = [0.0, 1e-3, 0.1, 0.5, 1.0, 2.0, 5.0, 40.0, math.inf]

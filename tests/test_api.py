@@ -64,6 +64,20 @@ class TestPublicApi:
         ]
         assert offenders == []
 
+    def test_only_graphs_knows_the_sparse_storage(self):
+        # Â's CSR arrays and its chunk sums belong to ``graphs``; every other
+        # module asks it for a block's product
+        offenders = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(PACKAGE_DIR.glob("*.py")) if path.name != "graphs.py"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if (isinstance(node, ast.Import)
+                and any(alias.name.split(".")[0] == "scipy" for alias in node.names))
+            or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy")
+            or (isinstance(node, ast.Attribute) and node.attr in ("indptr", "indices", "reduceat"))
+        ]
+        assert offenders == []
+
     def test_every_bench_target_exists(self):
         # the bench times caribou.<module>.<function> for each of these; a
         # missing one leaves its per-layer metrics empty

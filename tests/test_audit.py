@@ -407,18 +407,21 @@ class TestRunMiaGame:
         assert releases == []
 
     @pytest.mark.parametrize(
-        "node, nudge",
-        [(1.0, None), (True, None), (0, (1.0, 1.0)), (0, (1, math.nan)), (0, (1, math.inf))],
-        ids=["float-node", "bool-node", "float-nudge-row", "nan-scale", "infinite-scale"],
+        "query",
+        [(1.0, None), (True, None), (0, (1.0, 1.0)), (0, (1, math.nan)), (0, (1, math.inf)),
+         (0, 5), 0, (0, (1, 1.0, 2))],
+        ids=["float-node", "bool-node", "float-nudge-row", "nan-scale", "infinite-scale",
+             "int-nudge", "bare-node", "three-part-nudge"],
     )
-    def test_malformed_query_rejected(self, node, nudge, monkeypatch):
+    def test_malformed_query_rejected(self, query, monkeypatch):
         # each got past a range check alone: a float id fails in numpy's
         # indexing, True reads row 1 as a (1, d) block, a NaN scale fails in
-        # the release and an infinite one warns in the projection first
+        # the release and an infinite one warns in the projection first; a
+        # query or nudge of another shape failed to unpack
         ds = dense_block_dataset(seed=5)
         cfg = make_pipeline_cfg(level="none", k=1)
         audit_cfg = AuditConfig(attack="node_confidence", trials=10, seed=2)
-        attacker = Attacker(lambda c: [(0, None), (node, nudge)], lambda c, answers: 1.0)
+        attacker = Attacker(lambda c: [(0, None), query], lambda c, answers: 1.0)
         releases = count_releases(monkeypatch)
         with pytest.raises(ValueError, match="not an integer id or has a non-finite scale"):
             run_mia_game(ds, cfg, FAST_TRAIN, audit_cfg, attacker)

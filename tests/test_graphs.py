@@ -422,16 +422,37 @@ class TestLabeledDataset:
             self.make([0, 1], [3, 1])
 
     def test_first_out_of_range_id_named(self):
-        with pytest.raises(ValueError, match="mask id 7 out of range"):
+        with pytest.raises(ValueError, match=r"^training mask contains .* the first is 7$"):
             self.make([0, 7], [-2])
 
     def test_first_unlabeled_id_named(self):
-        with pytest.raises(ValueError, match="mask id 2 is unlabeled"):
+        with pytest.raises(ValueError, match=r"^test mask contains .* the first is 2$"):
             self.make([0], [3, 2])
 
     def test_empty_masks_of_any_dtype_accepted(self):
         ds = self.make([], [])
         LabeledDataset(ds.graph, ds.features, ds.labels, np.array([]), np.array([]))
+
+    @pytest.mark.parametrize("mask, problem", [
+        ([True, False, True, False], "must hold integer node ids"),
+        ([0.0, 1.0], "must hold integer node ids"),
+        (["0", "1"], "must hold integer node ids"),
+        ([[0], [1]], r"must be a 1-D array of node ids, got shape \(2, 1\)"),
+    ], ids=["boolean", "float", "string", "two-d"])
+    @pytest.mark.parametrize("field, name", [("train_mask", "training mask"),
+                                             ("test_mask", "test mask")])
+    def test_mask_of_non_integer_ids_rejected(self, field, name, mask, problem):
+        # numpy would read a boolean mask as ids 0 and 1
+        ds = self.make([], [])
+        with pytest.raises(ValueError, match=f"^{name} {problem}"):
+            LabeledDataset(ds.graph, ds.features, ds.labels, **{field: np.array(mask)})
+
+    @pytest.mark.parametrize("labels", [[0.0, 1.0, -1.0, 1.0], [True, False, False, True]],
+                             ids=["float", "boolean"])
+    def test_labels_of_non_integers_rejected(self, labels):
+        ds = self.make([], [])
+        with pytest.raises(ValueError, match="^labels must hold integer classes, got dtype"):
+            LabeledDataset(ds.graph, ds.features, np.array(labels))
 
     @pytest.mark.parametrize("shape", [(4,), (3, 2), (4, 2, 1)])
     def test_features_not_one_row_per_node_rejected(self, shape):

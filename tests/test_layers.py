@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 import caribou.graphs
 from caribou.accountant import _rounding_slack
-from caribou.graphs import _float32_aggregation, build_graph, normalized_adjacency
+from caribou.graphs import _aggregation_blocks, build_graph, normalized_adjacency
 from caribou.layers import (
     LayerParams,
     _layer_rows,
@@ -17,7 +17,6 @@ from caribou.layers import (
     normalize_rows,
     project_rows,
 )
-from caribou.pipeline import _row_blocks
 from caribou.prng import stream
 from tests.verify import empirical_lipschitz, exact_product
 from tests.test_graphs import random_graph
@@ -162,12 +161,12 @@ class TestFloat32Product:
         x0 = project_rows(rng.normal(size=(n, d)))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(caribou.graphs, "_SUM_TERMS", terms)
-            agg, first = _float32_aggregation(graph)
+            agg, _ = graph._aggregation
             e = _rounding_slack("edge", n, params) / 2
         assert np.diff(agg.indptr).max() <= terms
-        [(_, _, rows, starts)] = _row_blocks(agg, first, n)
+        [(_, _, product)] = _aggregation_blocks(graph, n)
         x32 = x.astype(np.float32)
-        got = _layer_rows(rows, x32, x0, _mean_term(x32, params), params, starts)
+        got = _layer_rows(product(x32), x0, _mean_term(x32, params), params)
         adj = normalized_adjacency(graph)
         mean = [math.fsum(column) / n for column in x.T.tolist()]
         oracle = c_l * (alpha1 * exact_product(adj, x) + params.alpha2 * np.array(mean))

@@ -542,14 +542,19 @@ class TestEvaluate:
         with pytest.raises(ValueError, match=message):
             evaluate(head, TOY_X0, TOY_XK, labels, np.array(mask))
 
-    @pytest.mark.parametrize("mask", [[True, False, True, True], [0.0, 2.5]],
-                             ids=["boolean", "float"])
-    def test_mask_of_non_integers_rejected(self, mask):
-        # numpy would read a boolean mask as ids 0 and 1, and truncate 2.5
+    @pytest.mark.parametrize("mask, problem", [
+        ([True, False, True, True], "must hold integer node ids"),
+        ([0.0, 2.5], "must hold integer node ids"),
+        (["0", "2"], "must hold integer node ids"),
+        ([[0, 1], [2, 3]], r"must be a 1-D array of node ids, got shape \(2, 2\)"),
+    ], ids=["boolean", "float", "string", "two-d"])
+    def test_mask_of_non_integers_rejected(self, mask, problem):
+        # numpy would read a boolean mask as ids 0 and 1, truncate 2.5 and
+        # fail to broadcast a 2-D mask's labels
         head = toy_head(epochs=1)
-        with pytest.raises(ValueError, match="evaluation mask must hold integer node ids"):
+        with pytest.raises(ValueError, match=f"evaluation mask {problem}"):
             evaluate(head, TOY_X0, TOY_XK, TOY_Y, np.array(mask))
-        with pytest.raises(ValueError, match="training mask must hold integer node ids"):
+        with pytest.raises(ValueError, match=f"training mask {problem}"):
             train_head(TOY_X0, TOY_XK, TOY_Y, np.array(mask), TrainConfig(epochs=1), 0)
 
 

@@ -16,7 +16,7 @@ import caribou.pipeline
 from caribou.accountant import PrivacySpec, _rounding_slack, sensitivity_for_level
 from caribou.graphs import (
     LabeledDataset,
-    _float32_aggregation,
+    _aggregation_blocks,
     build_graph,
     gen_chain_dataset,
     normalized_adjacency,
@@ -27,7 +27,6 @@ from caribou.pipeline import (
     PipelineConfig,
     RunArtifacts,
     _draw_noise,
-    _row_blocks,
     run_pipeline,
     sample_gaussian_matrix,
 )
@@ -246,7 +245,7 @@ class TestNoiseOverlap:
         monkeypatch.setattr(caribou._pool, "BLOCK_ROWS", block_rows)
         monkeypatch.setattr(caribou._pool, "usable_cpus", lambda: cpus)
         ds = random_dataset(*ABOVE_CUTOFF, seed=10)
-        agg, first = _float32_aggregation(ds.graph)
+        agg, first = ds.graph._aggregation
         assert first is not None and agg.shape[0] > ds.graph.num_nodes
         for level in ("edge", "node"):
             cfg = mixed_config(level, 2)
@@ -391,14 +390,15 @@ class TestNoiseOverlap:
     def test_row_blocks_are_views_of_the_adjacency(self):
         graph = random_dataset(50, 2, seed=1).graph
         adj = normalized_adjacency(graph)
-        agg, first = _float32_aggregation(graph)
-        assert first is None and _float32_aggregation(graph)[0] is agg
+        agg, first = graph._aggregation
+        assert first is None and graph._aggregation[0] is agg
         assert np.array_equal(agg.indptr, adj.indptr)
         assert np.array_equal(agg.indices, adj.indices)
         assert np.array_equal(agg.data, adj.data.astype(np.float32))
-        blocks = _row_blocks(agg, first, 16)
-        assert [(a, b) for a, b, *_ in blocks] == [(0, 16), (16, 32), (32, 48), (48, 50)]
-        for a, b, rows, starts in blocks:
+        blocks = _aggregation_blocks(graph, 16)
+        assert [(a, b) for a, b, _ in blocks] == [(0, 16), (16, 32), (32, 48), (48, 50)]
+        for a, b, product in blocks:
+            rows, starts = product.args
             assert starts is None
             assert np.shares_memory(rows.data, agg.data)
             assert np.shares_memory(rows.indices, agg.indices)
@@ -409,14 +409,14 @@ class TestNoiseOverlap:
         monkeypatch.setattr(caribou.graphs, "_SUM_TERMS", 4)
         graph = build_graph(30, [(0, v) for v in range(1, 30)])
         adj = normalized_adjacency(graph)
-        agg, first = _float32_aggregation(graph)
+        agg, first = graph._aggregation
         assert first.tolist() == [0, *range(8, 38)]
         assert np.diff(agg.indptr).tolist() == [4] * 7 + [2] + [2] * 29
         assert np.array_equal(agg.indices, adj.indices)
         assert np.array_equal(agg.data, adj.data.astype(np.float32))
-        blocks = _row_blocks(agg, first, 16)
-        assert [(a, b) for a, b, *_ in blocks] == [(0, 16), (16, 30)]
-        (_, _, head, starts), (_, _, tail, none) = blocks
+        blocks = _aggregation_blocks(graph, 16)
+        assert [(a, b) for a, b, _ in blocks] == [(0, 16), (16, 30)]
+        (head, starts), (tail, none) = (product.args for _, _, product in blocks)
         assert starts.tolist() == [0, *range(8, 23)] and none is None
         assert np.shares_memory(head.data, agg.data) and np.shares_memory(tail.data, agg.data)
         dense = adj.toarray().astype(np.float32)
@@ -477,7 +477,7 @@ class TestHeapTrim:
             out = run_pipeline(ds, cfg).x_k_final
         finally:
             tracemalloc.stop()
-        agg, _ = _float32_aggregation(ds.graph)
+        agg, _ = ds.graph._aggregation
         kept = out.nbytes + agg.data.nbytes + agg.indices.nbytes + agg.indptr.nbytes
         block = block_rows * out.shape[1] * out.itemsize
         # with the float32 iterate still held the growth would be 1.5 times
@@ -542,7 +542,7 @@ class TestBatchedReleases:
         monkeypatch.setattr(caribou._pool, "usable_cpus", lambda: cpus)
         monkeypatch.setattr(caribou.graphs, "_SUM_TERMS", terms)
         ds = random_dataset(300, 3, seed=13)
-        assert (_float32_aggregation(ds.graph)[1] is not None) == (terms == 4)
+        assert (ds.graph._aggregation[1] is not None) == (terms == 4)
         for level in ("edge", "node"):
             for t in (1, 2, 5):
                 assert_slices_equal_single_releases(ds, mixed_config(level, 1), SEEDS[:t])
@@ -581,7 +581,7 @@ class TestBatchedReleases:
         monkeypatch.setattr(caribou._pool, "usable_cpus", lambda: 2)
         monkeypatch.setattr(caribou.graphs, "_SUM_TERMS", terms)
         ds = random_dataset(300, 3, seed=13)
-        assert (_float32_aggregation(ds.graph)[1] is not None) == (terms == 4)
+        assert (ds.graph._aggregation[1] is not None) == (terms == 4)
         for level in ("edge", "node"):
             for t in (1, 2, 5):
                 assert_slices_equal_single_releases(ds, mixed_config(level, 1), SEEDS[:t],
