@@ -18,10 +18,10 @@ lends no workers.  The last output is the release, in float64.
 
 A run can make T releases of one graph, one per seed, in the same pass;
 both buffers are then T times as large.  The iterate holds the T
-iterates side by side, (n, T·d), so each hop reads the indices and values
-of Â once for all T·d columns; the mean term is per column.  The
-releases share the dataset's features, and X0 is then broadcast across
-the T column groups, or each has its own, given as a (T, n, d) array.
+iterates side by side, (n, T·d), so each hop reads Â once for all T·d
+columns; the mean term is per column.  The releases share the dataset's
+features, and X0 is then broadcast across the T column groups, or each
+has its own, given as a (T, n, d) array.
 Only the row-norm check, the rounding of X0 at hop 0, the β·X0 residual
 and the K = 0 release read X0, and each reads release t's columns from
 release t's features.  The output is (T, n, d): release t draws its rows
@@ -290,7 +290,7 @@ def run_pipeline(dataset: LabeledDataset, cfg: PipelineConfig, seeds=None,
             mean_term = _mean_term(columns, cfg.cgl)
             _pool.run_all(pool, _hop_tasks(blocks, columns, x0, out, mean_term, cfg.cgl,
                                            noise_std, rngs))
-    # dropped first, so that their pages are among those the trim gives back
+    # dropped before the trim, so that their pages are among those it gives back
     del x32, columns, blocks
     if large:
         _pool._trim_heap()
