@@ -48,16 +48,15 @@ from functools import cache
 from typing import Callable, Iterable, Iterator
 
 #: Matrix entries (2**19 float64 fill 4 MiB) from which the tasks run on a
-#: thread pool.  The cutoff was first set for drawing the hop noise beside
-#: the layer: in K=8 sweeps on 2 cores that won in every run from 544k
-#: entries up, and at 512k and below it won in some runs and lost in others
-#: (the sweeps are in CHANGES.md).  With row blocks the pool already wins at
-#: 2**18 entries and ties at 2**17; the cutoff is kept so that small runs,
-#: such as each query of an audit and each of its heads, start no threads.
+#: thread pool.  In K=8 sweeps of an earlier hop layout on 2 cores, a pool
+#: won in every run from 544k entries up and was mixed at 512k and below
+#: (CHANGES.md); with row blocks it wins at 2**18 entries and ties at 2**17.
+#: The cutoff is kept so that small runs, such as each query of an audit and
+#: each of its heads, start no threads.
 MIN_CELLS = 1 << 19
-#: Rows per block when the pool runs.  Small enough that the blocks of one
-#: hop keep every thread busy until the noise draw ends, large enough that
-#: per-task costs stay small; 2k-16k rows timed alike (CHANGES.md).
+#: Rows per block when the pool runs.  Small enough that a hop's blocks keep
+#: every thread busy, large enough that per-task costs stay small; 2k-16k
+#: rows timed alike (CHANGES.md).
 BLOCK_ROWS = 4096
 
 

@@ -13,6 +13,8 @@ per-layer Gaussian standard deviation *before* scaling by the sensitivity.
 The pipeline injects noise with standard deviation ``delta_mp * sigma``, so
 the per-step Gaussian mechanism has mu = 1/sigma regardless of delta_mp,
 and calibration solves for the K-hop release alone with unit sensitivity.
+The argument needs only IID N(0, (delta_mp sigma)^2) noise entries, which
+disjoint counter ranges of one Philox key give (``prng.stream``'s part).
 A trained module states its own cost once, as a Renyi coefficient c with
 (alpha, c * alpha)-RDP at every order (``MlpHead.cm_rdp_coeff``,
 ``LinearEncoder.dae_rdp_coeff``); calibration does not compose it.

@@ -240,13 +240,15 @@ def _aggregation_blocks(g: Graph, block_rows: int) -> list[tuple[int, int, parti
 def _mask_labels(labels: np.ndarray, mask: np.ndarray, name: str,
                  nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """The node ids of ``mask`` and their labels, for ``nodes`` rows with
-    one entry of ``labels`` each.  ValueError for labels of another
-    length, a mask that is not 1-D, a non-empty mask of non-integers, and,
-    naming the first in mask order, an id outside [0, nodes) or of an
-    unlabeled (negative) node; ``name`` names the mask."""
+    one entry of ``labels`` each.  ValueError for labels of another length
+    or of non-integers, a mask that is not 1-D, a non-empty mask of
+    non-integers, and, naming the first in mask order, an id outside
+    [0, nodes) or of an unlabeled (negative) node; ``name`` names the mask."""
     ids, labels = np.asarray(mask), np.asarray(labels)
     if len(labels) != nodes:
         raise ValueError(f"labels hold {len(labels)} entries for {nodes} feature rows")
+    if labels.dtype.kind not in "iu":
+        raise ValueError(f"labels must hold integer classes, got dtype {labels.dtype}")
     if ids.ndim != 1:
         raise ValueError(f"{name} must be a 1-D array of node ids, got shape {ids.shape}")
     # a boolean mask would be read as ids 0 and 1, a fraction truncated
@@ -285,8 +287,6 @@ class LabeledDataset:
             )
         if self.labels.shape != (n,):
             raise ValueError("labels must be one entry per node")
-        if self.labels.dtype.kind not in "iu":
-            raise ValueError(f"labels must hold integer classes, got dtype {self.labels.dtype}")
         _mask_labels(self.labels, self.train_mask, "training mask", n)
         _mask_labels(self.labels, self.test_mask, "test mask", n)
         if np.isin(self.train_mask, self.test_mask).any():

@@ -4,17 +4,22 @@ releasing only the final embedding.
 
 Each hop multiplies in float32 and does everything else in float64.  A run
 holds two full-size buffers: the float32 iterate and the hop's float64
-output.  At the start of each hop the iterate is rounded from the last
-output (from X0 at hop 0), block by block.  The calling thread then draws
-the hop's Gaussian noise straight into the output, block by block in row
-order, and hands each block on as soon as its noise is in: the block's
-task forms its layer rows from the float32 product Â @ X, adds them into
-the output and projects them in place.  The blocks have
+output.  A hop runs two batches of tasks.  The first has one task per
+range of ``_NOISE_ROWS`` rows: it rounds the range's rows of the last
+output (of X0 at hop 0) into the iterate, then draws their Gaussian noise
+straight into the output.  The second has one task per row block: it
+forms the block's layer rows from the float32 product Â @ X, adds them
+into the output and projects them in place.  The blocks have
 ``_pool.BLOCK_ROWS`` rows from ``_pool.MIN_CELLS`` output entries up,
 whatever the CPU count; a smaller output is one block.  The tasks run on
-the thread pool of ``_pool``, whose last worker is the calling thread
-once the draw is done, or on the calling thread alone where ``_pool``
-lends no workers.  The last output is the release, in float64.
+the thread pool of ``_pool``, whose last worker is the calling thread, or
+on the calling thread alone where ``_pool`` lends no workers.  The last
+output is the release, in float64.
+
+Release t's noise at hop k on rows c·R up to (c+1)·R, R = ``_NOISE_ROWS``,
+is one draw in the range's task from ``stream(seed_t, _HOP_STREAM, k,
+part=c)``, built on the calling thread.  No block size, CPU count or batch
+moves R or the bits; with n <= R the one range is part 0, the whole draw.
 
 A run can make T releases of one graph, one per seed, in the same pass;
 both buffers are then T times as large.  The iterate holds the T
@@ -24,10 +29,10 @@ features, and X0 is then broadcast across the T column groups, or each
 has its own, given as a (T, n, d) array.
 Only the row-norm check, the rounding of X0 at hop 0, the β·X0 residual
 and the K = 0 release read X0, and each reads release t's columns from
-release t's features.  The output is (T, n, d): release t draws its rows
-of each block from its own stream straight into slice t, and each row of
-each release is projected on its own.  With one seed these are the
-buffers, blocks and draws of a single release.
+release t's features.  The output is (T, n, d): release t's noise goes
+straight into slice t, and each row of each release is projected on its
+own.  With one seed these are the buffers, blocks and draws of a single
+release.
 
 The product's rounding is charged to the sensitivity: ``delta_mp`` is the
 layer's Delta plus the slack of ``accountant._rounding_slack``, whose
@@ -38,9 +43,8 @@ stated in the ``graphs`` module docstring.
 Every product of a hop stays row-local: the sparse Â @ X computes each
 output row from that row of Â alone, so blocks of any height give the
 same bits.  Only the column mean reads every row; it is taken once per hop
-on the calling thread.  Consecutive draws from one stream give the
-numbers of one whole draw, and noise + layer is the same float as
-layer + noise, so the release is the bits of drawing, adding and
+on the calling thread.  Noise + layer is the same float as layer + noise,
+so the release is the bits of drawing each range, then adding and
 projecting the whole matrix at once, whether it is made alone or in a
 batch of seeds and features.
 """
@@ -67,10 +71,11 @@ from .accountant import (
 )
 from .graphs import LabeledDataset, _aggregation_blocks, write_float_csv
 from .layers import LayerParams, _check_count, _layer_rows, _mean_term, _project_rows_inplace
-from .prng import stream
+from .prng import _check_seed, stream
 
 _ROW_NORM_TOL = 1e-9
 _HOP_STREAM = 0x40C4
+_NOISE_ROWS = 4096
 
 
 def _max_degree(cap):
@@ -88,7 +93,7 @@ class PipelineConfig:
     accountant's guarantee is stated in terms of that constant.
     ``max_degree`` optionally caps the maximum node degree admitted under
     node-level privacy (graphs exceeding it are rejected); it is an integer
-    of at least 1, or None.
+    of at least 1, or None.  ``seed`` is checked at every level.
     """
 
     cgl: LayerParams
@@ -100,6 +105,7 @@ class PipelineConfig:
 
     def __post_init__(self) -> None:
         _check_count("k_hops", self.k_hops, 0)
+        _check_seed(self.seed)
         _max_degree(self.max_degree)
         _check_mode(self.mode)
         if self.spec.level != "none" and self.k_hops != self.spec.k_hops:
@@ -172,27 +178,23 @@ def _hop_rows(product, x32: np.ndarray, x0_rows: np.ndarray, mean_term,
     _project_rows_inplace(out_rows)
 
 
-def _hop_tasks(blocks, x32: np.ndarray, x0: np.ndarray, out: np.ndarray, mean_term,
-               params: LayerParams, std: float, rngs: list[np.random.Generator] | None):
-    """One hop's block tasks, in row order.  Before it yields a block's
-    task, this draws release t's noise for the block from ``rngs[t]`` into
-    its rows of ``out[t]``, on the thread that iterates; without ``rngs``
-    nothing is drawn.  ``blocks`` holds ``graphs._aggregation_blocks``'
-    ``(start, stop, product)``."""
-    for a, b, product in blocks:
-        out_rows = out[:, a:b]
-        if rngs is not None:
-            for release, rng in zip(out_rows, rngs):
-                _draw_noise(release, std, rng)
-        yield partial(_hop_rows, product, x32, x0[a:b], mean_term, params, out_rows,
-                      rngs is not None)
+def _range_rows(src: np.ndarray, x32: np.ndarray, out_rows: np.ndarray, std: float,
+                rngs: list[np.random.Generator]) -> None:
+    """Round one range's rows of ``src`` into ``x32``, both (rows, T, d),
+    then draw release t's noise into ``out_rows[t]`` from ``rngs[t]``."""
+    np.copyto(x32, src)
+    for release, rng in zip(out_rows, rngs):
+        _draw_noise(release, std, rng)
 
 
-def _cast_tasks(blocks, src: np.ndarray, x32: np.ndarray):
-    """Tasks that round ``src`` into the float32 iterate, one per block;
-    both are (n, T, d), and ``src`` may broadcast."""
-    for a, b, _ in blocks:
-        yield partial(np.copyto, x32[a:b], src[a:b])
+def _range_tasks(src: np.ndarray, x32: np.ndarray, out: np.ndarray, std: float,
+                 seeds: list[int], hop: int):
+    """A hop's first batch of tasks, one per range of ``_NOISE_ROWS``
+    rows; ``src`` may broadcast.  Without ``std`` nothing is drawn."""
+    for part, a in enumerate(range(0, len(x32), _NOISE_ROWS)):
+        rows = slice(a, a + _NOISE_ROWS)
+        rngs = [stream(seed, _HOP_STREAM, hop, part=part) for seed in seeds] if std else []
+        yield partial(_range_rows, src[rows], x32[rows], out[:, rows], std, rngs)
 
 
 def run_pipeline(dataset: LabeledDataset, cfg: PipelineConfig, seeds=None,
@@ -211,8 +213,8 @@ def run_pipeline(dataset: LabeledDataset, cfg: PipelineConfig, seeds=None,
     Requires row-normalized input features.  The per-hop noise standard
     deviation is exactly plan.delta_mp * plan.sigma, where delta_mp is the
     layer sensitivity plus ``plan.rounding_slack``, the charge for the
-    float32 product; each hop of each release draws from its own
-    counter-derived stream straight into its output buffer, so runs are
+    float32 product; each range of rows of each hop of each release draws
+    from its own counter range straight into the output, so runs are
     reproducible regardless of evaluation order.  Besides the features, a
     run holds the float32 iterate and the float64 output, 1.5 T times the
     features' size, plus the blocks in flight; it returns holding only the
@@ -220,12 +222,12 @@ def run_pipeline(dataset: LabeledDataset, cfg: PipelineConfig, seeds=None,
     to the OS (``_pool`` says why).
 
     Each hop, and the rounding of its iterate to float32, runs on the
-    blocks and threads that the module docstring describes, with the same
+    ranges, blocks and threads that the module docstring describes, with the same
     bits for any block size, thread count and batch.  The streams and
     every other public function are called on this thread.
     """
     batched = seeds is not None
-    seeds = [cfg.seed] if seeds is None else list(seeds)
+    seeds = [cfg.seed] if seeds is None else [_check_seed(seed) for seed in seeds]
     if not seeds:
         raise ValueError("seeds must name at least one release")
     x0 = np.asarray(dataset.features if features is None else features, dtype=float)
@@ -281,15 +283,14 @@ def run_pipeline(dataset: LabeledDataset, cfg: PipelineConfig, seeds=None,
     x0 = x0.transpose(1, 0, 2)
     columns = x32.reshape(n, len(seeds) * d)
     out = np.empty((len(seeds), n, d))
-    noisy = noise_std > 0.0
     with _pool.thread_pool(out.size) as pool:
         for hop in range(cfg.k_hops):
-            _pool.run_all(pool, _cast_tasks(blocks, out.transpose(1, 0, 2) if hop else x0,
-                                            x32))
-            rngs = [stream(seed, _HOP_STREAM, hop) for seed in seeds] if noisy else None
+            _pool.run_all(pool, _range_tasks(out.transpose(1, 0, 2) if hop else x0, x32, out,
+                                             noise_std, seeds, hop))
             mean_term = _mean_term(columns, cfg.cgl)
-            _pool.run_all(pool, _hop_tasks(blocks, columns, x0, out, mean_term, cfg.cgl,
-                                           noise_std, rngs))
+            _pool.run_all(pool, (partial(_hop_rows, product, columns, x0[a:b], mean_term,
+                                         cfg.cgl, out[:, a:b], noise_std > 0.0)
+                                 for a, b, product in blocks))
     # dropped before the trim, so that their pages are among those it gives back
     del x32, columns, blocks
     if large:

@@ -33,17 +33,28 @@ class _Key(ISeedSequence):
         return self.key
 
 
-def stream(seed: int, *ids: int) -> np.random.Generator:
+def _check_seed(seed) -> int:
+    """``seed`` as an int; ValueError unless an integer in [-2^63, 2^64), not a bool."""
+    if (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
+            or not -(1 << 63) <= int(seed) <= _MASK64):
+        raise ValueError(f"seed must be an integer in [-2^63, 2^64), got {seed!r}")
+    return int(seed)
+
+
+def stream(seed: int, *ids: int, part: int = 0) -> np.random.Generator:
     """Return an independent Generator for the given seed and context ids.
 
     ``seed`` is an integer in [-2^63, 2^64), not a bool; a negative seed
     is read modulo 2^64, so -1 keys the stream of 2^64 - 1.  At most two
-    context ids are supported; each must fit in 32 bits.  Normal variates
-    drawn from the returned generator use NumPy's ziggurat sampler.
+    context ids are supported; each must fit in 32 bits.  ``part``, in
+    [0, 2^64), is Philox's top counter word: parts of one key draw disjoint
+    counter ranges, and part 0 is the key's stream.  Normal variates drawn
+    from the returned generator use NumPy's ziggurat sampler.
     """
-    if (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
-            or not -(1 << 63) <= int(seed) <= _MASK64):
-        raise ValueError(f"seed must be an integer in [-2^63, 2^64), got {seed!r}")
+    seed = _check_seed(seed)
+    if (isinstance(part, bool) or not isinstance(part, numbers.Integral)
+            or not 0 <= int(part) <= _MASK64):
+        raise ValueError(f"part must be an integer in [0, 2^64), got {part!r}")
     if len(ids) > 2:
         raise ValueError("at most two stream ids are supported")
     packed = 0
@@ -51,5 +62,5 @@ def stream(seed: int, *ids: int) -> np.random.Generator:
         if not 0 <= sid < (1 << 32):
             raise ValueError(f"stream id {sid} outside [0, 2^32)")
         packed |= sid << (32 * i)
-    key = np.array([int(seed) & _MASK64, packed], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(_Key(key)))
+    key = np.array([seed & _MASK64, packed], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(_Key(key), counter=int(part) << 192))

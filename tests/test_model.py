@@ -89,22 +89,25 @@ class TestTrainHead:
         for a, b in zip(head.weights + head.biases, rows.weights + rows.biases):
             assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("extra_labels, mask, message", [
-        (0, [-1, -2, 3], r"outside \[0, 20\); the first is -1$"),
-        (0, [3, 20, 4], r"outside \[0, 20\); the first is 20$"),
+    @pytest.mark.parametrize("labels_of, mask, message", [
+        (lambda y: y, [-1, -2, 3], r"outside \[0, 20\); the first is -1$"),
+        (lambda y: y, [3, 20, 4], r"outside \[0, 20\); the first is 20$"),
         # id 21 would pass a check against the labels, then fail on the rows
-        (2, [0, 21], r"^labels hold 22 entries for 20 feature rows$"),
-    ], ids=["negative", "past-the-end", "more-labels"])
+        (lambda y: np.append(y, y[:2]), [0, 21], r"^labels hold 22 entries for 20 feature rows$"),
+        # float labels would fail as one-hot indices, bool labels pass as 0 and 1
+        (lambda y: y.astype(float), [0, 1], "^labels must hold integer classes, got dtype float64$"),
+        (lambda y: y > 1, [0, 1], "^labels must hold integer classes, got dtype bool$"),
+    ], ids=["negative", "past-the-end", "more-labels", "float-labels", "bool-labels"])
     @pytest.mark.parametrize("fit", [
         lambda x, *args: train_linear_encoder(x, *args),
         lambda x, *args: train_head(x, x, *args),
     ], ids=["encoder", "head"])
-    def test_mask_id_outside_the_nodes_rejected(self, fit, extra_labels, mask, message):
+    def test_mask_id_outside_the_nodes_rejected(self, fit, labels_of, mask, message):
         # numpy would train a negative id on a node counted from the end
         x, _, labels = head_case((20, 3))
         cfg = TrainConfig(epochs=2, learning_rate=0.5, hidden_units=4)
         with pytest.raises(ValueError, match=message):
-            fit(x, np.append(labels, labels[:extra_labels]), np.array(mask), cfg, 0)
+            fit(x, labels_of(labels), np.array(mask), cfg, 0)
 
     def test_row_count_mismatch_rejected(self):
         cfg = TrainConfig(epochs=1, learning_rate=0.1)
@@ -532,8 +535,12 @@ class TestEvaluate:
          (np.array([0, -1, -1, 1]), [0, 2, 1], f"{BAD_EVAL_ID} 2$"),
          (np.full(4, -1), [0, 1, 2, 3, 1], f"{BAD_EVAL_ID} 0$"),
          # id 5 would pass a check against the labels, then fail on the rows
-         (np.array([0, 0, 1, 1, 0, 1]), [5], "^labels hold 6 entries for 4 feature rows$")],
-        ids=["negative", "past-the-end", "unlabeled", "all-unlabeled", "more-labels"],
+         (np.array([0, 0, 1, 1, 0, 1]), [5], "^labels hold 6 entries for 4 feature rows$"),
+         # float labels would be compared with the predicted classes as floats
+         (TOY_Y.astype(float), [0, 1], "^labels must hold integer classes, got dtype float64$"),
+         (TOY_Y > 0, [0, 1], "^labels must hold integer classes, got dtype bool$")],
+        ids=["negative", "past-the-end", "unlabeled", "all-unlabeled", "more-labels",
+             "float-labels", "bool-labels"],
     )
     def test_bad_mask_id_rejected(self, labels, mask, message):
         # an unlabeled node would score as a miss, and a negative id would

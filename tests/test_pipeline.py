@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -151,7 +152,24 @@ def float32_product(adj, x32):
     return total
 
 
-def reference_release(ds, cfg, noise_std):
+def hop_noise(seed, hop, shape, std):
+    """Hop ``hop``'s Gaussian for the release of ``seed``: rows c*R up to
+    (c+1)*R, R = ``pipeline._NOISE_ROWS``, drawn from part c of the hop's
+    stream."""
+    n, d = shape
+    rows = caribou.pipeline._NOISE_ROWS
+    return np.concatenate([
+        stream(seed, 0x40C4, hop, part=c).normal(0.0, std, size=(min(rows, n - a), d))
+        for c, a in enumerate(range(0, n, rows))
+    ])
+
+
+def whole_noise(seed, hop, shape, std):
+    """The hop's Gaussian as one draw of the whole matrix from its stream."""
+    return stream(seed, 0x40C4, hop).normal(0.0, std, size=shape)
+
+
+def reference_release(ds, cfg, noise_std, noise=hop_noise):
     """The hop loop written out: the float32 product of the float32
     iterate, the layer's float64 terms, the hop's Gaussian, projection."""
     adj = normalized_adjacency(ds.graph)
@@ -161,7 +179,7 @@ def reference_release(ds, cfg, noise_std):
         x32 = x.astype(np.float32)
         mean = x32.mean(axis=0, dtype=np.float64)
         x = p.c_l * (p.alpha1 * float32_product(adj, x32) + p.alpha2 * mean) + p.beta * ds.features
-        x = x + stream(cfg.seed, 0x40C4, hop).normal(0.0, noise_std, size=x.shape)
+        x = x + noise(cfg.seed, hop, x.shape, noise_std)
         x = project_rows(x)
     return x
 
@@ -173,7 +191,7 @@ def reference_release_float64(ds, cfg, noise_std):
     x = ds.features.copy()
     for hop in range(cfg.k_hops):
         x = layer_forward(adj, x, ds.features, cfg.cgl)
-        x = x + stream(cfg.seed, 0x40C4, hop).normal(0.0, noise_std, size=x.shape)
+        x = x + hop_noise(cfg.seed, hop, x.shape, noise_std)
         x = project_rows(x)
     return x
 
@@ -192,13 +210,13 @@ def count_calls(monkeypatch, name, fail_at=None):
     calls = []
     lock = threading.Lock()
 
-    def wrapper(*args):
+    def wrapper(*args, **kwargs):
         with lock:
             number = len(calls)
             calls.append((threading.current_thread(), threading.active_count()))
         if number == fail_at:
             raise ArithmeticError(f"call {number} failed")
-        return original(*args)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(caribou.pipeline, name, wrapper)
     return calls
@@ -278,6 +296,33 @@ class TestNoiseOverlap:
         assert artifacts.per_hop_noise_std == 0.0
         assert np.array_equal(artifacts.x_k_final, reference_release(ds, cfg, 0.0))
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_ragged_ranges_of_rows_equal_reference_loop(self, cpus, monkeypatch):
+        # 8192 rows are ranges of 3000, 3000 and 2192 rows
+        monkeypatch.setattr(caribou.pipeline, "_NOISE_ROWS", 3000)
+        monkeypatch.setattr(caribou._pool, "usable_cpus", lambda: cpus)
+        ds = random_dataset(*ABOVE_CUTOFF, seed=18)
+        cfg = mixed_config("edge", 3)
+        batched = run_pipeline(ds, cfg, [3, 4])
+        for release, seed in zip(batched.x_k_final, (3, 4)):
+            expected = reference_release(ds, replace(cfg, seed=seed), batched.per_hop_noise_std)
+            assert np.array_equal(release, expected)
+
+    @pytest.mark.parametrize("size", [BELOW_CUTOFF, (4096, 128)], ids=["below", "above"])
+    def test_one_range_of_rows_is_the_whole_draw_of_the_hop_stream(self, size, monkeypatch):
+        # every release of at most _NOISE_ROWS rows, such as each of an
+        # audit's, keeps the bits of drawing each hop's matrix at once
+        monkeypatch.setattr(caribou._pool, "usable_cpus", lambda: 2)
+        assert size[0] <= caribou.pipeline._NOISE_ROWS
+        ds = random_dataset(*size, seed=16)
+        for level in ("edge", "node"):
+            cfg = mixed_config(level, 5)
+            artifacts = run_pipeline(ds, cfg, [5, 6])
+            for release, seed in zip(artifacts.x_k_final, (5, 6)):
+                expected = reference_release(ds, replace(cfg, seed=seed),
+                                             artifacts.per_hop_noise_std, whole_noise)
+                assert np.array_equal(release, expected)
+
     def test_column_major_features_give_the_same_release(self):
         ds = random_dataset(*ABOVE_CUTOFF, seed=7)
         cfg = mixed_config("edge", 2)
@@ -336,39 +381,73 @@ class TestNoiseOverlap:
         # three blocks of 8192 rows per hop, two hops
         assert counts == [6, 6, 6]
 
-    def test_failing_hop_reaches_caller_and_ends_worker(self, monkeypatch):
+    @pytest.mark.parametrize("failing", ["draw-on-a-worker", "block-task"])
+    def test_failing_hop_reaches_caller_and_ends_worker(self, failing, monkeypatch):
         monkeypatch.setattr(caribou._pool, "BLOCK_ROWS", 3000)
+        monkeypatch.setattr(caribou.pipeline, "_NOISE_ROWS", 1000)
         monkeypatch.setattr(caribou._pool, "usable_cpus", lambda: 2)
         ds = random_dataset(*ABOVE_CUTOFF, seed=4)
         before = threading.active_count()
-        # Three blocks per hop, so hop 2 makes the calls numbered 6, 7 and 8
-        # of each helper.  The draw fails before any of hop 2's rows are
-        # drawn, or after its first block's; or one block task fails.
-        for name, fail_at, calls_made, projected in (
-            ("_draw_noise", 6, 7, 6), ("_draw_noise", 7, 8, 7), ("_layer_rows", 7, 9, 8),
-        ):
-            with monkeypatch.context() as patch:
-                calls = count_calls(patch, name, fail_at=fail_at)
-                projections = count_calls(patch, "_project_rows_inplace")
-                raised = []
+        # Per hop, nine ranges of rows draw their noise, then three blocks
+        # form their layer rows: hop 2 makes the draws numbered 18 to 26 and
+        # the layer rows numbered 6 to 8.  Either the first of hop 2's draws
+        # that a worker makes fails, or hop 2's second block task fails.
+        draw, draws, failed_on = caribou.pipeline._draw_noise, [], []
+        lock, failed = threading.Lock(), threading.Event()
 
-                def call():
-                    try:
-                        run_pipeline(ds, mixed_config("edge", 0, k=4))
-                    except ArithmeticError as exc:
-                        raised.append(str(exc))
+        def failing_draw(*args):
+            here = threading.current_thread()
+            with lock:
+                draws.append(here)
+                fails = len(draws) > 18 and failing == "draw-on-a-worker" and not failed_on
+                if fails and here is not caller:
+                    failed_on.append(here)
+                    failed.set()
+                    raise ArithmeticError("draw failed")
+            if fails:
+                # this thread runs none of hop 2's ranges before a worker
+                # has taken one and failed
+                assert failed.wait(timeout=30)
+            return draw(*args)
 
-                # a hang fails the test instead of stalling the suite
-                caller = threading.Thread(target=call, daemon=True)
-                caller.start()
-                caller.join(timeout=30)
-            case = (name, fail_at)
-            assert not caller.is_alive(), case
-            assert raised == [f"call {fail_at} failed"], case
-            # no call of hop 3; a block whose noise was never drawn has no task
-            assert len(calls) == calls_made, case
-            assert len(projections) == projected, case
-            assert threading.active_count() == before, case
+        def call():
+            try:
+                run_pipeline(ds, mixed_config("edge", 0, k=4))
+            except ArithmeticError as exc:
+                raised.append(str(exc))
+
+        raised = []
+        # a hang fails the test instead of stalling the suite
+        caller = threading.Thread(target=call, daemon=True)
+        with monkeypatch.context() as patch:
+            patch.setattr(caribou.pipeline, "_draw_noise", failing_draw)
+            layer_rows = count_calls(patch, "_layer_rows",
+                                     fail_at=7 if failing == "block-task" else None)
+            projections = count_calls(patch, "_project_rows_inplace")
+            caller.start()
+            caller.join(timeout=30)
+        assert not caller.is_alive()
+        if failing == "draw-on-a-worker":
+            assert raised == ["draw failed"] and failed_on[0] is not caller
+            # hop 2's other ranges still draw; none of its blocks runs
+            assert (len(draws), len(layer_rows), len(projections)) == (27, 6, 6)
+        else:
+            assert raised == ["call 7 failed"]
+            assert (len(draws), len(layer_rows), len(projections)) == (27, 9, 8)
+        # no task of hop 3 runs, and the worker has ended
+        assert threading.active_count() == before
+
+    def test_streams_on_the_calling_thread_draws_on_every_cpu(self, monkeypatch):
+        # release-1e5's shape: 25 ranges of rows per hop, on row blocks
+        monkeypatch.setattr(caribou._pool, "usable_cpus", lambda: 2)
+        ds = random_dataset(100_000, 64, seed=17)
+        streams = count_calls(monkeypatch, "stream")
+        draws = count_calls(monkeypatch, "_draw_noise")
+        run_pipeline(ds, mixed_config("edge", 0, k=2))
+        assert len(streams) == len(draws) == 2 * 25
+        # a tracer's wrapper around the public stream never runs on a worker
+        assert {thread for thread, _ in streams} == {threading.main_thread()}
+        assert len({thread for thread, _ in draws}) == 2
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_peak_memory_holds_one_float64_and_one_float32_buffer(self, cpus, monkeypatch):
@@ -637,6 +716,18 @@ class TestConfigValidation:
     def test_k_hops_must_be_an_integer(self, k):
         with pytest.raises(ValueError, match="k_hops"):
             replace(chain_config(k=2), k_hops=k)
+
+    @pytest.mark.parametrize("level", ["none", "edge", "node"])
+    @pytest.mark.parametrize("seed", [1.5, np.float64(2.0), True, "3", 2**64, -(2**63) - 1],
+                             ids=["float", "numpy-float", "bool", "string", "2^64", "below-2^63"])
+    def test_seed_outside_the_integers_it_keys_rejected(self, seed, level):
+        # a level-"none" run draws no noise, so no stream would check it
+        message = f"^{re.escape(f'seed must be an integer in [-2^63, 2^64), got {seed!r}')}$"
+        with pytest.raises(ValueError, match=message):
+            chain_config(level=level, seed=seed)
+        ds = gen_chain_dataset(2, 4, 2, 3, seed=0)
+        with pytest.raises(ValueError, match=message):
+            run_pipeline(ds, chain_config(level=level), [0, seed])
 
     @pytest.mark.parametrize("cap", [0, -3, 2.5, 3.0, True, "3"])
     def test_bad_max_degree_rejected(self, cap):

@@ -12,12 +12,14 @@ MASK64 = (1 << 64) - 1
 ID = st.integers(0, 2**32 - 1)
 
 
-def keyed_generator(seed, *ids):
+def keyed_generator(seed, *ids, part=0):
     """The generator ``stream`` stands for: Philox keyed by the seed and the
-    packed ids, built through its ``key`` argument."""
+    packed ids, built through its ``key`` argument, with ``part`` as the
+    top word of its counter."""
     packed = sum(sid << (32 * i) for i, sid in enumerate(ids))
     key = np.array([seed & MASK64, packed], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    counter = np.array([0, 0, 0, part], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
 class TestStream:
@@ -29,13 +31,36 @@ class TestStream:
     @example(seed=2**64 - 1, ids=[2**32 - 1, 2**32 - 1])
     @example(seed=0, ids=[0, 2**32 - 1])
     def test_draws_equal_the_keyed_philox(self, seed, ids):
-        got, expected = stream(seed, *ids), keyed_generator(seed, *ids)
-        assert np.array_equal(got.normal(size=37), expected.normal(size=37))
-        assert np.array_equal(got.integers(0, 1 << 63, size=5),
-                              expected.integers(0, 1 << 63, size=5))
-        assert np.array_equal(got.random(3), expected.random(3))
-        assert got.bit_generator.state["state"]["counter"].tolist() == \
-            expected.bit_generator.state["state"]["counter"].tolist()
+        expected = keyed_generator(seed, *ids)
+        normal, integers, uniform = (expected.normal(size=37),
+                                     expected.integers(0, 1 << 63, size=5), expected.random(3))
+        # part 0 is the key's stream from counter 0
+        for got in (stream(seed, *ids), stream(seed, *ids, part=0)):
+            assert np.array_equal(got.normal(size=37), normal)
+            assert np.array_equal(got.integers(0, 1 << 63, size=5), integers)
+            assert np.array_equal(got.random(3), uniform)
+            assert got.bit_generator.state["state"]["counter"].tolist() == \
+                expected.bit_generator.state["state"]["counter"].tolist()
+
+    @pytest.mark.parametrize("seed, ids", [(0, ()), (7, (0x40C4, 3)), (2**64 - 1, (1,))])
+    def test_parts_are_the_top_counter_word(self, seed, ids):
+        draws = [stream(seed, *ids, part=part).normal(size=64) for part in (0, 1, 2, 2**64 - 1)]
+        for part, draw in zip((0, 1, 2, 2**64 - 1), draws):
+            assert np.array_equal(draw, keyed_generator(seed, *ids, part=part).normal(size=64))
+        # no two parts share a number
+        assert np.unique(np.concatenate(draws)).size == 4 * 64
+
+    @pytest.mark.parametrize("part", [True, False, -1, 2**64, 1.0, np.float64(2.0), "1"],
+                             ids=["true", "false", "negative", "2^64", "float", "numpy-float",
+                                  "string"])
+    def test_part_outside_the_counter_word_rejected(self, part):
+        message = f"part must be an integer in [0, 2^64), got {part!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            stream(3, 1, part=part)
+
+    def test_numpy_integer_parts_key_their_value(self):
+        for part in (np.int64(3), np.uint64(3), np.int8(3)):
+            assert np.array_equal(stream(4, 2, part=part).random(4), stream(4, 2, part=3).random(4))
 
     def test_streams_of_one_key_are_independent_objects(self):
         a, b = stream(3, 1), stream(3, 1)
