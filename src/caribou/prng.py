@@ -8,12 +8,12 @@ word 0 carries the user seed, word 1 packs up to two 32-bit context ids.
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 _MASK64 = (1 << 64) - 1
+# the values of numbers.Integral, checked in a fraction of its time
+_INTEGERS = (int, np.integer)
 
 
 class _Key(ISeedSequence):
@@ -35,7 +35,7 @@ class _Key(ISeedSequence):
 
 def _check_seed(seed) -> int:
     """``seed`` as an int; ValueError unless an integer in [-2^63, 2^64), not a bool."""
-    if (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
+    if (isinstance(seed, bool) or not isinstance(seed, _INTEGERS)
             or not -(1 << 63) <= int(seed) <= _MASK64):
         raise ValueError(f"seed must be an integer in [-2^63, 2^64), got {seed!r}")
     return int(seed)
@@ -52,7 +52,7 @@ def stream(seed: int, *ids: int, part: int = 0) -> np.random.Generator:
     from the returned generator use NumPy's ziggurat sampler.
     """
     seed = _check_seed(seed)
-    if (isinstance(part, bool) or not isinstance(part, numbers.Integral)
+    if (isinstance(part, bool) or not isinstance(part, _INTEGERS)
             or not 0 <= int(part) <= _MASK64):
         raise ValueError(f"part must be an integer in [0, 2^64), got {part!r}")
     if len(ids) > 2:

@@ -381,8 +381,7 @@ class TestNoiseOverlap:
         # three blocks of 8192 rows per hop, two hops
         assert counts == [6, 6, 6]
 
-    @pytest.mark.parametrize("failing", ["draw-on-a-worker", "block-task"])
-    def test_failing_hop_reaches_caller_and_ends_worker(self, failing, monkeypatch):
+    def test_failing_hop_reaches_caller_and_ends_worker(self, monkeypatch):
         monkeypatch.setattr(caribou._pool, "BLOCK_ROWS", 3000)
         monkeypatch.setattr(caribou.pipeline, "_NOISE_ROWS", 1000)
         monkeypatch.setattr(caribou._pool, "usable_cpus", lambda: 2)
@@ -392,50 +391,50 @@ class TestNoiseOverlap:
         # form their layer rows: hop 2 makes the draws numbered 18 to 26 and
         # the layer rows numbered 6 to 8.  Either the first of hop 2's draws
         # that a worker makes fails, or hop 2's second block task fails.
-        draw, draws, failed_on = caribou.pipeline._draw_noise, [], []
-        lock, failed = threading.Lock(), threading.Event()
+        # Hop 2's other tasks of that batch still run; no later task does.
+        for failing, message, calls_made in (
+            ("draw-on-a-worker", "draw failed", (27, 6, 6)),
+            ("block-task", "call 7 failed", (27, 9, 8)),
+        ):
+            draw, draws, failed_on = caribou.pipeline._draw_noise, [], []
+            lock, failed = threading.Lock(), threading.Event()
 
-        def failing_draw(*args):
-            here = threading.current_thread()
-            with lock:
-                draws.append(here)
-                fails = len(draws) > 18 and failing == "draw-on-a-worker" and not failed_on
-                if fails and here is not caller:
-                    failed_on.append(here)
-                    failed.set()
-                    raise ArithmeticError("draw failed")
-            if fails:
-                # this thread runs none of hop 2's ranges before a worker
-                # has taken one and failed
-                assert failed.wait(timeout=30)
-            return draw(*args)
+            def failing_draw(*args):
+                here = threading.current_thread()
+                with lock:
+                    draws.append(here)
+                    fails = len(draws) > 18 and failing == "draw-on-a-worker" and not failed_on
+                    if fails and here is not caller:
+                        failed_on.append(here)
+                        failed.set()
+                        raise ArithmeticError("draw failed")
+                if fails:
+                    # this thread runs none of hop 2's ranges before a
+                    # worker has taken one and failed
+                    assert failed.wait(timeout=30)
+                return draw(*args)
 
-        def call():
-            try:
-                run_pipeline(ds, mixed_config("edge", 0, k=4))
-            except ArithmeticError as exc:
-                raised.append(str(exc))
+            def call():
+                try:
+                    run_pipeline(ds, mixed_config("edge", 0, k=4))
+                except ArithmeticError as exc:
+                    raised.append(str(exc))
 
-        raised = []
-        # a hang fails the test instead of stalling the suite
-        caller = threading.Thread(target=call, daemon=True)
-        with monkeypatch.context() as patch:
-            patch.setattr(caribou.pipeline, "_draw_noise", failing_draw)
-            layer_rows = count_calls(patch, "_layer_rows",
-                                     fail_at=7 if failing == "block-task" else None)
-            projections = count_calls(patch, "_project_rows_inplace")
-            caller.start()
-            caller.join(timeout=30)
-        assert not caller.is_alive()
-        if failing == "draw-on-a-worker":
-            assert raised == ["draw failed"] and failed_on[0] is not caller
-            # hop 2's other ranges still draw; none of its blocks runs
-            assert (len(draws), len(layer_rows), len(projections)) == (27, 6, 6)
-        else:
-            assert raised == ["call 7 failed"]
-            assert (len(draws), len(layer_rows), len(projections)) == (27, 9, 8)
-        # no task of hop 3 runs, and the worker has ended
-        assert threading.active_count() == before
+            raised = []
+            # a hang fails the test instead of stalling the suite
+            caller = threading.Thread(target=call, daemon=True)
+            with monkeypatch.context() as patch:
+                patch.setattr(caribou.pipeline, "_draw_noise", failing_draw)
+                layer_rows = count_calls(patch, "_layer_rows",
+                                         fail_at=7 if failing == "block-task" else None)
+                projections = count_calls(patch, "_project_rows_inplace")
+                caller.start()
+                caller.join(timeout=30)
+            assert not caller.is_alive(), failing
+            # a draw raises only on a worker
+            assert raised == [message], failing
+            assert (len(draws), len(layer_rows), len(projections)) == calls_made, failing
+            assert threading.active_count() == before, failing
 
     def test_streams_on_the_calling_thread_draws_on_every_cpu(self, monkeypatch):
         # release-1e5's shape: 25 ranges of rows per hop, on row blocks
