@@ -1,12 +1,13 @@
 """Tasks on a thread pool whose last worker is the calling thread.
 
-``pipeline.run_pipeline`` and the head in ``model`` split large matrices
-into row blocks and run one task per block.  Both take the pool from
-``thread_pool`` and run each batch of tasks with ``run_all``, so the CPU
-count, the size from which a pool runs and the block size are stated here
-once.  A pool has one thread fewer than the CPUs the process may use: the
-calling thread submits each task as it is produced, and once the last is
-submitted it runs, last first, every task that no worker has started.
+``pipeline.run_pipeline`` and the head in ``model`` split matrices into
+row blocks, one task per block; only the head's blocks have ``BLOCK_ROWS``
+rows.  Both take the pool from ``thread_pool`` and run each batch with
+``run_all``, so the CPU count and the size from which a pool runs are
+stated here once.  A pool has one thread fewer than the CPUs the process
+may use: the calling thread submits each task as it is produced, and once
+the last is submitted it runs, last first, every task that no worker has
+started.
 Workers run only private helpers and numpy/scipy calls that release the
 GIL; every public function is called on the calling thread, so wrappers a
 tracer installs around public functions never run on a worker.
@@ -33,8 +34,8 @@ go back before the head allocates over them: in ten alternating bench
 pairs the peak fell from 334.9 to 285.5 MB (medians), and the release
 took no longer.  Only there: trimming at the pool's exit, while the
 iterate is still held, left a 302.5 MB peak, and trimming after the head
-333-334 MB.  Smaller runs, such as every query of an audit, are one block
-and are not trimmed.
+333-334 MB.  Smaller runs, such as every query of an audit, are not
+trimmed.
 """
 
 from __future__ import annotations
@@ -54,9 +55,9 @@ from typing import Callable, Iterable, Iterator
 #: The cutoff is kept so that small runs, such as each query of an audit and
 #: each of its heads, start no threads.
 MIN_CELLS = 1 << 19
-#: Rows per block when the pool runs.  Small enough that a hop's blocks keep
-#: every thread busy, large enough that per-task costs stay small; 2k-16k
-#: rows timed alike (CHANGES.md).
+#: Rows per block of the head in ``model`` (not of a release) when the pool
+#: runs.  Small enough that the blocks keep every thread busy, large enough
+#: that per-task costs stay small; 2k-16k rows timed alike (CHANGES.md).
 BLOCK_ROWS = 4096
 
 

@@ -297,7 +297,10 @@ def calibrate_sigma(
     for alpha in grid:
         room = spec.epsilon - floors[alpha]
         while room > 0:
-            candidate = math.sqrt(alpha * factor / (2.0 * room))
+            # 2 room overflows from epsilon ~ 9e307 on; room / 2 there gives a
+            # larger sigma, still within the target, whose 1/sigma^2 is finite
+            scale = 2.0 * room if math.isfinite(2.0 * room) else room / 2
+            candidate = math.sqrt(alpha * factor / scale)
             over = _composed_epsilon(candidate, alpha, factor, spec) - spec.epsilon
             if over <= 0:
                 if best is None or candidate < best[0]:

@@ -18,8 +18,8 @@ non-string for a key that holds a path or a name, a non-boolean
 ``train``, ``audit`` and every run of a ``sweep`` read and check all of
 these, also the sections they do not use;
 ``audit`` runs no encoder and rejects ``encoder.enabled: true``.
-``privacy.level`` (or ``--level``) is required, and so is each key of a
-``train.dp`` object.
+``privacy.level`` (or ``--level``) is required.  ``train.dp`` is absent,
+``null`` or an object with both keys; a node-level run requires it.
 A missing key takes the default of the dataclass it feeds; only the values
 that no dataclass defaults are defaulted here: the ``cgl`` coefficients,
 ``epsilon`` 1.0, ``delta`` 1e-3 and ``seed`` 0.  The CARIBOU_OUT
@@ -266,7 +266,9 @@ def _read_run(config: dict) -> _Run:
     cfg = PipelineConfig(cgl=params, spec=spec, k_hops=spec.k_hops, seed=seed, **run_keys)
     train = _read(config.get("train", {}), "train", _TRAIN)
     dp = train.pop("dp", None)
-    if dp:
+    if dp is None and spec.level == "node":
+        raise CliError("a node-level run needs 'train.dp': its head reads private rows")
+    if dp is not None:
         train["dp"] = DpSgdConfig(**_read(dp, "train.dp", _DP, required=tuple(_DP)))
     encoder = _read(config.get("encoder", {}), "encoder", _ENCODER)
     audit = _read(config.get("audit", {}), "audit", _AUDIT)

@@ -122,26 +122,24 @@ def _layer_rows(product: Array, x0_rows: Array, mean_term: Array | None,
     return out
 
 
-def project_rows(x: Array, radius: float = 1.0) -> Array:
-    """Scale rows with Euclidean norm above ``radius`` back onto the ball.
+def project_rows(x: Array) -> Array:
+    """Scale rows with Euclidean norm above 1 back onto the unit ball.
 
     Rows already inside the ball are returned unchanged, so the map is
     idempotent and non-expansive.
     """
-    if not 0 < radius < np.inf:
-        raise ValueError("radius must be positive and finite")
     x = np.array(x, dtype=float)
-    _project_rows_inplace(x, radius)
+    _project_rows_inplace(x)
     return x
 
 
-def _project_rows_inplace(x: Array, radius: float = 1.0) -> None:
+def _project_rows_inplace(x: Array) -> None:
     """``project_rows`` on ``x`` itself: each row is scaled by a factor
     computed from that row alone.  A row inside the ball is scaled by
-    ``radius / radius``, exactly 1; a row with a NaN norm is kept as it is,
-    since ``fmax`` passes over the NaN."""
+    exactly 1; a row with a NaN norm is kept as it is, since ``fmax``
+    passes over the NaN."""
     norms = np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True))
-    x *= radius / np.fmax(norms, radius)
+    x *= 1.0 / np.fmax(norms, 1.0)
 
 
 def normalize_rows(x: Array) -> Array:

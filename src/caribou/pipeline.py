@@ -4,22 +4,19 @@ releasing only the final embedding.
 
 Each hop multiplies in float32 and does everything else in float64.  A run
 holds two full-size buffers: the float32 iterate and the hop's float64
-output.  A hop runs two batches of tasks.  The first has one task per
-range of ``_NOISE_ROWS`` rows: it rounds the range's rows of the last
-output (of X0 at hop 0) into the iterate, then draws their Gaussian noise
-straight into the output.  The second has one task per row block: it
-forms the block's layer rows from the float32 product Â @ X, adds them
-into the output and projects them in place.  The blocks have
-``_pool.BLOCK_ROWS`` rows from ``_pool.MIN_CELLS`` output entries up,
-whatever the CPU count; a smaller output is one block.  The tasks run on
-the thread pool of ``_pool``, whose last worker is the calling thread, or
-on the calling thread alone where ``_pool`` lends no workers.  The last
-output is the release, in float64.
+output.  A hop's rows are split once, into blocks of R = ``_NOISE_ROWS``
+rows whatever n, the batch or the CPU count, and a hop runs two batches
+of tasks, one per block.  The first rounds the block's rows of the last
+output (of X0 at hop 0) into the iterate.  The second draws the block's
+Gaussian noise straight into the output, adds the block's layer rows,
+formed from the float32 product Â @ X, and projects them in place.  The
+tasks run on the thread pool of ``_pool``, whose last worker is the
+calling thread, or on the calling thread alone where ``_pool`` lends no
+workers.  The last output is the release, in float64.
 
-Release t's noise at hop k on rows c·R up to (c+1)·R, R = ``_NOISE_ROWS``,
-is one draw in the range's task from ``stream(seed_t, _HOP_STREAM, k,
-part=c)``, built on the calling thread.  No block size, CPU count or batch
-moves R or the bits; with n <= R the one range is part 0, the whole draw.
+Release t's noise at hop k on block c, rows c·R up to (c+1)·R, is one
+draw from ``stream(seed_t, _HOP_STREAM, k, part=c)``, built on the calling
+thread; with n <= R the one block is part 0, the whole draw.
 
 A run can make T releases of one graph, one per seed, in the same pass;
 both buffers are then T times as large.  The iterate holds the T
@@ -41,12 +38,12 @@ comes from ``graphs._aggregation_blocks``, and how Â is stored for it is
 stated in the ``graphs`` module docstring.
 
 Every product of a hop stays row-local: the sparse Â @ X computes each
-output row from that row of Â alone, so blocks of any height give the
-same bits.  Only the column mean reads every row; it is taken once per hop
-on the calling thread.  Noise + layer is the same float as layer + noise,
-so the release is the bits of drawing each range, then adding and
-projecting the whole matrix at once, whether it is made alone or in a
-batch of seeds and features.
+output row from that row of Â alone, so the blocks give the bits of the
+whole product.  Only the column mean reads every row; it is taken once per
+hop on the calling thread.  Noise + layer is the same float as layer +
+noise, so the release is the bits of drawing each block's noise, then
+adding and projecting the whole matrix at once, whether it is made alone
+or in a batch of seeds and features.
 """
 
 from __future__ import annotations
@@ -158,16 +155,19 @@ def sample_gaussian_matrix(
 
 
 def _hop_rows(product, x32: np.ndarray, x0_rows: np.ndarray, mean_term,
-              params: LayerParams, out_rows: np.ndarray, noisy: bool) -> None:
-    """Form one block's layer rows from its ``product`` of the float32
-    iterate, put them into ``out_rows``, the block's (T, rows, d) view of
-    the output, and project them in place.  Release t's rows are columns
-    t*d up to (t+1)*d of the layer rows.  With ``noisy``, ``out_rows``
-    holds the block's noise and the rows are added to it."""
+              params: LayerParams, out_rows: np.ndarray, std: float,
+              rngs: list[np.random.Generator]) -> None:
+    """Draw release t's noise into ``out_rows[t]``, the block's (T, rows, d)
+    view of the output, from ``rngs[t]``, add the block's layer rows, formed
+    from its ``product`` of the float32 iterate, and project them in place.
+    Release t's rows are columns t*d up to (t+1)*d of the layer rows.
+    Without ``rngs`` the rows are assigned."""
     t, m, d = out_rows.shape
+    for release, rng in zip(out_rows, rngs):
+        _draw_noise(release, std, rng)
     rows = _layer_rows(product(x32), x0_rows, mean_term, params)
     rows = rows.reshape(m, t, d).transpose(1, 0, 2)
-    if noisy:
+    if rngs:
         out_rows += rows
     else:
         out_rows[...] = rows
@@ -176,25 +176,6 @@ def _hop_rows(product, x32: np.ndarray, x0_rows: np.ndarray, mean_term,
     # 10,000 x 8 release took 30% longer while the rows were still held
     del rows
     _project_rows_inplace(out_rows)
-
-
-def _range_rows(src: np.ndarray, x32: np.ndarray, out_rows: np.ndarray, std: float,
-                rngs: list[np.random.Generator]) -> None:
-    """Round one range's rows of ``src`` into ``x32``, both (rows, T, d),
-    then draw release t's noise into ``out_rows[t]`` from ``rngs[t]``."""
-    np.copyto(x32, src)
-    for release, rng in zip(out_rows, rngs):
-        _draw_noise(release, std, rng)
-
-
-def _range_tasks(src: np.ndarray, x32: np.ndarray, out: np.ndarray, std: float,
-                 seeds: list[int], hop: int):
-    """A hop's first batch of tasks, one per range of ``_NOISE_ROWS``
-    rows; ``src`` may broadcast.  Without ``std`` nothing is drawn."""
-    for part, a in enumerate(range(0, len(x32), _NOISE_ROWS)):
-        rows = slice(a, a + _NOISE_ROWS)
-        rngs = [stream(seed, _HOP_STREAM, hop, part=part) for seed in seeds] if std else []
-        yield partial(_range_rows, src[rows], x32[rows], out[:, rows], std, rngs)
 
 
 def run_pipeline(dataset: LabeledDataset, cfg: PipelineConfig, seeds=None,
@@ -213,18 +194,18 @@ def run_pipeline(dataset: LabeledDataset, cfg: PipelineConfig, seeds=None,
     Requires row-normalized input features.  The per-hop noise standard
     deviation is exactly plan.delta_mp * plan.sigma, where delta_mp is the
     layer sensitivity plus ``plan.rounding_slack``, the charge for the
-    float32 product; each range of rows of each hop of each release draws
+    float32 product; each block of rows of each hop of each release draws
     from its own counter range straight into the output, so runs are
     reproducible regardless of evaluation order.  Besides the features, a
     run holds the float32 iterate and the float64 output, 1.5 T times the
     features' size, plus the blocks in flight; it returns holding only the
-    output.  A run on row blocks then gives the C heap's free pages back
-    to the OS (``_pool`` says why).
+    output.  A run whose output reaches ``_pool.MIN_CELLS`` entries then
+    gives the C heap's free pages back to the OS (``_pool`` says why).
 
     Each hop, and the rounding of its iterate to float32, runs on the
-    ranges, blocks and threads that the module docstring describes, with the same
-    bits for any block size, thread count and batch.  The streams and
-    every other public function are called on this thread.
+    blocks and threads that the module docstring describes, with the same
+    bits for any thread count and batch.  The streams and every other
+    public function are called on this thread.
     """
     batched = seeds is not None
     seeds = [cfg.seed] if seeds is None else [_check_seed(seed) for seed in seeds]
@@ -273,10 +254,9 @@ def run_pipeline(dataset: LabeledDataset, cfg: PipelineConfig, seeds=None,
     n, d = x0.shape[1:]
     if n == 0:
         raise ValueError("expected a non-empty 2-D feature matrix")
-    large = len(seeds) * n * d >= _pool.MIN_CELLS
     # built before the iterate buffers: the build of Â's float32 copy has
     # its own peak of several times its size
-    blocks = _aggregation_blocks(dataset.graph, _pool.BLOCK_ROWS if large else n)
+    blocks = _aggregation_blocks(dataset.graph, _NOISE_ROWS)
     # the T releases side by side: release t is columns t*d up to (t+1)*d
     # of the iterate and slice t of the output; X0 likewise, (n, T or 1, d)
     x32 = np.empty((n, len(seeds), d), dtype=np.float32)
@@ -285,15 +265,18 @@ def run_pipeline(dataset: LabeledDataset, cfg: PipelineConfig, seeds=None,
     out = np.empty((len(seeds), n, d))
     with _pool.thread_pool(out.size) as pool:
         for hop in range(cfg.k_hops):
-            _pool.run_all(pool, _range_tasks(out.transpose(1, 0, 2) if hop else x0, x32, out,
-                                             noise_std, seeds, hop))
+            src = out.transpose(1, 0, 2) if hop else x0
+            _pool.run_all(pool, (partial(np.copyto, x32[a:b], src[a:b]) for a, b, _ in blocks))
             mean_term = _mean_term(columns, cfg.cgl)
-            _pool.run_all(pool, (partial(_hop_rows, product, columns, x0[a:b], mean_term,
-                                         cfg.cgl, out[:, a:b], noise_std > 0.0)
-                                 for a, b, product in blocks))
+            # block c draws from part c of the hop's streams, built on this thread
+            _pool.run_all(pool, (
+                partial(_hop_rows, product, columns, x0[a:b], mean_term, cfg.cgl, out[:, a:b],
+                        noise_std, [stream(s, _HOP_STREAM, hop, part=c)
+                                    for s in seeds if noise_std])
+                for c, (a, b, product) in enumerate(blocks)))
     # dropped before the trim, so that their pages are among those it gives back
     del x32, columns, blocks
-    if large:
+    if out.size >= _pool.MIN_CELLS:
         _pool._trim_heap()
     return RunArtifacts(x_k_final=out if batched else out[0], plan=plan)
 

@@ -46,10 +46,10 @@ def stream(seed: int, *ids: int, part: int = 0) -> np.random.Generator:
 
     ``seed`` is an integer in [-2^63, 2^64), not a bool; a negative seed
     is read modulo 2^64, so -1 keys the stream of 2^64 - 1.  At most two
-    context ids are supported; each must fit in 32 bits.  ``part``, in
-    [0, 2^64), is Philox's top counter word: parts of one key draw disjoint
-    counter ranges, and part 0 is the key's stream.  Normal variates drawn
-    from the returned generator use NumPy's ziggurat sampler.
+    context ids, each an integer in [0, 2^32) and not a bool, are
+    supported.  ``part``, in [0, 2^64), is Philox's top counter word:
+    parts of one key draw disjoint counter ranges, and part 0 is the key's
+    stream.  Normal variates use NumPy's ziggurat sampler.
     """
     seed = _check_seed(seed)
     if (isinstance(part, bool) or not isinstance(part, _INTEGERS)
@@ -59,8 +59,8 @@ def stream(seed: int, *ids: int, part: int = 0) -> np.random.Generator:
         raise ValueError("at most two stream ids are supported")
     packed = 0
     for i, sid in enumerate(ids):
-        if not 0 <= sid < (1 << 32):
-            raise ValueError(f"stream id {sid} outside [0, 2^32)")
-        packed |= sid << (32 * i)
+        if isinstance(sid, bool) or not isinstance(sid, _INTEGERS) or not 0 <= sid < (1 << 32):
+            raise ValueError(f"stream id must be an integer in [0, 2^32), got {sid!r}")
+        packed |= int(sid) << (32 * i)
     key = np.array([seed & _MASK64, packed], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(_Key(key), counter=int(part) << 192))

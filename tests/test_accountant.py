@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -340,6 +341,15 @@ class TestCalibration:
         plan = calibrate_sigma(spec, 1.0)
         assert plan.eps_achieved <= spec.epsilon
         assert plan.sigma > 1e7
+
+    @pytest.mark.parametrize("alphas", [None, [1 + 2**-52]], ids=["grid", "order-near-1"])
+    @pytest.mark.parametrize("mode", ["convergent", "linear"])
+    @pytest.mark.parametrize("k", [1, 8, 128])
+    @pytest.mark.parametrize("eps", [8.98e307, 1e308, sys.float_info.max])
+    def test_huge_target_is_met(self, eps, k, mode, alphas):
+        # from epsilon ~ 9e307 on, 2 room overflows to inf
+        plan = calibrate_sigma(self.spec(eps=eps, k=k), 1.0, mode, alphas)
+        assert plan.sigma > 0 and plan.eps_achieved <= eps
 
     def test_infeasible_target_names_floor(self):
         spec = self.spec(eps=0.05)

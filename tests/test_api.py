@@ -78,6 +78,19 @@ class TestPublicApi:
         ]
         assert offenders == []
 
+    def test_only_pipeline_knows_the_hop_blocks(self):
+        # a hop's blocks are its noise ranges, of pipeline._NOISE_ROWS rows;
+        # _pool.BLOCK_ROWS sizes the head's blocks alone
+        offenders = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(PACKAGE_DIR.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            # a name read or bound, an attribute, or a name imported
+            if ("BLOCK_ROWS" if path.name == "pipeline.py" else "_NOISE_ROWS")
+            in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
+        ]
+        assert offenders == []
+
     def test_every_bench_target_exists(self):
         # the bench times caribou.<module>.<function> for each of these; a
         # missing one leaves its per-layer metrics empty

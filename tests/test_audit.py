@@ -17,6 +17,7 @@ from scipy.stats import rankdata
 
 import caribou._pool
 import caribou.audit
+import caribou.pipeline
 from caribou.accountant import PrivacySpec
 from caribou.audit import (
     _TRIAL_STREAM,
@@ -466,6 +467,7 @@ class TestTracedFunctionsRunOnTheCallingThread:
         monkeypatch.setattr(caribou._pool, "usable_cpus", lambda: 2)
         monkeypatch.setattr(caribou._pool, "MIN_CELLS", 1)
         monkeypatch.setattr(caribou._pool, "BLOCK_ROWS", 4)
+        monkeypatch.setattr(caribou.pipeline, "_NOISE_ROWS", 4)
         pools = []
         thread_pool = caribou._pool.thread_pool
 

@@ -636,13 +636,19 @@ class TestOneErrorBoundary:
          ("edge", "dataset", "edges", 5),
          ("edge", "dataset", "features", ["f.csv"]),
          ("edge", "dataset", "labels", None),
-         ("edge", "audit", "attack", 5)],
+         ("edge", "audit", "attack", 5),
+         # each of these trained without DP, with exit 0
+         ("edge", "train", "dp", {}),
+         ("edge", "train", "dp", False),
+         ("edge", "train", "dp", 0),
+         ("edge", "train", "dp", []),
+         ("node", "train", "dp", None)],
         ids=["enabled-string", "enabled-int", "k_hops-fraction", "k_hops-bool", "epsilon-bool",
              "epochs-fraction", "max_degree-string", "max_degree-bool",
              "max_degree-fraction", "max_degree-negative", "max_degree-zero",
              "node-max_degree-fraction", "output_dir-int", "output_dir-list", "level-int",
              "mode-int", "preset-int", "edges-int", "features-list", "labels-null",
-             "attack-int"],
+             "attack-int", "dp-empty", "dp-false", "dp-zero", "dp-list", "node-dp-null"],
     )
     def test_misread_value_is_one_line_error(self, level, section, key, value, tmp_path,
                                              capsys):
@@ -663,9 +669,40 @@ class TestOneErrorBoundary:
     @pytest.mark.parametrize("cap", [None, 30])
     def test_max_degree_takes_null_or_a_positive_integer(self, cap, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", output_dir=str(tmp_path / "out"),
-                           privacy={"level": "node", "epsilon": 4.0, "max_degree": cap})
+                           privacy={"level": "node", "epsilon": 4.0, "max_degree": cap},
+                           train={"dp": {"clip_norm": 1.0, "noise_mult": 1.0}})
         code, out, _ = run_cli(["train", "--config", str(cfg)], capsys)
         assert code == 0 and json.loads(out)
+
+    def test_huge_epsilon_is_calibrated(self, tmp_path, capsys):
+        # 2 room overflowed, and the accountant divided by a sigma of 0
+        cfg = write_config(tmp_path / "cfg.json", output_dir=str(tmp_path / "out"),
+                           privacy={"level": "edge", "epsilon": 1e308, "k_hops": 2})
+        code, out, _ = run_cli(["train", "--config", str(cfg)], capsys)
+        assert code == 0
+        plan = json.loads(out)["noise_plan"]
+        assert plan["sigma"] > 0 and plan["eps_achieved"] <= 1e308
+
+    @pytest.mark.parametrize("command", ["train", "audit", "sweep"])
+    def test_node_level_run_needs_a_dp_head(self, command, tmp_path, capsys):
+        # without DP-SGD a node-level head is fitted to private rows, at a
+        # cost that no epsilon covers
+        out_dir = tmp_path / "out"
+        if command == "audit":
+            cfg = make_audit_config(tmp_path, level="node")
+        else:
+            cfg = write_config(tmp_path / "cfg.json", output_dir=str(out_dir),
+                               privacy={"level": "node", "epsilon": 4.0, "k_hops": 2},
+                               sweep=[{"seed": 1}])
+        code, out, err = run_cli([command, "--config", str(cfg)], capsys)
+        assert code == 1 and out == ""
+        record = one_error(err)
+        assert record["stage"] == command and record["error"] == "CliError"
+        assert "'train.dp'" in record["message"]
+        assert no_artifacts(out_dir)
+        if command == "train":
+            code, out, _ = run_cli([command, "--config", str(cfg), "--level", "edge"], capsys)
+            assert code == 0 and json.loads(out)
 
     @pytest.mark.parametrize("flag", ["--eps-dae", "--eps-cm"])
     def test_module_budget_flags_are_usage_errors(self, flag, capsys):

@@ -244,7 +244,7 @@ class TestNoiseOverlap:
         ids=["ragged-blocks", "one-block", "n-below-one-block", "three-cpus", "one-cpu"],
     )
     def test_equals_reference_loop_for_any_blocks_and_cpus(self, block_rows, cpus, monkeypatch):
-        monkeypatch.setattr(caribou._pool, "BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(caribou.pipeline, "_NOISE_ROWS", block_rows)
         monkeypatch.setattr(caribou._pool, "usable_cpus", lambda: cpus)
         ds = random_dataset(*ABOVE_CUTOFF, seed=6)
         for level in ("edge", "node"):
@@ -260,7 +260,7 @@ class TestNoiseOverlap:
     )
     def test_equals_reference_loop_with_cut_rows(self, block_rows, cpus, monkeypatch):
         monkeypatch.setattr(caribou.graphs, "_SUM_TERMS", 4)
-        monkeypatch.setattr(caribou._pool, "BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(caribou.pipeline, "_NOISE_ROWS", block_rows)
         monkeypatch.setattr(caribou._pool, "usable_cpus", lambda: cpus)
         ds = random_dataset(*ABOVE_CUTOFF, seed=10)
         agg, first = ds.graph._aggregation
@@ -331,7 +331,7 @@ class TestNoiseOverlap:
         assert np.array_equal(run_pipeline(column_major, cfg).x_k_final, expected)
 
     def test_equals_reference_loop_under_frequent_thread_switches(self, monkeypatch):
-        monkeypatch.setattr(caribou._pool, "BLOCK_ROWS", 1000)
+        monkeypatch.setattr(caribou.pipeline, "_NOISE_ROWS", 1000)
         monkeypatch.setattr(caribou._pool, "usable_cpus", lambda: 4)
         ds = random_dataset(*ABOVE_CUTOFF, seed=5)
         cfg = mixed_config("edge", 7, k=4)
@@ -359,8 +359,9 @@ class TestNoiseOverlap:
         calls = count_calls(monkeypatch, "_layer_rows")
         run_pipeline(ds, mixed_config("edge", 0))
         assert threading.active_count() == before
-        # row blocks above the cutoff, on any number of CPUs
-        blocks = -(-size[0] // caribou._pool.BLOCK_ROWS) if size == ABOVE_CUTOFF else 1
+        # one block per range of rows, on any number of CPUs
+        blocks = -(-size[0] // caribou.pipeline._NOISE_ROWS)
+        assert blocks == (2 if size == ABOVE_CUTOFF else 1)
         assert len(calls) == 3 * blocks
         if size == ABOVE_CUTOFF and cpus > 1:
             # the calling thread is the pool's last worker
@@ -369,32 +370,44 @@ class TestNoiseOverlap:
             assert calls == [(threading.main_thread(), before)] * 3 * blocks
 
     def test_blocks_follow_the_size_not_the_cpus(self, monkeypatch):
-        monkeypatch.setattr(caribou._pool, "BLOCK_ROWS", 3000)
+        monkeypatch.setattr(caribou.pipeline, "_NOISE_ROWS", 3000)
         ds = random_dataset(*ABOVE_CUTOFF, seed=3)
         counts = []
         for cpus in (1, 2, 3):
             with monkeypatch.context() as patch:
                 patch.setattr(caribou._pool, "usable_cpus", lambda: cpus)
-                calls = count_calls(patch, "_layer_rows")
+                layer_rows = count_calls(patch, "_layer_rows")
+                draws = count_calls(patch, "_draw_noise")
                 run_pipeline(ds, mixed_config("edge", 0, k=2))
-            counts.append(len(calls))
-        # three blocks of 8192 rows per hop, two hops
-        assert counts == [6, 6, 6]
+            counts.append((len(layer_rows), len(draws)))
+        # ⌈8192 / 3000⌉ = 3 blocks per hop, each one draw and one layer
+        # rows, two hops
+        assert counts == [(6, 6)] * 3
+
+    @pytest.mark.parametrize("block_rows", [1000, 10_000])
+    def test_head_block_rows_leave_the_release_alone(self, block_rows, monkeypatch):
+        # only the head's blocks have _pool.BLOCK_ROWS rows
+        monkeypatch.setattr(caribou._pool, "usable_cpus", lambda: 2)
+        ds = random_dataset(*ABOVE_CUTOFF, seed=19)
+        cfg = mixed_config("edge", 1)
+        expected = run_pipeline(ds, cfg, [1, 2]).x_k_final
+        monkeypatch.setattr(caribou._pool, "BLOCK_ROWS", block_rows)
+        assert np.array_equal(run_pipeline(ds, cfg, [1, 2]).x_k_final, expected)
 
     def test_failing_hop_reaches_caller_and_ends_worker(self, monkeypatch):
-        monkeypatch.setattr(caribou._pool, "BLOCK_ROWS", 3000)
         monkeypatch.setattr(caribou.pipeline, "_NOISE_ROWS", 1000)
         monkeypatch.setattr(caribou._pool, "usable_cpus", lambda: 2)
         ds = random_dataset(*ABOVE_CUTOFF, seed=4)
         before = threading.active_count()
-        # Per hop, nine ranges of rows draw their noise, then three blocks
-        # form their layer rows: hop 2 makes the draws numbered 18 to 26 and
-        # the layer rows numbered 6 to 8.  Either the first of hop 2's draws
-        # that a worker makes fails, or hop 2's second block task fails.
+        # Per hop, nine blocks each draw their noise, then form their layer
+        # rows and project them: hop 2 makes the draws, layer rows and
+        # projections numbered 18 to 26.  Either the first of hop 2's draws
+        # that a worker makes fails, and its task forms no layer rows, or
+        # hop 2's second layer rows fail, and their task projects nothing.
         # Hop 2's other tasks of that batch still run; no later task does.
         for failing, message, calls_made in (
-            ("draw-on-a-worker", "draw failed", (27, 6, 6)),
-            ("block-task", "call 7 failed", (27, 9, 8)),
+            ("draw-on-a-worker", "draw failed", (27, 26, 26)),
+            ("block-task", "call 19 failed", (27, 27, 26)),
         ):
             draw, draws, failed_on = caribou.pipeline._draw_noise, [], []
             lock, failed = threading.Lock(), threading.Event()
@@ -426,7 +439,7 @@ class TestNoiseOverlap:
             with monkeypatch.context() as patch:
                 patch.setattr(caribou.pipeline, "_draw_noise", failing_draw)
                 layer_rows = count_calls(patch, "_layer_rows",
-                                         fail_at=7 if failing == "block-task" else None)
+                                         fail_at=19 if failing == "block-task" else None)
                 projections = count_calls(patch, "_project_rows_inplace")
                 caller.start()
                 caller.join(timeout=30)
@@ -450,7 +463,7 @@ class TestNoiseOverlap:
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_peak_memory_holds_one_float64_and_one_float32_buffer(self, cpus, monkeypatch):
-        monkeypatch.setattr(caribou._pool, "BLOCK_ROWS", 512)
+        monkeypatch.setattr(caribou.pipeline, "_NOISE_ROWS", 512)
         monkeypatch.setattr(caribou._pool, "usable_cpus", lambda: cpus)
         ds = random_dataset(*ABOVE_CUTOFF, seed=2)
         cfg = mixed_config("edge", 0)
@@ -542,7 +555,7 @@ class TestHeapTrim:
 
     def test_trim_comes_after_the_iterate_is_freed(self, monkeypatch):
         block_rows = 512
-        monkeypatch.setattr(caribou._pool, "BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(caribou.pipeline, "_NOISE_ROWS", block_rows)
         monkeypatch.setattr(caribou._pool, "usable_cpus", lambda: 2)
         cfg = mixed_config("edge", 0)
         # so that no lazy import of a first call is traced
@@ -613,10 +626,10 @@ class TestBatchedReleases:
     def test_slices_equal_single_releases_on_row_blocks(self, block_rows, cpus, terms,
                                                         monkeypatch):
         # one release of 300 x 3 stays below the cutoff, so the single
-        # releases run as one block on this thread and the batches of two
-        # and five on row blocks
+        # releases run their blocks on this thread and the batches of two
+        # and five on the pool
         monkeypatch.setattr(caribou._pool, "MIN_CELLS", 1000)
-        monkeypatch.setattr(caribou._pool, "BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(caribou.pipeline, "_NOISE_ROWS", block_rows)
         monkeypatch.setattr(caribou._pool, "usable_cpus", lambda: cpus)
         monkeypatch.setattr(caribou.graphs, "_SUM_TERMS", terms)
         ds = random_dataset(300, 3, seed=13)
@@ -655,7 +668,7 @@ class TestBatchedReleases:
     @pytest.mark.parametrize("terms", [64, 4], ids=["whole-rows", "cut-rows"])
     def test_release_features_on_row_blocks(self, terms, monkeypatch):
         monkeypatch.setattr(caribou._pool, "MIN_CELLS", 1000)
-        monkeypatch.setattr(caribou._pool, "BLOCK_ROWS", 64)
+        monkeypatch.setattr(caribou.pipeline, "_NOISE_ROWS", 64)
         monkeypatch.setattr(caribou._pool, "usable_cpus", lambda: 2)
         monkeypatch.setattr(caribou.graphs, "_SUM_TERMS", terms)
         ds = random_dataset(300, 3, seed=13)

@@ -70,8 +70,25 @@ class TestStream:
 
     @pytest.mark.parametrize("ids", [(-1,), (2**32,), (0, 2**32)])
     def test_id_outside_32_bits_rejected(self, ids):
-        with pytest.raises(ValueError, match="outside"):
+        message = f"stream id must be an integer in [0, 2^32), got {ids[-1]!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             stream(0, *ids)
+
+    @pytest.mark.parametrize("sid", [True, False, 1.5, np.float64(2.0), "1", None],
+                             ids=["true", "false", "float", "numpy-float", "string", "none"])
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_id_that_is_not_an_integer_rejected(self, sid, position):
+        # True as an id would draw the numbers of id 1
+        ids = (sid, 3) if position == 0 else (3, sid)
+        message = f"stream id must be an integer in [0, 2^32), got {sid!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            stream(0, *ids)
+
+    def test_numpy_integer_ids_key_their_value(self):
+        # a 32-bit numpy id shifted into the key's top half would be lost
+        for sid in (np.int64(5), np.uint64(5), np.uint32(5), np.int8(5)):
+            for ids, same in (((sid,), (5,)), ((sid, sid), (5, 5)), ((1, sid), (1, 5))):
+                assert np.array_equal(stream(4, *ids).random(4), stream(4, *same).random(4))
 
     @pytest.mark.parametrize(
         "seed", [True, 1.5, np.float64(2.0), "3", None, 2**64, 2**64 + 1, -(2**63) - 1],
