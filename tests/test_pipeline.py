@@ -450,7 +450,7 @@ class TestNoiseOverlap:
             assert threading.active_count() == before, failing
 
     def test_streams_on_the_calling_thread_draws_on_every_cpu(self, monkeypatch):
-        # release-1e5's shape: 25 ranges of rows per hop, on row blocks
+        # release-1e5's shape: 25 blocks per hop, on the pool
         monkeypatch.setattr(caribou._pool, "usable_cpus", lambda: 2)
         ds = random_dataset(100_000, 64, seed=17)
         streams = count_calls(monkeypatch, "stream")
@@ -528,9 +528,9 @@ def record_trims(monkeypatch):
 
 
 class TestHeapTrim:
-    """A run on row blocks gives the C heap's free pages back once, after
-    it has let go of its float32 iterate and blocks; a run of one block
-    never does."""
+    """A run whose output reaches the pool cutoff gives the C heap's free
+    pages back once, after it has let go of its float32 iterate and
+    blocks; a smaller run never does."""
 
     @pytest.mark.parametrize("seeds", [None, [3, 4]], ids=["single", "batched"])
     def test_one_trim_per_pooled_run(self, seeds, monkeypatch):
@@ -550,7 +550,7 @@ class TestHeapTrim:
         ds = random_dataset(*size, seed=11)
         for seeds in (None, [3, 4]):
             run_pipeline(ds, mixed_config("edge", 0), seeds)
-        # one trim per run on row blocks, whether or not it opened a pool
+        # one trim per run above the cutoff, whether or not it opened a pool
         assert trims == ([None, None] if size == ABOVE_CUTOFF else [])
 
     def test_trim_comes_after_the_iterate_is_freed(self, monkeypatch):
