@@ -186,7 +186,9 @@ def _sample_edge_subset(g: Graph, keep_fraction: float, rng, require_min_degree:
     keep = max(1, round(keep_fraction * g.num_edges))
     for _ in range(max_tries):
         chosen = rng.choice(g.num_edges, size=keep, replace=False)
-        sub = Graph(num_nodes=g.num_nodes, edges=g.edges[np.sort(chosen)])
+        edges = g.edges[np.sort(chosen)]
+        edges.flags.writeable = False  # a fresh array: Graph need not copy it
+        sub = Graph(num_nodes=g.num_nodes, edges=edges)
         if not require_min_degree or degree_stats(sub).d_min >= 1:
             return sub
     raise RuntimeError(
@@ -203,6 +205,7 @@ def _induced_subgraph(g: Graph, nodes: np.ndarray) -> tuple[Graph, np.ndarray]:
     relabelled = position[g.edges]
     # the relabelling is monotone, so the kept rows stay sorted
     kept = relabelled[(relabelled >= 0).all(axis=1)]
+    kept.flags.writeable = False
     return Graph(num_nodes=nodes.size, edges=kept), nodes
 
 

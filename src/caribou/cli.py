@@ -19,7 +19,7 @@ non-string for a key that holds a path or a name, a non-boolean
 these, also the sections they do not use;
 ``audit`` runs no encoder and rejects ``encoder.enabled: true``.
 ``privacy.level`` (or ``--level``) is required.  ``train.dp`` is absent,
-``null`` or an object with both keys; a node-level run requires it.
+``null`` or an object with both keys, ``noise_mult`` > 0; node level needs it.
 A missing key takes the default of the dataclass it feeds; only the values
 that no dataclass defaults are defaulted here: the ``cgl`` coefficients,
 ``epsilon`` 1.0, ``delta`` 1e-3 and ``seed`` 0.  The CARIBOU_OUT
@@ -28,7 +28,8 @@ creates only when it writes there, after every check has passed.
 
 Calibration composes the K-hop release alone.  A DP-SGD head or encoder
 states its cost once, as a Renyi coefficient (``cm_rdp_coeff`` in
-``head.json``, ``encoder.dae_rdp_coeff`` in ``results.json``).
+``head.json``, ``encoder.dae_rdp_coeff`` in ``results.json``); a node-level
+``results.json`` names what no epsilon covers in ``outside_guarantee``.
 
 Exit codes: 0 for success, 1 for a failed run, 2 for a usage error.  Every
 error is reported as one JSON line on stderr; ``main`` turns each failure
@@ -270,6 +271,8 @@ def _read_run(config: dict) -> _Run:
         raise CliError("a node-level run needs 'train.dp': its head reads private rows")
     if dp is not None:
         train["dp"] = DpSgdConfig(**_read(dp, "train.dp", _DP, required=tuple(_DP)))
+        if train["dp"].noise_mult == 0:  # the library's noiseless reference step
+            raise CliError("train.dp.noise_mult must be positive; 'train.dp': null runs without DP")
     encoder = _read(config.get("encoder", {}), "encoder", _ENCODER)
     audit = _read(config.get("audit", {}), "audit", _AUDIT)
     return _Run(
@@ -333,6 +336,8 @@ def _run_train(config: dict, out_dir: Path) -> dict:
         "noise_plan": artifacts.plan.to_dict(),
         "seed": cfg.seed,
     }
+    if cfg.spec.level == "node":  # read from private test labels
+        results["outside_guarantee"] = ["accuracy_test"]
     if train_cfg.dp is not None:
         results["eps_cm_at_alpha_star"] = head.cm_rdp_coeff * artifacts.plan.alpha_star
     if encoder is not None:

@@ -47,7 +47,8 @@ class Graph:
 
     ``edges`` is a read-only (m, 2) int64 array of (u, v) rows with u < v,
     sorted lexicographically and unique; a writable input array is copied
-    first, so later writes by the caller cannot reach the graph.
+    first, so later writes by the caller cannot reach the graph.  ValueError
+    for, in this order, a bad ``num_nodes``, shape, row, or row order.
     ``dropped_self_loops`` counts self-loops discarded during construction.
     Graphs compare and hash by identity: the cached normalized adjacency
     belongs to one object.
@@ -68,14 +69,13 @@ class Graph:
             edges.flags.writeable = False
         object.__setattr__(self, "edges", edges)
         u, v = edges[:, 0], edges[:, 1]
-        bad = (u < 0) | (u >= v) | (v >= n)
-        if bad.any():
-            i = int(bad.argmax())
+        if u.size and not (u.min() >= 0 and v.max() < n and (u < v).all()):
+            i = int(((u < 0) | (u >= v) | (v >= n)).argmax())
             raise ValueError(f"edge ({u[i]}, {v[i]}) invalid for {n} nodes")
-        keys = u * n + v
-        bad = keys[1:] <= keys[:-1]
-        if bad.any():
-            i = int(bad.argmax()) + 1
+        keys = u * n  # after the row check, so that no bad row wraps into order
+        keys += v
+        if not (keys[1:] > keys[:-1]).all():
+            i = int((keys[1:] <= keys[:-1]).argmax()) + 1
             raise ValueError(
                 f"edge ({u[i]}, {v[i]}) is out of order or repeated; "
                 "edges must be sorted and unique"
@@ -150,27 +150,31 @@ def build_graph(num_nodes: int, edge_list) -> Graph:
     self-loops are dropped and counted; out-of-range ids raise.
     """
     n = num_nodes
+    _check_count("num_nodes", n, 0)
     pairs = np.asarray(edge_list, dtype=np.int64)
     if pairs.size == 0:
         pairs = pairs.reshape(0, 2)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError(f"edge_list must hold (u, v) pairs, got shape {pairs.shape}")
     u, v = pairs[:, 0], pairs[:, 1]
-    bad = (u < 0) | (u >= n) | (v < 0) | (v >= n)
-    if bad.any():
-        i = int(bad.argmax())
+    if pairs.size and not (pairs.min() >= 0 and pairs.max() < n):
+        i = int(((pairs < 0) | (pairs >= n)).any(axis=1).argmax())
         raise ValueError(f"edge ({u[i]}, {v[i]}) out of range for {n} nodes")
+    keys = np.minimum(u, v)
+    keys *= n
+    np.add(keys, np.maximum(u, v), out=keys)
     loops = u == v
-    lo, hi = np.minimum(u, v)[~loops], np.maximum(u, v)[~loops]
+    if dropped := int(np.count_nonzero(loops)):
+        keys = keys[~loops]
     # sort + neighbour compare: np.unique is far slower on large key arrays
-    keys = lo * n + hi
     keys.sort()
     first = np.ones(keys.size, dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     keys = keys[first]
-    edges = np.stack(np.divmod(keys, n), axis=1)
+    edges = np.empty((keys.size, 2), dtype=np.int64)
+    np.divmod(keys, n, out=(edges[:, 0], edges[:, 1]))
     edges.flags.writeable = False
-    return Graph(num_nodes=n, edges=edges, dropped_self_loops=int(loops.sum()))
+    return Graph(num_nodes=n, edges=edges, dropped_self_loops=dropped)
 
 
 def degree_stats(g: Graph) -> DegreeStats:
@@ -287,9 +291,10 @@ class LabeledDataset:
             )
         if self.labels.shape != (n,):
             raise ValueError("labels must be one entry per node")
-        _mask_labels(self.labels, self.train_mask, "training mask", n)
-        _mask_labels(self.labels, self.test_mask, "test mask", n)
-        if np.isin(self.train_mask, self.test_mask).any():
+        train, _ = _mask_labels(self.labels, self.train_mask, "training mask", n)
+        in_test = np.zeros(n, dtype=bool)
+        in_test[_mask_labels(self.labels, self.test_mask, "test mask", n)[0]] = True
+        if in_test[train].any():
             raise ValueError("train and test masks overlap")
 
     @property
@@ -334,7 +339,9 @@ def stratified_split(
     short_te = n_test - test.size
     if short_tr or short_te:
         perm = rng.permutation(labeled)
-        leftovers = perm[~np.isin(perm, np.concatenate([train, test]))]
+        taken = np.zeros(labels.size, dtype=bool)
+        taken[train] = taken[test] = True
+        leftovers = perm[~taken[perm]]
         train = np.concatenate([train, leftovers[:short_tr]])
         test = np.concatenate([test, leftovers[short_tr : short_tr + short_te]])
     return np.sort(train), np.sort(test)

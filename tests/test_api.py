@@ -18,6 +18,8 @@ ORACLES = (
     "grad_check",
     "rdp_epsilon_convergent",
     "rdp_epsilon_linear",
+    "reference_build_graph",
+    "reference_graph_edges",
     "spectral_norm",
 )
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -349,6 +350,28 @@ class TestTrain:
         assert record["stage"] == "train" and record["error"] == "ParseError"
         assert message in record["message"]
 
+    @pytest.mark.parametrize("level", ["edge", "node"])
+    def test_every_json_output_is_strict(self, level, tmp_path, capsys):
+        # a zero noise multiplier once printed its head's cost as Infinity
+        out_dir = tmp_path / "out"
+        cfg = write_config(tmp_path / "cfg.json", output_dir=str(out_dir),
+                           privacy={"level": level, "epsilon": 4.0, "k_hops": 2},
+                           train={"epochs": 20, "dp": {"clip_norm": 1.0, "noise_mult": 1.0}},
+                           encoder={"enabled": True})
+        code, out, err = run_cli(["train", "--config", str(cfg)], capsys)
+        assert code == 0
+        [results] = [strict_json(line) for line in out.splitlines()]
+        assert [strict_json(line) for line in err.splitlines()]
+        names = sorted(path.name for path in out_dir.glob("*.json"))
+        assert names == ["head.json", "plan.json", "results.json"]
+        assert [strict_json((out_dir / name).read_text()) for name in names][2] == results
+        assert math.isfinite(results["eps_cm_at_alpha_star"])
+        # only at node level do the test labels belong to the private rows
+        if level == "node":
+            assert results["outside_guarantee"] == ["accuracy_test"]
+        else:
+            assert "outside_guarantee" not in results
+
     def test_missing_dataset_file_rejected(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "cfg.json",
@@ -504,6 +527,13 @@ class TestSweep:
         monkeypatch.setattr(caribou._pool, "usable_cpus", lambda: cpus)
         args = cli.build_parser().parse_args(["sweep", "--config", "cfg.json"])
         assert args.workers == default
+
+
+def strict_json(text: str):
+    """``json.loads`` that rejects the non-standard NaN and Infinity."""
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
 
 
 def one_error(err: str) -> dict:
@@ -682,6 +712,24 @@ class TestOneErrorBoundary:
         assert code == 0
         plan = json.loads(out)["noise_plan"]
         assert plan["sigma"] > 0 and plan["eps_achieved"] <= 1e308
+
+    @pytest.mark.parametrize("level", ["none", "edge", "node"])
+    def test_dp_without_noise_rejected_before_files_are_read(self, level, tmp_path, capsys):
+        # noise_mult 0 trained the head without noise and wrote its cost as
+        # Infinity; the data files are gone, so the config alone fails
+        cfg = write_path_config(tmp_path)
+        config = json.loads(cfg.read_text())
+        config["privacy"]["level"] = level
+        config["train"]["dp"] = {"clip_norm": 1.0, "noise_mult": 0.0}
+        cfg.write_text(json.dumps(config))
+        for path in (tmp_path / "data").iterdir():
+            path.unlink()
+        code, out, err = run_cli(["train", "--config", str(cfg)], capsys)
+        assert code == 1 and out == ""
+        record = one_error(err)
+        assert record["stage"] == "train" and record["error"] == "CliError"
+        assert record["message"].startswith("train.dp.noise_mult must be positive")
+        assert no_artifacts(tmp_path / "out")
 
     @pytest.mark.parametrize("command", ["train", "audit", "sweep"])
     def test_node_level_run_needs_a_dp_head(self, command, tmp_path, capsys):

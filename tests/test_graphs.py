@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 import tempfile
@@ -30,6 +31,8 @@ from tests.helpers import per_value_csv
 from tests.verify import (
     enumerate_edge_neighbors,
     enumerate_node_neighbors,
+    reference_build_graph,
+    reference_graph_edges,
     spectral_norm,
 )
 
@@ -114,6 +117,91 @@ class TestGraphInvariants:
     def test_degrees_count_both_endpoints(self):
         g = build_graph(5, [(0, 1), (0, 2), (0, 3), (3, 1)])
         assert g.degrees.tolist() == [3, 2, 1, 2, 0]
+
+
+def _outcome(call):
+    """The edge bytes and shape ``call`` returns, or its error's type and text."""
+    try:
+        edges, *rest = call()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    assert edges.dtype == np.int64 and not edges.flags.writeable
+    return edges.tobytes(), edges.shape, *rest
+
+
+def _wrapping_edge(n: int, v: int) -> tuple[int, int]:
+    """A row (u, v) with u < 0 whose int64 key u * n + v wraps to a small
+    positive K; ``n`` is odd, so it has an inverse modulo 2**64."""
+    for key in range(2, 1000):
+        u = (key - v) * pow(n, -1, 1 << 64) % (1 << 64)
+        if u >= 1 << 63:
+            return u - (1 << 64), key
+    raise AssertionError("no negative u below K = 1000")
+
+
+_IDS = st.integers(-3, 14)
+
+
+class TestChecksMatchReference:
+    """``build_graph`` and ``Graph`` keep the edges, the self-loop count and
+    the first error of the per-row oracles in ``tests.verify``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(0, 12),
+        pairs=st.one_of(
+            st.lists(st.tuples(_IDS, _IDS), max_size=30),
+            st.lists(st.lists(_IDS, min_size=1, max_size=3), max_size=4),
+            st.lists(_IDS, max_size=4),
+        ),
+    )
+    def test_messy_pair_lists(self, n, pairs):
+        def built():
+            g = build_graph(n, pairs)
+            return g.edges, g.dropped_self_loops
+
+        assert _outcome(built) == _outcome(lambda: reference_build_graph(n, pairs))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 12))
+    def test_raw_edge_arrays(self, data, n):
+        # a valid sorted edge set, then at most one fault
+        node = st.integers(0, max(n - 1, 0))
+        drawn = data.draw(st.lists(st.tuples(node, node), max_size=20))
+        rows = [[u, v] for u, v in sorted({(min(p), max(p)) for p in drawn if p[0] != p[1]})]
+        fault = data.draw(st.sampled_from(
+            ["none", "swap", "repeat", "reverse", "v=n", "u<0", "random"]))
+        i = data.draw(st.integers(0, max(len(rows) - 1, 0)))
+        if fault == "random":
+            rows = data.draw(st.lists(st.lists(_IDS, min_size=2, max_size=2), max_size=12))
+        elif rows and fault == "swap" and len(rows) > 1:
+            j = (i + 1) % len(rows)
+            rows[i], rows[j] = rows[j], rows[i]
+        elif rows and fault == "repeat":
+            rows.insert(i, list(rows[i]))
+        elif rows and fault == "reverse":
+            rows[i].reverse()
+        elif rows and fault == "v=n":
+            rows[i][1] = n
+        elif rows and fault == "u<0":
+            rows[i][0] = -data.draw(st.integers(1, 5))
+        edges = np.array(rows, dtype=np.int64).reshape(-1, 2)
+        want = _outcome(lambda: (reference_graph_edges(n, edges),))
+        assert _outcome(lambda: (Graph(num_nodes=n, edges=edges).edges,)) == want
+
+    @pytest.mark.parametrize("n", [3, 7, 1_000_001])
+    def test_a_wrapped_key_after_the_first_row_is_invalid(self, n):
+        u, key = _wrapping_edge(n, 2)
+        edges = np.array([[0, 1], [u, 2]], dtype=np.int64)
+        # the keys increase, so only the row check can reject the edge
+        keys = edges[:, 0] * n + edges[:, 1]
+        assert keys.tolist() == [1, key]
+        message = f"edge ({u}, 2) invalid for {n} nodes"
+        for check in (lambda: Graph(num_nodes=n, edges=edges),
+                      lambda: reference_graph_edges(n, edges)):
+            with pytest.raises(ValueError) as info:
+                check()
+            assert str(info.value) == message
 
 
 class TestNormalizedAdjacency:
@@ -363,6 +451,21 @@ class TestStratifiedSplit:
             assert got[0].tolist() == sorted(train)
             assert got[1].tolist() == sorted(test)
             assert got[0].dtype == got[1].dtype == np.int64
+
+    @pytest.mark.parametrize("n_train, n_test, train_sha, test_sha", [
+        # 1666 and 6666 do not divide by 4 classes: the leftover fill runs
+        (1666, 6666, "5f8f9548e830a96ba9a05978cd9aaf18477fd20425a89491df11607eb5dfa7e6",
+         "80d15bc709af4e6dfccbb332176f682165058acf14755110c7154bcce2396a58"),
+        (1664, 6664, "0a17128aeff8623bab26d2e150bc4dbbfb332cd4ce808ca72ae6303ad173552f",
+         "02d629f0d6c6ab28fb3048e67bb535538aa9a33c070d292cc5db9edde0cad462"),
+    ], ids=["leftover-fill", "even-quota"])
+    def test_seeded_masks_keep_their_bytes(self, n_train, n_test, train_sha, test_sha):
+        labels = stream(0, 0x5917).integers(0, 4, size=10_000)
+        labels[::50] = -1
+        train, test = stratified_split(labels, n_train, n_test, stream(1, 0x5917))
+        assert (train.size, test.size) == (n_train, n_test)
+        assert hashlib.sha256(train.astype("<i8").tobytes()).hexdigest() == train_sha
+        assert hashlib.sha256(test.astype("<i8").tobytes()).hexdigest() == test_sha
 
 
 SPLIT_LABELS = np.array([0, 1, 0, 1])

@@ -5,7 +5,10 @@ Each oracle recomputes a quantity the program states analytically by
 direct enumeration or probing on small inputs: the layer sensitivities
 (over every adjacent graph), the normalized adjacency's spectral norm, the
 layer's Lipschitz constant, the hops' product without rounding error, and
-the head's gradients.  They are slow by design.  The per-order Renyi
+the head's gradients.  They are slow by design.  Two more restate the
+graph checks with one elementwise test per row, as ``graphs`` first made
+them: the edge array check of ``Graph`` and the pair cleaning of
+``build_graph``.  The per-order Renyi
 costs of a K-hop release under either accountant, and the GDP-to-RDP
 conversion, restate what ``accountant.calibrate_sigma`` composes in one
 closed form.  All of them exist for the tests, so they live with the tests
@@ -24,7 +27,7 @@ import numpy as np
 from caribou import model
 from caribou.accountant import convergent_factor
 from caribou.graphs import Graph, build_graph, degree_stats, normalized_adjacency
-from caribou.layers import LayerParams, layer_forward
+from caribou.layers import LayerParams, _check_count, layer_forward
 from caribou.prng import stream
 
 
@@ -46,6 +49,55 @@ def spectral_norm(mat, tol: float = 1e-6, max_iter: int = 10_000, seed: int = 0)
         sigma = norm_w
         v = w
     return sigma
+
+
+def reference_graph_edges(num_nodes, edges) -> np.ndarray:
+    """The edge array a ``Graph`` of ``num_nodes`` nodes stores for
+    ``edges``, read-only, or the ValueError it raises: each row check is one
+    per-row mask over every edge, and the order check compares the keys
+    u * n + v only after every row is known to be valid."""
+    n = num_nodes
+    _check_count("num_nodes", n, 0)
+    edges = np.asarray(edges, dtype=np.int64)
+    if edges.ndim != 2 or edges.shape[1] != 2:
+        raise ValueError(f"edges must be an (m, 2) array, got shape {edges.shape}")
+    edges = edges.copy()
+    edges.flags.writeable = False
+    u, v = edges[:, 0], edges[:, 1]
+    bad = (u < 0) | (u >= v) | (v >= n)
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(f"edge ({u[i]}, {v[i]}) invalid for {n} nodes")
+    keys = u * n + v
+    bad = keys[1:] <= keys[:-1]
+    if bad.any():
+        i = int(bad.argmax()) + 1
+        raise ValueError(
+            f"edge ({u[i]}, {v[i]}) is out of order or repeated; "
+            "edges must be sorted and unique"
+        )
+    return edges
+
+
+def reference_build_graph(num_nodes, edge_list) -> tuple[np.ndarray, int]:
+    """``build_graph``'s edges and self-loop count for a pair list, or the
+    ValueError it raises, from per-row masks, ``np.unique`` and the check
+    of ``reference_graph_edges``; the node count is checked last."""
+    n = num_nodes
+    pairs = np.asarray(edge_list, dtype=np.int64)
+    if pairs.size == 0:
+        pairs = pairs.reshape(0, 2)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError(f"edge_list must hold (u, v) pairs, got shape {pairs.shape}")
+    u, v = pairs[:, 0], pairs[:, 1]
+    bad = (u < 0) | (u >= n) | (v < 0) | (v >= n)
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(f"edge ({u[i]}, {v[i]}) out of range for {n} nodes")
+    loops = u == v
+    lo, hi = np.minimum(u, v)[~loops], np.maximum(u, v)[~loops]
+    edges = np.unique(np.stack([lo, hi], axis=1), axis=0).reshape(-1, 2)
+    return reference_graph_edges(n, edges), int(loops.sum())
 
 
 def enumerate_edge_neighbors(g: Graph) -> Iterator[Graph]:
