@@ -174,7 +174,7 @@ class TestChecksMatchReference:
         i = data.draw(st.integers(0, max(len(rows) - 1, 0)))
         if fault == "random":
             rows = data.draw(st.lists(st.lists(_IDS, min_size=2, max_size=2), max_size=12))
-        elif rows and fault == "swap" and len(rows) > 1:
+        elif fault == "swap" and len(rows) > 1:
             j = (i + 1) % len(rows)
             rows[i], rows[j] = rows[j], rows[i]
         elif rows and fault == "repeat":
